@@ -30,7 +30,7 @@ from .lifelong import LifelongMemory, MemoryEntity, TaskTrace
 from .orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
 from .planner import Plan, CriticVerdict, PlannerCritic, run_episode
 from .preprocessor import Preprocessor
-from .spatial import SpatialMemory, Triplet, khop_bound
+from .spatial import KHopBoundError, SpatialMemory, Triplet, khop_bound
 from .temporal import TemporalMemory
 from .vector_index import HashingEmbedder, VectorIndex
 
@@ -44,6 +44,7 @@ __all__ = [
     "GatewayConfig",
     "HashingEmbedder",
     "InvariantError",
+    "KHopBoundError",
     "LifelongMemory",
     "MalformedDocumentError",
     "MemoryContext",

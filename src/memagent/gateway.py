@@ -615,6 +615,10 @@ class OracleBackend:
     Pure: the response is a function of (role, payload) alone.
     """
 
+    #: Computes in the calling thread and never waits, so fanning its calls
+    #: out to threads overlaps nothing (see ``ReasonerGateway.latency_bound``).
+    latency_bound = False
+
     def invoke(self, role: ReasonerRole, payload: dict) -> dict:
         # Round-trip through canonical JSON so callers cannot observe
         # shared mutable state and purity is byte-level.
@@ -627,6 +631,9 @@ class RemoteBackend:
     Sends the role name and payload as a single user message and expects
     the assistant content to be the response JSON document.
     """
+
+    #: Each call waits on the network, so concurrent calls overlap.
+    latency_bound = True
 
     def __init__(
         self,
@@ -724,7 +731,9 @@ class ReasonerGateway:
         self._transcript_path = transcript_path
 
     @classmethod
-    def from_config(cls, config: GatewayConfig) -> "ReasonerGateway":
+    def from_config(
+        cls, config: GatewayConfig, transcript_path: Optional[str] = None
+    ) -> "ReasonerGateway":
         if config.backend == "remote":
             backend = RemoteBackend(
                 base_url=config.base_url,
@@ -734,7 +743,14 @@ class ReasonerGateway:
             )
         else:
             backend = OracleBackend()
-        return cls(backend=backend, budget=config.budget)
+        return cls(backend=backend, budget=config.budget, transcript_path=transcript_path)
+
+    @property
+    def latency_bound(self) -> bool:
+        """Whether backend calls wait (on the network, say) rather than
+        compute under the GIL, so that running them on threads overlaps
+        the waits. A backend that does not say is taken to wait."""
+        return getattr(self.backend, "latency_bound", True)
 
     def reset_budget(self) -> None:
         with self._lock:
@@ -757,7 +773,10 @@ class ReasonerGateway:
         self, requests: Sequence[Tuple[ReasonerRole, dict]]
     ) -> List[Any]:
         """Invoke all requests concurrently; results (or exceptions) are
-        returned in request order."""
+        returned in request order. A single request, or any number when the
+        backend is not ``latency_bound``, runs inline in request order: a
+        pool would overlap no waits and only add thread start-up and
+        hand-off time."""
         if not requests:
             return []
 
@@ -767,6 +786,8 @@ class ReasonerGateway:
             except Exception as exc:
                 return exc
 
+        if len(requests) == 1 or not self.latency_bound:
+            return [call(pair) for pair in requests]
         with ThreadPoolExecutor(max_workers=max(1, len(requests))) as pool:
             return list(pool.map(call, requests))
 

@@ -60,14 +60,15 @@ class AgentSystem:
             config = GatewayConfig.from_file(config_path)
         else:
             config = GatewayConfig(backend=backend)
-        gateway = ReasonerGateway.from_config(config)
-        if transcript_path:
-            gateway._transcript_path = transcript_path
+        gateway = ReasonerGateway.from_config(config, transcript_path=transcript_path)
         orchestrator = MemoryOrchestrator(
             spatial=SpatialMemory(gateway=gateway),
             temporal=TemporalMemory(gateway=gateway),
             lifelong=LifelongMemory(gateway=gateway),
-            parallel=parallel,
+            # Memory branches only overlap while they wait on the backend;
+            # on a compute-bound one (the oracle) they hold the GIL, and
+            # per-call threads would add start-up time and scheduling noise.
+            parallel=parallel and gateway.latency_bound,
             spatial_enabled="spatial" not in disable,
             longterm_enabled="longterm" not in disable,
         )

@@ -8,9 +8,11 @@ nodes outside that region are never touched.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -24,7 +26,14 @@ from .gateway import (
     ReasonerGateway,
     ReasonerRole,
 )
-from .vector_index import DEFAULT_THETA, HashingEmbedder, IndexEntry, VectorIndex, cosine
+from .vector_index import (  # noqa: F401  (cosine stays importable as spatial.cosine)
+    DEFAULT_THETA,
+    HashingEmbedder,
+    IndexEntry,
+    VectorIndex,
+    cosine,
+    cosine_with_norms,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +41,10 @@ DEFAULT_K = 2
 DEFAULT_BUFFER_CAPACITY = 8
 DEFAULT_MAX_OUT_DEGREE = 16
 DEFAULT_MAX_IN_DEGREE = 16
+
+
+class KHopBoundError(RuntimeError):
+    """A k-hop retrieval returned more nodes than the expansion bound allows."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +114,7 @@ class SpatialMemory:
         self.functional_groups = (
             functional_groups or [list(g) for g in DEFAULT_FUNCTIONAL_GROUPS]
         )
+        self._exclusive = frozenset(frozenset(pair) for pair in self.exclusive_pairs)
         self._edges: Dict[Tuple[str, str, str], Triplet] = {}
         self._nodes: Set[str] = set()
         self._index = VectorIndex(dim=self.embedder.dim)
@@ -154,16 +168,13 @@ class SpatialMemory:
                     self.integrate()
 
     def _fast_conflict(self, triplet: Triplet) -> bool:
-        exclusive = [frozenset(pair) for pair in self.exclusive_pairs]
-        existing = [t for t in self._pending if t.key != triplet.key] + list(
-            self._edges.values()
-        )
-        for other in existing:
+        # A fact with the triplet's own key has its relation, so it never matches.
+        for other in itertools.chain(self._pending, self._edges.values()):
             if (
                 other.subject == triplet.subject
                 and other.object == triplet.object
                 and other.relation != triplet.relation
-                and frozenset((other.relation, triplet.relation)) in exclusive
+                and frozenset((other.relation, triplet.relation)) in self._exclusive
             ):
                 return True
         return False
@@ -214,19 +225,7 @@ class SpatialMemory:
         """Merge theta-similar entity names within the local region into the
         lexicographically smallest spelling. Nodes with edges outside the
         region are left alone to preserve locality."""
-        local_nodes = sorted({n for e in local.values() for n in (e.subject, e.object)})
-        rename: Dict[str, str] = {}
-        for i, name in enumerate(local_nodes):
-            if name in rename:
-                continue
-            vec = self.embedder.embed(name)
-            for other in local_nodes[i + 1 :]:
-                if other in rename or other == name:
-                    continue
-                if self._has_edges_outside(other, local):
-                    continue
-                if cosine(vec, self.embedder.embed(other)) >= self.theta:
-                    rename[other] = name
+        rename = self._dedup_renames(local)
         if not rename:
             return local
         merged: Dict[Tuple[str, str, str], Triplet] = {}
@@ -242,6 +241,31 @@ class SpatialMemory:
         for loser in rename:
             self._drop_node(loser)
         return merged
+
+    def _dedup_renames(self, local: Dict[Tuple[str, str, str], Triplet]) -> Dict[str, str]:
+        """Greedy rename map over the sorted local names: each name not yet
+        renamed absorbs every later theta-similar name that has no edge
+        outside ``local``. Each name is embedded once and each norm taken
+        once; ``local`` and the graph do not change during the scan."""
+        names = sorted({n for e in local.values() for n in (e.subject, e.object)})
+        vecs = [self.embedder.embed(name) for name in names]
+        norms = [float(np.linalg.norm(vec)) for vec in vecs]
+        outside: Dict[str, bool] = {}
+        rename: Dict[str, str] = {}
+        for i, name in enumerate(names):
+            if name in rename:
+                continue
+            for j in range(i + 1, len(names)):
+                other = names[j]
+                if other in rename:
+                    continue
+                if cosine_with_norms(vecs[i], norms[i], vecs[j], norms[j]) < self.theta:
+                    continue
+                if other not in outside:
+                    outside[other] = self._has_edges_outside(other, local)
+                if not outside[other]:
+                    rename[other] = name
+        return rename
 
     def _has_edges_outside(
         self, node: str, local: Dict[Tuple[str, str, str], Triplet]
@@ -302,23 +326,21 @@ class SpatialMemory:
         self, seeds: Iterable[str], k: Optional[int] = None
     ) -> Tuple[Set[str], List[Triplet]]:
         """All nodes reachable from the resolved seeds via <= k outgoing
-        hops, plus the edges among them. Node count is asserted against the
-        worst-case expansion bound."""
+        hops, plus the edges among them. Raises ``KHopBoundError`` when the
+        node count exceeds the worst-case expansion bound."""
         with self._lock:
             hops = self.k_hops if k is None else k
             resolved = {r for r in (self._resolve_seed(s) for s in seeds) if r}
             nodes, edges = self._retrieve(resolved, hops)
-            max_degree = max(
-                (sum(1 for s, _, _ in self._edges if s == n) for n in self._nodes),
-                default=0,
-            )
+            max_degree = max(Counter(s for s, _, _ in self._edges).values(), default=0)
             bound = min(
                 float(len(self._nodes)) if self._nodes else 0.0,
                 khop_bound(len(resolved), max_degree, hops),
             )
-            assert len(nodes) <= bound or not resolved, (
-                f"k-hop extraction returned {len(nodes)} nodes, bound {bound}"
-            )
+            if resolved and len(nodes) > bound:
+                raise KHopBoundError(
+                    f"k-hop extraction returned {len(nodes)} nodes, bound {bound}"
+                )
             return nodes, edges
 
     def _retrieve(self, seeds: Set[str], k: int) -> Tuple[Set[str], List[Triplet]]:

@@ -4,10 +4,16 @@ The built-in embedder hashes character trigrams into a fixed number of
 buckets and L2-normalizes, so results are reproducible with no model.
 Search is exact brute force: desk-scale stores make approximate indexing
 pointless and exactness keeps test oracles simple.
+
+Every similarity score is one per-pair ``np.dot`` divided by the two 1-D
+norms, each norm taken once per vector. A matrix product or a vectorised
+``norm(axis=1)`` sums in another order and can move a score across theta in
+the last bit (``apple 1`` vs ``apple 2`` scores 0.7999999999999999).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -18,6 +24,8 @@ from .core import canonical_json, canonical_name
 
 DEFAULT_DIM = 64
 DEFAULT_THETA = 0.8
+#: Distinct (text, dim) embeddings kept; one suite run uses about 500.
+EMBED_CACHE_SIZE = 4096
 
 
 class EmptyTextError(ValueError):
@@ -37,32 +45,46 @@ def _bucket(gram: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
+@functools.lru_cache(maxsize=EMBED_CACHE_SIZE)
+def _embed(text: str, dim: int) -> np.ndarray:
+    normalized = canonical_name(text)
+    if not normalized:
+        raise EmptyTextError("cannot embed empty text")
+    padded = f"  {normalized} "
+    vec = np.zeros(dim, dtype=np.float64)
+    for i in range(len(padded) - 2):
+        vec[_bucket(padded[i : i + 3], dim)] += 1.0
+    norm = float(np.linalg.norm(vec))
+    vec = vec / norm
+    vec.setflags(write=False)  # one shared object per text: callers must not write
+    return vec
+
+
 class HashingEmbedder:
-    """Character-trigram feature hashing, L2-normalized."""
+    """Character-trigram feature hashing, L2-normalized.
+
+    Embeddings are memoized per (text, dim) and returned read-only, so
+    repeat calls return the same array object."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        normalized = canonical_name(text)
-        if not normalized:
-            raise EmptyTextError("cannot embed empty text")
-        padded = f"  {normalized} "
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for i in range(len(padded) - 2):
-            vec[_bucket(padded[i : i + 3], self.dim)] += 1.0
-        norm = float(np.linalg.norm(vec))
-        return vec / norm
+        return _embed(text, self.dim)
+
+
+def cosine_with_norms(a: np.ndarray, a_norm: float, b: np.ndarray, b_norm: float) -> float:
+    """Cosine of ``a`` and ``b`` given their precomputed L2 norms; 0.0 when
+    either norm is zero. The one scoring formula behind every theta test."""
+    if a_norm == 0.0 or b_norm == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (a_norm * b_norm))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return cosine_with_norms(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
 
 
 @dataclass(frozen=True)
@@ -82,11 +104,14 @@ class IndexEntry:
 
 
 class VectorIndex:
-    """Exact cosine-similarity index keyed by entry id (last write wins)."""
+    """Exact cosine-similarity index keyed by entry id (last write wins).
+
+    Each entry's embedding norm is taken once, at upsert, and kept beside
+    it; entries are not mutated after they are stored."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
-        self._entries: Dict[str, IndexEntry] = {}
+        self._entries: Dict[str, Tuple[IndexEntry, float]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,17 +120,18 @@ class VectorIndex:
         return entry_id in self._entries
 
     def get(self, entry_id: str) -> Optional[IndexEntry]:
-        return self._entries.get(entry_id)
+        stored = self._entries.get(entry_id)
+        return stored[0] if stored is not None else None
 
     def entries(self) -> List[IndexEntry]:
-        return [self._entries[k] for k in sorted(self._entries)]
+        return [self._entries[k][0] for k in sorted(self._entries)]
 
     def upsert(self, entry: IndexEntry) -> None:
         if entry.embedding.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"entry dim {entry.embedding.shape} != index dim ({self.dim},)"
             )
-        self._entries[entry.id] = entry
+        self._entries[entry.id] = (entry, float(np.linalg.norm(entry.embedding)))
 
     def remove(self, entry_id: str) -> None:
         if entry_id not in self._entries:
@@ -123,9 +149,10 @@ class VectorIndex:
             raise DimensionMismatchError(
                 f"query dim {query.shape} != index dim ({self.dim},)"
             )
+        query_norm = float(np.linalg.norm(query))
         scored = [
-            (entry, cosine(query, entry.embedding))
-            for entry in self._entries.values()
+            (entry, cosine_with_norms(query, query_norm, entry.embedding, norm))
+            for entry, norm in self._entries.values()
         ]
         kept = [(e, s) for e, s in scored if s >= theta]
         kept.sort(key=lambda pair: (-pair[1], pair[0].id))

@@ -199,6 +199,31 @@ class TestInvokeParallel:
         )
         assert time.perf_counter() - start < 0.45
 
+    def test_compute_bound_backend_runs_inline_in_order(self):
+        class RecordingBackend:
+            latency_bound = False
+
+            def __init__(self):
+                self.calls = []
+
+            def invoke(self, role, payload):
+                self.calls.append((payload["instruction"], threading.current_thread()))
+                return {"query": payload["instruction"]}
+
+        backend = RecordingBackend()
+        gateway = ReasonerGateway(backend=backend)
+        assert not gateway.latency_bound
+        results = gateway.invoke_parallel(
+            [(ReasonerRole.QUERY_GENERATOR, {"instruction": str(i)}) for i in range(3)]
+        )
+        assert [r["query"] for r in results] == ["0", "1", "2"]
+        assert backend.calls == [(str(i), threading.current_thread()) for i in range(3)]
+
+    def test_backends_say_whether_they_wait(self):
+        assert not ReasonerGateway(backend=OracleBackend()).latency_bound
+        assert ReasonerGateway(backend=RemoteBackend("http://127.0.0.1:9", "m")).latency_bound
+        assert ReasonerGateway(backend=object()).latency_bound
+
 
 class TestTranscript:
     def test_invocations_logged_as_json_lines(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from memagent.core import TaskResult, Termination
 from memagent.envsim import TaskSpec
+from memagent.gateway import ReasonerRole
 from memagent.harness import (
     REPORT_SCHEMA_VERSION,
     AgentSystem,
@@ -74,6 +75,23 @@ class TestMetrics:
             partial += r.scn / r.gcn
         assert metrics["sr"] == pytest.approx(exact / 50)
         assert metrics["gc"] == pytest.approx(partial / 50)
+
+
+class TestAgentSystem:
+    def test_build_writes_transcript(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        system = AgentSystem.build(transcript_path=str(path))
+        system.gateway.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "find cup"})
+        assert json.loads(path.read_text())["role"] == "query_generator"
+
+    def test_fans_out_only_on_a_latency_bound_backend(self, tmp_path):
+        assert not AgentSystem.build(parallel=True).orchestrator.parallel
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps(
+            {"backend": "remote", "remote": {"base_url": "http://127.0.0.1:9", "model": "m"}}
+        ))
+        assert AgentSystem.build(config_path=str(config), parallel=True).orchestrator.parallel
+        assert not AgentSystem.build(config_path=str(config), parallel=False).orchestrator.parallel
 
 
 class TestRunPass:

@@ -1,18 +1,24 @@
 """Tests for the knowledge-graph spatial memory."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memagent import spatial, vector_index
 from memagent.spatial import (
     DEFAULT_BUFFER_CAPACITY,
+    KHopBoundError,
     SpatialMemory,
     Triplet,
     khop_bound,
 )
+from memagent.vector_index import cosine
 
 
 def make_memory(**kwargs):
@@ -127,6 +133,33 @@ class TestRetrieval:
             bound = min(len(mem.nodes), khop_bound(len(seeds), max_degree, k))
             assert len(nodes) <= bound
 
+    def test_bound_violation_raises_named_error(self, monkeypatch):
+        mem = make_memory()
+        seed_graph(mem, [Triplet("sofa", "near", "tv stand")])
+        monkeypatch.setattr(spatial, "khop_bound", lambda *args: 0.0)
+        with pytest.raises(KHopBoundError):
+            mem.retrieve_subgraph(["sofa"], 1)
+
+    def test_bound_check_survives_optimize_flag(self):
+        script = (
+            "from memagent import spatial\n"
+            "mem = spatial.SpatialMemory()\n"
+            "mem._add_edge(spatial.Triplet('sofa', 'near', 'tv stand'))\n"
+            "spatial.khop_bound = lambda *args: 0.0\n"
+            "try:\n"
+            "    mem.retrieve_subgraph(['sofa'], 1)\n"
+            "except spatial.KHopBoundError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(spatial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised"
+
     def test_unknown_seed_resolves_by_similarity(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("kitchen counter", "near", "sink")])
@@ -239,6 +272,29 @@ class TestDedup:
             ("mug", "on", "kitchen counter"),
             ("plate", "on", "kitchen counter"),
         }
+
+    def test_numbered_names_match_uncached_cosine_reference(self):
+        mem = make_memory()
+        pinned = "cabinet 3"  # has an edge outside the local region
+        seed_graph(mem, [Triplet(pinned, "near", "fridge")])
+        names = ["drawer 1", "drawer 2", "apple 1", "apple 2", "kitchen counter",
+                 "kitchen countertop"] + [f"cabinet {i}" for i in range(1, 12)]
+        local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
+
+        fresh = {n: vector_index._embed.__wrapped__(n, mem.embedder.dim)
+                 for n in names + ["agent"]}
+        ordered = sorted(fresh)
+        want = {}
+        for i, name in enumerate(ordered):
+            if name in want:
+                continue
+            for other in ordered[i + 1:]:
+                if (other not in want and other != pinned
+                        and cosine(fresh[name], fresh[other]) >= mem.theta):
+                    want[other] = name
+
+        assert want["kitchen countertop"] == "kitchen counter"
+        assert mem._dedup_renames(local) == want
 
     def test_dissimilar_names_are_kept_apart(self):
         mem = make_memory()

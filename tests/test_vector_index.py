@@ -29,8 +29,16 @@ class TestHashingEmbedder:
         assert np.array_equal(e.embed(" Kitchen  Counter "), e.embed("kitchen counter"))
 
     def test_empty_text_rejected(self):
-        with pytest.raises(EmptyTextError):
-            HashingEmbedder().embed("   ")
+        for _ in range(2):  # a memoized embedder must raise on every call
+            with pytest.raises(EmptyTextError):
+                HashingEmbedder().embed("   ")
+
+    def test_repeat_calls_share_one_read_only_array(self):
+        vec = HashingEmbedder().embed("kitchen counter")
+        assert HashingEmbedder().embed("kitchen counter") is vec
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
 
     @given(texts)
     @settings(max_examples=50)
@@ -120,9 +128,20 @@ class TestVectorIndex:
             index.upsert(_entry(f"e{i}", text, e))
         got = index.search(e.embed(query), k=k, theta=0.3)
         want = brute_force(index.entries(), e.embed(query), k, 0.3)
-        assert [(h.id, round(s, 12)) for h, s in got] == [
-            (h.id, round(s, 12)) for h, s in want
-        ]
+        assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
+
+    def test_stored_norm_follows_upsert_and_restore(self):
+        index = VectorIndex(dim=2)
+        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([3.0, 4.0])))
+        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([2.0, 0.0])))
+        index.upsert(IndexEntry(id="b", text="b", embedding=np.array([0.0, 0.0])))
+        query = np.array([1.0, 0.0])
+        want = [("a", 1.0), ("b", 0.0)]
+        assert [(h.id, s) for h, s in index.search(query, k=2, theta=0.0)] == want
+        restored = VectorIndex.restore(index.snapshot())
+        assert [(h.id, s) for h, s in restored.search(query, k=2, theta=0.0)] == want
+        index.remove("a")
+        assert [h.id for h, _ in index.search(query, k=2, theta=0.0)] == ["b"]
 
     def test_snapshot_restore_round_trip(self):
         index = VectorIndex()
