@@ -5,15 +5,11 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
 
 import click
 
 from . import harness
 from .core import canonical_json
-from .envsim import PROFILES, builtin_suite_path
-
-logger = logging.getLogger(__name__)
 
 
 @click.group()
@@ -30,12 +26,6 @@ def _suite_option(fn):
     fn = click.option("--backend", default="oracle", type=click.Choice(["oracle", "remote"]))(fn)
     fn = click.option("--config", default=None, help="Gateway config file (remote backend).")(fn)
     fn = click.option("--seed", default=0, type=int, show_default=True)(fn)
-    fn = click.option(
-        "--profile",
-        default=None,
-        type=click.Choice(sorted(PROFILES)),
-        help="Override the suite's verb profile.",
-    )(fn)
     fn = click.option("--failure-p", default=None, type=float, help="Executor failure rate.")(fn)
     return fn
 
@@ -50,19 +40,14 @@ def _suite_option(fn):
     type=click.Choice(["critic", "spatial", "longterm"]),
     help="Disable a capability (repeatable).",
 )
-@click.option("--parallel-tasks", is_flag=True, help="Run each pass's tasks concurrently.")
 @click.option("--out", default=None, help="Write report JSON (plus timing sidecar) here.")
 @click.option("--log", "log_path", default=None, help="Write a JSON-lines trajectory log.")
 @click.option("--snapshot-dir", default=None, help="Write memory snapshots after each pass.")
 def run(
-    suite, backend, config, seed, profile, failure_p, passes,
-    wipe_between_passes, disable, parallel_tasks, out, log_path, snapshot_dir,
+    suite, backend, config, seed, failure_p, passes,
+    wipe_between_passes, disable, out, log_path, snapshot_dir,
 ):
     """Run a task suite through the full agent and report SR/GC per pass."""
-    if parallel_tasks and not wipe_between_passes:
-        raise click.UsageError("--parallel-tasks requires --wipe-between-passes")
-    if profile is not None:
-        logger.warning("--profile overrides are read from the suite file; ignoring")
     trajectory_log = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         outcome = harness.run_suite(
@@ -90,10 +75,15 @@ def run(
 @_suite_option
 @click.option("--passes", default=harness.DEFAULT_PASSES, type=int, show_default=True)
 @click.option("--out", default=None, help="Write ablation results JSON here.")
-def ablate(suite, backend, config, seed, profile, failure_p, passes, out):
+def ablate(suite, backend, config, seed, failure_p, passes, out):
     """Run the suite with each capability removed in turn."""
     results = harness.run_ablation(
-        suite_path=suite, backend=backend, seed=seed, passes=passes, failure_p=failure_p
+        suite_path=suite,
+        backend=backend,
+        config_path=config,
+        seed=seed,
+        passes=passes,
+        failure_p=failure_p,
     )
     click.echo(f"{'variant':>10}  {'sr':>6}  {'gc':>6}")
     for variant, doc in results.items():
@@ -144,14 +134,15 @@ def replay(log_path):
 @click.argument("snapshot_path", type=click.Path(exists=True))
 def snapshot(snapshot_path):
     """Summarize a memory snapshot file."""
-    with open(snapshot_path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    spatial = json.loads(doc["spatial"]) if isinstance(doc.get("spatial"), str) else doc.get("spatial", {})
-    temporal = json.loads(doc["temporal"]) if isinstance(doc.get("temporal"), str) else doc.get("temporal", {})
-    lifelong = json.loads(doc["lifelong"]) if isinstance(doc.get("lifelong"), str) else doc.get("lifelong", {})
-    click.echo(f"spatial: {len(spatial.get('edges', []))} edges")
-    click.echo(f"temporal: {len(temporal.get('entries', []))} buffer entries")
-    entities = lifelong.get("entities", [])
+    try:
+        with open(snapshot_path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        edges, entries = len(doc["spatial"]["edges"]), len(doc["temporal"]["entries"])
+        entities = doc["lifelong"]["entities"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.ClickException(f"not a memory snapshot document ({exc})")
+    click.echo(f"spatial: {edges} edges")
+    click.echo(f"temporal: {entries} buffer entries")
     episodic = sum(1 for e in entities if e.get("kind") == "episodic")
     click.echo(f"long-term: {episodic} episodic, {len(entities) - episodic} semantic entities")
 

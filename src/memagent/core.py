@@ -93,14 +93,12 @@ class Observation:
     task_id: str
     step_index: int
     text: str
-    image_refs: tuple = ()
 
     def __post_init__(self):
         if self.step_index < 0:
             raise InvariantError("step_index must be >= 0", "step_index")
         if not self.text:
             raise InvariantError("text must be non-empty", "text")
-        object.__setattr__(self, "image_refs", tuple(self.image_refs))
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,8 @@ def canonical_json(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def _to_doc(value: Any) -> Any:
+def to_doc(value: Any) -> Any:
+    """Plain JSON-ready document for a core type."""
     if isinstance(value, ActionCommand):
         doc = {"verb": value.verb.value}
         if value.target is not None:
@@ -163,12 +162,11 @@ def _to_doc(value: Any) -> Any:
             "task_id": value.task_id,
             "step_index": value.step_index,
             "text": value.text,
-            "image_refs": list(value.image_refs),
         }
     if isinstance(value, StepRecord):
         doc = {
             "step_index": value.step_index,
-            "action": _to_doc(value.action),
+            "action": to_doc(value.action),
             "summary": value.summary,
             "outcome": value.outcome.value,
         }
@@ -189,7 +187,7 @@ def _to_doc(value: Any) -> Any:
 def serialize(value: Any) -> str:
     """Canonical JSON document for any core type. Deterministic and
     injective on valid values."""
-    return canonical_json(_to_doc(value))
+    return canonical_json(to_doc(value))
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -229,7 +227,6 @@ def deserialize(doc: Any, expected: type) -> Any:
                 task_id=_require(doc, "task_id", ""),
                 step_index=_require(doc, "step_index", ""),
                 text=_require(doc, "text", ""),
-                image_refs=tuple(doc.get("image_refs", ())),
             )
         if expected is StepRecord:
             return StepRecord(

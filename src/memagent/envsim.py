@@ -11,13 +11,12 @@ location; closed containers hide their contents.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .core import ActionCommand, Observation, Outcome, Verb, canonical_name
+from .core import ActionCommand, Observation, Outcome, Verb
 
 EXECUTOR_FAILURE = "executor_failure"
 
@@ -194,7 +193,6 @@ class Environment:
         failure_p: Optional[float] = None,
         template: Optional[WorldTemplate] = None,
         max_steps: Optional[int] = None,
-        drop_enabled: bool = True,
     ):
         if profile not in PROFILES:
             raise ValueError(f"unknown profile: {profile}")
@@ -206,8 +204,6 @@ class Environment:
         )
         self.max_steps = max_steps or self._config["max_steps"]
         self.verbs = set(self._config["verbs"])
-        if not drop_enabled:
-            self.verbs.discard(Verb.DROP)
         self.reports_success = self._config["reports_success"]
         self._objects: Dict[str, _ObjectState] = {}
         self._agent_at = self.template.start_point

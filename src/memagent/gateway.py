@@ -13,11 +13,11 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import TARGETLESS_VERBS, Verb, canonical_json
+from .core import canonical_json
 
 logger = logging.getLogger(__name__)
 
@@ -286,12 +286,6 @@ def _oracle_extract(p: dict) -> dict:
     episodic.append(" | ".join(parts))
 
     if p["outcome"] == "failure":
-        for obj, points in sorted(p.get("searched_not_found", {}).items()):
-            if points:
-                semantic.append(
-                    f"searching for {obj}: not found at {', '.join(points)}; "
-                    "avoid re-searching these locations"
-                )
         reasons = p.get("failure_reasons", [])
         if reasons:
             semantic.append(

@@ -12,8 +12,8 @@ import logging
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from .core import TaskResult, canonical_json
 from .envsim import Environment, TaskSpec, builtin_suite_path, load_suite
@@ -217,6 +217,7 @@ def _latency_stats(samples: List[float]) -> dict:
 def run_ablation(
     suite_path: Optional[str] = None,
     backend: str = "oracle",
+    config_path: Optional[str] = None,
     seed: int = 0,
     passes: int = DEFAULT_PASSES,
     failure_p: Optional[float] = None,
@@ -229,6 +230,7 @@ def run_ablation(
         outcome = run_suite(
             suite_path=suite_path,
             backend=backend,
+            config_path=config_path,
             seed=seed,
             passes=passes,
             disable=disable,

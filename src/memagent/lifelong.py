@@ -10,15 +10,12 @@ the same kind, so unrelated entries are never touched.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .core import Outcome, StepRecord, TaskResult, canonical_json
+from .core import Outcome, StepRecord, TaskResult
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
 from .vector_index import HashingEmbedder, IndexEntry, VectorIndex
 
@@ -30,6 +27,10 @@ CONSOLIDATION_K = 5
 
 @dataclass(frozen=True)
 class MemoryEntity:
+    """One long-term entry. ``text`` is what retrieval embeds and the prompt
+    shows; ``facts`` (obj, rel, place) and ``avoid`` (obj, point) are the
+    same knowledge as data, set from the task trace, for the planner."""
+
     id: str
     kind: str  # "episodic" | "semantic"
     text: str
@@ -37,6 +38,8 @@ class MemoryEntity:
     updated_task: str
     tags: Tuple[str, ...] = ()
     count: int = 1
+    facts: Tuple[Tuple[str, str, str], ...] = ()
+    avoid: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.text:
@@ -44,6 +47,8 @@ class MemoryEntity:
         if self.kind not in ("episodic", "semantic"):
             raise ValueError(f"unknown kind: {self.kind}")
         object.__setattr__(self, "tags", tuple(self.tags))
+        object.__setattr__(self, "facts", tuple(tuple(f) for f in self.facts))
+        object.__setattr__(self, "avoid", tuple(tuple(a) for a in self.avoid))
 
     def to_doc(self) -> dict:
         return {
@@ -54,6 +59,8 @@ class MemoryEntity:
             "updated_task": self.updated_task,
             "tags": list(self.tags),
             "count": self.count,
+            "facts": [list(f) for f in self.facts],
+            "avoid": [list(a) for a in self.avoid],
         }
 
 
@@ -164,19 +171,19 @@ class LifelongMemory:
 
     def extract_task_entities(self, trace: TaskTrace, result: TaskResult) -> List[MemoryEntity]:
         with self._lock:
+            outcome = "success" if result.success else "failure"
+            first_seen = tuple(
+                (obj, rel, place) for obj, (rel, place) in sorted(trace.first_seen.items())
+            )
             payload = {
                 "task_id": trace.task_id,
                 "instruction": trace.instruction,
-                "outcome": "success" if result.success else "failure",
+                "outcome": outcome,
                 "scn": result.scn,
                 "gcn": result.gcn,
                 "steps_used": result.steps_used,
-                "first_seen": [
-                    [obj, rel, place]
-                    for obj, (rel, place) in sorted(trace.first_seen.items())
-                ],
+                "first_seen": [list(fact) for fact in first_seen],
                 "visited_points": list(trace.visited_points),
-                "searched_not_found": trace.searched_not_found(),
                 "verbs": list(trace.verbs),
                 "failure_reasons": list(trace.failure_reasons),
             }
@@ -185,13 +192,11 @@ class LifelongMemory:
             except GatewayError as exc:
                 logger.warning("extractor failed (%s); using fallback template", exc)
                 response = {
-                    "episodic": [
-                        f"task {trace.task_id}: {trace.instruction} -> {payload['outcome']}"
-                    ],
+                    "episodic": [f"task {trace.task_id}: {trace.instruction} -> {outcome}"],
                     "semantic": [],
                 }
 
-            outcome_tag = f"outcome:{payload['outcome']}"
+            outcome_tag = f"outcome:{outcome}"
             entities = [
                 MemoryEntity(
                     id=self._next_id("episodic", trace.task_id),
@@ -200,9 +205,28 @@ class LifelongMemory:
                     created_task=trace.task_id,
                     updated_task=trace.task_id,
                     tags=(f"task:{trace.task_id}", f"instruction:{trace.instruction}", outcome_tag),
+                    facts=first_seen,
                 )
                 for text in response["episodic"]
             ]
+            semantic_tags = (f"instruction:{trace.instruction}", outcome_tag)
+            # Search dead-ends of a failed task, from the trace; a task that
+            # executed no step searched nothing.
+            if not result.success and result.steps_used:
+                for obj, points in sorted(trace.searched_not_found().items()):
+                    if points:
+                        entities.append(
+                            MemoryEntity(
+                                id=self._next_id("semantic", trace.task_id),
+                                kind="semantic",
+                                text=f"searching for {obj}: not found at {', '.join(points)}; "
+                                "avoid re-searching these locations",
+                                created_task=trace.task_id,
+                                updated_task=trace.task_id,
+                                tags=semantic_tags,
+                                avoid=tuple((obj, point) for point in points),
+                            )
+                        )
             for text in response["semantic"]:
                 entities.append(
                     MemoryEntity(
@@ -211,7 +235,7 @@ class LifelongMemory:
                         text=text,
                         created_task=trace.task_id,
                         updated_task=trace.task_id,
-                        tags=(f"instruction:{trace.instruction}", outcome_tag),
+                        tags=semantic_tags,
                     )
                 )
             # Flush the per-action failure buffer into semantic entities.
@@ -263,6 +287,8 @@ class LifelongMemory:
                                 text=entity.text,
                                 updated_task=entity.created_task,
                                 count=old.count + entity.count,
+                                facts=entity.facts,
+                                avoid=entity.avoid,
                             ),
                         )
                     )
@@ -359,32 +385,21 @@ class LifelongMemory:
             self._action_tags.clear()
             self._success_tally.clear()
 
-    def snapshot(self) -> str:
+    def snapshot(self) -> dict:
         with self._lock:
-            return canonical_json(
-                {
-                    "entities": [e.to_doc() for e in self.entities()],
-                    "id_counters": dict(sorted(self._id_counters.items())),
-                    "success_tally": dict(sorted(self._success_tally.items())),
-                }
-            )
+            return {
+                "entities": [e.to_doc() for e in self.entities()],
+                "id_counters": dict(sorted(self._id_counters.items())),
+                "success_tally": dict(sorted(self._success_tally.items())),
+            }
 
-    def restore(self, snapshot: str) -> None:
-        doc = json.loads(snapshot)
+    def restore(self, doc: dict) -> None:
         with self._lock:
             self.wipe()
             self._id_counters = dict(doc.get("id_counters", {}))
             self._success_tally = dict(doc.get("success_tally", {}))
             for entity_doc in doc["entities"]:
-                entity = MemoryEntity(
-                    id=entity_doc["id"],
-                    kind=entity_doc["kind"],
-                    text=entity_doc["text"],
-                    created_task=entity_doc["created_task"],
-                    updated_task=entity_doc["updated_task"],
-                    tags=tuple(entity_doc["tags"]),
-                    count=entity_doc["count"],
-                )
+                entity = MemoryEntity(**entity_doc)
                 self._entities[entity.id] = entity
                 self._indexes[entity.kind].upsert(
                     IndexEntry(

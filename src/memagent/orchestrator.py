@@ -10,15 +10,14 @@ final state is independent of branch scheduling.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import StepRecord, TaskResult, canonical_json
 from .lifelong import LifelongMemory, MemoryEntity, TaskTrace
-from .spatial import SpatialMemory, Triplet
+from .spatial import KHopBoundError, SpatialMemory, Triplet
 from .temporal import TemporalMemory
 
 logger = logging.getLogger(__name__)
@@ -42,15 +41,16 @@ class UpdateEvent:
 
 @dataclass
 class MemoryContext:
-    spatial: str
+    spatial: Tuple[Triplet, ...]
     temporal: str
     episodic: List[Tuple[MemoryEntity, float]]
     semantic: List[Tuple[MemoryEntity, float]]
     assembly_latency: float = 0.0
 
     def render(self) -> str:
+        spatial = "\n".join(f"{t.subject} {t.relation} {t.object}" for t in self.spatial)
         sections = [
-            "[spatial]\n" + self.spatial,
+            "[spatial]\n" + spatial,
             "[temporal]\n" + self.temporal,
             "[episodic]\n" + "\n".join(e.text for e, _ in self.episodic),
             "[semantic]\n" + "\n".join(e.text for e, _ in self.semantic),
@@ -154,6 +154,8 @@ class MemoryOrchestrator:
                     time.sleep(delay)
                 try:
                     return fn()
+                except KHopBoundError:
+                    raise  # a broken invariant, not a degraded section
                 except Exception as exc:
                     logger.warning("retrieval branch %s failed: %s", name, exc)
                     return None
@@ -167,7 +169,7 @@ class MemoryOrchestrator:
                     "spatial",
                     (lambda: self.spatial.query(query, k_hops))
                     if self.spatial_enabled
-                    else (lambda: ""),
+                    else (lambda: ()),
                 ),
             ),
             ("temporal", timed("temporal", self.temporal.render)),
@@ -200,7 +202,7 @@ class MemoryOrchestrator:
         latency = time.perf_counter() - start
         self.gather_latencies.append(latency)
         return MemoryContext(
-            spatial=results[0] if results[0] is not None else "",
+            spatial=results[0] if results[0] is not None else (),
             temporal=results[1] if results[1] is not None else "",
             episodic=results[2] if results[2] is not None else [],
             semantic=results[3] if results[3] is not None else [],
@@ -216,6 +218,7 @@ class MemoryOrchestrator:
         self.spatial.clear()
 
     def snapshot(self) -> str:
+        """All three stores as one canonical JSON document."""
         return canonical_json(
             {
                 "spatial": self.spatial.snapshot(),

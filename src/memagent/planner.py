@@ -10,31 +10,29 @@ from __future__ import annotations
 
 import logging
 import re
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     ActionCommand,
     InvariantError,
     Observation,
-    Outcome,
     StepRecord,
     TaskResult,
     Termination,
     Verb,
     canonical_name,
+    to_doc,
 )
 from .envsim import Environment, TaskSpec
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
-from .lifelong import MemoryEntity, TaskTrace
+from .lifelong import TaskTrace
 from .orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
 from .preprocessor import Preprocessor, extract_triplets
 
 logger = logging.getLogger(__name__)
 
 AGENT = "agent"
-_RELATIONS = ("near", "holds", "at", "on", "in", "is")
 _LOCATION_RELS = ("on", "in")
 
 _PUT = re.compile(r"^put (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
@@ -47,7 +45,6 @@ _STATE_CLAUSES = [
     (re.compile(r"^open (?P<obj>.+)$"), "open"),
     (re.compile(r"^close (?P<obj>.+)$"), "closed"),
 ]
-_AVOID = re.compile(r"^searching for (?P<obj>.+?): not found at (?P<points>.+?); avoid")
 
 
 class EmptyPlanError(Exception):
@@ -99,14 +96,6 @@ def parse_goals(instruction: str) -> List[dict]:
     return goals
 
 
-def parse_fact(line: str) -> Optional[Tuple[str, str, str]]:
-    tokens = line.split()
-    for i, token in enumerate(tokens):
-        if token in _RELATIONS and 0 < i < len(tokens) - 1:
-            return (" ".join(tokens[:i]), token, " ".join(tokens[i + 1 :]))
-    return None
-
-
 @dataclass
 class BeliefState:
     """What the planner currently believes, assembled from the latest
@@ -129,12 +118,8 @@ def build_beliefs(
     trace: Optional[TaskTrace] = None,
 ) -> BeliefState:
     beliefs = BeliefState()
-    obs_facts = [(t.subject, t.relation, t.object) for t in extract_triplets(obs)]
-    kg_facts = []
-    for line in context.spatial.splitlines():
-        fact = parse_fact(line.strip())
-        if fact:
-            kg_facts.append(fact)
+    obs_facts = [t.key for t in extract_triplets(obs)]
+    kg_facts = [t.key for t in context.spatial]
 
     obs_located = {s for s, r, _ in obs_facts if r in _LOCATION_RELS}
     obs_state_subjects = {s for s, r, _ in obs_facts if r == "is"}
@@ -181,30 +166,20 @@ def build_beliefs(
     for entity, _ in context.episodic:
         if task_id is not None and entity.created_task != task_id:
             continue
-        for chunk in entity.text.split("|"):
-            chunk = chunk.strip()
-            if not chunk.startswith("locations:"):
+        for obj, rel, place in entity.facts:
+            if obj == beliefs.holding or obj in beliefs.known_locations:
                 continue
-            for loc in chunk[len("locations:") :].split(";"):
-                fact = parse_fact(loc.strip())
-                if fact is None:
-                    continue
-                obj, rel, place = fact
-                if obj == beliefs.holding or obj in beliefs.known_locations:
-                    continue
-                searched = place in visited if rel == "on" else place in opened
-                if searched and first_seen.get(obj) != (rel, place):
-                    continue
-                beliefs.hint_locations[obj] = {"rel": rel, "place": place}
+            searched = place in visited if rel == "on" else place in opened
+            if searched and first_seen.get(obj) != (rel, place):
+                continue
+            beliefs.hint_locations[obj] = {"rel": rel, "place": place}
     for entity, _ in context.semantic:
         if task_id is not None and entity.created_task != task_id:
             continue
-        match = _AVOID.match(entity.text)
-        if match:
-            points = [canonical_name(p) for p in match.group("points").split(",")]
-            beliefs.avoid_points.setdefault(match.group("obj"), []).extend(
-                p for p in points if p not in beliefs.avoid_points.get(match.group("obj"), [])
-            )
+        for obj, point in entity.avoid:
+            points = beliefs.avoid_points.setdefault(obj, [])
+            if point not in points:
+                points.append(point)
 
     seen = set()
     beliefs.facts = [f for f in merged if not (f in seen or seen.add(f))]
@@ -289,15 +264,9 @@ class PlannerCritic:
         beliefs: BeliefState,
         latest_summary: str,
     ) -> CriticVerdict:
-        def action_doc(cmd: ActionCommand) -> dict:
-            doc = {"verb": cmd.verb.value}
-            if cmd.target is not None:
-                doc["target"] = cmd.target
-            return doc
-
         payload = {
-            "action": action_doc(action),
-            "plan_suffix": [action_doc(c) for c in plan_suffix],
+            "action": to_doc(action),
+            "plan_suffix": [to_doc(c) for c in plan_suffix],
             "goals": goals,
             "facts": [list(f) for f in beliefs.facts],
             "holding": beliefs.holding,
@@ -436,11 +405,7 @@ def run_episode(
     scn, gcn = env.score()
     if env.reported_success:
         terminated_by = Termination.SUCCESS
-    elif executed >= env.max_steps and not env.done:
-        terminated_by = Termination.STEP_BUDGET
-    elif env.done and not aborted:
-        terminated_by = Termination.SELF_TERMINATED
-    elif aborted:
+    elif aborted or env.done:
         terminated_by = Termination.SELF_TERMINATED
     else:
         terminated_by = Termination.STEP_BUDGET

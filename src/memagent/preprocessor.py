@@ -20,8 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import ActionCommand, Observation, Outcome, canonical_name
-from .gateway import GatewayError, ReasonerGateway, ReasonerRole
+from .core import ActionCommand, Observation, Outcome, canonical_name, to_doc
+from .gateway import ReasonerGateway, ReasonerRole
 from .spatial import Triplet
 
 logger = logging.getLogger(__name__)
@@ -105,12 +105,9 @@ class Preprocessor:
 
         requests = []
         if last_action is not None:
-            action_doc = {"verb": last_action.verb.value}
-            if last_action.target is not None:
-                action_doc["target"] = last_action.target
             summarizer_payload = {
                 "kind": "step",
-                "action": action_doc,
+                "action": to_doc(last_action),
                 "outcome": (outcome or Outcome.SUCCESS).value,
                 "failure_reason": failure_reason,
                 "observation": obs.text,

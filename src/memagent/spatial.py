@@ -9,16 +9,15 @@ nodes outside that region are never touched.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .core import canonical_json, canonical_name
+from .core import canonical_name
 from .gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_FUNCTIONAL_GROUPS,
@@ -366,16 +365,16 @@ class SpatialMemory:
         ]
         return reached, edges
 
-    def query(self, text: str, k: Optional[int] = None) -> str:
-        """Render the subgraph around entities mentioned in the query as
-        sorted 'subject relation object' lines; remembers the seed set."""
+    def query(self, text: str, k: Optional[int] = None) -> Tuple[Triplet, ...]:
+        """The edges of the subgraph around entities mentioned in the query,
+        sorted by key; remembers the seed set."""
         with self._lock:
             seeds = self._extract_seeds(text)
             self._retrieval_seed = set(seeds)
             if not seeds:
-                return ""
+                return ()
             _, edges = self.retrieve_subgraph(seeds, k)
-            return "\n".join(f"{e.subject} {e.relation} {e.object}" for e in edges)
+            return tuple(edges)
 
     def _extract_seeds(self, text: str) -> Set[str]:
         words = canonical_name(text).split()
@@ -428,19 +427,16 @@ class SpatialMemory:
 
     # -- persistence / inspection ---------------------------------------------
 
-    def snapshot(self) -> str:
+    def snapshot(self) -> dict:
         with self._lock:
-            return canonical_json(
-                {
-                    "nodes": sorted(self._nodes),
-                    "edges": [e.to_doc() for e in self.edges()],
-                    "pending": [t.to_doc() for t in self._pending],
-                    "retrieval_seed": sorted(self._retrieval_seed),
-                }
-            )
+            return {
+                "nodes": sorted(self._nodes),
+                "edges": [e.to_doc() for e in self.edges()],
+                "pending": [t.to_doc() for t in self._pending],
+                "retrieval_seed": sorted(self._retrieval_seed),
+            }
 
-    def restore(self, snapshot: str) -> None:
-        doc = json.loads(snapshot)
+    def restore(self, doc: dict) -> None:
         with self._lock:
             self.clear()
             for edge_doc in doc["edges"]:

@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .core import StepRecord, canonical_json
+from .core import StepRecord, to_doc
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
 
 logger = logging.getLogger(__name__)
@@ -87,29 +87,12 @@ class TemporalMemory:
         with self._lock:
             self._entries = []
 
-    def snapshot(self) -> str:
+    def snapshot(self) -> dict:
         with self._lock:
-            items = []
-            for item in self._entries:
-                if isinstance(item, CompactedSummary):
-                    items.append(
-                        {
-                            "type": "compacted",
-                            "text": item.text,
-                            "covers_steps": list(item.covers_steps),
-                        }
-                    )
-                else:
-                    doc = {
-                        "type": "step",
-                        "step_index": item.step_index,
-                        "summary": item.summary,
-                        "outcome": item.outcome.value,
-                        "action": {"verb": item.action.verb.value},
-                    }
-                    if item.action.target is not None:
-                        doc["action"]["target"] = item.action.target
-                    if item.failure_reason is not None:
-                        doc["failure_reason"] = item.failure_reason
-                    items.append(doc)
-            return canonical_json({"capacity": self.capacity, "entries": items})
+            items = [
+                {"type": "compacted", "text": item.text, "covers_steps": list(item.covers_steps)}
+                if isinstance(item, CompactedSummary)
+                else dict(to_doc(item), type="step")
+                for item in self._entries
+            ]
+            return {"capacity": self.capacity, "entries": items}

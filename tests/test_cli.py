@@ -69,13 +69,6 @@ class TestRun:
         assert log.read_text().strip()
         assert (snaps / "memory_pass1.json").exists()
 
-    def test_parallel_tasks_requires_wipe(self, runner, suite_path):
-        result = runner.invoke(
-            main, ["run", "--suite", suite_path, "--parallel-tasks"]
-        )
-        assert result.exit_code != 0
-        assert "--wipe-between-passes" in result.output
-
     def test_disable_rejects_unknown_capability(self, runner, suite_path):
         result = runner.invoke(
             main, ["run", "--suite", suite_path, "--disable", "gravity"]
@@ -106,6 +99,23 @@ class TestAblate:
         assert set(doc) == {"full", "critic", "spatial", "longterm"}
         for variant in result.output.splitlines()[1:]:
             assert variant.split()[0] in doc
+
+    def test_ablate_reads_gateway_config(self, runner, suite_path, tmp_path):
+        # A zero call budget starves the planner, so no variant can succeed.
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps({"backend": "oracle", "budget": 0}))
+        out = tmp_path / "ablation.json"
+        result = runner.invoke(
+            main,
+            [
+                "ablate", "--suite", suite_path, "--passes", "1", "--failure-p", "0",
+                "--config", str(config), "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert {v: d["sr"] for v, d in json.loads(out.read_text()).items()} == {
+            "full": 0.0, "critic": 0.0, "spatial": 0.0, "longterm": 0.0
+        }
 
 
 class TestBench:
@@ -161,3 +171,13 @@ class TestSnapshot:
         assert "spatial:" in result.output
         assert "temporal:" in result.output
         assert "long-term:" in result.output
+        doc = json.loads((snaps / "memory_pass1.json").read_text())
+        assert "1 episodic" in result.output
+        assert f"spatial: {len(doc['spatial']['edges'])} edges" in result.output
+
+    def test_snapshot_rejects_other_documents(self, runner, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"spatial": "{}", "temporal": "{}", "lifelong": "{}"}))
+        result = runner.invoke(main, ["snapshot", str(nested)])
+        assert result.exit_code == 1
+        assert "not a memory snapshot document" in result.output

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from memagent.core import ActionCommand, Outcome, StepRecord, TaskResult, Termination, Verb
+from memagent.core import (
+    ActionCommand,
+    Outcome,
+    StepRecord,
+    TaskResult,
+    Termination,
+    Verb,
+    canonical_json,
+)
 from memagent.lifelong import LifelongMemory, MemoryEntity, TaskTrace
 
 
@@ -80,6 +88,7 @@ class TestExtraction:
         assert len(episodic) == 1
         assert "put cup on table -> success" in episodic[0].text
         assert "locations: cup on shelf" in episodic[0].text
+        assert episodic[0].facts == (("cup", "on", "shelf"),)
         assert episodic[0].created_task == "t1"
         assert "task:t1" in episodic[0].tags
 
@@ -91,9 +100,11 @@ class TestExtraction:
         trace.note_visit("sink")
         entities = mem.extract_task_entities(trace, result(task_id="t2", scn=0, gcn=1))
         lessons = [e for e in entities if e.kind == "semantic"]
-        assert any(
-            "searching for banana: not found at shelf, sink" in e.text for e in lessons
-        )
+        # The dead-end lesson comes first, ahead of the extractor's texts.
+        assert lessons[0].id == "semantic-t2-1"
+        assert lessons[0].text.startswith("searching for banana: not found at shelf, sink")
+        assert lessons[0].avoid == (("banana", "shelf"), ("banana", "sink"))
+        assert all(not e.avoid for e in lessons[1:])
 
     def test_success_produces_recipe(self):
         mem = LifelongMemory()
@@ -107,7 +118,8 @@ class TestExtraction:
 
     def test_zero_step_task_records_abort(self):
         mem = LifelongMemory()
-        trace = TaskTrace(task_id="t4", instruction="put cup on table")
+        trace = TaskTrace(task_id="t4", instruction="put cup on table", goal_objects=["cup"])
+        trace.note_visit("shelf")
         entities = mem.extract_task_entities(trace, result(task_id="t4", scn=0, steps=0))
         assert len(entities) == 1
         assert "aborted at step 0" in entities[0].text
@@ -258,4 +270,20 @@ class TestPersistence:
         mem.wipe()
         assert len(mem) == 0
         assert mem.success_tally() == {}
-        assert json.loads(mem.snapshot())["entities"] == []
+        assert mem.snapshot()["entities"] == []
+
+    def test_round_trip_keeps_facts_and_avoid(self):
+        mem = LifelongMemory()
+        trace = TaskTrace(task_id="t2", instruction="put banana on table", goal_objects=["banana"])
+        trace.note_visit("shelf")
+        trace.note_seen("cup", "on", "shelf")
+        mem.consolidate(mem.extract_task_entities(trace, result(task_id="t2", scn=0)))
+        snap = mem.snapshot()
+        other = LifelongMemory()
+        other.restore(json.loads(canonical_json(snap)))
+        assert other.snapshot() == snap
+        assert other.entities() == mem.entities()
+        assert [e.facts for e in other.entities("episodic")] == [(("cup", "on", "shelf"),)]
+        assert [e.avoid for e in other.entities("semantic") if e.avoid] == [
+            (("banana", "shelf"),)
+        ]

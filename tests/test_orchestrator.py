@@ -8,7 +8,8 @@ import pytest
 from memagent.core import ActionCommand, Outcome, StepRecord, TaskResult, Termination, Verb
 from memagent.lifelong import LifelongMemory, TaskTrace
 from memagent.orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
-from memagent.spatial import SpatialMemory, Triplet
+from memagent import spatial
+from memagent.spatial import KHopBoundError, SpatialMemory, Triplet
 from memagent.temporal import TemporalMemory
 
 
@@ -105,12 +106,13 @@ class TestGather:
     def test_context_contains_all_sections(self):
         orch = self.build()
         ctx = orch.gather_context("where is the cup")
-        assert "cup on table" in ctx.spatial
+        assert [t.key for t in ctx.spatial] == [("cup", "on", "table")]
         assert "step 0" in ctx.temporal
         assert ctx.episodic
         rendered = ctx.render()
         for header in ("[spatial]", "[temporal]", "[episodic]", "[semantic]"):
             assert header in rendered
+        assert "[spatial]\ncup on table\n" in rendered
 
     def test_retrieval_branch_failure_yields_empty_section(self):
         class BrokenTemporal(TemporalMemory):
@@ -120,6 +122,14 @@ class TestGather:
         orch = MemoryOrchestrator(temporal=BrokenTemporal())
         ctx = orch.gather_context("anything")
         assert ctx.temporal == ""
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_khop_bound_violation_is_raised(self, monkeypatch, parallel):
+        orch = self.build()
+        orch.parallel = parallel
+        monkeypatch.setattr(spatial, "khop_bound", lambda *args: 0)
+        with pytest.raises(KHopBoundError):
+            orch.gather_context("where is the cup")
 
     def test_parallel_gather_overlaps_section_delays(self):
         delay = 0.05
@@ -158,5 +168,8 @@ class TestTaskBoundaries:
         orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")]))
         doc = json.loads(orch.snapshot())
         assert set(doc) == {"spatial", "temporal", "lifelong"}
-        for section in doc.values():
-            json.loads(section)
+        assert doc == {
+            "spatial": orch.spatial.snapshot(),
+            "temporal": orch.temporal.snapshot(),
+            "lifelong": orch.lifelong.snapshot(),
+        }

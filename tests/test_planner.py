@@ -2,10 +2,10 @@
 
 import pytest
 
-from memagent.core import ActionCommand, Observation, Verb
+from memagent.core import ActionCommand, Observation, TaskResult, Termination, Verb
 from memagent.envsim import Environment, TaskSpec
 from memagent.gateway import ReasonerGateway, ReasonerRole
-from memagent.lifelong import MemoryEntity, TaskTrace
+from memagent.lifelong import LifelongMemory, MemoryEntity, TaskTrace
 from memagent.orchestrator import MemoryContext, MemoryOrchestrator
 from memagent.planner import (
     CriticVerdict,
@@ -13,10 +13,10 @@ from memagent.planner import (
     Plan,
     PlannerCritic,
     build_beliefs,
-    parse_fact,
     parse_goals,
     run_episode,
 )
+from memagent.spatial import Triplet
 
 
 def obs(text, step=0):
@@ -24,14 +24,19 @@ def obs(text, step=0):
 
 
 def empty_context(**kwargs):
-    defaults = dict(spatial="", temporal="", episodic=[], semantic=[])
+    defaults = dict(spatial=(), temporal="", episodic=[], semantic=[])
     defaults.update(kwargs)
     return MemoryContext(**defaults)
 
 
-def entity(text, kind="episodic", task="t1", eid="e1"):
+def kg(*keys):
+    return tuple(Triplet(*key) for key in keys)
+
+
+def entity(text, kind="episodic", task="t1", eid="e1", facts=(), avoid=()):
     return MemoryEntity(
-        id=eid, kind=kind, text=text, created_task=task, updated_task=task
+        id=eid, kind=kind, text=text, created_task=task, updated_task=task,
+        facts=facts, avoid=avoid,
     )
 
 
@@ -59,13 +64,6 @@ class TestParsing:
     def test_unparseable_clause_yields_nothing(self):
         assert parse_goals("do something vague") == []
 
-    def test_parse_fact(self):
-        assert parse_fact("cup on kitchen counter") == ("cup", "on", "kitchen counter")
-        assert parse_fact("agent holds cup") == ("agent", "holds", "cup")
-        assert parse_fact("no relation here at all maybe") is None or parse_fact(
-            "nothing"
-        ) is None
-
 
 class TestPlanAndVerdict:
     def test_plan_needs_steps(self):
@@ -80,23 +78,23 @@ class TestPlanAndVerdict:
 
 class TestBeliefs:
     def test_observation_overrides_remembered_location(self):
-        ctx = empty_context(spatial="cup on shelf")
+        ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
         beliefs = build_beliefs(ctx, obs("you are at sink\nyou see cup on sink"))
         assert beliefs.known_locations["cup"] == {"rel": "on", "place": "sink"}
         assert beliefs.agent_at == "sink"
 
     def test_remembered_location_kept_when_not_observed(self):
-        ctx = empty_context(spatial="cup on shelf")
+        ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
         beliefs = build_beliefs(ctx, obs("you are at sink"))
         assert beliefs.known_locations["cup"] == {"rel": "on", "place": "shelf"}
 
     def test_stale_agent_facts_are_dropped(self):
-        ctx = empty_context(spatial="agent at shelf")
+        ctx = empty_context(spatial=kg(("agent", "at", "shelf")))
         beliefs = build_beliefs(ctx, obs("you are at sink"))
         assert beliefs.agent_at == "sink"
 
     def test_held_object_leaves_known_locations(self):
-        ctx = empty_context(spatial="cup on shelf")
+        ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
         beliefs = build_beliefs(ctx, obs("you are at sink\nholding: cup"))
         assert beliefs.holding == "cup"
         assert "cup" not in beliefs.known_locations
@@ -108,45 +106,52 @@ class TestBeliefs:
         assert beliefs.container_states["oven"] == "closed"
         assert beliefs.object_states["apple"] == ["heated"]
 
+    def test_kg_facts_with_relation_words_in_names(self):
+        # Names are data: a relation word inside a name does not split it.
+        ctx = empty_context(spatial=kg(("lamp on stand", "on", "table in hall")))
+        beliefs = build_beliefs(ctx, obs("you are at sink"))
+        assert beliefs.known_locations["lamp on stand"] == {"rel": "on", "place": "table in hall"}
+
     def test_episodic_hint_from_same_task(self):
-        ctx = empty_context(
-            episodic=[
-                (entity("task t1: put cup on shelf -> failure | locations: cup on sink"), 0.9)
-            ]
-        )
+        ctx = empty_context(episodic=[(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)])
         trace = TaskTrace(task_id="t1", instruction="x")
         beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
         assert beliefs.hint_locations["cup"] == {"rel": "on", "place": "sink"}
 
     def test_hint_from_other_task_is_ignored(self):
         ctx = empty_context(
-            episodic=[
-                (
-                    entity(
-                        "task t0: put cup on shelf -> failure | locations: cup on sink",
-                        task="t0",
-                    ),
-                    0.9,
-                )
-            ]
+            episodic=[(entity("task t0", task="t0", facts=[("cup", "on", "sink")]), 0.9)]
         )
         trace = TaskTrace(task_id="t1", instruction="x")
         beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
+        assert beliefs.hint_locations == {}
+
+    def test_hint_yields_to_holding_and_known_locations(self):
+        ctx = empty_context(
+            episodic=[
+                (entity("task t1", facts=[("cup", "on", "sink"), ("fork", "on", "sink")]), 0.9)
+            ]
+        )
+        trace = TaskTrace(task_id="t1", instruction="x")
+        beliefs = build_beliefs(
+            ctx, obs("you are at shelf\nyou see fork on shelf\nholding: cup"), "t1", trace
+        )
         assert beliefs.hint_locations == {}
 
     def test_hint_dies_after_searching_its_place(self):
         ctx = empty_context(
-            episodic=[(entity("task t1: x -> failure | locations: cup on sink"), 0.9)]
+            episodic=[
+                (entity("task t1", facts=[("cup", "on", "sink"), ("egg", "in", "fridge")]), 0.9)
+            ]
         )
         trace = TaskTrace(task_id="t1", instruction="x")
         trace.note_visit("sink")
+        trace.note_opened("fridge")
         beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
         assert beliefs.hint_locations == {}
 
     def test_hint_survives_when_confirmed_this_episode(self):
-        ctx = empty_context(
-            episodic=[(entity("task t1: x -> failure | locations: cup on sink"), 0.9)]
-        )
+        ctx = empty_context(episodic=[(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)])
         trace = TaskTrace(task_id="t1", instruction="x")
         trace.note_visit("sink")
         trace.note_seen("cup", "on", "sink")
@@ -154,11 +159,46 @@ class TestBeliefs:
         assert beliefs.hint_locations["cup"] == {"rel": "on", "place": "sink"}
 
     def test_avoid_points_from_same_task_semantic_lessons(self):
-        text = "searching for banana: not found at shelf, sink; avoid re-searching these locations"
-        ctx = empty_context(semantic=[(entity(text, kind="semantic"), 0.9)])
+        lessons = [
+            entity("lesson", "semantic", avoid=[("banana", "shelf"), ("banana", "sink")]),
+            entity("lesson", "semantic", eid="e2", avoid=[("banana", "sink"), ("banana", "stove")]),
+            entity("lesson", "semantic", task="t0", eid="e3", avoid=[("banana", "bed")]),
+        ]
+        ctx = empty_context(semantic=[(e, 0.9) for e in lessons])
         trace = TaskTrace(task_id="t1", instruction="x")
         beliefs = build_beliefs(ctx, obs("you are at stove"), "t1", trace)
-        assert beliefs.avoid_points == {"banana": ["shelf", "sink"]}
+        assert beliefs.avoid_points == {"banana": ["shelf", "sink", "stove"]}
+
+    def test_hints_come_from_the_trace_not_the_extractor_wording(self):
+        class PlainWordsExtractor(ReasonerGateway):
+            def invoke(self, role, payload):
+                if role is ReasonerRole.MEMORY_EXTRACTOR:
+                    return {"episodic": ["the attempt went badly"], "semantic": ["try harder"]}
+                return super().invoke(role, payload)
+
+        def beliefs_after_failed_attempt(gateway):
+            mem = LifelongMemory(gateway=gateway)
+            trace = TaskTrace(task_id="t1", instruction="put banana on shelf",
+                              goal_objects=["banana"])
+            for point in ("shelf", "sink"):
+                trace.note_visit(point)
+            trace.note_seen("cup", "on", "sink")
+            result = TaskResult(task_id="t1", scn=0, gcn=1, steps_used=6,
+                                terminated_by=Termination.STEP_BUDGET)
+            mem.consolidate(mem.extract_task_entities(trace, result))
+            ctx = empty_context(
+                episodic=[(e, 1.0) for e in mem.entities("episodic")],
+                semantic=[(e, 1.0) for e in mem.entities("semantic")],
+            )
+            retry = TaskTrace(task_id="t1", instruction="put banana on shelf")
+            return build_beliefs(ctx, obs("you are at stove"), "t1", retry)
+
+        oracle = beliefs_after_failed_attempt(ReasonerGateway())
+        plain = beliefs_after_failed_attempt(PlainWordsExtractor())
+        assert oracle.hint_locations == {"cup": {"rel": "on", "place": "sink"}}
+        assert oracle.avoid_points == {"banana": ["shelf", "sink"]}
+        assert plain.hint_locations == oracle.hint_locations
+        assert plain.avoid_points == oracle.avoid_points
 
 
 class TestPlannerCritic:

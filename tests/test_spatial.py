@@ -18,6 +18,7 @@ from memagent.spatial import (
     Triplet,
     khop_bound,
 )
+from memagent.core import canonical_json
 from memagent.vector_index import cosine
 
 
@@ -173,25 +174,28 @@ class TestRetrieval:
         assert nodes == set()
         assert edges == []
 
-    def test_query_renders_sorted_lines_and_records_seeds(self):
+    def test_query_returns_sorted_triplets_and_records_seeds(self):
         mem = make_memory()
         seed_graph(
             mem,
             [
-                Triplet("cup", "on", "table"),
                 Triplet("table", "near", "window"),
+                Triplet("cup", "on", "table"),
             ],
         )
-        text = mem.query("where is the cup")
-        assert "cup on table" in text
-        assert "table near window" in text
+        edges = mem.query("where is the cup")
+        assert isinstance(edges, tuple)
+        assert [e.key for e in edges] == [
+            ("cup", "on", "table"),
+            ("table", "near", "window"),
+        ]
         with mem._lock:
             assert "cup" in mem._retrieval_seed
 
     def test_query_with_no_entities_is_empty(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("sofa", "near", "tv stand")])
-        assert mem.query("qqq zzz") == ""
+        assert mem.query("qqq zzz") == ()
 
 
 class TestBuffer:
@@ -374,7 +378,8 @@ class TestPersistence:
     def test_snapshot_is_valid_json(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("cup", "on", "table")])
-        doc = json.loads(mem.snapshot())
+        doc = mem.snapshot()
+        assert json.loads(canonical_json(doc)) == doc
         assert set(doc) == {"nodes", "edges", "pending", "retrieval_seed"}
 
     def test_clear_empties_everything(self):

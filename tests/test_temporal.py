@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memagent.core import ActionCommand, Outcome, StepRecord, Verb
+from memagent.core import ActionCommand, Outcome, StepRecord, Verb, canonical_json
 from memagent.temporal import CompactedSummary, TemporalMemory
 
 
@@ -130,7 +130,8 @@ class TestLifecycle:
         mem = TemporalMemory(capacity=2)
         for i in range(3):
             mem.append(record(i))
-        doc = json.loads(mem.snapshot())
+        doc = mem.snapshot()
+        assert json.loads(canonical_json(doc)) == doc
         assert doc["capacity"] == 2
         assert doc["entries"][0]["type"] == "compacted"
         assert doc["entries"][0]["covers_steps"] == [0, 1]
@@ -148,5 +149,12 @@ class TestLifecycle:
                 failure_reason="hands full",
             )
         )
-        doc = json.loads(mem.snapshot())
-        assert doc["entries"][0]["failure_reason"] == "hands full"
+        doc = mem.snapshot()
+        assert doc["entries"][0] == {
+            "type": "step",
+            "step_index": 0,
+            "action": {"verb": "pick_up", "target": "cup"},
+            "summary": "pick up cup: failed",
+            "outcome": "failure",
+            "failure_reason": "hands full",
+        }
