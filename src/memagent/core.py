@@ -1,17 +1,23 @@
-"""Shared domain types and canonical JSON serialization.
+"""Shared domain types, canonical JSON serialization and the fan-out helper.
 
 Every value that crosses a module boundary (snapshots, trajectory logs,
 trace files) goes through :func:`serialize` / :func:`deserialize` so that
 golden files and snapshot diffs are byte-stable.
+
+Every concurrent fan-out (the gateway's parallel invoke, the
+orchestrator's update dispatch and context gather) goes through
+:func:`fan_out`, which runs on one process-wide thread pool.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 
 class Verb(str, Enum):
@@ -249,3 +255,47 @@ def deserialize(doc: Any, expected: type) -> Any:
     except TypeError as exc:
         raise InvariantError(str(exc)) from exc
     raise TypeError(f"unsupported target type: {expected!r}")
+
+
+#: Workers of the shared pool: the widest fan-out in the program, the four
+#: retrieval sections of ``MemoryOrchestrator.gather_context``.
+FAN_OUT_WORKERS = 4
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=FAN_OUT_WORKERS, thread_name_prefix="memagent-fan-out"
+            )
+        return _pool
+
+
+def _result_or_exception(call: Callable[[], Any]) -> Any:
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
+def fan_out(calls: Sequence[Callable[[], Any]], parallel: bool) -> List[Any]:
+    """Run zero-argument ``calls`` and return each one's result, or the
+    exception it raised, in call order.
+
+    The calls run inline on the caller's thread, in order, when
+    ``parallel`` is false or there are fewer than two; otherwise on one
+    lazily created, process-wide pool of ``FAN_OUT_WORKERS`` threads.
+
+    Invariant: a fanned-out call must not call ``fan_out`` itself. The
+    pool is shared and bounded, so an outer call holding a worker while it
+    waits on inner calls queued behind it could wait forever.
+    """
+    if not parallel or len(calls) < 2:
+        return [_result_or_exception(call) for call in calls]
+    pool = _shared_pool()
+    futures = [pool.submit(_result_or_exception, call) for call in calls]
+    return [future.result() for future in futures]

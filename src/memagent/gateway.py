@@ -8,16 +8,16 @@ per-episode call budget, and an order-preserving parallel variant.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import canonical_json
+from .core import canonical_json, fan_out
 
 logger = logging.getLogger(__name__)
 
@@ -767,23 +767,13 @@ class ReasonerGateway:
         self, requests: Sequence[Tuple[ReasonerRole, dict]]
     ) -> List[Any]:
         """Invoke all requests concurrently; results (or exceptions) are
-        returned in request order. A single request, or any number when the
-        backend is not ``latency_bound``, runs inline in request order: a
-        pool would overlap no waits and only add thread start-up and
-        hand-off time."""
-        if not requests:
-            return []
-
-        def call(pair: Tuple[ReasonerRole, dict]) -> Any:
-            try:
-                return self.invoke(*pair)
-            except Exception as exc:
-                return exc
-
-        if len(requests) == 1 or not self.latency_bound:
-            return [call(pair) for pair in requests]
-        with ThreadPoolExecutor(max_workers=max(1, len(requests))) as pool:
-            return list(pool.map(call, requests))
+        returned in request order. When the backend is not
+        ``latency_bound`` they run inline in request order: threads would
+        overlap no waits and only add hand-off time."""
+        return fan_out(
+            [functools.partial(self.invoke, role, payload) for role, payload in requests],
+            self.latency_bound,
+        )
 
     def _log_transcript(self, role: ReasonerRole, payload: dict, response: dict) -> None:
         line = canonical_json(

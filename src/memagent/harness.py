@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .core import TaskResult, canonical_json
+from .core import TaskResult, canonical_json, to_doc
 from .envsim import Environment, TaskSpec, builtin_suite_path, load_suite
 from .gateway import GatewayConfig, ReasonerGateway
 from .lifelong import LifelongMemory
@@ -168,16 +168,7 @@ def run_suite(
             {
                 "pass": pass_index + 1,
                 "metrics": compute_metrics(results),
-                "tasks": [
-                    {
-                        "task_id": r.task_id,
-                        "scn": r.scn,
-                        "gcn": r.gcn,
-                        "steps_used": r.steps_used,
-                        "terminated_by": r.terminated_by.value,
-                    }
-                    for r in results
-                ],
+                "tasks": [to_doc(r) for r in results],
             }
         )
         all_latencies.extend(system.orchestrator.gather_latencies)

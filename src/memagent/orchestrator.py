@@ -2,8 +2,9 @@
 
 The orchestrator is the single writer: action-level events go to spatial,
 temporal, and the semantic action buffer; task-level events trigger
-long-term extraction and consolidation. Updates and retrievals run
-concurrently across modules (each module serializes internally), so the
+long-term extraction and consolidation. With ``parallel`` set, updates and
+retrievals run concurrently across modules through ``core.fan_out`` on
+the one process-wide pool (each module serializes internally), so the
 final state is independent of branch scheduling.
 """
 
@@ -11,11 +12,10 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import StepRecord, TaskResult, canonical_json
+from .core import StepRecord, TaskResult, canonical_json, fan_out
 from .lifelong import LifelongMemory, MemoryEntity, TaskTrace
 from .spatial import KHopBoundError, SpatialMemory, Triplet
 from .temporal import TemporalMemory
@@ -45,7 +45,6 @@ class MemoryContext:
     temporal: str
     episodic: List[Tuple[MemoryEntity, float]]
     semantic: List[Tuple[MemoryEntity, float]]
-    assembly_latency: float = 0.0
 
     def render(self) -> str:
         spatial = "\n".join(f"{t.subject} {t.relation} {t.object}" for t in self.spatial)
@@ -77,10 +76,9 @@ class MemoryOrchestrator:
         self.spatial_enabled = spatial_enabled
         self.longterm_enabled = longterm_enabled
         self.retrieval_k = retrieval_k
-        # Test/bench hook: per-section artificial delay in seconds.
+        # Test/bench hook: per-gather-section artificial delay in seconds.
         self.delay_hooks = delay_hooks or {}
         self.gather_latencies: List[float] = []
-        self.dispatch_latencies: List[float] = []
 
     # -- update fan-out -----------------------------------------------------
 
@@ -88,32 +86,14 @@ class MemoryOrchestrator:
         """Apply an event to every module at its update frequency; returns a
         per-branch error map (None = ok). Branch failures never block
         siblings."""
-        start = time.perf_counter()
         branches = self._branches(event)
+        results = fan_out([fn for _, fn in branches], self.parallel)
         errors: Dict[str, Optional[str]] = {}
-
-        def run(name: str, fn: Callable[[], None]) -> Tuple[str, Optional[str]]:
-            delay = self.delay_hooks.get(name, 0.0)
-            if delay:
-                time.sleep(delay)
-            try:
-                fn()
-                return name, None
-            except Exception as exc:
-                logger.warning("update branch %s failed: %s", name, exc)
-                return name, str(exc)
-
-        if self.parallel and len(branches) > 1:
-            with ThreadPoolExecutor(max_workers=len(branches)) as pool:
-                futures = [pool.submit(run, name, fn) for name, fn in branches]
-                for future in futures:
-                    name, error = future.result()
-                    errors[name] = error
-        else:
-            for name, fn in branches:
-                name, error = run(name, fn)
-                errors[name] = error
-        self.dispatch_latencies.append(time.perf_counter() - start)
+        for (name, _), result in zip(branches, results):
+            errors[name] = None
+            if isinstance(result, Exception):
+                logger.warning("update branch %s failed: %s", name, result)
+                errors[name] = str(result)
         return errors
 
     def _branches(self, event: UpdateEvent) -> List[Tuple[str, Callable[[], None]]]:
@@ -146,68 +126,43 @@ class MemoryOrchestrator:
 
     def gather_context(self, query: str, k_hops: Optional[int] = None) -> MemoryContext:
         start = time.perf_counter()
-
-        def timed(name: str, fn: Callable[[], object]) -> Callable[[], object]:
-            def wrapped() -> object:
-                delay = self.delay_hooks.get(name, 0.0)
-                if delay:
-                    time.sleep(delay)
-                try:
-                    return fn()
-                except KHopBoundError:
-                    raise  # a broken invariant, not a degraded section
-                except Exception as exc:
-                    logger.warning("retrieval branch %s failed: %s", name, exc)
-                    return None
-
-            return wrapped
-
-        sections: List[Tuple[str, Callable[[], object]]] = [
-            (
-                "spatial",
-                timed(
-                    "spatial",
-                    (lambda: self.spatial.query(query, k_hops))
-                    if self.spatial_enabled
-                    else (lambda: ()),
-                ),
-            ),
-            ("temporal", timed("temporal", self.temporal.render)),
-            (
-                "episodic",
-                timed(
-                    "episodic",
-                    (lambda: self.lifelong.retrieve(query, "episodic", self.retrieval_k))
-                    if self.longterm_enabled
-                    else (lambda: []),
-                ),
-            ),
-            (
-                "semantic",
-                timed(
-                    "semantic",
-                    (lambda: self.lifelong.retrieve(query, "semantic", self.retrieval_k))
-                    if self.longterm_enabled
-                    else (lambda: []),
-                ),
-            ),
-        ]
-
-        if self.parallel:
-            with ThreadPoolExecutor(max_workers=len(sections)) as pool:
-                results = list(pool.map(lambda pair: pair[1](), sections))
-        else:
-            results = [fn() for _, fn in sections]
-
-        latency = time.perf_counter() - start
-        self.gather_latencies.append(latency)
-        return MemoryContext(
-            spatial=results[0] if results[0] is not None else (),
-            temporal=results[1] if results[1] is not None else "",
-            episodic=results[2] if results[2] is not None else [],
-            semantic=results[3] if results[3] is not None else [],
-            assembly_latency=latency,
+        sections: Dict[str, Callable[[], object]] = {
+            "spatial": (lambda: self.spatial.query(query, k_hops))
+            if self.spatial_enabled
+            else (lambda: ()),
+            "temporal": self.temporal.render,
+            "episodic": (lambda: self.lifelong.retrieve(query, "episodic", self.retrieval_k))
+            if self.longterm_enabled
+            else (lambda: []),
+            "semantic": (lambda: self.lifelong.retrieve(query, "semantic", self.retrieval_k))
+            if self.longterm_enabled
+            else (lambda: []),
+        }
+        empty = {"spatial": (), "temporal": "", "episodic": [], "semantic": []}
+        results = fan_out(
+            [self._padded(name, fn) for name, fn in sections.items()], self.parallel
         )
+        context: Dict[str, object] = {}
+        for name, result in zip(sections, results):
+            if isinstance(result, KHopBoundError):
+                raise result  # a broken invariant, not a degraded section
+            if isinstance(result, Exception):
+                logger.warning("retrieval branch %s failed: %s", name, result)
+                result = empty[name]
+            context[name] = result
+        self.gather_latencies.append(time.perf_counter() - start)
+        return MemoryContext(**context)
+
+    def _padded(self, section: str, fn: Callable[[], object]) -> Callable[[], object]:
+        delay = self.delay_hooks.get(section, 0.0)
+        if not delay:
+            return fn
+
+        def padded() -> object:
+            time.sleep(delay)
+            return fn()
+
+        return padded
 
     # -- task boundaries & persistence ----------------------------------------
 

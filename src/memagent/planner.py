@@ -187,15 +187,9 @@ def build_beliefs(
 
 
 class PlannerCritic:
-    def __init__(
-        self,
-        gateway: ReasonerGateway,
-        env: Environment,
-        critic_enabled: bool = True,
-    ):
+    def __init__(self, gateway: ReasonerGateway, env: Environment):
         self.gateway = gateway
         self.env = env
-        self.critic_enabled = critic_enabled
 
     # -- planning ------------------------------------------------------------
 
@@ -296,7 +290,7 @@ def run_episode(
     update, until completion or the step budget."""
     gateway.reset_budget()
     orchestrator.reset_task_state()
-    planner = PlannerCritic(gateway, env, critic_enabled=critic_enabled)
+    planner = PlannerCritic(gateway, env)
     preprocessor = Preprocessor(gateway, instruction=task.instruction)
 
     obs = env.reset(task, seed=world_seed)
@@ -396,7 +390,6 @@ def run_episode(
                 "verdict": verdict.decision if verdict else None,
                 "outcome": outcome.value,
                 "failure_reason": failure_reason,
-                "gather_latency": context.assembly_latency,
                 "executed": True,
             }
         )

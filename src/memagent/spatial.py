@@ -144,10 +144,6 @@ class SpatialMemory:
         with self._lock:
             return sum(1 for _, _, o in self._edges if o == node)
 
-    def clear_retrieval_seed(self) -> None:
-        with self._lock:
-            self._retrieval_seed.clear()
-
     def clear(self) -> None:
         with self._lock:
             self._edges.clear()

@@ -69,6 +69,13 @@ class TestRun:
         assert log.read_text().strip()
         assert (snaps / "memory_pass1.json").exists()
 
+    def test_trajectory_log_is_byte_stable(self, runner, tmp_path):
+        logs = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for log in logs:
+            result = runner.invoke(main, ["run", "--seed", "7", "--log", str(log)])
+            assert result.exit_code == 0, result.output
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+
     def test_disable_rejects_unknown_capability(self, runner, suite_path):
         result = runner.invoke(
             main, ["run", "--suite", suite_path, "--disable", "gravity"]

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from memagent.core import (
     canonical_json,
     canonical_name,
     deserialize,
+    fan_out,
     serialize,
 )
 
@@ -161,3 +163,25 @@ class TestSerialization:
     def test_invalid_json_text_rejected(self):
         with pytest.raises(MalformedDocumentError):
             deserialize("{not json", StepRecord)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_results_and_exceptions_in_call_order(self, parallel):
+        boom = ValueError("boom")
+
+        def fail():
+            raise boom
+
+        results = fan_out([lambda: 1, fail, lambda: "three"], parallel)
+        assert results == [1, boom, "three"]
+
+    @pytest.mark.parametrize("parallel, calls", [(False, 3), (True, 1)])
+    def test_runs_inline_on_the_callers_thread(self, parallel, calls):
+        seen = []
+        fan_out([lambda i=i: seen.append((i, threading.current_thread())) for i in range(calls)],
+                parallel)
+        assert seen == [(i, threading.current_thread()) for i in range(calls)]
+
+    def test_no_calls(self):
+        assert fan_out([], True) == []

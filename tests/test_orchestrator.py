@@ -1,6 +1,7 @@
 """Tests for the parallel memory update/retrieval coordinator."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -140,6 +141,20 @@ class TestGather:
         slow.gather_context("cup")
         assert fast.gather_latencies[-1] < 2.5 * delay
         assert slow.gather_latencies[-1] >= 3.8 * delay
+
+    def test_parallel_gathers_share_one_bounded_pool(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        orch = self.build()
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        for _ in range(50):
+            orch.gather_context("where is the cup")
+        assert len(started) <= 4, started
 
     def test_gather_results_match_across_schedules(self):
         par = self.build()
