@@ -11,6 +11,7 @@ orchestrator's update dispatch and context gather) goes through
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import threading
@@ -47,6 +48,7 @@ class Termination(str, Enum):
     SUCCESS = "success"
     STEP_BUDGET = "step_budget"
     SELF_TERMINATED = "self_terminated"
+    CRASHED = "crashed"
 
 
 class InvariantError(ValueError):
@@ -66,7 +68,11 @@ class MalformedDocumentError(ValueError):
 
 _WS = re.compile(r"\s+")
 
+#: Distinct strings kept canonicalized; a seed-3 suite run uses about 650.
+CANONICAL_NAME_CACHE_SIZE = 4096
 
+
+@functools.lru_cache(maxsize=CANONICAL_NAME_CACHE_SIZE)
 def canonical_name(name: str) -> str:
     """Canonical spelling for object/point names: case-folded, trimmed,
     inner whitespace collapsed to single spaces."""

@@ -27,7 +27,7 @@ from .temporal import TemporalMemory
 logger = logging.getLogger(__name__)
 
 DEFAULT_PASSES = 2
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def compute_metrics(results: Sequence[TaskResult]) -> Dict[str, float]:
@@ -114,7 +114,7 @@ def run_pass(
                     scn=0,
                     gcn=task.gcn,
                     steps_used=0,
-                    terminated_by=Termination.SELF_TERMINATED,
+                    terminated_by=Termination.CRASHED,
                 ),
                 trajectory=[],
                 trace=TaskTrace(task_id=task.id, instruction=task.instruction),

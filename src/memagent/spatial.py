@@ -8,10 +8,9 @@ nodes outside that region are never touched.
 
 from __future__ import annotations
 
-import itertools
 import logging
+import re
 import threading
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -41,6 +40,8 @@ DEFAULT_BUFFER_CAPACITY = 8
 DEFAULT_MAX_OUT_DEGREE = 16
 DEFAULT_MAX_IN_DEGREE = 16
 
+EdgeKey = Tuple[str, str, str]
+
 
 class KHopBoundError(RuntimeError):
     """A k-hop retrieval returned more nodes than the expansion bound allows."""
@@ -64,7 +65,7 @@ class Triplet:
         object.__setattr__(self, "relation", canonical_name(self.relation))
 
     @property
-    def key(self) -> Tuple[str, str, str]:
+    def key(self) -> EdgeKey:
         return (self.subject, self.relation, self.object)
 
     def to_doc(self) -> dict:
@@ -75,6 +76,14 @@ class Triplet:
             "step_index": self.step_index,
             "source": self.source,
         }
+
+
+_NUMBERED_TOKEN = re.compile(r"\S*\d\S*")
+
+
+def _instance_numbers(name: str) -> List[str]:
+    """The digit-bearing tokens of a name, in order."""
+    return _NUMBERED_TOKEN.findall(name)
 
 
 def khop_bound(num_seeds: int, max_out_degree: int, k: int) -> float:
@@ -114,8 +123,15 @@ class SpatialMemory:
             functional_groups or [list(g) for g in DEFAULT_FUNCTIONAL_GROUPS]
         )
         self._exclusive = frozenset(frozenset(pair) for pair in self.exclusive_pairs)
-        self._edges: Dict[Tuple[str, str, str], Triplet] = {}
+        self._edges: Dict[EdgeKey, Triplet] = {}
+        # Incident-edge index: node -> keys of its outgoing / incoming edges.
+        # Only _add_edge and _remove_edge change it; a node with no such edge
+        # has no entry.
+        self._out: Dict[str, Set[EdgeKey]] = {}
+        self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
+        # De-dup decisions per sorted name pair; the graph does not enter them.
+        self._similar_pairs: Dict[Tuple[str, str], bool] = {}
         self._index = VectorIndex(dim=self.embedder.dim)
         self._pending: List[Triplet] = []
         self._retrieval_seed: Set[str] = set()  # most recent retrieval entities
@@ -138,16 +154,19 @@ class SpatialMemory:
 
     def out_degree(self, node: str) -> int:
         with self._lock:
-            return sum(1 for s, _, _ in self._edges if s == node)
+            return len(self._out.get(node, ()))
 
     def in_degree(self, node: str) -> int:
         with self._lock:
-            return sum(1 for _, _, o in self._edges if o == node)
+            return len(self._in.get(node, ()))
 
     def clear(self) -> None:
         with self._lock:
             self._edges.clear()
+            self._out.clear()
+            self._in.clear()
             self._nodes.clear()
+            self._similar_pairs.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
             self._pending.clear()
             self._retrieval_seed.clear()
@@ -164,12 +183,14 @@ class SpatialMemory:
 
     def _fast_conflict(self, triplet: Triplet) -> bool:
         # A fact with the triplet's own key has its relation, so it never matches.
-        for other in itertools.chain(self._pending, self._edges.values()):
+        keys = [t.key for t in self._pending]
+        keys.extend(self._out.get(triplet.subject, ()))
+        for subject, relation, obj in keys:
             if (
-                other.subject == triplet.subject
-                and other.object == triplet.object
-                and other.relation != triplet.relation
-                and frozenset((other.relation, triplet.relation)) in self._exclusive
+                subject == triplet.subject
+                and obj == triplet.object
+                and relation != triplet.relation
+                and frozenset((relation, triplet.relation)) in self._exclusive
             ):
                 return True
         return False
@@ -192,7 +213,7 @@ class SpatialMemory:
         region_nodes |= {t.subject for t in t_new} | {t.object for t in t_new}
 
         # Local working set: retrieved edges plus the new facts.
-        local: Dict[Tuple[str, str, str], Triplet] = {}
+        local: Dict[EdgeKey, Triplet] = {}
         for edge in region_edges:
             local[edge.key] = edge
         for triplet in t_new:
@@ -207,23 +228,22 @@ class SpatialMemory:
         local = self._resolve_conflicts(local)
 
         # Merge back: replace the retrieved region, leave everything else.
-        for key in list(self._edges):
-            s, _, o = key
-            if s in region_nodes and o in region_nodes:
-                del self._edges[key]
+        for node in region_nodes:
+            for key in [k for k in self._out.get(node, ()) if k[2] in region_nodes]:
+                self._remove_edge(key)
         for edge in local.values():
             self._add_edge(edge)
 
     def _dedup_entities(
-        self, local: Dict[Tuple[str, str, str], Triplet], region_nodes: Set[str]
-    ) -> Dict[Tuple[str, str, str], Triplet]:
+        self, local: Dict[EdgeKey, Triplet], region_nodes: Set[str]
+    ) -> Dict[EdgeKey, Triplet]:
         """Merge theta-similar entity names within the local region into the
         lexicographically smallest spelling. Nodes with edges outside the
         region are left alone to preserve locality."""
         rename = self._dedup_renames(local)
         if not rename:
             return local
-        merged: Dict[Tuple[str, str, str], Triplet] = {}
+        merged: Dict[EdgeKey, Triplet] = {}
         for edge in local.values():
             renamed = replace(
                 edge,
@@ -237,24 +257,20 @@ class SpatialMemory:
             self._drop_node(loser)
         return merged
 
-    def _dedup_renames(self, local: Dict[Tuple[str, str, str], Triplet]) -> Dict[str, str]:
+    def _dedup_renames(self, local: Dict[EdgeKey, Triplet]) -> Dict[str, str]:
         """Greedy rename map over the sorted local names: each name not yet
-        renamed absorbs every later theta-similar name that has no edge
-        outside ``local``. Each name is embedded once and each norm taken
-        once; ``local`` and the graph do not change during the scan."""
+        renamed absorbs every later similar name (see ``_similar``) that has
+        no edge outside ``local``. ``local`` and the graph do not change
+        during the scan."""
         names = sorted({n for e in local.values() for n in (e.subject, e.object)})
-        vecs = [self.embedder.embed(name) for name in names]
-        norms = [float(np.linalg.norm(vec)) for vec in vecs]
+        vectors: Dict[str, Tuple[np.ndarray, float]] = {}
         outside: Dict[str, bool] = {}
         rename: Dict[str, str] = {}
         for i, name in enumerate(names):
             if name in rename:
                 continue
-            for j in range(i + 1, len(names)):
-                other = names[j]
-                if other in rename:
-                    continue
-                if cosine_with_norms(vecs[i], norms[i], vecs[j], norms[j]) < self.theta:
+            for other in names[i + 1 :]:
+                if other in rename or not self._similar(name, other, vectors):
                     continue
                 if other not in outside:
                     outside[other] = self._has_edges_outside(other, local)
@@ -262,19 +278,39 @@ class SpatialMemory:
                     rename[other] = name
         return rename
 
-    def _has_edges_outside(
-        self, node: str, local: Dict[Tuple[str, str, str], Triplet]
+    def _similar(
+        self, name: str, other: str, vectors: Dict[str, Tuple[np.ndarray, float]]
     ) -> bool:
-        for key in self._edges:
-            if key in local:
-                continue
-            if node in (key[0], key[2]):
-                return True
-        return False
+        """Whether ``name`` < ``other`` may be merged: their digit-bearing
+        tokens are equal (``drawer 1`` and ``drawer 2`` are two instances)
+        and their cosine is at least theta. Decided once per pair until
+        ``clear``; a name is embedded, and its norm taken, once per de-dup
+        call and only when a pair is decided."""
+        pair = (name, other)
+        similar = self._similar_pairs.get(pair)
+        if similar is None:
+            similar = _instance_numbers(name) == _instance_numbers(other)
+            if similar:
+                for text in pair:
+                    if text not in vectors:
+                        vec = self.embedder.embed(text)
+                        vectors[text] = (vec, float(np.linalg.norm(vec)))
+                similar = (
+                    cosine_with_norms(*vectors[name], *vectors[other]) >= self.theta
+                )
+            self._similar_pairs[pair] = similar
+        return similar
+
+    def _has_edges_outside(self, node: str, local: Dict[EdgeKey, Triplet]) -> bool:
+        return any(
+            key not in local
+            for keys in (self._out.get(node, ()), self._in.get(node, ()))
+            for key in keys
+        )
 
     def _resolve_conflicts(
-        self, local: Dict[Tuple[str, str, str], Triplet]
-    ) -> Dict[Tuple[str, str, str], Triplet]:
+        self, local: Dict[EdgeKey, Triplet]
+    ) -> Dict[EdgeKey, Triplet]:
         edges = [local[k] for k in sorted(local)]
         payload = {
             "edges": [e.to_doc() for e in edges],
@@ -289,7 +325,7 @@ class SpatialMemory:
 
             response = _oracle_detect_conflicts(payload)
 
-        losers: Set[Tuple[str, str, str]] = set()
+        losers: Set[EdgeKey] = set()
         for group in response["conflicts"]:
             contenders = [edges[i] for i in group if 0 <= i < len(edges)]
             if len(contenders) < 2:
@@ -327,7 +363,7 @@ class SpatialMemory:
             hops = self.k_hops if k is None else k
             resolved = {r for r in (self._resolve_seed(s) for s in seeds) if r}
             nodes, edges = self._retrieve(resolved, hops)
-            max_degree = max(Counter(s for s, _, _ in self._edges).values(), default=0)
+            max_degree = max(map(len, self._out.values()), default=0)
             bound = min(
                 float(len(self._nodes)) if self._nodes else 0.0,
                 khop_bound(len(resolved), max_degree, hops),
@@ -341,25 +377,18 @@ class SpatialMemory:
     def _retrieve(self, seeds: Set[str], k: int) -> Tuple[Set[str], List[Triplet]]:
         frontier = {s for s in seeds if s in self._nodes}
         reached = set(frontier)
-        adjacency: Dict[str, List[str]] = {}
-        for s, _, o in self._edges:
-            adjacency.setdefault(s, []).append(o)
         for _ in range(k):
             frontier = {
-                neighbor
+                key[2]
                 for node in frontier
-                for neighbor in adjacency.get(node, ())
-                if neighbor not in reached
+                for key in self._out.get(node, ())
+                if key[2] not in reached
             }
             if not frontier:
                 break
             reached |= frontier
-        edges = [
-            self._edges[key]
-            for key in sorted(self._edges)
-            if key[0] in reached and key[2] in reached
-        ]
-        return reached, edges
+        keys = [key for node in reached for key in self._out.get(node, ()) if key[2] in reached]
+        return reached, [self._edges[key] for key in sorted(keys)]
 
     def query(self, text: str, k: Optional[int] = None) -> Tuple[Triplet, ...]:
         """The edges of the subgraph around entities mentioned in the query,
@@ -392,7 +421,10 @@ class SpatialMemory:
     # -- low-level mutation --------------------------------------------------
 
     def _add_edge(self, edge: Triplet) -> None:
-        self._edges[edge.key] = edge
+        key = edge.key
+        self._edges[key] = edge
+        self._out.setdefault(edge.subject, set()).add(key)
+        self._in.setdefault(edge.object, set()).add(key)
         for node in (edge.subject, edge.object):
             if node not in self._nodes:
                 self._nodes.add(node)
@@ -402,24 +434,32 @@ class SpatialMemory:
         self._enforce_degree_cap(edge.subject, outgoing=True)
         self._enforce_degree_cap(edge.object, outgoing=False)
 
+    def _remove_edge(self, key: EdgeKey) -> None:
+        del self._edges[key]
+        for index, node in ((self._out, key[0]), (self._in, key[2])):
+            keys = index[node]
+            keys.discard(key)
+            if not keys:
+                del index[node]
+
     def _enforce_degree_cap(self, node: str, outgoing: bool) -> None:
         cap = self.max_out_degree if outgoing else self.max_in_degree
-        position = 0 if outgoing else 2
+        keys = (self._out if outgoing else self._in).get(node, ())
+        if len(keys) <= cap:
+            return
         incident = sorted(
-            (t for k, t in self._edges.items() if k[position] == node),
-            key=lambda t: (t.step_index, t.key),
+            (self._edges[k] for k in keys), key=lambda t: (t.step_index, t.key)
         )
-        while len(incident) > cap:
-            victim = incident.pop(0)
+        for victim in incident[: len(incident) - cap]:
             logger.info("degree cap on %s: evicting %s", node, victim.key)
-            del self._edges[victim.key]
+            self._remove_edge(victim.key)
 
     def _drop_node(self, node: str) -> None:
         self._nodes.discard(node)
         if node in self._index:
             self._index.remove(node)
-        for key in [k for k in self._edges if node in (k[0], k[2])]:
-            del self._edges[key]
+        for key in self._out.get(node, set()) | self._in.get(node, set()):
+            self._remove_edge(key)
 
     # -- persistence / inspection ---------------------------------------------
 

@@ -287,6 +287,10 @@ class TestDedup:
 
         fresh = {n: vector_index._embed.__wrapped__(n, mem.embedder.dim)
                  for n in names + ["agent"]}
+
+        def numbers(name):
+            return [token for token in name.split() if any(c.isdecimal() for c in token)]
+
         ordered = sorted(fresh)
         want = {}
         for i, name in enumerate(ordered):
@@ -294,11 +298,30 @@ class TestDedup:
                 continue
             for other in ordered[i + 1:]:
                 if (other not in want and other != pinned
+                        and numbers(other) == numbers(name)
                         and cosine(fresh[name], fresh[other]) >= mem.theta):
                     want[other] = name
 
         assert want["kitchen countertop"] == "kitchen counter"
+        assert not {"drawer 2", "apple 2", "cabinet 10"} & set(want)
         assert mem._dedup_renames(local) == want
+        # Decided once per pair: a second scan gives the same map from the memo.
+        assert mem._dedup_renames(local) == want
+
+    def test_numbered_instances_survive_integration(self):
+        # drawer 1 / drawer 2 score 0.889 against theta 0.8, yet are two drawers.
+        mem = make_memory()
+        mem.buffer_triplets(
+            [
+                Triplet("spoon", "in", "drawer 1", step_index=1),
+                Triplet("knife", "in", "drawer 2", step_index=2),
+            ]
+        )
+        mem.integrate()
+        keys = {e.key for e in mem.edges()}
+        assert ("knife", "in", "drawer 2") in keys
+        assert ("spoon", "in", "drawer 1") in keys
+        assert {"drawer 1", "drawer 2"} <= mem.nodes
 
     def test_dissimilar_names_are_kept_apart(self):
         mem = make_memory()
@@ -354,6 +377,73 @@ class TestDegreeCap:
             ],
         )
         assert mem.in_degree("shelf") == 2
+
+
+_NAMES = ["cup", "cups", "table", "shelf", "drawer 1", "drawer 2",
+          "kitchen counter", "kitchen countertop"]
+_RELATIONS = ["on", "in", "at", "near", "holds", "is"]
+_triplets = st.builds(
+    Triplet,
+    st.sampled_from(_NAMES),
+    st.sampled_from(_RELATIONS),
+    st.sampled_from(_NAMES),
+    step_index=st.integers(min_value=0, max_value=5),
+)
+_operations = st.lists(
+    st.one_of(
+        st.lists(_triplets, min_size=1, max_size=4),
+        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
+    ),
+    max_size=20,
+)
+
+
+def check_index(mem, k):
+    """The incident-edge index, the degrees and every retrieval agree with
+    a recomputation from the edge dict alone."""
+    out, inc = {}, {}
+    for key in mem._edges:
+        out.setdefault(key[0], set()).add(key)
+        inc.setdefault(key[2], set()).add(key)
+    assert mem._out == out
+    assert mem._in == inc
+    for node in mem.nodes | set(out) | set(inc):
+        assert mem.out_degree(node) == len(out.get(node, ())) <= mem.max_out_degree
+        assert mem.in_degree(node) == len(inc.get(node, ())) <= mem.max_in_degree
+    nodes = sorted(mem.nodes)
+    for seeds in [[n] for n in nodes] + [nodes]:
+        reached = set(seeds)
+        for _ in range(k):
+            reached |= {o for s, _, o in mem._edges if s in reached}
+        want = sorted(key for key in mem._edges if key[0] in reached and key[2] in reached)
+        got_nodes, got_edges = mem.retrieve_subgraph(seeds, k)
+        assert got_nodes == reached
+        assert [e.key for e in got_edges] == want
+
+
+class TestIncidentIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        operations=_operations,
+        max_out=st.integers(min_value=2, max_value=3),
+        max_in=st.integers(min_value=2, max_value=3),
+        k=st.integers(min_value=0, max_value=2),
+    )
+    def test_index_matches_edges_after_every_operation(self, operations, max_out, max_in, k):
+        mem = make_memory(max_out_degree=max_out, max_in_degree=max_in, buffer_capacity=3)
+        saved = mem.snapshot()
+        for op in operations:
+            if op == "integrate":
+                mem.integrate()
+            elif op == "snapshot":
+                saved = mem.snapshot()
+            elif op == "restore":
+                mem.restore(saved)
+            elif op == "clear":
+                mem.clear()
+            else:
+                mem.buffer_triplets(op)
+            check_index(mem, k)
 
 
 class TestPersistence:
