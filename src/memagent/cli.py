@@ -10,6 +10,7 @@ import click
 
 from . import harness
 from .core import canonical_json
+from .gateway import BACKENDS, GatewayConfigError
 
 
 @click.group()
@@ -23,7 +24,7 @@ def main(verbose: bool) -> None:
 
 def _suite_option(fn):
     fn = click.option("--suite", default=None, help="Path to a suite JSON file.")(fn)
-    fn = click.option("--backend", default="oracle", type=click.Choice(["oracle", "remote"]))(fn)
+    fn = click.option("--backend", default="oracle", type=click.Choice(BACKENDS))(fn)
     fn = click.option("--config", default=None, help="Gateway config file (remote backend).")(fn)
     fn = click.option("--seed", default=0, type=int, show_default=True)(fn)
     fn = click.option("--failure-p", default=None, type=float, help="Executor failure rate.")(fn)
@@ -62,6 +63,8 @@ def run(
             trajectory_log=trajectory_log,
             snapshot_dir=snapshot_dir,
         )
+    except GatewayConfigError as exc:
+        raise click.ClickException(f"gateway config: {exc}")
     finally:
         if trajectory_log:
             trajectory_log.close()
@@ -77,14 +80,17 @@ def run(
 @click.option("--out", default=None, help="Write ablation results JSON here.")
 def ablate(suite, backend, config, seed, failure_p, passes, out):
     """Run the suite with each capability removed in turn."""
-    results = harness.run_ablation(
-        suite_path=suite,
-        backend=backend,
-        config_path=config,
-        seed=seed,
-        passes=passes,
-        failure_p=failure_p,
-    )
+    try:
+        results = harness.run_ablation(
+            suite_path=suite,
+            backend=backend,
+            config_path=config,
+            seed=seed,
+            passes=passes,
+            failure_p=failure_p,
+        )
+    except GatewayConfigError as exc:
+        raise click.ClickException(f"gateway config: {exc}")
     click.echo(f"{'variant':>10}  {'sr':>6}  {'gc':>6}")
     for variant, doc in results.items():
         click.echo(f"{variant:>10}  {doc['sr']:>6.3f}  {doc['gc']:>6.3f}")

@@ -53,6 +53,12 @@ class BudgetExceededError(GatewayError):
     pass
 
 
+class GatewayConfigError(ValueError):
+    """An invalid gateway configuration. Raised on construction, so that a
+    misspelled backend does not run as the oracle and a missing URL or a
+    zero budget does not run as a weak agent."""
+
+
 # ---------------------------------------------------------------------------
 # Request / response validation (one pair of checkers per role)
 # ---------------------------------------------------------------------------
@@ -685,6 +691,13 @@ class RemoteBackend:
         raise last_error  # type: ignore[misc]
 
 
+BACKENDS = ("oracle", "remote")
+
+
+def _is_number(value: Any, *types: type) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass
 class GatewayConfig:
     backend: str = "oracle"
@@ -694,11 +707,30 @@ class GatewayConfig:
     max_retries: int = DEFAULT_MAX_RETRIES
     budget: int = DEFAULT_BUDGET
 
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise GatewayConfigError(
+                f"unknown backend {self.backend!r} (expected one of {', '.join(BACKENDS)})"
+            )
+        if self.backend == "remote" and not (self.base_url and self.model):
+            raise GatewayConfigError("the remote backend needs a non-empty base_url and model")
+        if not _is_number(self.timeout_ms, int, float) or self.timeout_ms <= 0:
+            raise GatewayConfigError(f"timeout_ms must be > 0, not {self.timeout_ms!r}")
+        if not _is_number(self.max_retries, int) or self.max_retries < 0:
+            raise GatewayConfigError(f"max_retries must be an int >= 0, not {self.max_retries!r}")
+        if not _is_number(self.budget, int) or self.budget <= 0:
+            raise GatewayConfigError(f"budget must be an int > 0, not {self.budget!r}")
+
     @classmethod
     def from_file(cls, path: str) -> "GatewayConfig":
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        remote = doc.get("remote", {})
+            try:
+                doc = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise GatewayConfigError(f"{path}: not valid JSON ({exc})") from exc
+        remote = doc.get("remote", {}) if isinstance(doc, dict) else None
+        if not isinstance(remote, dict):
+            raise GatewayConfigError(f"{path}: expected an object whose 'remote' is an object")
         return cls(
             backend=doc.get("backend", "oracle"),
             base_url=remote.get("base_url", ""),

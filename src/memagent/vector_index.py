@@ -2,30 +2,44 @@
 
 The built-in embedder hashes character trigrams into a fixed number of
 buckets and L2-normalizes, so results are reproducible with no model.
-Search is exact brute force: desk-scale stores make approximate indexing
-pointless and exactness keeps test oracles simple.
 
 Every similarity score is one per-pair ``np.dot`` divided by the two 1-D
 norms, each norm taken once per vector. A matrix product or a vectorised
 ``norm(axis=1)`` sums in another order and can move a score across theta in
 the last bit (``apple 1`` vs ``apple 2`` scores 0.7999999999999999).
+
+Search is exact, pruned by a matrix product that never decides. One
+matrix-vector product of the stored unit rows with the query gives each
+row's approximate score (times the query norm). Only rows whose approximate
+score reaches ``max(theta, k-th largest approximate score) - PRUNE_SLACK``
+are rescored with the per-pair formula, and only those exact scores meet
+the theta test, the sort and the cut. Both ways of scoring sum the same
+products in another order, so for finite vectors (squared norms that
+neither overflow nor underflow) they differ by a few ulps, about 1e-15 at
+64 dimensions. With a slack of 1e-9, far more than twice that, every row of
+the exact top k at or above theta survives the prune, ties at the k-th
+score included.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import canonical_json, canonical_name
+from .core import canonical_name
 
 DEFAULT_DIM = 64
 DEFAULT_THETA = 0.8
 #: Distinct (text, dim) embeddings kept; one suite run uses about 500.
 EMBED_CACHE_SIZE = 4096
+#: How far below the pruning floor a row may score and still be rescored
+#: (see the module docstring).
+PRUNE_SLACK = 1e-9
 
 
 class EmptyTextError(ValueError):
@@ -92,91 +106,106 @@ class IndexEntry:
     id: str
     text: str
     embedding: np.ndarray
-    payload: Any = None
 
-    def to_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "embedding": [float(x) for x in self.embedding],
-            "payload": self.payload,
-        }
+
+def _rank(pair: Tuple[IndexEntry, float]) -> Tuple[float, str]:
+    return -pair[1], pair[0].id
+
+
+def _finite_norm(vec: np.ndarray) -> float:
+    # The arithmetic of np.linalg.norm on a 1-D float64 vector, without its
+    # argument handling.
+    norm = math.sqrt(vec.dot(vec))
+    if not math.isfinite(norm):
+        raise ValueError("vector norm is not finite")
+    return norm
 
 
 class VectorIndex:
     """Exact cosine-similarity index keyed by entry id (last write wins).
 
-    Each entry's embedding norm is taken once, at upsert, and kept beside
-    it; entries are not mutated after they are stored."""
+    Row ``i`` holds ``_rows[i] = (entry, norm)``, the norm taken once at
+    upsert, and ``_unit[i]``, the embedding divided by that norm (a zero row
+    for a zero vector). ``_row_of`` maps each id to its row. A new id is
+    appended (the matrix doubles when full), a re-upsert overwrites its row
+    in place and ``remove`` moves the last row into the freed one."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
-        self._entries: Dict[str, Tuple[IndexEntry, float]] = {}
+        self._rows: List[Tuple[IndexEntry, float]] = []
+        self._row_of: Dict[str, int] = {}
+        self._unit = np.zeros((0, dim), dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self._entries
+        return entry_id in self._row_of
 
     def get(self, entry_id: str) -> Optional[IndexEntry]:
-        stored = self._entries.get(entry_id)
-        return stored[0] if stored is not None else None
+        row = self._row_of.get(entry_id)
+        return self._rows[row][0] if row is not None else None
 
     def entries(self) -> List[IndexEntry]:
-        return [self._entries[k][0] for k in sorted(self._entries)]
+        return sorted((entry for entry, _ in self._rows), key=lambda entry: entry.id)
 
     def upsert(self, entry: IndexEntry) -> None:
         if entry.embedding.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"entry dim {entry.embedding.shape} != index dim ({self.dim},)"
             )
-        self._entries[entry.id] = (entry, float(np.linalg.norm(entry.embedding)))
+        norm = _finite_norm(entry.embedding)
+        row = self._row_of.get(entry.id)
+        if row is None:
+            row = len(self._rows)
+            if row == len(self._unit):
+                grown = np.zeros((max(16, 2 * row), self.dim), dtype=np.float64)
+                grown[:row] = self._unit
+                self._unit = grown
+            self._row_of[entry.id] = row
+            self._rows.append((entry, norm))
+        else:
+            self._rows[row] = (entry, norm)
+        if norm:
+            np.divide(entry.embedding, norm, out=self._unit[row])
+        else:
+            self._unit[row] = 0.0
 
     def remove(self, entry_id: str) -> None:
-        if entry_id not in self._entries:
+        row = self._row_of.pop(entry_id, None)
+        if row is None:
             raise NotFoundError(entry_id)
-        del self._entries[entry_id]
+        last = self._rows.pop()
+        if row < len(self._rows):
+            self._rows[row] = last
+            self._row_of[last[0].id] = row
+            self._unit[row] = self._unit[len(self._rows)]
 
     def search(
         self, query: np.ndarray, k: int, theta: float = DEFAULT_THETA
     ) -> List[Tuple[IndexEntry, float]]:
         """Top-k entries with cosine score >= theta, sorted by descending
-        score then ascending id."""
+        score then ascending id. The scores are the per-pair formula's; the
+        matrix product only prunes (see the module docstring)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if query.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"query dim {query.shape} != index dim ({self.dim},)"
             )
-        query_norm = float(np.linalg.norm(query))
-        scored = [
-            (entry, cosine_with_norms(query, query_norm, entry.embedding, norm))
-            for entry, norm in self._entries.values()
-        ]
-        kept = [(e, s) for e, s in scored if s >= theta]
-        kept.sort(key=lambda pair: (-pair[1], pair[0].id))
+        query_norm = _finite_norm(query)
+        n = len(self._rows)
+        # Each row's approximate score, times query_norm.
+        scaled = self._unit[:n] @ query
+        floor = theta * query_norm
+        if n > k:
+            floor = max(floor, float(np.partition(scaled, n - k)[n - k]))
+        rows = self._rows
+        kept = []
+        for row in (scaled >= floor - PRUNE_SLACK * query_norm).nonzero()[0].tolist():
+            entry, norm = rows[row]
+            score = cosine_with_norms(query, query_norm, entry.embedding, norm)
+            if score >= theta:
+                kept.append((entry, score))
+        kept.sort(key=_rank)
         return kept[:k]
-
-    def snapshot(self) -> str:
-        """Canonical JSON snapshot of the full index state."""
-        return canonical_json(
-            {"dim": self.dim, "entries": [e.to_doc() for e in self.entries()]}
-        )
-
-    @classmethod
-    def restore(cls, snapshot: str) -> "VectorIndex":
-        import json
-
-        doc = json.loads(snapshot)
-        index = cls(dim=doc["dim"])
-        for entry_doc in doc["entries"]:
-            index.upsert(
-                IndexEntry(
-                    id=entry_doc["id"],
-                    text=entry_doc["text"],
-                    embedding=np.array(entry_doc["embedding"], dtype=np.float64),
-                    payload=entry_doc["payload"],
-                )
-            )
-        return index

@@ -90,6 +90,18 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert "pass-to-pass sr delta" in result.output
 
+    def test_remote_backend_without_config_fails_loudly(self, runner, suite_path):
+        result = runner.invoke(main, ["run", "--suite", suite_path, "--backend", "remote"])
+        assert result.exit_code != 0
+        assert "base_url" in result.output
+
+    def test_misspelled_backend_in_config_fails_loudly(self, runner, suite_path, tmp_path):
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps({"backend": "remot"}))
+        result = runner.invoke(main, ["run", "--suite", suite_path, "--config", str(config)])
+        assert result.exit_code != 0
+        assert "unknown backend 'remot'" in result.output
+
 
 class TestAblate:
     def test_ablate_lists_all_variants(self, runner, suite_path, tmp_path):
@@ -108,9 +120,9 @@ class TestAblate:
             assert variant.split()[0] in doc
 
     def test_ablate_reads_gateway_config(self, runner, suite_path, tmp_path):
-        # A zero call budget starves the planner, so no variant can succeed.
+        # A one-call budget starves the planner, so no variant can succeed.
         config = tmp_path / "gateway.json"
-        config.write_text(json.dumps({"backend": "oracle", "budget": 0}))
+        config.write_text(json.dumps({"backend": "oracle", "budget": 1}))
         out = tmp_path / "ablation.json"
         result = runner.invoke(
             main,
@@ -123,6 +135,13 @@ class TestAblate:
         assert {v: d["sr"] for v, d in json.loads(out.read_text()).items()} == {
             "full": 0.0, "critic": 0.0, "spatial": 0.0, "longterm": 0.0
         }
+
+    def test_ablate_rejects_bad_gateway_config(self, runner, suite_path, tmp_path):
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps({"backend": "oracle", "budget": 0}))
+        result = runner.invoke(main, ["ablate", "--suite", suite_path, "--config", str(config)])
+        assert result.exit_code != 0
+        assert "budget" in result.output
 
 
 class TestBench:

@@ -9,6 +9,8 @@ from memagent.gateway import (
     BackendUnreachableError,
     BudgetExceededError,
     GatewayConfig,
+    GatewayConfigError,
+    GatewayError,
     OracleBackend,
     ReasonerGateway,
     ReasonerRole,
@@ -318,3 +320,38 @@ class TestGatewayConfig:
         )
         gateway = ReasonerGateway.from_config(GatewayConfig.from_file(str(path)))
         assert isinstance(gateway.backend, RemoteBackend)
+
+    def test_misspelled_backend_in_file_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backend": "remot"}))
+        with pytest.raises(ValueError, match="unknown backend 'remot'"):
+            GatewayConfig.from_file(str(path))
+
+    @pytest.mark.parametrize("text", ["[]", '{"remote": "http://h"}', "{backend: oracle}"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(GatewayConfigError):
+            GatewayConfig.from_file(str(path))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"backend": "remote"},
+            {"backend": "remote", "base_url": "http://h"},
+            {"backend": "remote", "model": "m"},
+            {"timeout_ms": 0},
+            {"timeout_ms": -5},
+            {"max_retries": -1},
+            {"max_retries": 1.5},
+            {"budget": 0},
+            {"budget": "50"},
+        ],
+    )
+    def test_invalid_config_rejected(self, fields):
+        with pytest.raises(GatewayConfigError):
+            GatewayConfig(**fields)
+
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(GatewayConfigError, ValueError)
+        assert not issubclass(GatewayConfigError, GatewayError)

@@ -10,6 +10,7 @@ from memagent.vector_index import (
     NotFoundError,
     VectorIndex,
     cosine,
+    cosine_with_norms,
 )
 
 texts = st.text(
@@ -75,10 +76,25 @@ def _entry(eid: str, text: str, embedder=HashingEmbedder()) -> IndexEntry:
 
 def brute_force(index_entries, query, k, theta):
     """Independent reference: score everything, filter, sort, truncate."""
-    scored = [(e, cosine(query, e.embedding)) for e in index_entries]
+    query_norm = float(np.linalg.norm(query))
+    scored = [
+        (e, cosine_with_norms(query, query_norm, e.embedding, float(np.linalg.norm(e.embedding))))
+        for e in index_entries
+    ]
     scored = [(e, s) for e, s in scored if s >= theta]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
+
+
+def assert_store_consistent(index):
+    """The id-to-row map, the (entry, norm) rows and the unit rows agree."""
+    assert sorted(index._row_of.values()) == list(range(len(index)))
+    for entry_id, row in index._row_of.items():
+        entry, norm = index._rows[row]
+        assert entry.id == entry_id
+        assert norm == float(np.linalg.norm(entry.embedding))
+        unit = entry.embedding / norm if norm else np.zeros(index.dim)
+        assert np.array_equal(index._unit[row], unit)
 
 
 class TestVectorIndex:
@@ -130,24 +146,74 @@ class TestVectorIndex:
         want = brute_force(index.entries(), e.embed(query), k, 0.3)
         assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
 
-    def test_stored_norm_follows_upsert_and_restore(self):
+    def test_stored_norm_follows_overwrite_and_swap_delete(self):
         index = VectorIndex(dim=2)
         index.upsert(IndexEntry(id="a", text="a", embedding=np.array([3.0, 4.0])))
         index.upsert(IndexEntry(id="a", text="a", embedding=np.array([2.0, 0.0])))
         index.upsert(IndexEntry(id="b", text="b", embedding=np.array([0.0, 0.0])))
+        index.upsert(IndexEntry(id="c", text="c", embedding=np.array([0.0, 5.0])))
         query = np.array([1.0, 0.0])
-        want = [("a", 1.0), ("b", 0.0)]
-        assert [(h.id, s) for h, s in index.search(query, k=2, theta=0.0)] == want
-        restored = VectorIndex.restore(index.snapshot())
-        assert [(h.id, s) for h, s in restored.search(query, k=2, theta=0.0)] == want
-        index.remove("a")
-        assert [h.id for h, _ in index.search(query, k=2, theta=0.0)] == ["b"]
+        want = [("a", 1.0), ("b", 0.0), ("c", 0.0)]
+        assert [(h.id, s) for h, s in index.search(query, k=3, theta=0.0)] == want
+        index.remove("a")  # "c" moves into the freed first row
+        assert_store_consistent(index)
+        assert [(h.id, s) for h, s in index.search(query, k=3, theta=0.0)] == want[1:]
+        assert [(h.id, s) for h, s in index.search(np.array([0.0, 1.0]), k=1)] == [("c", 1.0)]
 
-    def test_snapshot_restore_round_trip(self):
+    def test_non_finite_vectors_rejected(self):
+        index = VectorIndex(dim=2)
+        with pytest.raises(ValueError):
+            index.upsert(IndexEntry(id="a", text="a", embedding=np.array([np.nan, 1.0])))
+        assert len(index) == 0
+        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([1.0, 0.0])))
+        with pytest.raises(ValueError):
+            index.search(np.array([np.inf, 0.0]), k=1)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_search_matches_brute_force_under_mutation(self, data):
+        e = HashingEmbedder()
+        pool = data.draw(st.lists(texts, min_size=1, max_size=6, unique=True))
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(
+                        ["new", "overwrite", "duplicate", "zero", "remove_last", "remove_middle"]
+                    ),
+                    st.integers(0, 50),
+                    st.sampled_from(pool),
+                ),
+                min_size=1,
+                max_size=14,
+            )
+        )
         index = VectorIndex()
-        index.upsert(_entry("a", "banana"))
-        index.upsert(_entry("b", "kitchen counter"))
-        snap = index.snapshot()
-        other = VectorIndex.restore(snap)
-        assert other.snapshot() == snap
-        assert [e.id for e in other.entries()] == ["a", "b"]
+        zero = np.zeros(index.dim)
+        next_id = 0
+        for op, pick, text in ops:
+            ids = [index._rows[row][0].id for row in range(len(index))]
+            if not ids and op != "zero":
+                op = "new"
+            if op == "remove_last":
+                index.remove(ids[-1])
+            elif op == "remove_middle":
+                index.remove(ids[pick % len(ids)])
+            elif op == "overwrite":
+                old_id = ids[pick % len(ids)]
+                index.upsert(IndexEntry(id=old_id, text=text, embedding=e.embed(text)))
+            else:
+                if op == "duplicate":  # same embedding: exact ties at every score
+                    text = index.get(ids[pick % len(ids)]).text
+                vec = zero if op == "zero" else e.embed(text)
+                index.upsert(IndexEntry(id=f"e{next_id:02d}", text=text, embedding=vec))
+                next_id += 1
+            assert_store_consistent(index)
+            query = e.embed(data.draw(st.sampled_from(pool + ["kitchen counter"])))
+            query = query * data.draw(st.sampled_from([1.0, 0.25, 4.0]))  # not only unit queries
+            scores = sorted({s for _, s in brute_force(index.entries(), query, len(index), -1.0)})
+            thetas = [0.0, 1.0] + ([data.draw(st.sampled_from(scores))] if scores else [])
+            for theta in thetas:
+                for k in range(1, len(index) + 3):
+                    got = index.search(query, k=k, theta=theta)
+                    want = brute_force(index.entries(), query, k, theta)
+                    assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
