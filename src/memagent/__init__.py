@@ -8,7 +8,6 @@ control loop, a deterministic household simulator, and an evaluation harness.
 from .core import (
     ActionCommand,
     InvariantError,
-    MalformedDocumentError,
     Observation,
     Outcome,
     StepRecord,
@@ -46,7 +45,6 @@ __all__ = [
     "InvariantError",
     "KHopBoundError",
     "LifelongMemory",
-    "MalformedDocumentError",
     "MemoryContext",
     "MemoryEntity",
     "MemoryOrchestrator",

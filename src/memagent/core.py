@@ -1,8 +1,9 @@
-"""Shared domain types, canonical JSON serialization and the fan-out helper.
+"""Shared domain types, canonical JSON and the fan-out helper.
 
-Every value that crosses a module boundary (snapshots, trajectory logs,
-trace files) goes through :func:`serialize` / :func:`deserialize` so that
-golden files and snapshot diffs are byte-stable.
+Every document written to disk (reports, snapshots, trajectory logs,
+transcripts) is rendered by :func:`canonical_json`, so golden files and
+snapshot diffs are byte-stable; :func:`to_doc` gives the plain document of
+a core type.
 
 Every concurrent fan-out (the gateway's parallel invoke, the
 orchestrator's update dispatch and context gather) goes through
@@ -52,18 +53,12 @@ class Termination(str, Enum):
 
 
 class InvariantError(ValueError):
-    """A value or document violates a type invariant.
-
-    ``path`` names the offending field for deserialization errors.
-    """
+    """A value violates a type invariant. ``path`` names the offending
+    field."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
-
-
-class MalformedDocumentError(ValueError):
-    """Input is not a JSON object of the expected shape."""
 
 
 _WS = re.compile(r"\s+")
@@ -194,73 +189,6 @@ def to_doc(value: Any) -> Any:
             "terminated_by": value.terminated_by.value,
         }
     raise TypeError(f"not a serializable core type: {type(value)!r}")
-
-
-def serialize(value: Any) -> str:
-    """Canonical JSON document for any core type. Deterministic and
-    injective on valid values."""
-    return canonical_json(to_doc(value))
-
-
-def _require(doc: dict, key: str, path: str) -> Any:
-    if key not in doc:
-        raise InvariantError("missing required field", f"{path}{key}")
-    return doc[key]
-
-
-def _parse_enum(enum_cls, raw: Any, path: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        raise InvariantError(
-            f"not a valid {enum_cls.__name__}: {raw!r}", path
-        ) from None
-
-
-def deserialize(doc: Any, expected: type) -> Any:
-    """Parse a JSON document (text or already-parsed object) into a core
-    type, validating invariants. Raises MalformedDocumentError or
-    InvariantError (with field path)."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocumentError(str(exc)) from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocumentError(f"expected JSON object, got {type(doc).__name__}")
-
-    try:
-        if expected is ActionCommand:
-            verb = _parse_enum(Verb, _require(doc, "verb", ""), "verb")
-            target = doc.get("target")
-            return ActionCommand(verb=verb, target=target)
-        if expected is Observation:
-            return Observation(
-                task_id=_require(doc, "task_id", ""),
-                step_index=_require(doc, "step_index", ""),
-                text=_require(doc, "text", ""),
-            )
-        if expected is StepRecord:
-            return StepRecord(
-                step_index=_require(doc, "step_index", ""),
-                action=deserialize(_require(doc, "action", ""), ActionCommand),
-                summary=_require(doc, "summary", ""),
-                outcome=_parse_enum(Outcome, _require(doc, "outcome", ""), "outcome"),
-                failure_reason=doc.get("failure_reason"),
-            )
-        if expected is TaskResult:
-            return TaskResult(
-                task_id=_require(doc, "task_id", ""),
-                scn=_require(doc, "scn", ""),
-                gcn=_require(doc, "gcn", ""),
-                steps_used=_require(doc, "steps_used", ""),
-                terminated_by=_parse_enum(
-                    Termination, _require(doc, "terminated_by", ""), "terminated_by"
-                ),
-            )
-    except TypeError as exc:
-        raise InvariantError(str(exc)) from exc
-    raise TypeError(f"unsupported target type: {expected!r}")
 
 
 #: Workers of the shared pool: the widest fan-out in the program, the four

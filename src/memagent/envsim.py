@@ -157,15 +157,6 @@ class TaskSpec:
     def gcn(self) -> int:
         return len(self.goal_conditions)
 
-    def to_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "instruction": self.instruction,
-            "category": self.category,
-            "goal_conditions": [dict(g) for g in self.goal_conditions],
-            "initial_seed": self.initial_seed,
-        }
-
     @classmethod
     def from_doc(cls, doc: dict) -> "TaskSpec":
         return cls(
@@ -191,14 +182,13 @@ class Environment:
         self,
         profile: str = "realworld",
         failure_p: Optional[float] = None,
-        template: Optional[WorldTemplate] = None,
         max_steps: Optional[int] = None,
     ):
         if profile not in PROFILES:
             raise ValueError(f"unknown profile: {profile}")
         self.profile = profile
         self._config = PROFILES[profile]
-        self.template = template or TEMPLATES[profile]
+        self.template = TEMPLATES[profile]
         self.failure_p = (
             self._config["default_failure_p"] if failure_p is None else failure_p
         )
@@ -322,6 +312,7 @@ class Environment:
     # -- stepping ----------------------------------------------------------------
 
     def step(self, action: ActionCommand) -> Tuple[Observation, Outcome, Optional[str]]:
+        self._active_task()
         if self.done:
             raise RuntimeError("episode is finished; call reset()")
         self._steps += 1
@@ -502,10 +493,15 @@ class Environment:
             return state.power == wanted
         return wanted in state.states
 
+    def _active_task(self) -> TaskSpec:
+        if self._task is None:
+            raise RuntimeError("no active task; call reset()")
+        return self._task
+
     def score(self) -> Tuple[int, int]:
-        assert self._task is not None, "no active task"
-        scn = sum(1 for g in self._task.goal_conditions if self._condition_met(g))
-        return scn, self._task.gcn
+        task = self._active_task()
+        scn = sum(1 for g in task.goal_conditions if self._condition_met(g))
+        return scn, task.gcn
 
     def world_snapshot(self) -> dict:
         return {

@@ -641,13 +641,11 @@ class RemoteBackend:
         model: str,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        temperature: float = 0.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout_ms = timeout_ms
         self.max_retries = max_retries
-        self.temperature = temperature
 
     def invoke(self, role: ReasonerRole, payload: dict) -> dict:
         import requests
@@ -658,7 +656,7 @@ class RemoteBackend:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": 0.0,
             "messages": [
                 {
                     "role": "user",

@@ -212,11 +212,10 @@ def run_ablation(
     seed: int = 0,
     passes: int = DEFAULT_PASSES,
     failure_p: Optional[float] = None,
-    variants: Sequence[str] = ("full", "critic", "spatial", "longterm"),
 ) -> dict:
     """Re-run the suite with one capability removed at a time."""
     out = {}
-    for variant in variants:
+    for variant in ("full", "critic", "spatial", "longterm"):
         disable = () if variant == "full" else (variant,)
         outcome = run_suite(
             suite_path=suite_path,

@@ -106,15 +106,9 @@ class TaskTrace:
 
 
 class LifelongMemory:
-    def __init__(
-        self,
-        gateway: Optional[ReasonerGateway] = None,
-        embedder: Optional[HashingEmbedder] = None,
-        theta: float = DEFAULT_RETRIEVAL_THETA,
-    ):
+    def __init__(self, gateway: Optional[ReasonerGateway] = None):
         self.gateway = gateway or ReasonerGateway()
-        self.embedder = embedder or HashingEmbedder()
-        self.theta = theta
+        self.embedder = HashingEmbedder()
         self._indexes = {
             "episodic": VectorIndex(dim=self.embedder.dim),
             "semantic": VectorIndex(dim=self.embedder.dim),
@@ -333,7 +327,7 @@ class LifelongMemory:
         if len(index) == 0:
             return []
         results = index.search(
-            self.embedder.embed(entity.text), k=CONSOLIDATION_K, theta=self.theta
+            self.embedder.embed(entity.text), k=CONSOLIDATION_K, theta=DEFAULT_RETRIEVAL_THETA
         )
         return [(self._entities[e.id], score) for e, score in results]
 
@@ -356,20 +350,17 @@ class LifelongMemory:
 
     # -- retrieval -----------------------------------------------------------
 
-    def retrieve(
-        self, query: str, kind: Optional[str] = None, k: int = 5
-    ) -> List[Tuple[MemoryEntity, float]]:
+    def retrieve(self, query: str, kind: str, k: int = 5) -> List[Tuple[MemoryEntity, float]]:
+        """The top ``k`` entries of one kind at least theta-similar to
+        ``query``, best first, ties by id."""
         with self._lock:
-            kinds = [kind] if kind else ["episodic", "semantic"]
-            results: List[Tuple[MemoryEntity, float]] = []
-            for name in kinds:
-                index = self._indexes[name]
-                if len(index) == 0:
-                    continue
-                hits = index.search(self.embedder.embed(query), k=k, theta=self.theta)
-                results.extend((self._entities[e.id], score) for e, score in hits)
-            results.sort(key=lambda pair: (-pair[1], pair[0].id))
-            return results[:k] if kind else results
+            index = self._indexes[kind]
+            if len(index) == 0:
+                return []
+            hits = index.search(
+                self.embedder.embed(query), k=k, theta=DEFAULT_RETRIEVAL_THETA
+            )
+            return [(self._entities[e.id], score) for e, score in hits]
 
     # -- persistence ---------------------------------------------------------
 

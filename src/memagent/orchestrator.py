@@ -22,6 +22,9 @@ from .temporal import TemporalMemory
 
 logger = logging.getLogger(__name__)
 
+#: Entries retrieved per long-term kind for one context.
+RETRIEVAL_K = 5
+
 
 @dataclass(frozen=True)
 class UpdateEvent:
@@ -66,7 +69,6 @@ class MemoryOrchestrator:
         parallel: bool = True,
         spatial_enabled: bool = True,
         longterm_enabled: bool = True,
-        retrieval_k: int = 5,
         delay_hooks: Optional[Dict[str, float]] = None,
     ):
         self.spatial = spatial if spatial is not None else SpatialMemory()
@@ -75,7 +77,6 @@ class MemoryOrchestrator:
         self.parallel = parallel
         self.spatial_enabled = spatial_enabled
         self.longterm_enabled = longterm_enabled
-        self.retrieval_k = retrieval_k
         # Test/bench hook: per-gather-section artificial delay in seconds.
         self.delay_hooks = delay_hooks or {}
         self.gather_latencies: List[float] = []
@@ -124,17 +125,17 @@ class MemoryOrchestrator:
 
     # -- retrieval fan-out -----------------------------------------------------
 
-    def gather_context(self, query: str, k_hops: Optional[int] = None) -> MemoryContext:
+    def gather_context(self, query: str) -> MemoryContext:
         start = time.perf_counter()
         sections: Dict[str, Callable[[], object]] = {
-            "spatial": (lambda: self.spatial.query(query, k_hops))
+            "spatial": (lambda: self.spatial.query(query))
             if self.spatial_enabled
             else (lambda: ()),
             "temporal": self.temporal.render,
-            "episodic": (lambda: self.lifelong.retrieve(query, "episodic", self.retrieval_k))
+            "episodic": (lambda: self.lifelong.retrieve(query, "episodic", RETRIEVAL_K))
             if self.longterm_enabled
             else (lambda: []),
-            "semantic": (lambda: self.lifelong.retrieve(query, "semantic", self.retrieval_k))
+            "semantic": (lambda: self.lifelong.retrieve(query, "semantic", RETRIEVAL_K))
             if self.longterm_enabled
             else (lambda: []),
         }

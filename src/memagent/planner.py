@@ -11,12 +11,11 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     ActionCommand,
     InvariantError,
-    Observation,
     StepRecord,
     TaskResult,
     Termination,
@@ -28,7 +27,8 @@ from .envsim import Environment, TaskSpec
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
 from .lifelong import TaskTrace
 from .orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
-from .preprocessor import Preprocessor, extract_triplets
+from .preprocessor import Preprocessor
+from .spatial import Triplet
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +54,6 @@ class EmptyPlanError(Exception):
 @dataclass(frozen=True)
 class Plan:
     steps: Tuple[ActionCommand, ...]
-    rationale: str
-    created_at_step: int
 
     def __post_init__(self):
         if not self.steps:
@@ -98,8 +96,9 @@ def parse_goals(instruction: str) -> List[dict]:
 
 @dataclass
 class BeliefState:
-    """What the planner currently believes, assembled from the latest
-    observation (authoritative) layered over the memory context."""
+    """What the planner currently believes, assembled from the triplets of
+    the latest observation (authoritative) layered over the memory
+    context."""
 
     agent_at: Optional[str] = None
     holding: Optional[str] = None
@@ -113,12 +112,12 @@ class BeliefState:
 
 def build_beliefs(
     context: MemoryContext,
-    obs: Observation,
+    observed_triplets: Sequence[Triplet],
     task_id: Optional[str] = None,
     trace: Optional[TaskTrace] = None,
 ) -> BeliefState:
     beliefs = BeliefState()
-    obs_facts = [t.key for t in extract_triplets(obs)]
+    obs_facts = [t.key for t in observed_triplets]
     kg_facts = [t.key for t in context.spatial]
 
     obs_located = {s for s, r, _ in obs_facts if r in _LOCATION_RELS}
@@ -199,8 +198,6 @@ class PlannerCritic:
         goals: List[dict],
         beliefs: BeliefState,
         trace: TaskTrace,
-        created_at_step: int,
-        retry: bool = True,
     ) -> Plan:
         payload = {
             "instruction": instruction,
@@ -219,17 +216,13 @@ class PlannerCritic:
         response = self.gateway.invoke(ReasonerRole.PLANNER, payload)
         steps = self._validate_steps(response.get("steps", []))
         if not steps:
-            if retry:
-                payload = dict(payload, retry=True, visited_points=[])
-                response = self.gateway.invoke(ReasonerRole.PLANNER, payload)
-                steps = self._validate_steps(response.get("steps", []))
+            # One retry that forgets the search history.
+            payload = dict(payload, retry=True, visited_points=[])
+            response = self.gateway.invoke(ReasonerRole.PLANNER, payload)
+            steps = self._validate_steps(response.get("steps", []))
             if not steps:
                 raise EmptyPlanError("planner produced no valid steps")
-        return Plan(
-            steps=tuple(steps),
-            rationale=response.get("rationale", ""),
-            created_at_step=created_at_step,
-        )
+        return Plan(steps=tuple(steps))
 
     def _validate_steps(self, raw_steps: List[dict]) -> List[ActionCommand]:
         steps = []
@@ -302,17 +295,18 @@ def run_episode(
     )
     trace = TaskTrace(task_id=task.id, instruction=task.instruction, goal_objects=goal_objects)
 
-    def absorb_observation(observation: Observation) -> None:
+    def absorb_observation(observed_triplets: Tuple[Triplet, ...]) -> None:
         trace.note_visit(env.agent_at)
-        for triplet in extract_triplets(observation):
+        for triplet in observed_triplets:
             if triplet.subject != AGENT and triplet.relation in _LOCATION_RELS:
                 trace.note_seen(triplet.subject, triplet.relation, triplet.object)
             if triplet.relation == "is" and triplet.object == "open":
                 trace.note_opened(triplet.subject)
 
-    absorb_observation(obs)
     initial = preprocessor.preprocess(obs, None, None)
-    orchestrator.dispatch_update(UpdateEvent(level="action", triplets=initial.triplets))
+    observed = initial.triplets
+    absorb_observation(observed)
+    orchestrator.dispatch_update(UpdateEvent(level="action", triplets=observed))
     query = initial.query
     latest_summary = initial.summary
 
@@ -325,11 +319,11 @@ def run_episode(
 
     while executed < env.max_steps and not env.done:
         context = orchestrator.gather_context(query)
-        beliefs = build_beliefs(context, obs, task.id, trace)
+        beliefs = build_beliefs(context, observed, task.id, trace)
 
         if plan is None or plan_index >= len(plan.steps):
             try:
-                plan = planner.plan(task.instruction, goals, beliefs, trace, executed)
+                plan = planner.plan(task.instruction, goals, beliefs, trace)
             except (EmptyPlanError, GatewayError) as exc:
                 logger.warning("planning failed for %s: %s", task.id, exc)
                 aborted = True
@@ -363,12 +357,13 @@ def run_episode(
 
         obs, outcome, failure_reason = env.step(action)
         executed += 1
-        absorb_observation(obs)
+        pre = preprocessor.preprocess(obs, action, outcome, failure_reason)
+        observed = pre.triplets
+        absorb_observation(observed)
         trace.verbs.append(action.verb.value)
         if failure_reason:
             trace.failure_reasons.append(failure_reason)
 
-        pre = preprocessor.preprocess(obs, action, outcome, failure_reason)
         latest_summary = pre.summary
         query = pre.query
         record = StepRecord(

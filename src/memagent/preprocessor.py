@@ -1,6 +1,10 @@
 """Perceptual front-end: turns one observation into a step summary, a
 long-term-memory query, and spatial triplets.
 
+``Preprocessor.preprocess`` is the only parse of an observation: the
+planner's belief state, the task trace and the spatial memory all read the
+triplets it returns.
+
 Observation text follows a fixed line grammar (documented in the README):
 
     you are at <point>
@@ -18,7 +22,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import ActionCommand, Observation, Outcome, canonical_name, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
@@ -79,9 +83,10 @@ def extract_triplets(obs: Observation) -> List[Triplet]:
     return triplets
 
 
-def visible_entities(obs: Observation) -> List[str]:
+def visible_entities(triplets: Sequence[Triplet]) -> List[str]:
+    """Distinct names the triplets mention, other than the agent, in order."""
     names: List[str] = []
-    for triplet in extract_triplets(obs):
+    for triplet in triplets:
         for name in (triplet.subject, triplet.object):
             if name not in (AGENT,) and name not in names:
                 names.append(name)
@@ -101,7 +106,7 @@ class Preprocessor:
         failure_reason: Optional[str] = None,
     ) -> PreprocessOutput:
         triplets = tuple(extract_triplets(obs))
-        entities = visible_entities(obs)
+        entities = visible_entities(triplets)
 
         requests = []
         if last_action is not None:

@@ -42,6 +42,9 @@ DEFAULT_MAX_IN_DEGREE = 16
 
 EdgeKey = Tuple[str, str, str]
 
+#: Relation pairs that ``_fast_conflict`` treats as mutually exclusive.
+_EXCLUSIVE = frozenset(frozenset(pair) for pair in DEFAULT_EXCLUSIVE_PAIRS)
+
 
 class KHopBoundError(RuntimeError):
     """A k-hop retrieval returned more nodes than the expansion bound allows."""
@@ -102,27 +105,19 @@ class SpatialMemory:
     def __init__(
         self,
         gateway: Optional[ReasonerGateway] = None,
-        embedder: Optional[HashingEmbedder] = None,
         theta: float = DEFAULT_THETA,
         k_hops: int = DEFAULT_K,
         buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
         max_out_degree: int = DEFAULT_MAX_OUT_DEGREE,
         max_in_degree: int = DEFAULT_MAX_IN_DEGREE,
-        exclusive_pairs: Optional[List[List[str]]] = None,
-        functional_groups: Optional[List[List[str]]] = None,
     ):
         self.gateway = gateway or ReasonerGateway()
-        self.embedder = embedder or HashingEmbedder()
+        self.embedder = HashingEmbedder()
         self.theta = theta
         self.k_hops = k_hops
         self.buffer_capacity = buffer_capacity
         self.max_out_degree = max_out_degree
         self.max_in_degree = max_in_degree
-        self.exclusive_pairs = exclusive_pairs or [list(p) for p in DEFAULT_EXCLUSIVE_PAIRS]
-        self.functional_groups = (
-            functional_groups or [list(g) for g in DEFAULT_FUNCTIONAL_GROUPS]
-        )
-        self._exclusive = frozenset(frozenset(pair) for pair in self.exclusive_pairs)
         self._edges: Dict[EdgeKey, Triplet] = {}
         # Incident-edge index: node -> keys of its outgoing / incoming edges.
         # Only _add_edge and _remove_edge change it; a node with no such edge
@@ -190,7 +185,7 @@ class SpatialMemory:
                 subject == triplet.subject
                 and obj == triplet.object
                 and relation != triplet.relation
-                and frozenset((relation, triplet.relation)) in self._exclusive
+                and frozenset((relation, triplet.relation)) in _EXCLUSIVE
             ):
                 return True
         return False
@@ -314,8 +309,8 @@ class SpatialMemory:
         edges = [local[k] for k in sorted(local)]
         payload = {
             "edges": [e.to_doc() for e in edges],
-            "exclusive_pairs": self.exclusive_pairs,
-            "functional_groups": self.functional_groups,
+            "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
+            "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
         }
         try:
             response = self.gateway.invoke(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
@@ -390,7 +385,7 @@ class SpatialMemory:
         keys = [key for node in reached for key in self._out.get(node, ()) if key[2] in reached]
         return reached, [self._edges[key] for key in sorted(keys)]
 
-    def query(self, text: str, k: Optional[int] = None) -> Tuple[Triplet, ...]:
+    def query(self, text: str) -> Tuple[Triplet, ...]:
         """The edges of the subgraph around entities mentioned in the query,
         sorted by key; remembers the seed set."""
         with self._lock:
@@ -398,7 +393,7 @@ class SpatialMemory:
             self._retrieval_seed = set(seeds)
             if not seeds:
                 return ()
-            _, edges = self.retrieve_subgraph(seeds, k)
+            _, edges = self.retrieve_subgraph(seeds)
             return tuple(edges)
 
     def _extract_seeds(self, text: str) -> Set[str]:
@@ -485,15 +480,3 @@ class SpatialMemory:
                     )
             self._pending = [Triplet(**t) for t in doc.get("pending", [])]
             self._retrieval_seed = set(doc.get("retrieval_seed", []))
-
-    def to_graphviz(self) -> str:
-        with self._lock:
-            lines = ["digraph spatial {"]
-            for node in sorted(self._nodes):
-                lines.append(f'  "{node}";')
-            for edge in self.edges():
-                lines.append(
-                    f'  "{edge.subject}" -> "{edge.object}" [label="{edge.relation}"];'
-                )
-            lines.append("}")
-            return "\n".join(lines)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .core import StepRecord, to_doc
-from .gateway import GatewayError, ReasonerGateway, ReasonerRole
+from .gateway import COMPACTION_MAX_CHARS, GatewayError, ReasonerGateway, ReasonerRole
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ class TemporalMemory:
             text = response["summary"]
         except GatewayError as exc:
             logger.warning("compaction summarizer failed (%s); falling back", exc)
-            text = f"steps {first}-{last}: " + "; ".join(texts)[:400]
+            text = f"steps {first}-{last}: " + "; ".join(texts)[:COMPACTION_MAX_CHARS]
         return CompactedSummary(text=text, covers_steps=(first, last))
 
     def render(self) -> str:

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from memagent.core import (
     ActionCommand,
     InvariantError,
-    MalformedDocumentError,
-    Observation,
     Outcome,
     StepRecord,
     TaskResult,
@@ -16,9 +14,7 @@ from memagent.core import (
     Verb,
     canonical_json,
     canonical_name,
-    deserialize,
     fan_out,
-    serialize,
 )
 
 
@@ -114,55 +110,6 @@ class TestCanonicalJson:
     )
     def test_deterministic(self, doc):
         assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
-
-
-class TestSerialization:
-    def test_round_trip_step_record(self):
-        record = StepRecord(
-            step_index=4,
-            action=ActionCommand(verb=Verb.OPEN, target="oven"),
-            summary="open oven: success",
-            outcome=Outcome.SUCCESS,
-        )
-        restored = deserialize(json.loads(serialize(record)), StepRecord)
-        assert restored == record
-
-    def test_round_trip_task_result(self):
-        result = TaskResult(
-            task_id="pp-01", scn=1, gcn=1, steps_used=7, terminated_by=Termination.SUCCESS
-        )
-        assert deserialize(json.loads(serialize(result)), TaskResult) == result
-
-    def test_malformed_document_names_field_path(self):
-        doc = json.loads(
-            serialize(
-                Observation(task_id="t", step_index=0, text="you are at sink")
-            )
-        )
-        del doc["step_index"]
-        with pytest.raises(InvariantError) as err:
-            deserialize(doc, Observation)
-        assert "step_index" in str(err.value)
-
-    def test_bad_enum_value_reports_path(self):
-        doc = {
-            "task_id": "t",
-            "scn": 0,
-            "gcn": 1,
-            "steps_used": 0,
-            "terminated_by": "exploded",
-        }
-        with pytest.raises(InvariantError) as err:
-            deserialize(doc, TaskResult)
-        assert "terminated_by" in str(err.value)
-
-    def test_non_object_document_rejected(self):
-        with pytest.raises(MalformedDocumentError):
-            deserialize([1, 2, 3], TaskResult)
-
-    def test_invalid_json_text_rejected(self):
-        with pytest.raises(MalformedDocumentError):
-            deserialize("{not json", StepRecord)
 
 
 class TestFanOut:

@@ -1,5 +1,6 @@
 """Tests for the deterministic partially observable household simulator."""
 
+import dataclasses
 import random
 
 import pytest
@@ -34,8 +35,18 @@ class TestTaskSpec:
             TaskSpec(id="x", instruction="y", category="pick_place", goal_conditions=())
 
     def test_doc_round_trip(self):
-        task = simple_task()
-        assert TaskSpec.from_doc(task.to_doc()) == task
+        doc = {
+            "id": "t1",
+            "instruction": "put cup on kitchen counter",
+            "category": "pick_place",
+            "goal_conditions": [{"kind": "at", "obj": "cup", "place": "kitchen counter"}],
+            "initial_seed": 3,
+        }
+        task = TaskSpec.from_doc(doc)
+        assert task == simple_task()
+        assert dataclasses.asdict(task) == dict(doc, goal_conditions=tuple(doc["goal_conditions"]))
+        del doc["initial_seed"]
+        assert TaskSpec.from_doc(doc).initial_seed == 0
 
     def test_gcn_counts_conditions(self):
         assert simple_task().gcn == 1
@@ -98,6 +109,15 @@ class TestValidation:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             Environment(profile="spacestation")
+
+    def test_score_and_step_need_an_active_task(self):
+        # A RuntimeError, not an assert, so the check survives ``python -O``.
+        env = Environment(profile="realworld", failure_p=0.0)
+        with pytest.raises(RuntimeError, match="no active task"):
+            env.score()
+        with pytest.raises(RuntimeError, match="no active task"):
+            env.step(act(Verb.NAVIGATE_TO, "sink"))
+        assert env.agent_at == env.template.start_point
 
     def test_unsupported_verb(self):
         env = self.env()

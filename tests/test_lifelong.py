@@ -219,7 +219,8 @@ class TestRetrieval:
                 )
             ]
         )
-        assert mem.retrieve("zzz qqq www") == []
+        for kind in ("episodic", "semantic"):
+            assert mem.retrieve("zzz qqq www", kind) == []
 
     def test_retrieve_respects_kind_filter(self):
         mem = LifelongMemory()

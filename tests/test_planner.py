@@ -2,6 +2,8 @@
 
 import pytest
 
+from memagent import planner as planner_module
+from memagent import preprocessor
 from memagent.core import ActionCommand, Observation, TaskResult, Termination, Verb
 from memagent.envsim import Environment, TaskSpec
 from memagent.gateway import ReasonerGateway, ReasonerRole
@@ -16,11 +18,17 @@ from memagent.planner import (
     parse_goals,
     run_episode,
 )
+from memagent.preprocessor import extract_triplets
 from memagent.spatial import Triplet
 
 
 def obs(text, step=0):
     return Observation(task_id="t1", step_index=step, text=text)
+
+
+def observed(text):
+    """The triplets of one observation, as the preprocessor parses them."""
+    return extract_triplets(obs(text))
 
 
 def empty_context(**kwargs):
@@ -68,7 +76,7 @@ class TestParsing:
 class TestPlanAndVerdict:
     def test_plan_needs_steps(self):
         with pytest.raises(ValueError):
-            Plan(steps=(), rationale="", created_at_step=0)
+            Plan(steps=())
 
     def test_reject_needs_reason(self):
         with pytest.raises(ValueError):
@@ -79,29 +87,29 @@ class TestPlanAndVerdict:
 class TestBeliefs:
     def test_observation_overrides_remembered_location(self):
         ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
-        beliefs = build_beliefs(ctx, obs("you are at sink\nyou see cup on sink"))
+        beliefs = build_beliefs(ctx, observed("you are at sink\nyou see cup on sink"))
         assert beliefs.known_locations["cup"] == {"rel": "on", "place": "sink"}
         assert beliefs.agent_at == "sink"
 
     def test_remembered_location_kept_when_not_observed(self):
         ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
-        beliefs = build_beliefs(ctx, obs("you are at sink"))
+        beliefs = build_beliefs(ctx, observed("you are at sink"))
         assert beliefs.known_locations["cup"] == {"rel": "on", "place": "shelf"}
 
     def test_stale_agent_facts_are_dropped(self):
         ctx = empty_context(spatial=kg(("agent", "at", "shelf")))
-        beliefs = build_beliefs(ctx, obs("you are at sink"))
+        beliefs = build_beliefs(ctx, observed("you are at sink"))
         assert beliefs.agent_at == "sink"
 
     def test_held_object_leaves_known_locations(self):
         ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
-        beliefs = build_beliefs(ctx, obs("you are at sink\nholding: cup"))
+        beliefs = build_beliefs(ctx, observed("you are at sink\nholding: cup"))
         assert beliefs.holding == "cup"
         assert "cup" not in beliefs.known_locations
 
     def test_states_and_container_states(self):
         beliefs = build_beliefs(
-            empty_context(), obs("you are at stove\noven is closed\napple is heated")
+            empty_context(), observed("you are at stove\noven is closed\napple is heated")
         )
         assert beliefs.container_states["oven"] == "closed"
         assert beliefs.object_states["apple"] == ["heated"]
@@ -109,13 +117,13 @@ class TestBeliefs:
     def test_kg_facts_with_relation_words_in_names(self):
         # Names are data: a relation word inside a name does not split it.
         ctx = empty_context(spatial=kg(("lamp on stand", "on", "table in hall")))
-        beliefs = build_beliefs(ctx, obs("you are at sink"))
+        beliefs = build_beliefs(ctx, observed("you are at sink"))
         assert beliefs.known_locations["lamp on stand"] == {"rel": "on", "place": "table in hall"}
 
     def test_episodic_hint_from_same_task(self):
         ctx = empty_context(episodic=[(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)])
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
+        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
         assert beliefs.hint_locations["cup"] == {"rel": "on", "place": "sink"}
 
     def test_hint_from_other_task_is_ignored(self):
@@ -123,7 +131,7 @@ class TestBeliefs:
             episodic=[(entity("task t0", task="t0", facts=[("cup", "on", "sink")]), 0.9)]
         )
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
+        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
         assert beliefs.hint_locations == {}
 
     def test_hint_yields_to_holding_and_known_locations(self):
@@ -134,7 +142,7 @@ class TestBeliefs:
         )
         trace = TaskTrace(task_id="t1", instruction="x")
         beliefs = build_beliefs(
-            ctx, obs("you are at shelf\nyou see fork on shelf\nholding: cup"), "t1", trace
+            ctx, observed("you are at shelf\nyou see fork on shelf\nholding: cup"), "t1", trace
         )
         assert beliefs.hint_locations == {}
 
@@ -147,7 +155,7 @@ class TestBeliefs:
         trace = TaskTrace(task_id="t1", instruction="x")
         trace.note_visit("sink")
         trace.note_opened("fridge")
-        beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
+        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
         assert beliefs.hint_locations == {}
 
     def test_hint_survives_when_confirmed_this_episode(self):
@@ -155,7 +163,7 @@ class TestBeliefs:
         trace = TaskTrace(task_id="t1", instruction="x")
         trace.note_visit("sink")
         trace.note_seen("cup", "on", "sink")
-        beliefs = build_beliefs(ctx, obs("you are at shelf"), "t1", trace)
+        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
         assert beliefs.hint_locations["cup"] == {"rel": "on", "place": "sink"}
 
     def test_avoid_points_from_same_task_semantic_lessons(self):
@@ -166,7 +174,7 @@ class TestBeliefs:
         ]
         ctx = empty_context(semantic=[(e, 0.9) for e in lessons])
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(ctx, obs("you are at stove"), "t1", trace)
+        beliefs = build_beliefs(ctx, observed("you are at stove"), "t1", trace)
         assert beliefs.avoid_points == {"banana": ["shelf", "sink", "stove"]}
 
     def test_hints_come_from_the_trace_not_the_extractor_wording(self):
@@ -191,7 +199,7 @@ class TestBeliefs:
                 semantic=[(e, 1.0) for e in mem.entities("semantic")],
             )
             retry = TaskTrace(task_id="t1", instruction="put banana on shelf")
-            return build_beliefs(ctx, obs("you are at stove"), "t1", retry)
+            return build_beliefs(ctx, observed("you are at stove"), "t1", retry)
 
         oracle = beliefs_after_failed_attempt(ReasonerGateway())
         plain = beliefs_after_failed_attempt(PlainWordsExtractor())
@@ -231,7 +239,8 @@ class TestPlannerCritic:
 
         planner = PlannerCritic(ScriptedGateway(), env)
         trace = TaskTrace(task_id="t1", instruction="x")
-        plan = planner.plan("x", [], build_beliefs(empty_context(), obs("you are at sink")), trace, 0)
+        beliefs = build_beliefs(empty_context(), observed("you are at sink"))
+        plan = planner.plan("x", [], beliefs, trace)
         assert [(s.verb, s.target) for s in plan.steps] == [(Verb.NAVIGATE_TO, "sink")]
 
     def test_empty_plan_raises_after_retry(self):
@@ -246,8 +255,9 @@ class TestPlannerCritic:
 
         planner = PlannerCritic(EmptyGateway(), env)
         trace = TaskTrace(task_id="t1", instruction="x")
+        beliefs = build_beliefs(empty_context(), observed("you are at sink"))
         with pytest.raises(EmptyPlanError):
-            planner.plan("x", [], build_beliefs(empty_context(), obs("you are at sink")), trace, 0)
+            planner.plan("x", [], beliefs, trace)
         assert EmptyGateway.calls == 2
 
 
@@ -321,6 +331,24 @@ class TestEpisodeLoop:
         episode = run_episode(self.task(), env, ReasonerGateway(), MemoryOrchestrator())
         assert "dining table" in episode.trace.visited_points
         assert "cup" in episode.trace.first_seen
+
+    def test_each_observation_is_parsed_once(self, monkeypatch):
+        # The critic rejects every reviewed step, so the loop builds beliefs
+        # several times from one observation.
+        calls = []
+
+        def counting(observation):
+            calls.append(observation.step_index)
+            return extract_triplets(observation)
+
+        monkeypatch.setattr(preprocessor, "extract_triplets", counting)
+        # Counted under the planner's name too, should it import the parser.
+        monkeypatch.setattr(planner_module, "extract_triplets", counting, raising=False)
+        env = Environment(profile="realworld", failure_p=0.0)
+        episode = run_episode(self.task(), env, AlwaysRejectGateway(), MemoryOrchestrator())
+        assert any(not t["executed"] for t in episode.trajectory)
+        steps = episode.result.steps_used
+        assert sorted(calls) == list(range(steps + 1))
 
     def test_task_event_reaches_longterm_memory(self):
         env = Environment(profile="realworld", failure_p=0.0)

@@ -58,7 +58,7 @@ class TestTripletExtraction:
 
     def test_visible_entities_excludes_agent(self):
         names = visible_entities(
-            obs("you are at sink\nyou see cup on sink\nholding: fork")
+            extract_triplets(obs("you are at sink\nyou see cup on sink\nholding: fork"))
         )
         assert "agent" not in names
         assert names == ["sink", "cup", "fork"]

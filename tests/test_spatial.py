@@ -480,10 +480,3 @@ class TestPersistence:
         assert mem.nodes == set()
         assert mem.edges() == []
         assert mem.pending() == []
-
-    def test_graphviz_mentions_all_edges(self):
-        mem = make_memory()
-        seed_graph(mem, [Triplet("cup", "on", "table")])
-        dot = mem.to_graphviz()
-        assert dot.startswith("digraph")
-        assert '"cup" -> "table" [label="on"];' in dot
