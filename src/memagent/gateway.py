@@ -666,6 +666,9 @@ class RemoteBackend:
         }
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
+            # Transport first: an invalid URL, a connection error, a timeout or
+            # an HTTP error status (requests raises some of these as
+            # ValueErrors, so they must not reach the parsing handlers).
             try:
                 response = requests.post(
                     f"{self.base_url}/chat/completions",
@@ -674,17 +677,19 @@ class RemoteBackend:
                     timeout=self.timeout_ms / 1000.0,
                 )
                 response.raise_for_status()
-                content = response.json()["choices"][0]["message"]["content"]
-                doc = json.loads(content)
-                if not isinstance(doc, dict):
-                    raise SchemaViolationError("response content is not a JSON object")
-                return doc
-            except SchemaViolationError as exc:
-                last_error = exc
-            except (ValueError, KeyError) as exc:
-                last_error = SchemaViolationError(f"malformed response: {exc}")
-            except Exception as exc:  # connection errors, HTTP errors, timeouts
+            except requests.RequestException as exc:
                 last_error = BackendUnreachableError(str(exc))
+            else:
+                try:
+                    content = response.json()["choices"][0]["message"]["content"]
+                    doc = json.loads(content)
+                    if not isinstance(doc, dict):
+                        raise SchemaViolationError("response content is not a JSON object")
+                    return doc
+                except SchemaViolationError as exc:
+                    last_error = exc
+                except (ValueError, KeyError, IndexError, TypeError) as exc:
+                    last_error = SchemaViolationError(f"malformed response: {exc}")
             logger.warning("remote invoke attempt %d failed: %s", attempt + 1, last_error)
         raise last_error  # type: ignore[misc]
 

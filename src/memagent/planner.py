@@ -316,10 +316,12 @@ def run_episode(
     plan_index = 0
     plan_id = 0
     aborted = False
+    beliefs: Optional[BeliefState] = None  # None once memory or the query changed
 
     while executed < env.max_steps and not env.done:
-        context = orchestrator.gather_context(query)
-        beliefs = build_beliefs(context, observed, task.id, trace)
+        if beliefs is None:
+            context = orchestrator.gather_context(query)
+            beliefs = build_beliefs(context, observed, task.id, trace)
 
         if plan is None or plan_index >= len(plan.steps):
             try:
@@ -353,10 +355,11 @@ def run_episode(
                     }
                 )
                 plan = None
-                continue
+                continue  # nothing was updated, so the beliefs stand
 
         obs, outcome, failure_reason = env.step(action)
         executed += 1
+        beliefs = None
         pre = preprocessor.preprocess(obs, action, outcome, failure_reason)
         observed = pre.triplets
         absorb_observation(observed)

@@ -8,6 +8,7 @@ nodes outside that region are never touched.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import threading
@@ -39,6 +40,9 @@ DEFAULT_K = 2
 DEFAULT_BUFFER_CAPACITY = 8
 DEFAULT_MAX_OUT_DEGREE = 16
 DEFAULT_MAX_IN_DEGREE = 16
+#: Distinct (name, other, theta) de-dup decisions kept; one suite run makes
+#: about 500.
+SIMILAR_CACHE_SIZE = 16384
 
 EdgeKey = Tuple[str, str, str]
 
@@ -89,6 +93,22 @@ def _instance_numbers(name: str) -> List[str]:
     return _NUMBERED_TOKEN.findall(name)
 
 
+_EMBEDDER = HashingEmbedder()
+
+
+@functools.lru_cache(maxsize=SIMILAR_CACHE_SIZE)
+def _similar(name: str, other: str, theta: float) -> bool:
+    """Whether ``name`` < ``other`` may be merged: their digit-bearing
+    tokens are equal (``drawer 1`` and ``drawer 2`` are two instances) and
+    their cosine is at least theta. A pure function of its arguments, so it
+    is decided once per pair for the whole process; a name is embedded only
+    for a pair whose numbers match."""
+    if _instance_numbers(name) != _instance_numbers(other):
+        return False
+    a, b = _EMBEDDER.embed(name), _EMBEDDER.embed(other)
+    return cosine_with_norms(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b))) >= theta
+
+
 def khop_bound(num_seeds: int, max_out_degree: int, k: int) -> float:
     """Worst-case node count reachable within k hops from num_seeds roots."""
     if max_out_degree <= 0:
@@ -112,7 +132,7 @@ class SpatialMemory:
         max_in_degree: int = DEFAULT_MAX_IN_DEGREE,
     ):
         self.gateway = gateway or ReasonerGateway()
-        self.embedder = HashingEmbedder()
+        self.embedder = _EMBEDDER
         self.theta = theta
         self.k_hops = k_hops
         self.buffer_capacity = buffer_capacity
@@ -125,8 +145,15 @@ class SpatialMemory:
         self._out: Dict[str, Set[EdgeKey]] = {}
         self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
-        # De-dup decisions per sorted name pair; the graph does not enter them.
-        self._similar_pairs: Dict[Tuple[str, str], bool] = {}
+        # Subjects whose out-edges in the graph hold no conflict: the detector
+        # has seen them all, and _add_edge has added no key since.
+        self._clean: Set[str] = set()
+        # Pair index over _similar, kept across clear(): the names each name
+        # has been compared with, and those found similar (both directions).
+        # It starts over past SIMILAR_CACHE_SIZE pairs.
+        self._compared: Dict[str, Set[str]] = {}
+        self._similar_to: Dict[str, Set[str]] = {}
+        self._pairs_indexed = 0
         self._index = VectorIndex(dim=self.embedder.dim)
         self._pending: List[Triplet] = []
         self._retrieval_seed: Set[str] = set()  # most recent retrieval entities
@@ -161,7 +188,7 @@ class SpatialMemory:
             self._out.clear()
             self._in.clear()
             self._nodes.clear()
-            self._similar_pairs.clear()
+            self._clean.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
             self._pending.clear()
             self._retrieval_seed.clear()
@@ -220,14 +247,36 @@ class SpatialMemory:
         region_nodes = {n for e in local.values() for n in (e.subject, e.object)} | (
             region_nodes & self._nodes
         )
-        local = self._resolve_conflicts(local)
+        # Keys the graph does not hold: new facts and de-dup renames.
+        fresh = [key for key in local if key not in self._edges]
+        subjects = {key[0] for key in local}
+        suspects = {key[0] for key in fresh} | (subjects - self._clean)
+        local = self._resolve_conflicts(local, suspects)
 
-        # Merge back: replace the retrieved region, leave everything else.
+        # Merge back. A node can exceed a degree cap only by gaining a key,
+        # so only the endpoints of fresh keys (dirty nodes) can evict. Their
+        # region edges are all removed and re-added in local order, as a full
+        # replace of the region would; every other edge that stays in the
+        # local set stays in place.
+        dirty = {node for key in fresh if key in local for node in (key[0], key[2])}
         for node in region_nodes:
-            for key in [k for k in self._out.get(node, ()) if k[2] in region_nodes]:
+            for key in [
+                k
+                for k in self._out.get(node, ())
+                if k[2] in region_nodes and (k not in local or node in dirty or k[2] in dirty)
+            ]:
                 self._remove_edge(key)
-        for edge in local.values():
-            self._add_edge(edge)
+        for key, edge in local.items():
+            if self._edges.get(key) != edge:
+                self._add_edge(edge)
+        # A subject not sent was clean and gained no key, though a re-add
+        # above may have marked it; a subject sent is clean when the detector
+        # saw every out-edge it now has.
+        self._clean.update(
+            s
+            for s in subjects
+            if s not in suspects or all(k in local for k in self._out.get(s, ()))
+        )
 
     def _dedup_entities(
         self, local: Dict[EdgeKey, Triplet], region_nodes: Set[str]
@@ -256,45 +305,36 @@ class SpatialMemory:
         """Greedy rename map over the sorted local names: each name not yet
         renamed absorbs every later similar name (see ``_similar``) that has
         no edge outside ``local``. ``local`` and the graph do not change
-        during the scan."""
+        during the scan. Only pairs not compared before are decided; the
+        scan then walks the similar pairs alone."""
         names = sorted({n for e in local.values() for n in (e.subject, e.object)})
-        vectors: Dict[str, Tuple[np.ndarray, float]] = {}
+        present = set(names)
+        if self._pairs_indexed > SIMILAR_CACHE_SIZE:
+            self._compared.clear()
+            self._similar_to.clear()
+            self._pairs_indexed = 0
+        for name in names:
+            compared = self._compared.setdefault(name, {name})
+            for other in present - compared:
+                compared.add(other)
+                self._compared.setdefault(other, {other}).add(name)
+                self._pairs_indexed += 1
+                if _similar(min(name, other), max(name, other), self.theta):
+                    self._similar_to.setdefault(name, set()).add(other)
+                    self._similar_to.setdefault(other, set()).add(name)
         outside: Dict[str, bool] = {}
         rename: Dict[str, str] = {}
-        for i, name in enumerate(names):
+        for name in names:
             if name in rename:
                 continue
-            for other in names[i + 1 :]:
-                if other in rename or not self._similar(name, other, vectors):
+            for other in sorted(o for o in self._similar_to.get(name, ()) if o > name):
+                if other in rename or other not in present:
                     continue
                 if other not in outside:
                     outside[other] = self._has_edges_outside(other, local)
                 if not outside[other]:
                     rename[other] = name
         return rename
-
-    def _similar(
-        self, name: str, other: str, vectors: Dict[str, Tuple[np.ndarray, float]]
-    ) -> bool:
-        """Whether ``name`` < ``other`` may be merged: their digit-bearing
-        tokens are equal (``drawer 1`` and ``drawer 2`` are two instances)
-        and their cosine is at least theta. Decided once per pair until
-        ``clear``; a name is embedded, and its norm taken, once per de-dup
-        call and only when a pair is decided."""
-        pair = (name, other)
-        similar = self._similar_pairs.get(pair)
-        if similar is None:
-            similar = _instance_numbers(name) == _instance_numbers(other)
-            if similar:
-                for text in pair:
-                    if text not in vectors:
-                        vec = self.embedder.embed(text)
-                        vectors[text] = (vec, float(np.linalg.norm(vec)))
-                similar = (
-                    cosine_with_norms(*vectors[name], *vectors[other]) >= self.theta
-                )
-            self._similar_pairs[pair] = similar
-        return similar
 
     def _has_edges_outside(self, node: str, local: Dict[EdgeKey, Triplet]) -> bool:
         return any(
@@ -304,9 +344,16 @@ class SpatialMemory:
         )
 
     def _resolve_conflicts(
-        self, local: Dict[EdgeKey, Triplet]
+        self, local: Dict[EdgeKey, Triplet], suspects: Set[str]
     ) -> Dict[EdgeKey, Triplet]:
-        edges = [local[k] for k in sorted(local)]
+        """Drop the losers of each conflict among the local edges whose
+        subject is a suspect. Every rule of the detector is per subject
+        (exclusive relations on one subject and object, one object per
+        functional group of a subject), so the edges of other subjects
+        cannot conflict and are not sent."""
+        edges = [local[k] for k in sorted(local) if k[0] in suspects]
+        if not edges:
+            return local
         payload = {
             "edges": [e.to_doc() for e in edges],
             "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
@@ -417,6 +464,8 @@ class SpatialMemory:
 
     def _add_edge(self, edge: Triplet) -> None:
         key = edge.key
+        if key not in self._edges:
+            self._clean.discard(edge.subject)
         self._edges[key] = edge
         self._out.setdefault(edge.subject, set()).add(key)
         self._in.setdefault(edge.object, set()).add(key)

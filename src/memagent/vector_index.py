@@ -37,6 +37,8 @@ DEFAULT_DIM = 64
 DEFAULT_THETA = 0.8
 #: Distinct (text, dim) embeddings kept; one suite run uses about 500.
 EMBED_CACHE_SIZE = 4096
+#: Distinct (trigram, dim) buckets kept; a warm suite run hashes about 1,100.
+BUCKET_CACHE_SIZE = 8192
 #: How far below the pruning floor a row may score and still be rescored
 #: (see the module docstring).
 PRUNE_SLACK = 1e-9
@@ -54,6 +56,7 @@ class NotFoundError(KeyError):
     pass
 
 
+@functools.lru_cache(maxsize=BUCKET_CACHE_SIZE)
 def _bucket(gram: str, dim: int) -> int:
     digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "big") % dim

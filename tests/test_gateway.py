@@ -240,7 +240,7 @@ class TestTranscript:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    behaviors = []  # mutated per test: list of ("ok"|"garbage"|"http500")
+    behaviors = []  # mutated per test: list of ("ok"|"garbage"|"no_choices"|"http500")
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
@@ -251,6 +251,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if behavior == "garbage":
             body = b"not json at all"
+        elif behavior == "no_choices":
+            body = json.dumps({"choices": []}).encode()
         else:
             content = json.dumps({"query": "stubbed"})
             body = json.dumps(
@@ -293,10 +295,23 @@ class TestRemoteBackend:
         with pytest.raises(SchemaViolationError):
             backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
 
+    def test_empty_choices_raise_schema_error(self, stub_server):
+        _StubHandler.behaviors = ["no_choices"]
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=0)
+        with pytest.raises(SchemaViolationError):
+            backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+
     def test_unreachable_host(self):
         backend = RemoteBackend(
             base_url="http://127.0.0.1:1", model="m", max_retries=0, timeout_ms=300
         )
+        with pytest.raises(BackendUnreachableError):
+            backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+
+    @pytest.mark.parametrize("base_url", ["not a url", "http://"])
+    def test_invalid_url_is_unreachable_not_malformed(self, base_url):
+        # requests raises these before sending anything, as ValueErrors.
+        backend = RemoteBackend(base_url=base_url, model="m", max_retries=0)
         with pytest.raises(BackendUnreachableError):
             backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
 

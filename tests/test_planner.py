@@ -350,6 +350,18 @@ class TestEpisodeLoop:
         steps = episode.result.steps_used
         assert sorted(calls) == list(range(steps + 1))
 
+    def test_rejection_reuses_the_gathered_context(self):
+        # No update runs between a rejection and the next turn, so the loop
+        # gathers at most once per executed step (plus the first turn).
+        orch = MemoryOrchestrator()
+        gathers = []
+        gather = orch.gather_context
+        orch.gather_context = lambda query: gathers.append(query) or gather(query)
+        env = Environment(profile="realworld", failure_p=0.0)
+        episode = run_episode(self.task(), env, AlwaysRejectGateway(), orch)
+        assert sum(not t["executed"] for t in episode.trajectory) >= 2
+        assert 1 <= len(gathers) <= episode.result.steps_used + 1
+
     def test_task_event_reaches_longterm_memory(self):
         env = Environment(profile="realworld", failure_p=0.0)
         orch = MemoryOrchestrator()

@@ -260,6 +260,62 @@ class TestConflictResolution:
         assert edge.step_index == 4
 
 
+class TestConflictScope:
+    def record_detector(self, mem):
+        sent = []
+        invoke = mem.gateway.invoke
+
+        def recording(role, payload):
+            sent.append(sorted({e["subject"] for e in payload["edges"]}))
+            return invoke(role, payload)
+
+        mem.gateway.invoke = recording
+        return sent
+
+    def test_detector_sees_only_subjects_that_may_conflict(self):
+        mem = make_memory()
+        sent = self.record_detector(mem)
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1),
+                             Triplet("table", "near", "window", step_index=1)])
+        mem.integrate()
+        assert sent == [["cup", "table"]]
+        # cup gains a key; table's edges are in the region but unchanged.
+        mem.buffer_triplets([Triplet("cup", "near", "door", step_index=2)])
+        mem.integrate()
+        assert sent[-1] == ["cup"]
+        # Only a step index changes: no subject may conflict, so no call.
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=3)])
+        mem.integrate()
+        assert len(sent) == 2
+        assert {e.key: e.step_index for e in mem.edges()}[("cup", "on", "table")] == 3
+
+    def test_edge_added_outside_integrate_makes_its_subject_suspect(self):
+        mem = make_memory()
+        sent = self.record_detector(mem)
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
+        mem.integrate()
+        seed_graph(mem, [Triplet("cup", "in", "cabinet", step_index=5)])
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
+        mem.integrate()
+        assert sent[-1] == ["cup"]
+        keys = {e.key for e in mem.edges()}
+        assert keys == {("cup", "in", "cabinet")}
+
+    def test_subject_with_an_edge_outside_the_region_stays_suspect(self):
+        # With K=0 the region of "cup in cabinet" leaves out "cup on table",
+        # so the detector has not seen the two together.
+        mem = make_memory(k_hops=0)
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
+        mem.integrate()
+        mem.buffer_triplets([Triplet("cup", "in", "cabinet", step_index=2)])
+        mem.integrate()
+        assert len(mem.edges()) == 2
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1),
+                             Triplet("cup", "in", "cabinet", step_index=2)])
+        mem.integrate()
+        assert [e.key for e in mem.edges()] == [("cup", "in", "cabinet")]
+
+
 class TestDedup:
     def test_similar_names_merge_to_lexicographically_smaller(self):
         mem = make_memory()
@@ -307,6 +363,46 @@ class TestDedup:
         assert mem._dedup_renames(local) == want
         # Decided once per pair: a second scan gives the same map from the memo.
         assert mem._dedup_renames(local) == want
+
+    def test_pair_decisions_survive_clear(self, monkeypatch):
+        mem = make_memory()
+        names = ["red cup", "red cups", "the red cup", "drawer 1"]
+        local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
+        want = mem._dedup_renames(local)
+        assert want == {"red cups": "red cup", "the red cup": "red cup"}
+        mem.clear()
+        decided = []
+        monkeypatch.setattr(spatial, "_similar", lambda *args: decided.append(args[:2]))
+        assert mem._dedup_renames(local) == want
+        assert decided == []
+        # A new name is compared with the names it meets, once.
+        local[("table", "near", "agent")] = Triplet("table", "near", "agent")
+        mem._dedup_renames(local)
+        mem._dedup_renames(local)
+        assert sorted(decided) == sorted(
+            tuple(sorted((n, "table"))) for n in names + ["agent"]
+        )
+
+    def test_pair_index_starts_over_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr(spatial, "SIMILAR_CACHE_SIZE", 4)
+        mem = make_memory()
+        names = ["red cup", "red cups", "the red cup", "table"]
+        local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
+        want = mem._dedup_renames(local)
+        assert mem._pairs_indexed == 10  # five names
+        assert mem._dedup_renames(local) == want
+        assert mem._pairs_indexed == 10  # indexed again from scratch
+
+    def test_similar_name_outside_the_local_set_is_kept(self):
+        mem = make_memory()
+        both = {("red cup", "near", "agent"): Triplet("red cup", "near", "agent"),
+                ("red cups", "near", "agent"): Triplet("red cups", "near", "agent")}
+        assert mem._dedup_renames(both) == {"red cups": "red cup"}
+        # "red cups" is now a node without edges, outside the next region.
+        mem.restore({"nodes": ["red cups"], "edges": []})
+        mem.buffer_triplets([Triplet("red cup", "on", "table")])
+        mem.integrate()
+        assert mem.nodes == {"red cup", "red cups", "table"}
 
     def test_numbered_instances_survive_integration(self):
         # drawer 1 / drawer 2 score 0.889 against theta 0.8, yet are two drawers.
@@ -444,6 +540,126 @@ class TestIncidentIndex:
             else:
                 mem.buffer_triplets(op)
             check_index(mem, k)
+
+
+class FullReplaceMemory(SpatialMemory):
+    """Reference model: integrate as it was before merge-back became
+    incremental. Every de-dup scan decides every pair afresh, every local
+    edge goes to the conflict detector, and the merge-back removes the whole
+    retrieved region and re-adds the local set in order."""
+
+    def _integrate(self, t_new):
+        seeds = {t.subject for t in t_new} | {t.object for t in t_new}
+        seeds |= self._retrieval_seed
+        region_nodes, region_edges = self._retrieve(seeds, self.k_hops)
+        region_nodes |= {t.subject for t in t_new} | {t.object for t in t_new}
+        local = {edge.key: edge for edge in region_edges}
+        for triplet in t_new:
+            prior = local.get(triplet.key)
+            if prior is None or triplet.step_index >= prior.step_index:
+                local[triplet.key] = triplet
+        local = self._dedup_entities(local, region_nodes)
+        region_nodes = {n for e in local.values() for n in (e.subject, e.object)} | (
+            region_nodes & self._nodes
+        )
+        local = self._resolve_conflicts(local, {key[0] for key in local})
+        for node in region_nodes:
+            for key in [k for k in self._out.get(node, ()) if k[2] in region_nodes]:
+                self._remove_edge(key)
+        for edge in local.values():
+            self._add_edge(edge)
+
+    def _dedup_renames(self, local):
+        names = sorted({n for e in local.values() for n in (e.subject, e.object)})
+        rename = {}
+        for i, name in enumerate(names):
+            if name in rename:
+                continue
+            for other in names[i + 1:]:
+                if other in rename or not spatial._similar.__wrapped__(name, other, self.theta):
+                    continue
+                if not self._has_edges_outside(other, local):
+                    rename[other] = name
+        return rename
+
+
+# Near-duplicate spellings (red cup ~ red cups ~ the red cup, drawer 1 ~
+# the drawer 1) next to names that must stay apart (drawers 1, drawer 2).
+_NEAR_NAMES = ["red cup", "red cups", "the red cup", "drawer 1", "drawers 1",
+               "the drawer 1", "drawer 2", "table"]
+_near_triplets = st.builds(
+    Triplet,
+    st.sampled_from(_NEAR_NAMES),
+    st.sampled_from(_RELATIONS),
+    st.sampled_from(_NEAR_NAMES),
+    step_index=st.integers(min_value=0, max_value=6),
+)
+_near_operations = st.lists(
+    st.one_of(
+        st.lists(_near_triplets, min_size=1, max_size=4),
+        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
+        st.sampled_from(_NEAR_NAMES).map(lambda name: ("query", name)),
+    ),
+    max_size=16,
+)
+
+
+class TestIncrementalMergeBack:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        operations=_near_operations,
+        max_out=st.integers(min_value=1, max_value=3),
+        max_in=st.integers(min_value=1, max_value=3),
+        buffer=st.integers(min_value=1, max_value=4),
+        k=st.integers(min_value=0, max_value=2),
+    )
+    def test_matches_full_replace_after_every_operation(
+        self, operations, max_out, max_in, buffer, k
+    ):
+        config = dict(max_out_degree=max_out, max_in_degree=max_in,
+                      buffer_capacity=buffer, k_hops=k)
+        mem, ref = make_memory(**config), FullReplaceMemory(**config)
+        saved = mem.snapshot()
+        for op in operations:
+            for m in (mem, ref):
+                if op == "integrate":
+                    m.integrate()
+                elif op == "restore":
+                    m.restore(saved)
+                elif op == "clear":
+                    m.clear()
+                elif isinstance(op, tuple):
+                    m.query(op[1])
+                elif op != "snapshot":
+                    m.buffer_triplets(op)
+            if op == "snapshot":
+                saved = mem.snapshot()
+            assert mem.snapshot() == ref.snapshot()
+
+    def test_rename_under_coupled_caps_matches_full_replace(self):
+        # "the drawer 1" merges into "drawer 1", whose in-edge from "the red
+        # cup" is unchanged. A full replace re-adds the local set in order:
+        # the renamed self-loop evicts the renamed "near table" edge at the
+        # out-cap, and then the re-added unchanged in-edge evicts the
+        # self-loop. Leaving that unchanged edge in place would evict the
+        # self-loop at once and keep "drawer 1 near table".
+        config = dict(max_out_degree=1, max_in_degree=1, k_hops=2)
+        held = [
+            Triplet("the drawer 1", "near", "table"),
+            Triplet("the red cup", "on", "drawer 1"),
+            Triplet("drawer 1", "on", "the drawer 1"),
+            Triplet("red cups", "near", "the red cup"),
+        ]
+        mem, ref = make_memory(**config), FullReplaceMemory(**config)
+        for m in (mem, ref):
+            seed_graph(m, held)
+            m.buffer_triplets([Triplet("drawer 1", "on", "red cups")])
+            m.integrate()
+        assert [e.key for e in mem.edges()] == [
+            ("red cups", "near", "the red cup"),
+            ("the red cup", "on", "drawer 1"),
+        ]
+        assert mem.snapshot() == ref.snapshot()
 
 
 class TestPersistence:
