@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from .core import canonical_json, fan_out
 
@@ -353,7 +354,6 @@ def _oracle_plan(p: dict) -> dict:
     at = p.get("agent_at")
     holding = p.get("holding")
     steps: List[dict] = []
-    rationale: List[str] = []
 
     def emit(verb: str, target: Optional[str] = None) -> None:
         step = {"verb": verb}
@@ -446,7 +446,6 @@ def _oracle_plan(p: dict) -> dict:
         obj = goal["obj"]
         if goal["kind"] == "at":
             place(obj, goal["rel"], goal["place"])
-            rationale.append(f"move {obj} to {goal['place']}")
             return
         wanted = goal["state"]
         if wanted == "heated":
@@ -461,7 +460,6 @@ def _oracle_plan(p: dict) -> dict:
                 emit("turn_on", "oven")
                 states.setdefault("oven", set()).add("on")
             states.setdefault(obj, set()).add("heated")
-            rationale.append(f"heat {obj} in the oven")
         elif wanted == "cleaned":
             loc = known.get(obj)
             if holding == obj or not loc or loc["place"] != "sink":
@@ -473,15 +471,12 @@ def _oracle_plan(p: dict) -> dict:
                 emit("turn_on", "faucet")
                 states.setdefault("faucet", set()).add("on")
             states.setdefault(obj, set()).add("cleaned")
-            rationale.append(f"clean {obj} under the faucet")
         elif wanted == "sliced":
-            knife = p.get("knife", "knife")
-            acquire(knife)
+            acquire("knife")
             goto(obj)
             open_enclosing_containers(obj)
             emit("slice", obj)
             states.setdefault(obj, set()).add("sliced")
-            rationale.append(f"slice {obj}")
         elif wanted in ("open", "closed", "on", "off"):
             goto(obj)
             verb = {"open": "open", "closed": "close", "on": "turn_on", "off": "turn_off"}[wanted]
@@ -490,7 +485,6 @@ def _oracle_plan(p: dict) -> dict:
                 container_states[obj] = wanted
             else:
                 states.setdefault(obj, set()).add(wanted)
-            rationale.append(f"set {obj} to {wanted}")
         else:
             raise _NeedsExploration(obj)
 
@@ -502,13 +496,12 @@ def _oracle_plan(p: dict) -> dict:
         except _NeedsExploration as exc:
             if steps:
                 # Partial plan; replan once the world is better known.
-                return {"steps": steps, "rationale": "; ".join(rationale)}
+                return {"steps": steps}
             return _exploration_plan(exc.obj, p, known, container_states, visited, avoid, at)
 
     if profile == "realworld":
         emit("task_complete")
-        rationale.append("all goals satisfied")
-    return {"steps": steps, "rationale": "; ".join(rationale) or "all goals satisfied"}
+    return {"steps": steps}
 
 
 def _exploration_plan(
@@ -530,10 +523,7 @@ def _exploration_plan(
         if state == "closed" and known.get(name, {}).get("place") == at
     )
     if closed_here:
-        return {
-            "steps": [{"verb": "open", "target": closed_here[0]}],
-            "rationale": f"searching for {missing}: open {closed_here[0]}",
-        }
+        return {"steps": [{"verb": "open", "target": closed_here[0]}]}
 
     skip = set(avoid.get(missing, set()))
     candidates = [pt for pt in nav_points if pt not in visited and pt not in skip]
@@ -543,10 +533,7 @@ def _exploration_plan(
         candidates = [pt for pt in nav_points if pt != at] or nav_points
     target = candidates[0]
     verb = "find" if profile == "alfred" else "navigate_to"
-    return {
-        "steps": [{"verb": verb, "target": target}],
-        "rationale": f"searching for {missing}: explore {target}",
-    }
+    return {"steps": [{"verb": verb, "target": target}]}
 
 
 # --- oracle critic --------------------------------------------------------
@@ -679,6 +666,12 @@ class RemoteBackend:
                 response.raise_for_status()
             except requests.RequestException as exc:
                 last_error = BackendUnreachableError(str(exc))
+                # Neither an invalid URL (a ValueError) nor a 4xx status other
+                # than timeout or rate limit can succeed on a retry.
+                status = getattr(exc.response, "status_code", 500)
+                client_error = 400 <= status < 500 and status not in (408, 429)
+                if isinstance(exc, ValueError) or client_error:
+                    raise last_error from exc
             else:
                 try:
                     content = response.json()["choices"][0]["message"]["content"]
@@ -701,6 +694,15 @@ def _is_number(value: Any, *types: type) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _is_http_url(value: Any) -> bool:
+    """Whether ``value`` is an absolute http or https URL with a host."""
+    try:
+        url = urlsplit(value)
+    except (AttributeError, TypeError, ValueError):
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 @dataclass
 class GatewayConfig:
     backend: str = "oracle"
@@ -715,8 +717,11 @@ class GatewayConfig:
             raise GatewayConfigError(
                 f"unknown backend {self.backend!r} (expected one of {', '.join(BACKENDS)})"
             )
-        if self.backend == "remote" and not (self.base_url and self.model):
-            raise GatewayConfigError("the remote backend needs a non-empty base_url and model")
+        if self.backend == "remote" and not (self.model and _is_http_url(self.base_url)):
+            raise GatewayConfigError(
+                "the remote backend needs a non-empty model and an absolute http(s) base_url "
+                f"with a host, not model {self.model!r} and base_url {self.base_url!r}"
+            )
         if not _is_number(self.timeout_ms, int, float) or self.timeout_ms <= 0:
             raise GatewayConfigError(f"timeout_ms must be > 0, not {self.timeout_ms!r}")
         if not _is_number(self.max_retries, int) or self.max_retries < 0:

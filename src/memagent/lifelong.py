@@ -117,7 +117,6 @@ class LifelongMemory:
         self._id_counters: Dict[str, int] = {}
         self._action_buffer: Dict[str, int] = {}  # micro-entity text -> occurrence count
         self._action_tags: Dict[str, Tuple[str, ...]] = {}
-        self._success_tally: Dict[str, int] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -140,13 +139,12 @@ class LifelongMemory:
     # -- action-level (semantic micro-entities) -----------------------------
 
     def record_action_experience(self, step: StepRecord) -> Optional[str]:
-        """Buffer a failure lesson for the post-task update; successes only
-        bump per-verb tallies. Returns the buffered text, if any."""
+        """Buffer a failure lesson for the post-task update; a success leaves
+        nothing. Returns the buffered text, if any."""
         with self._lock:
-            verb = step.action.verb.value
             if step.outcome is Outcome.SUCCESS:
-                self._success_tally[verb] = self._success_tally.get(verb, 0) + 1
                 return None
+            verb = step.action.verb.value
             target = step.action.target or ""
             text = f"{verb} {target}".strip() + f": fails when {step.failure_reason}"
             self._action_buffer[text] = self._action_buffer.get(text, 0) + 1
@@ -156,10 +154,6 @@ class LifelongMemory:
                 "outcome:failure",
             )
             return text
-
-    def success_tally(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._success_tally)
 
     # -- task-level extraction ------------------------------------------------
 
@@ -374,21 +368,18 @@ class LifelongMemory:
             self._id_counters.clear()
             self._action_buffer.clear()
             self._action_tags.clear()
-            self._success_tally.clear()
 
     def snapshot(self) -> dict:
         with self._lock:
             return {
                 "entities": [e.to_doc() for e in self.entities()],
                 "id_counters": dict(sorted(self._id_counters.items())),
-                "success_tally": dict(sorted(self._success_tally.items())),
             }
 
     def restore(self, doc: dict) -> None:
         with self._lock:
             self.wipe()
             self._id_counters = dict(doc.get("id_counters", {}))
-            self._success_tally = dict(doc.get("success_tally", {}))
             for entity_doc in doc["entities"]:
                 entity = MemoryEntity(**entity_doc)
                 self._entities[entity.id] = entity

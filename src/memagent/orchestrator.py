@@ -49,16 +49,6 @@ class MemoryContext:
     episodic: List[Tuple[MemoryEntity, float]]
     semantic: List[Tuple[MemoryEntity, float]]
 
-    def render(self) -> str:
-        spatial = "\n".join(f"{t.subject} {t.relation} {t.object}" for t in self.spatial)
-        sections = [
-            "[spatial]\n" + spatial,
-            "[temporal]\n" + self.temporal,
-            "[episodic]\n" + "\n".join(e.text for e, _ in self.episodic),
-            "[semantic]\n" + "\n".join(e.text for e, _ in self.semantic),
-        ]
-        return "\n\n".join(sections)
-
 
 class MemoryOrchestrator:
     def __init__(

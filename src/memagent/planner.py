@@ -249,7 +249,7 @@ class PlannerCritic:
         plan_suffix: List[ActionCommand],
         goals: List[dict],
         beliefs: BeliefState,
-        latest_summary: str,
+        recent_steps: str,
     ) -> CriticVerdict:
         payload = {
             "action": to_doc(action),
@@ -258,7 +258,7 @@ class PlannerCritic:
             "facts": [list(f) for f in beliefs.facts],
             "holding": beliefs.holding,
             "agent_at": beliefs.agent_at,
-            "latest_summary": latest_summary,
+            "recent_steps": recent_steps,
         }
         response = self.gateway.invoke(ReasonerRole.CRITIC, payload)
         return CriticVerdict(decision=response["decision"], reason=response.get("reason", ""))
@@ -308,7 +308,6 @@ def run_episode(
     absorb_observation(observed)
     orchestrator.dispatch_update(UpdateEvent(level="action", triplets=observed))
     query = initial.query
-    latest_summary = initial.summary
 
     trajectory: List[dict] = []
     executed = 0
@@ -338,7 +337,7 @@ def run_episode(
         if critic_enabled and plan_index >= 1:
             try:
                 verdict = planner.review(
-                    action, list(plan.steps[plan_index + 1 :]), goals, beliefs, latest_summary
+                    action, list(plan.steps[plan_index + 1 :]), goals, beliefs, context.temporal
                 )
             except GatewayError as exc:
                 logger.warning("critic failed (%s); approving by default", exc)
@@ -367,7 +366,6 @@ def run_episode(
         if failure_reason:
             trace.failure_reasons.append(failure_reason)
 
-        latest_summary = pre.summary
         query = pre.query
         record = StepRecord(
             step_index=executed,

@@ -41,7 +41,7 @@ DEFAULT_BUFFER_CAPACITY = 8
 DEFAULT_MAX_OUT_DEGREE = 16
 DEFAULT_MAX_IN_DEGREE = 16
 #: Distinct (name, other, theta) de-dup decisions kept; one suite run makes
-#: about 500.
+#: about 500. Also bounds the names whose instance numbers are kept.
 SIMILAR_CACHE_SIZE = 16384
 
 EdgeKey = Tuple[str, str, str]
@@ -60,7 +60,6 @@ class Triplet:
     relation: str
     object: str
     step_index: int = 0
-    source: str = "observation"  # or "resolver"
 
     def __post_init__(self):
         subject = canonical_name(self.subject)
@@ -81,16 +80,16 @@ class Triplet:
             "relation": self.relation,
             "object": self.object,
             "step_index": self.step_index,
-            "source": self.source,
         }
 
 
 _NUMBERED_TOKEN = re.compile(r"\S*\d\S*")
 
 
-def _instance_numbers(name: str) -> List[str]:
+@functools.lru_cache(maxsize=SIMILAR_CACHE_SIZE)
+def _instance_numbers(name: str) -> Tuple[str, ...]:
     """The digit-bearing tokens of a name, in order."""
-    return _NUMBERED_TOKEN.findall(name)
+    return tuple(_NUMBERED_TOKEN.findall(name))
 
 
 _EMBEDDER = HashingEmbedder()
@@ -372,10 +371,7 @@ class SpatialMemory:
             contenders = [edges[i] for i in group if 0 <= i < len(edges)]
             if len(contenders) < 2:
                 continue
-            winner = max(
-                contenders,
-                key=lambda e: (e.step_index, e.source == "resolver", e.relation),
-            )
+            winner = max(contenders, key=lambda e: (e.step_index, e.relation))
             for edge in contenders:
                 if edge.key != winner.key:
                     losers.add(edge.key)
@@ -384,16 +380,25 @@ class SpatialMemory:
     # -- retrieval ----------------------------------------------------------
 
     def _resolve_seed(self, seed: str) -> Optional[str]:
+        """The node named ``seed``, else the most similar node at or above
+        theta. A numbered seed resolves only to a node with its numbers, as
+        in de-dup: ``drawer 2`` never resolves to ``drawer 1``."""
         name = canonical_name(seed)
         if name in self._nodes:
             return name
         if not name or not self._nodes:
             return None
+        numbers = _instance_numbers(name)
         try:
-            results = self._index.search(self.embedder.embed(name), k=1, theta=self.theta)
+            results = self._index.search(
+                self.embedder.embed(name), k=len(self._index) if numbers else 1, theta=self.theta
+            )
         except ValueError:
             return None
-        return results[0][0].id if results else None
+        for entry, _ in results:
+            if not numbers or _instance_numbers(entry.id) == numbers:
+                return entry.id
+        return None
 
     def retrieve_subgraph(
         self, seeds: Iterable[str], k: Optional[int] = None
@@ -445,10 +450,14 @@ class SpatialMemory:
 
     def _extract_seeds(self, text: str) -> Set[str]:
         words = canonical_name(text).split()
+        # A word and the number after it name one instance (``drawer`` in
+        # ``drawer 2``), so no fragment ends between them.
+        numbered = {i for i, word in enumerate(words) if _instance_numbers(word)}
         fragments = set()
         for n in (1, 2, 3):
             for i in range(len(words) - n + 1):
-                fragments.add(" ".join(words[i : i + n]))
+                if i + n not in numbered:
+                    fragments.add(" ".join(words[i : i + n]))
         seeds = set()
         for fragment in fragments:
             if fragment in self._nodes:

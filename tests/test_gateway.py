@@ -240,13 +240,14 @@ class TestTranscript:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    behaviors = []  # mutated per test: list of ("ok"|"garbage"|"no_choices"|"http500")
+    # Mutated per test: a list of "ok", "garbage", "no_choices" or "http<status>".
+    behaviors = []
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         behavior = self.behaviors.pop(0) if self.behaviors else "ok"
-        if behavior == "http500":
-            self.send_response(500)
+        if behavior.startswith("http"):
+            self.send_response(int(behavior[len("http"):]))
             self.end_headers()
             return
         if behavior == "garbage":
@@ -289,6 +290,20 @@ class TestRemoteBackend:
         out = backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
         assert out == {"query": "stubbed"}
 
+    def test_client_error_is_not_retried(self, stub_server):
+        _StubHandler.behaviors = ["http400", "ok"]
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=3)
+        with pytest.raises(BackendUnreachableError, match="400"):
+            backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+        assert _StubHandler.behaviors == ["ok"]
+
+    @pytest.mark.parametrize("status", ["http408", "http429"])
+    def test_try_again_statuses_are_retried(self, stub_server, status):
+        _StubHandler.behaviors = [status, "ok"]
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=1)
+        out = backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+        assert out == {"query": "stubbed"}
+
     def test_malformed_body_raises_schema_error(self, stub_server):
         _StubHandler.behaviors = ["garbage", "garbage", "garbage", "garbage"]
         backend = RemoteBackend(base_url=stub_server, model="m", max_retries=1)
@@ -314,6 +329,22 @@ class TestRemoteBackend:
         backend = RemoteBackend(base_url=base_url, model="m", max_retries=0)
         with pytest.raises(BackendUnreachableError):
             backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+
+    def test_invalid_url_is_not_retried(self, monkeypatch):
+        import requests
+
+        attempts = []
+        post = requests.post
+
+        def counting_post(*args, **kwargs):
+            attempts.append(args)
+            return post(*args, **kwargs)
+
+        monkeypatch.setattr(requests, "post", counting_post)
+        backend = RemoteBackend(base_url="not a url", model="m", max_retries=3)
+        with pytest.raises(BackendUnreachableError):
+            backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+        assert len(attempts) == 1
 
 
 class TestGatewayConfig:
@@ -361,6 +392,8 @@ class TestGatewayConfig:
             {"max_retries": 1.5},
             {"budget": 0},
             {"budget": "50"},
+            {"backend": "remote", "base_url": "not a url", "model": "m"},
+            {"backend": "remote", "base_url": "http://", "model": "m"},
         ],
     )
     def test_invalid_config_rejected(self, fields):

@@ -57,7 +57,6 @@ class TestActionExperience:
     def test_success_bumps_tally_only(self):
         mem = LifelongMemory()
         assert mem.record_action_experience(success_step(0)) is None
-        assert mem.success_tally() == {"navigate_to": 1}
         assert len(mem) == 0
 
     def test_failure_buffers_micro_lesson(self):
@@ -255,7 +254,6 @@ class TestPersistence:
         other.restore(snap)
         assert other.snapshot() == snap
         assert len(other) == len(mem)
-        assert other.success_tally() == mem.success_tally()
 
     def test_restored_ids_do_not_collide(self):
         mem = self.build()
@@ -270,7 +268,6 @@ class TestPersistence:
         mem = self.build()
         mem.wipe()
         assert len(mem) == 0
-        assert mem.success_tally() == {}
         assert mem.snapshot()["entities"] == []
 
     def test_round_trip_keeps_facts_and_avoid(self):

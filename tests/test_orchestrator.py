@@ -110,10 +110,6 @@ class TestGather:
         assert [t.key for t in ctx.spatial] == [("cup", "on", "table")]
         assert "step 0" in ctx.temporal
         assert ctx.episodic
-        rendered = ctx.render()
-        for header in ("[spatial]", "[temporal]", "[episodic]", "[semantic]"):
-            assert header in rendered
-        assert "[spatial]\ncup on table\n" in rendered
 
     def test_retrieval_branch_failure_yields_empty_section(self):
         class BrokenTemporal(TemporalMemory):

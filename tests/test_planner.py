@@ -362,6 +362,28 @@ class TestEpisodeLoop:
         assert sum(not t["executed"] for t in episode.trajectory) >= 2
         assert 1 <= len(gathers) <= episode.result.steps_used + 1
 
+    @pytest.mark.parametrize("base", [ReasonerGateway, AlwaysRejectGateway])
+    def test_critic_reads_the_temporal_buffer(self, base):
+        orch = MemoryOrchestrator()
+        summaries, reviews = [], []
+
+        class RecordingGateway(base):
+            def invoke(self, role, payload):
+                if role is ReasonerRole.CRITIC:
+                    reviews.append((payload, orch.temporal.render(), list(summaries)))
+                response = super().invoke(role, payload)
+                if role is ReasonerRole.STEP_SUMMARIZER and payload["kind"] == "step":
+                    summaries.append(response["summary"])
+                return response
+
+        env = Environment(profile="realworld", failure_p=0.0)
+        run_episode(self.task(), env, RecordingGateway(), orch)
+        assert reviews
+        for payload, rendered, done in reviews:
+            assert "latest_summary" not in payload
+            assert payload["recent_steps"] == rendered
+            assert rendered.splitlines()[-1] == f"step {len(done)}: {done[-1]}"
+
     def test_task_event_reaches_longterm_memory(self):
         env = Environment(profile="realworld", failure_p=0.0)
         orch = MemoryOrchestrator()

@@ -80,7 +80,7 @@ class TestTriplet:
             Triplet("cup", "on", "   ")
 
     def test_key_and_doc_round_trip(self):
-        t = Triplet("cup", "on", "table", step_index=3, source="resolver")
+        t = Triplet("cup", "on", "table", step_index=3)
         assert t.key == ("cup", "on", "table")
         assert Triplet(**t.to_doc()) == t
 
@@ -173,6 +173,29 @@ class TestRetrieval:
         nodes, edges = mem.retrieve_subgraph(["zzz qqq xxw"], 2)
         assert nodes == set()
         assert edges == []
+
+    def test_numbered_seed_resolves_only_to_its_instance(self):
+        # drawer 1 / drawer 2 score 0.889 against theta 0.8, yet are two drawers.
+        mem = make_memory()
+        seed_graph(mem, [Triplet("drawer 1", "is", "closed")])
+        assert mem.query("open drawer 2") == ()
+        with mem._lock:
+            assert "drawer 1" not in mem._retrieval_seed
+
+    def test_numbered_seed_skips_a_closer_node_of_another_number(self):
+        # "the drawer 2" scores 0.923 against "the drawer 1", 0.832 against "drawer 2".
+        mem = make_memory()
+        seed_graph(
+            mem, [Triplet("the drawer 1", "is", "closed"), Triplet("drawer 2", "is", "open")]
+        )
+        nodes, _ = mem.retrieve_subgraph(["the drawer 2"], 0)
+        assert nodes == {"drawer 2"}
+
+    def test_seed_without_number_resolves_as_before(self):
+        mem = make_memory()
+        seed_graph(mem, [Triplet("drawer 1", "is", "closed")])
+        nodes, _ = mem.retrieve_subgraph(["drawer"], 0)
+        assert nodes == {"drawer 1"}
 
     def test_query_returns_sorted_triplets_and_records_seeds(self):
         mem = make_memory()
