@@ -405,8 +405,6 @@ class Environment:
                 return "nothing is held"
             if target == self._held:
                 return "cannot place an object onto itself"
-            if target in self.template.nav_points:
-                return None if target == self._agent_at else "receptacle not here"
             if not state.spec.container:
                 return "not a receptacle"
             if self._point_of(target) != self._agent_at:

@@ -15,7 +15,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from .core import canonical_json, fan_out
@@ -238,15 +238,29 @@ def _oracle_query(p: dict) -> dict:
 DEFAULT_EXCLUSIVE_PAIRS: List[List[str]] = [["near", "holds"], ["on", "in"]]
 
 #: Relation groups where a subject may point at only one object
-#: (object locations, state edges, the single-held-object rule).
-DEFAULT_FUNCTIONAL_GROUPS: List[List[str]] = [["on", "in", "at"], ["is"], ["holds"]]
+#: (object locations, the single-held-object rule).
+DEFAULT_FUNCTIONAL_GROUPS: List[List[str]] = [["on", "in", "at"], ["holds"]]
+
+#: Values of ``is`` of which a subject holds at most one per set: a door is
+#: open or closed, a device on or off. Other states (heated, cleaned,
+#: sliced) never conflict.
+DEFAULT_STATE_SETS: List[List[str]] = [["open", "closed"], ["on", "off"]]
 
 
 def _oracle_detect_conflicts(p: dict) -> dict:
     edges = p["edges"]
     exclusive = [frozenset(pair) for pair in p.get("exclusive_pairs", DEFAULT_EXCLUSIVE_PAIRS)]
     groups = [set(g) for g in p.get("functional_groups", DEFAULT_FUNCTIONAL_GROUPS)]
+    state_sets = [set(s) for s in p.get("state_sets", DEFAULT_STATE_SETS)]
     conflicts: List[List[int]] = []
+
+    def one_object_per_subject(selected: Iterable[int]) -> None:
+        by_subject: Dict[str, List[int]] = {}
+        for i in selected:
+            by_subject.setdefault(edges[i]["subject"], []).append(i)
+        for idxs in by_subject.values():
+            if len({edges[i]["object"] for i in idxs}) > 1:
+                conflicts.append(sorted(idxs))
 
     # Pair-exclusive relations on the same (subject, object).
     by_pair: Dict[Tuple[str, str], List[int]] = {}
@@ -261,14 +275,12 @@ def _oracle_detect_conflicts(p: dict) -> dict:
 
     # Functional relations: one object per subject within each group.
     for group in groups:
-        by_subject: Dict[str, List[int]] = {}
-        for i, edge in enumerate(edges):
-            if edge["relation"] in group:
-                by_subject.setdefault(edge["subject"], []).append(i)
-        for idxs in by_subject.values():
-            distinct_objects = {edges[i]["object"] for i in idxs}
-            if len(distinct_objects) > 1:
-                conflicts.append(sorted(idxs))
+        one_object_per_subject(i for i, e in enumerate(edges) if e["relation"] in group)
+    # State edges: one value per state set of a subject.
+    for values in state_sets:
+        one_object_per_subject(
+            i for i, e in enumerate(edges) if e["relation"] == "is" and e["object"] in values
+        )
 
     unique = sorted({tuple(group) for group in conflicts})
     return {"conflicts": [list(group) for group in unique]}
@@ -602,6 +614,8 @@ class OracleBackend:
     Pure: the response is a function of (role, payload) alone.
     """
 
+    #: The ``GatewayConfig.backend`` that builds it.
+    name = "oracle"
     #: Computes in the calling thread and never waits, so fanning its calls
     #: out to threads overlaps nothing (see ``ReasonerGateway.latency_bound``).
     latency_bound = False
@@ -619,6 +633,7 @@ class RemoteBackend:
     the assistant content to be the response JSON document.
     """
 
+    name = "remote"
     #: Each call waits on the network, so concurrent calls overlap.
     latency_bound = True
 

@@ -183,7 +183,8 @@ def run_suite(
         "schema_version": REPORT_SCHEMA_VERSION,
         "suite": os.path.basename(path),
         "profile": profile,
-        "backend": backend,
+        # The backend that ran: a config file's backend overrides ``backend``.
+        "backend": system.gateway.backend.name,
         "seed": seed,
         "passes": pass_docs,
         "wipe_between_passes": wipe_between_passes,

@@ -29,13 +29,14 @@ CONSOLIDATION_K = 5
 class MemoryEntity:
     """One long-term entry. ``text`` is what retrieval embeds and the prompt
     shows; ``facts`` (obj, rel, place) and ``avoid`` (obj, point) are the
-    same knowledge as data, set from the task trace, for the planner."""
+    same knowledge as data, set from the task trace, for the planner.
+    ``task`` names the task whose trace wrote the current text, facts and
+    avoid; the ``id`` names the task that created the entry."""
 
     id: str
     kind: str  # "episodic" | "semantic"
     text: str
-    created_task: str
-    updated_task: str
+    task: str
     tags: Tuple[str, ...] = ()
     count: int = 1
     facts: Tuple[Tuple[str, str, str], ...] = ()
@@ -55,8 +56,7 @@ class MemoryEntity:
             "id": self.id,
             "kind": self.kind,
             "text": self.text,
-            "created_task": self.created_task,
-            "updated_task": self.updated_task,
+            "task": self.task,
             "tags": list(self.tags),
             "count": self.count,
             "facts": [list(f) for f in self.facts],
@@ -115,8 +115,8 @@ class LifelongMemory:
         }
         self._entities: Dict[str, MemoryEntity] = {}
         self._id_counters: Dict[str, int] = {}
-        self._action_buffer: Dict[str, int] = {}  # micro-entity text -> occurrence count
-        self._action_tags: Dict[str, Tuple[str, ...]] = {}
+        # Micro-entity text -> (occurrence count, tags).
+        self._action_buffer: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -147,11 +147,10 @@ class LifelongMemory:
             verb = step.action.verb.value
             target = step.action.target or ""
             text = f"{verb} {target}".strip() + f": fails when {step.failure_reason}"
-            self._action_buffer[text] = self._action_buffer.get(text, 0) + 1
-            self._action_tags[text] = (
-                f"verb:{verb}",
-                f"reason:{step.failure_reason}",
-                "outcome:failure",
+            count, _ = self._action_buffer.get(text, (0, ()))
+            self._action_buffer[text] = (
+                count + 1,
+                (f"verb:{verb}", f"reason:{step.failure_reason}", "outcome:failure"),
             )
             return text
 
@@ -190,8 +189,7 @@ class LifelongMemory:
                     id=self._next_id("episodic", trace.task_id),
                     kind="episodic",
                     text=text,
-                    created_task=trace.task_id,
-                    updated_task=trace.task_id,
+                    task=trace.task_id,
                     tags=(f"task:{trace.task_id}", f"instruction:{trace.instruction}", outcome_tag),
                     facts=first_seen,
                 )
@@ -209,8 +207,7 @@ class LifelongMemory:
                                 kind="semantic",
                                 text=f"searching for {obj}: not found at {', '.join(points)}; "
                                 "avoid re-searching these locations",
-                                created_task=trace.task_id,
-                                updated_task=trace.task_id,
+                                task=trace.task_id,
                                 tags=semantic_tags,
                                 avoid=tuple((obj, point) for point in points),
                             )
@@ -221,27 +218,23 @@ class LifelongMemory:
                         id=self._next_id("semantic", trace.task_id),
                         kind="semantic",
                         text=text,
-                        created_task=trace.task_id,
-                        updated_task=trace.task_id,
+                        task=trace.task_id,
                         tags=semantic_tags,
                     )
                 )
             # Flush the per-action failure buffer into semantic entities.
-            for text in sorted(self._action_buffer):
-                count = self._action_buffer[text]
+            for text, (count, tags) in sorted(self._action_buffer.items()):
                 entities.append(
                     MemoryEntity(
                         id=self._next_id("semantic", trace.task_id),
                         kind="semantic",
                         text=f"{text} (seen {count}x)" if count > 1 else text,
-                        created_task=trace.task_id,
-                        updated_task=trace.task_id,
-                        tags=self._action_tags[text],
+                        task=trace.task_id,
+                        tags=tags,
                         count=count,
                     )
                 )
             self._action_buffer.clear()
-            self._action_tags.clear()
             return entities
 
     # -- consolidation -----------------------------------------------------
@@ -273,7 +266,7 @@ class LifelongMemory:
                             replace(
                                 old,
                                 text=entity.text,
-                                updated_task=entity.created_task,
+                                task=entity.task,
                                 count=old.count + entity.count,
                                 facts=entity.facts,
                                 avoid=entity.avoid,
@@ -289,7 +282,7 @@ class LifelongMemory:
             return plan
 
     def _decide(self, entity: MemoryEntity) -> dict:
-        similar = self._similar(entity)
+        similar = self._search(entity.text, entity.kind, CONSOLIDATION_K)
         payload = {
             "new": {
                 "id": entity.id,
@@ -316,27 +309,12 @@ class LifelongMemory:
             logger.warning("updater failed (%s); add-only fallback", exc)
             return {"action": "add"}
 
-    def _similar(self, entity: MemoryEntity) -> List[Tuple[MemoryEntity, float]]:
-        index = self._indexes[entity.kind]
-        if len(index) == 0:
-            return []
-        results = index.search(
-            self.embedder.embed(entity.text), k=CONSOLIDATION_K, theta=DEFAULT_RETRIEVAL_THETA
-        )
-        return [(self._entities[e.id], score) for e, score in results]
-
     def _apply(self, plan: UpdatePlan) -> None:
         for entity_id in plan.deletes:
             old = self._entities.pop(entity_id)
             self._indexes[old.kind].remove(entity_id)
-        for entity_id, updated in plan.updates:
-            self._entities[entity_id] = updated
-            self._indexes[updated.kind].upsert(
-                IndexEntry(
-                    id=entity_id, text=updated.text, embedding=self.embedder.embed(updated.text)
-                )
-            )
-        for entity in plan.adds:
+        # An update keeps its target's id, so it is written like an add.
+        for entity in [updated for _, updated in plan.updates] + plan.adds:
             self._entities[entity.id] = entity
             self._indexes[entity.kind].upsert(
                 IndexEntry(id=entity.id, text=entity.text, embedding=self.embedder.embed(entity.text))
@@ -348,13 +326,14 @@ class LifelongMemory:
         """The top ``k`` entries of one kind at least theta-similar to
         ``query``, best first, ties by id."""
         with self._lock:
-            index = self._indexes[kind]
-            if len(index) == 0:
-                return []
-            hits = index.search(
-                self.embedder.embed(query), k=k, theta=DEFAULT_RETRIEVAL_THETA
-            )
-            return [(self._entities[e.id], score) for e, score in hits]
+            return self._search(query, kind, k)
+
+    def _search(self, text: str, kind: str, k: int) -> List[Tuple[MemoryEntity, float]]:
+        index = self._indexes[kind]
+        if len(index) == 0:
+            return []
+        hits = index.search(self.embedder.embed(text), k=k, theta=DEFAULT_RETRIEVAL_THETA)
+        return [(self._entities[e.id], score) for e, score in hits]
 
     # -- persistence ---------------------------------------------------------
 
@@ -367,7 +346,6 @@ class LifelongMemory:
             }
             self._id_counters.clear()
             self._action_buffer.clear()
-            self._action_tags.clear()
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -380,11 +358,4 @@ class LifelongMemory:
         with self._lock:
             self.wipe()
             self._id_counters = dict(doc.get("id_counters", {}))
-            for entity_doc in doc["entities"]:
-                entity = MemoryEntity(**entity_doc)
-                self._entities[entity.id] = entity
-                self._indexes[entity.kind].upsert(
-                    IndexEntry(
-                        id=entity.id, text=entity.text, embedding=self.embedder.embed(entity.text)
-                    )
-                )
+            self._apply(UpdatePlan(adds=[MemoryEntity(**d) for d in doc["entities"]]))

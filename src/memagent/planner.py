@@ -153,17 +153,17 @@ def build_beliefs(
     if beliefs.holding is not None:
         beliefs.known_locations.pop(beliefs.holding, None)
 
-    # Long-term hints: discovered locations from episodic entries, search
-    # dead-ends from semantic ones. Only entries written by an earlier attempt
-    # at this same task are trusted; other tasks reshuffle the world. A hint
-    # dies once this episode has searched its place without seeing the object
-    # there: visiting a point reveals everything on it, and an opened
+    # Long-term hints: discovered locations (episodic facts) and search
+    # dead-ends (semantic avoid). Only entries whose facts an earlier attempt
+    # at this same task wrote are trusted; other tasks reshuffle the world. A
+    # hint dies once this episode has searched its place without seeing the
+    # object there: visiting a point reveals everything on it, and an opened
     # container reveals everything in it.
     visited = set(trace.visited_points) if trace else set()
     opened = set(trace.opened_containers) if trace else set()
     first_seen = trace.first_seen if trace else {}
-    for entity, _ in context.episodic:
-        if task_id is not None and entity.created_task != task_id:
+    for entity, _ in context.episodic + context.semantic:
+        if task_id is not None and entity.task != task_id:
             continue
         for obj, rel, place in entity.facts:
             if obj == beliefs.holding or obj in beliefs.known_locations:
@@ -172,9 +172,6 @@ def build_beliefs(
             if searched and first_seen.get(obj) != (rel, place):
                 continue
             beliefs.hint_locations[obj] = {"rel": rel, "place": place}
-    for entity, _ in context.semantic:
-        if task_id is not None and entity.created_task != task_id:
-            continue
         for obj, point in entity.avoid:
             points = beliefs.avoid_points.setdefault(obj, [])
             if point not in points:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import ActionCommand, Observation, Outcome, canonical_name, to_doc
-from .gateway import ReasonerGateway, ReasonerRole
+from .gateway import GatewayError, ReasonerGateway, ReasonerRole
 from .spatial import Triplet
 
 logger = logging.getLogger(__name__)
@@ -40,7 +40,7 @@ _HOLDING = re.compile(r"^holding: (?P<obj>.+)$")
 
 @dataclass(frozen=True)
 class PreprocessOutput:
-    summary: str
+    summary: Optional[str]  # None for the reset observation
     query: str
     triplets: Tuple[Triplet, ...]
 
@@ -126,22 +126,23 @@ class Preprocessor:
         requests.append((ReasonerRole.QUERY_GENERATOR, query_payload))
 
         results = self.gateway.invoke_parallel(requests)
+        # A backend fault degrades to a template below; any other exception
+        # is a bug, and the episode is reported as crashed.
+        for result in results:
+            if isinstance(result, Exception) and not isinstance(result, GatewayError):
+                raise result
+        summary_result = results[0] if last_action is not None else None
+        query_result = results[-1]
 
-        if last_action is not None:
-            summary_result, query_result = results
-        else:
-            summary_result, query_result = None, results[0]
-
-        if isinstance(summary_result, Exception):
+        summary = None  # the reset observation follows no step
+        if isinstance(summary_result, GatewayError):
             logger.warning("summarizer failed (%s); fallback template", summary_result)
             target = last_action.target or ""
             summary = f"{last_action.verb.value} {target}".strip() + f": {(outcome or Outcome.SUCCESS).value}"
         elif summary_result is not None:
             summary = summary_result["summary"]
-        else:
-            summary = "task start"
 
-        if isinstance(query_result, Exception):
+        if isinstance(query_result, GatewayError):
             logger.warning("query generator failed (%s); fallback to instruction", query_result)
             query = self.instruction or obs.text.splitlines()[0]
         else:

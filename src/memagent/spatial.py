@@ -12,7 +12,7 @@ import functools
 import logging
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import canonical_name
 from .gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_FUNCTIONAL_GROUPS,
+    DEFAULT_STATE_SETS,
     GatewayError,
     ReasonerGateway,
     ReasonerRole,
@@ -60,19 +61,19 @@ class Triplet:
     relation: str
     object: str
     step_index: int = 0
+    #: ``(subject, relation, object)``, built once; not compared or hashed.
+    key: EdgeKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         subject = canonical_name(self.subject)
         obj = canonical_name(self.object)
         if not subject or not obj:
             raise ValueError("triplet endpoints must be non-empty")
+        relation = canonical_name(self.relation)
         object.__setattr__(self, "subject", subject)
         object.__setattr__(self, "object", obj)
-        object.__setattr__(self, "relation", canonical_name(self.relation))
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.subject, self.relation, self.object)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "key", (subject, relation, obj))
 
     def to_doc(self) -> dict:
         return {
@@ -348,8 +349,9 @@ class SpatialMemory:
         """Drop the losers of each conflict among the local edges whose
         subject is a suspect. Every rule of the detector is per subject
         (exclusive relations on one subject and object, one object per
-        functional group of a subject), so the edges of other subjects
-        cannot conflict and are not sent."""
+        functional group of a subject, one value per state set of a
+        subject), so the edges of other subjects cannot conflict and are not
+        sent."""
         edges = [local[k] for k in sorted(local) if k[0] in suspects]
         if not edges:
             return local
@@ -357,6 +359,7 @@ class SpatialMemory:
             "edges": [e.to_doc() for e in edges],
             "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
             "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
+            "state_sets": DEFAULT_STATE_SETS,
         }
         try:
             response = self.gateway.invoke(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
@@ -478,14 +481,15 @@ class SpatialMemory:
         self._edges[key] = edge
         self._out.setdefault(edge.subject, set()).add(key)
         self._in.setdefault(edge.object, set()).add(key)
-        for node in (edge.subject, edge.object):
-            if node not in self._nodes:
-                self._nodes.add(node)
-                self._index.upsert(
-                    IndexEntry(id=node, text=node, embedding=self.embedder.embed(node))
-                )
+        self._add_node(edge.subject)
+        self._add_node(edge.object)
         self._enforce_degree_cap(edge.subject, outgoing=True)
         self._enforce_degree_cap(edge.object, outgoing=False)
+
+    def _add_node(self, node: str) -> None:
+        if node not in self._nodes:
+            self._nodes.add(node)
+            self._index.upsert(IndexEntry(id=node, text=node, embedding=self.embedder.embed(node)))
 
     def _remove_edge(self, key: EdgeKey) -> None:
         del self._edges[key]
@@ -531,10 +535,6 @@ class SpatialMemory:
             for edge_doc in doc["edges"]:
                 self._add_edge(Triplet(**edge_doc))
             for node in doc["nodes"]:
-                if node not in self._nodes:
-                    self._nodes.add(node)
-                    self._index.upsert(
-                        IndexEntry(id=node, text=node, embedding=self.embedder.embed(node))
-                    )
+                self._add_node(node)
             self._pending = [Triplet(**t) for t in doc.get("pending", [])]
             self._retrieval_seed = set(doc.get("retrieval_seed", []))

@@ -94,6 +94,14 @@ class TestAgentSystem:
         assert AgentSystem.build(config_path=str(config), parallel=True).orchestrator.parallel
         assert not AgentSystem.build(config_path=str(config), parallel=False).orchestrator.parallel
 
+    def test_built_gateway_names_the_backend_of_a_config_file(self, tmp_path):
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps(
+            {"backend": "remote", "remote": {"base_url": "http://127.0.0.1:9", "model": "m"}}
+        ))
+        assert AgentSystem.build().gateway.backend.name == "oracle"
+        assert AgentSystem.build(config_path=str(config)).gateway.backend.name == "remote"
+
 
 class TestRunPass:
     def test_crashed_episode_counts_as_failure(self, tmp_path):
@@ -164,6 +172,17 @@ class TestRunSuite:
 
         assert report_bytes() == report_bytes()
 
+    def test_report_names_the_backend_that_ran(self, tmp_path):
+        # The config file's backend is the one that runs, so it is reported.
+        suite = tiny_suite(tmp_path, n=1)
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps({"backend": "oracle"}))
+        outcome = run_suite(
+            suite_path=suite, backend="remote", config_path=str(config), seed=0, passes=1,
+            failure_p=0.0,
+        )
+        assert outcome["report"]["backend"] == "oracle"
+
     def test_write_report_produces_sidecar(self, tmp_path):
         suite = tiny_suite(tmp_path, n=1)
         outcome = run_suite(suite_path=suite, seed=0, passes=1, failure_p=0.0)
@@ -198,6 +217,32 @@ class TestGoldenReports:
         report = run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel)["report"]
         digest = hashlib.sha256(canonical_json(report["passes"]).encode("utf-8")).hexdigest()
         assert digest == GOLDEN_PASSES_SHA256[seed]
+
+
+#: sha256 of the memory snapshot written after each pass (pass 1, pass 2) of
+#: the same runs; both modes must write the same bytes.
+GOLDEN_SNAPSHOT_SHA256 = {
+    3: (
+        "c222f9e337972664a2bfcb5ece4bcf05cb2b9c3ce6e25d756419739d13fbcb06",
+        "ab8653c2642ad77df30cb31091e23a83d2b91e21239a8aaadae0813e701276f9",
+    ),
+    11: (
+        "621d7f9c1a14b24135b38ecc886b3f450f30cb16fcca30eafeb646ca2738f538",
+        "cbb481fbba068e9ff8102d0abc540fd11f8b87fb53fb8418941d063fc51f7745",
+    ),
+}
+
+
+class TestGoldenSnapshots:
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SNAPSHOT_SHA256))
+    def test_pass_snapshots_match_golden_digest(self, seed, parallel, tmp_path):
+        run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel, snapshot_dir=str(tmp_path))
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"memory_pass{n}.json").read_bytes()).hexdigest()
+            for n in (1, 2)
+        )
+        assert digests == GOLDEN_SNAPSHOT_SHA256[seed]
 
 
 class TestBench:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memagent.core import (
     ActionCommand,
@@ -48,9 +50,9 @@ def result(task_id="t1", scn=1, gcn=1, steps=4):
 class TestMemoryEntity:
     def test_rejects_empty_text_and_unknown_kind(self):
         with pytest.raises(ValueError):
-            MemoryEntity(id="x", kind="episodic", text="", created_task="t", updated_task="t")
+            MemoryEntity(id="x", kind="episodic", text="", task="t")
         with pytest.raises(ValueError):
-            MemoryEntity(id="x", kind="oops", text="hi", created_task="t", updated_task="t")
+            MemoryEntity(id="x", kind="oops", text="hi", task="t")
 
 
 class TestActionExperience:
@@ -88,7 +90,7 @@ class TestExtraction:
         assert "put cup on table -> success" in episodic[0].text
         assert "locations: cup on shelf" in episodic[0].text
         assert episodic[0].facts == (("cup", "on", "shelf"),)
-        assert episodic[0].created_task == "t1"
+        assert episodic[0].task == "t1"
         assert "task:t1" in episodic[0].tags
 
     def test_failure_produces_search_dead_end_lesson(self):
@@ -130,8 +132,7 @@ class TestConsolidation:
             id=f"{kind}-{task}-{i}",
             kind=kind,
             text=text,
-            created_task=task,
-            updated_task=task,
+            task=task,
             tags=tuple(tags),
         )
 
@@ -152,8 +153,7 @@ class TestConsolidation:
         assert len(mem) == 1
         (entry,) = mem.entities("semantic")
         assert entry.count == 2
-        assert entry.created_task == "t1"
-        assert entry.updated_task == "t2"
+        assert entry.task == "t2"
 
     def test_outcome_flip_replaces_old_lesson(self):
         mem = LifelongMemory()
@@ -213,8 +213,7 @@ class TestRetrieval:
                     id="semantic-t1-1",
                     kind="semantic",
                     text="ovens heat food",
-                    created_task="t1",
-                    updated_task="t1",
+                    task="t1",
                 )
             ]
         )
@@ -229,8 +228,7 @@ class TestRetrieval:
                     id="episodic-t1-1",
                     kind="episodic",
                     text="task t1: put cup on table -> success",
-                    created_task="t1",
-                    updated_task="t1",
+                    task="t1",
                 )
             ]
         )
@@ -285,3 +283,49 @@ class TestPersistence:
         assert [e.avoid for e in other.entities("semantic") if e.avoid] == [
             (("banana", "shelf"),)
         ]
+
+    #: Few texts, most sharing words, so that writes often update (same text)
+    #: or replace (same instruction tag, other outcome) an entry.
+    TEXTS = ["cup on shelf", "cup on sink", "pick_up cup: fails when hands full",
+             "open fridge: fails when target not here", "recipe for cup on shelf"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3),
+                    st.sampled_from(["episodic", "semantic"]),
+                    st.integers(0, 4),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=10,
+        )
+    )
+    def test_round_trip_after_random_consolidations(self, batches):
+        mem = LifelongMemory()
+        for b, batch in enumerate(batches):
+            entities = []
+            for i, (task, kind, text, ok) in enumerate(batch):
+                place = self.TEXTS[text].split()[-1]
+                entities.append(MemoryEntity(
+                    id=f"{kind}-t{task}-{b}-{i}",
+                    kind=kind,
+                    text=self.TEXTS[text],
+                    task=f"t{task}",
+                    tags=("instruction:put cup on table",
+                          "outcome:success" if ok else "outcome:failure"),
+                    facts=[("cup", "on", place)] if kind == "episodic" else (),
+                    avoid=[("cup", place)] if kind == "semantic" else (),
+                ))
+            mem.consolidate(entities)
+        snap = canonical_json(mem.snapshot())
+        other = LifelongMemory()
+        other.restore(json.loads(snap))
+        assert canonical_json(other.snapshot()) == snap
+        for kind in ("episodic", "semantic"):
+            for query in self.TEXTS + ["cup"]:
+                assert other.retrieve(query, kind, k=3) == mem.retrieve(query, kind, k=3)

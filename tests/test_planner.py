@@ -43,8 +43,7 @@ def kg(*keys):
 
 def entity(text, kind="episodic", task="t1", eid="e1", facts=(), avoid=()):
     return MemoryEntity(
-        id=eid, kind=kind, text=text, created_task=task, updated_task=task,
-        facts=facts, avoid=avoid,
+        id=eid, kind=kind, text=text, task=task, facts=facts, avoid=avoid,
     )
 
 
@@ -176,6 +175,31 @@ class TestBeliefs:
         trace = TaskTrace(task_id="t1", instruction="x")
         beliefs = build_beliefs(ctx, observed("you are at stove"), "t1", trace)
         assert beliefs.avoid_points == {"banana": ["shelf", "sink", "stove"]}
+
+    def test_trust_follows_the_task_that_wrote_the_facts(self):
+        # Task B's attempt updates the entries task A created, with B's own
+        # facts: they are B's hints, and A no longer has any.
+        mem = LifelongMemory()
+        for task, place in (("A", "shelf"), ("B", "sink")):
+            mem.consolidate([
+                MemoryEntity(id=f"episodic-{task}-1", kind="episodic", text="cup attempt",
+                             task=task, facts=[("cup", "on", place)]),
+                MemoryEntity(id=f"semantic-{task}-1", kind="semantic", text="cup lesson",
+                             task=task, avoid=[("cup", place)]),
+            ])
+        assert [e.id for e in mem.entities()] == ["episodic-A-1", "semantic-A-1"]
+        ctx = empty_context(
+            episodic=mem.retrieve("cup attempt", "episodic"),
+            semantic=mem.retrieve("cup lesson", "semantic"),
+        )
+        for task, hints, avoid in (
+            ("B", {"cup": {"rel": "on", "place": "sink"}}, {"cup": ["sink"]}),
+            ("A", {}, {}),
+        ):
+            trace = TaskTrace(task_id=task, instruction="x")
+            beliefs = build_beliefs(ctx, observed("you are at stove"), task, trace)
+            assert beliefs.hint_locations == hints
+            assert beliefs.avoid_points == avoid
 
     def test_hints_come_from_the_trace_not_the_extractor_wording(self):
         class PlainWordsExtractor(ReasonerGateway):

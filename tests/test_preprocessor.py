@@ -68,7 +68,7 @@ class TestPreprocess:
     def test_initial_observation_has_task_start_summary(self):
         pre = Preprocessor(instruction="put cup on table")
         out = pre.preprocess(obs("you are at sink"), last_action=None, outcome=None)
-        assert out.summary == "task start"
+        assert out.summary is None
         assert out.query.startswith("put cup on table")
         assert [t.key for t in out.triplets] == [("agent", "at", "sink")]
 
@@ -112,3 +112,17 @@ class TestPreprocess:
         )
         assert out.summary == "find cup: success"
         assert out.query == "put cup on table"
+
+    def test_error_that_is_not_a_gateway_error_is_raised(self):
+        # A bug in a rule must crash the episode, not read as a template.
+        class Buggy(ReasonerGateway):
+            def invoke_parallel(self, requests):
+                return [KeyError("bug"), {"query": "q"}]
+
+        pre = Preprocessor(gateway=Buggy(), instruction="put cup on table")
+        with pytest.raises(KeyError, match="bug"):
+            pre.preprocess(
+                obs("you are at sink", step=1),
+                last_action=ActionCommand(verb=Verb.FIND, target="cup"),
+                outcome=Outcome.SUCCESS,
+            )

@@ -274,6 +274,30 @@ class TestConflictResolution:
         keys = {e.key for e in mem.edges()}
         assert keys == {("oven", "is", "on")}
 
+    def test_independent_states_of_one_subject_are_kept(self):
+        # A door state and a power state, or two finished treatments, are
+        # independent facts; only values of one state set conflict.
+        mem = make_memory()
+        mem.buffer_triplets([
+            Triplet("oven", "is", "closed", step_index=3),
+            Triplet("oven", "is", "off", step_index=3),
+            Triplet("apple", "is", "heated", step_index=3),
+            Triplet("apple", "is", "cleaned", step_index=3),
+        ])
+        mem.integrate()
+        assert [e.key for e in mem.edges()] == [
+            ("apple", "is", "cleaned"),
+            ("apple", "is", "heated"),
+            ("oven", "is", "closed"),
+            ("oven", "is", "off"),
+        ]
+        mem.buffer_triplets([Triplet("oven", "is", "open", step_index=4)])
+        mem.integrate()
+        assert {e.key for e in mem.edges() if e.subject == "oven"} == {
+            ("oven", "is", "open"),
+            ("oven", "is", "off"),
+        }
+
     def test_duplicate_key_keeps_max_step_index(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("cup", "on", "table", step_index=4)])
