@@ -1,9 +1,8 @@
 """Shared domain types, canonical JSON and the fan-out helper.
 
-Every document written to disk (reports, snapshots, trajectory logs,
-transcripts) is rendered by :func:`canonical_json`, so golden files and
-snapshot diffs are byte-stable; :func:`to_doc` gives the plain document of
-a core type.
+Every document written to disk (reports, snapshots, trajectory logs) is
+rendered by :func:`canonical_json`, so golden files and snapshot diffs are
+byte-stable; :func:`to_doc` gives the plain document of a core type.
 
 Every concurrent fan-out (the gateway's parallel invoke, the
 orchestrator's update dispatch and context gather) goes through

@@ -4,6 +4,9 @@ Two backends: a deterministic rule-based oracle (the default, used by all
 tests), and a remote chat-completions-style HTTP adapter. Both sit behind
 one invoke() surface with per-role request/response validation, a
 per-episode call budget, and an order-preserving parallel variant.
+Callers use ask(), which degrades a gateway fault to the role's entry in
+one fallback table and logs it; the planner has none, so its fault is
+raised.
 """
 
 from __future__ import annotations
@@ -608,6 +611,51 @@ _ORACLE_RULES: Dict[ReasonerRole, Callable[[dict], dict]] = {
 }
 
 
+def _fallback_summary(p: dict) -> Tuple[str, dict]:
+    if p["kind"] == "step":
+        text = f"{_action_text(p['action'])}: {p['outcome']}"
+        return "summarizer failed (%s); fallback template", {"summary": text}
+    first, last = p["covers_steps"]
+    text = f"steps {first}-{last}: " + "; ".join(p["entries"])[:COMPACTION_MAX_CHARS]
+    return "compaction summarizer failed (%s); falling back", {"summary": text}
+
+
+#: Per role, the warning template (one ``%s`` for the error) and the answer
+#: that stand in for a failed call, both computed from the request payload.
+#: The planner has no entry: without a plan the episode aborts.
+_FALLBACKS: Dict[ReasonerRole, Callable[[dict], Tuple[str, dict]]] = {
+    ReasonerRole.STEP_SUMMARIZER: _fallback_summary,
+    ReasonerRole.QUERY_GENERATOR: lambda p: (
+        "query generator failed (%s); fallback to instruction", {"query": p["instruction"]}
+    ),
+    ReasonerRole.KG_CONFLICT_DETECTOR: lambda p: (
+        "conflict detector failed (%s); using oracle rules", _oracle_detect_conflicts(p)
+    ),
+    ReasonerRole.MEMORY_EXTRACTOR: lambda p: (
+        "extractor failed (%s); using fallback template",
+        {"episodic": [f"task {p['task_id']}: {p['instruction']} -> {p['outcome']}"], "semantic": []}
+    ),
+    ReasonerRole.MEMORY_UPDATER: lambda p: (
+        "updater failed (%s); add-only fallback", {"action": "add"}
+    ),
+    ReasonerRole.CRITIC: lambda p: (
+        "critic failed (%s); approving by default",
+        {"decision": "approve", "reason": "critic unavailable"},
+    ),
+}
+
+
+def fallback(role: ReasonerRole, payload: dict, error: GatewayError) -> dict:
+    """The answer that stands in for a ``role`` call that failed with
+    ``error``: logs the role's warning and returns its fallback, or raises
+    ``error`` again for a role without one (the planner)."""
+    if role not in _FALLBACKS:
+        raise error
+    template, answer = _FALLBACKS[role](payload)
+    logger.warning(template, error)
+    return answer
+
+
 class OracleBackend:
     """Deterministic rule-based implementation of every role.
 
@@ -767,22 +815,14 @@ class GatewayConfig:
 class ReasonerGateway:
     """Validated, budget-capped access to the active backend."""
 
-    def __init__(
-        self,
-        backend: Optional[Any] = None,
-        budget: int = DEFAULT_BUDGET,
-        transcript_path: Optional[str] = None,
-    ):
+    def __init__(self, backend: Optional[Any] = None, budget: int = DEFAULT_BUDGET):
         self.backend = backend if backend is not None else OracleBackend()
         self.budget = budget
         self._remaining = budget
         self._lock = threading.Lock()
-        self._transcript_path = transcript_path
 
     @classmethod
-    def from_config(
-        cls, config: GatewayConfig, transcript_path: Optional[str] = None
-    ) -> "ReasonerGateway":
+    def from_config(cls, config: GatewayConfig) -> "ReasonerGateway":
         if config.backend == "remote":
             backend = RemoteBackend(
                 base_url=config.base_url,
@@ -792,7 +832,7 @@ class ReasonerGateway:
             )
         else:
             backend = OracleBackend()
-        return cls(backend=backend, budget=config.budget, transcript_path=transcript_path)
+        return cls(backend=backend, budget=config.budget)
 
     @property
     def latency_bound(self) -> bool:
@@ -814,26 +854,24 @@ class ReasonerGateway:
             self._remaining -= 1
         response = self.backend.invoke(role, payload)
         validate_response(response)
-        if self._transcript_path:
-            self._log_transcript(role, payload, response)
         return response
 
+    def ask(self, role: ReasonerRole, payload: dict) -> dict:
+        """``invoke``, with a gateway fault degraded to the role's
+        fallback (see ``fallback``)."""
+        try:
+            return self.invoke(role, payload)
+        except GatewayError as exc:
+            return fallback(role, payload, exc)
+
     def invoke_parallel(
-        self, requests: Sequence[Tuple[ReasonerRole, dict]]
+        self, requests: Sequence[Tuple[ReasonerRole, dict]], parallel: bool = True
     ) -> List[Any]:
         """Invoke all requests concurrently; results (or exceptions) are
-        returned in request order. When the backend is not
-        ``latency_bound`` they run inline in request order: threads would
+        returned in request order. Unless ``parallel`` is set and the backend
+        is ``latency_bound`` they run inline in request order: threads would
         overlap no waits and only add hand-off time."""
         return fan_out(
             [functools.partial(self.invoke, role, payload) for role, payload in requests],
-            self.latency_bound,
+            parallel and self.latency_bound,
         )
-
-    def _log_transcript(self, role: ReasonerRole, payload: dict, response: dict) -> None:
-        line = canonical_json(
-            {"role": role.value, "payload": payload, "response": response}
-        )
-        with self._lock:
-            with open(self._transcript_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")

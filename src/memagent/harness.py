@@ -54,13 +54,12 @@ class AgentSystem:
         config_path: Optional[str] = None,
         parallel: bool = True,
         disable: Sequence[str] = (),
-        transcript_path: Optional[str] = None,
     ) -> "AgentSystem":
         if config_path:
             config = GatewayConfig.from_file(config_path)
         else:
             config = GatewayConfig(backend=backend)
-        gateway = ReasonerGateway.from_config(config, transcript_path=transcript_path)
+        gateway = ReasonerGateway.from_config(config)
         orchestrator = MemoryOrchestrator(
             spatial=SpatialMemory(gateway=gateway),
             temporal=TemporalMemory(gateway=gateway),

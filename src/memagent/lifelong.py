@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Outcome, StepRecord, TaskResult
-from .gateway import GatewayError, ReasonerGateway, ReasonerRole
+from .gateway import ReasonerGateway, ReasonerRole
 from .vector_index import HashingEmbedder, IndexEntry, VectorIndex
 
 logger = logging.getLogger(__name__)
@@ -174,14 +174,7 @@ class LifelongMemory:
                 "verbs": list(trace.verbs),
                 "failure_reasons": list(trace.failure_reasons),
             }
-            try:
-                response = self.gateway.invoke(ReasonerRole.MEMORY_EXTRACTOR, payload)
-            except GatewayError as exc:
-                logger.warning("extractor failed (%s); using fallback template", exc)
-                response = {
-                    "episodic": [f"task {trace.task_id}: {trace.instruction} -> {outcome}"],
-                    "semantic": [],
-                }
+            response = self.gateway.ask(ReasonerRole.MEMORY_EXTRACTOR, payload)
 
             outcome_tag = f"outcome:{outcome}"
             entities = [
@@ -303,11 +296,7 @@ class LifelongMemory:
                 for e, score in similar
             ],
         }
-        try:
-            return self.gateway.invoke(ReasonerRole.MEMORY_UPDATER, payload)
-        except GatewayError as exc:
-            logger.warning("updater failed (%s); add-only fallback", exc)
-            return {"action": "add"}
+        return self.gateway.ask(ReasonerRole.MEMORY_UPDATER, payload)
 
     def _apply(self, plan: UpdatePlan) -> None:
         for entity_id in plan.deletes:

@@ -210,12 +210,12 @@ class PlannerCritic:
             "container_states": beliefs.container_states,
             "avoid_points": beliefs.avoid_points,
         }
-        response = self.gateway.invoke(ReasonerRole.PLANNER, payload)
+        response = self.gateway.ask(ReasonerRole.PLANNER, payload)
         steps = self._validate_steps(response.get("steps", []))
         if not steps:
             # One retry that forgets the search history.
             payload = dict(payload, retry=True, visited_points=[])
-            response = self.gateway.invoke(ReasonerRole.PLANNER, payload)
+            response = self.gateway.ask(ReasonerRole.PLANNER, payload)
             steps = self._validate_steps(response.get("steps", []))
             if not steps:
                 raise EmptyPlanError("planner produced no valid steps")
@@ -257,7 +257,7 @@ class PlannerCritic:
             "agent_at": beliefs.agent_at,
             "recent_steps": recent_steps,
         }
-        response = self.gateway.invoke(ReasonerRole.CRITIC, payload)
+        response = self.gateway.ask(ReasonerRole.CRITIC, payload)
         return CriticVerdict(decision=response["decision"], reason=response.get("reason", ""))
 
 
@@ -281,7 +281,7 @@ def run_episode(
     gateway.reset_budget()
     orchestrator.reset_task_state()
     planner = PlannerCritic(gateway, env)
-    preprocessor = Preprocessor(gateway, instruction=task.instruction)
+    preprocessor = Preprocessor(gateway, task.instruction, parallel=orchestrator.parallel)
 
     obs = env.reset(task, seed=world_seed)
     goals = parse_goals(task.instruction)
@@ -332,13 +332,9 @@ def run_episode(
         action = plan.steps[plan_index]
         verdict: Optional[CriticVerdict] = None
         if critic_enabled and plan_index >= 1:
-            try:
-                verdict = planner.review(
-                    action, list(plan.steps[plan_index + 1 :]), goals, beliefs, context.temporal
-                )
-            except GatewayError as exc:
-                logger.warning("critic failed (%s); approving by default", exc)
-                verdict = CriticVerdict(decision="approve", reason="critic unavailable")
+            verdict = planner.review(
+                action, list(plan.steps[plan_index + 1 :]), goals, beliefs, context.temporal
+            )
             if verdict.decision == "reject":
                 trajectory.append(
                     {

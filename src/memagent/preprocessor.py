@@ -14,21 +14,19 @@ Observation text follows a fixed line grammar (documented in the README):
     holding: <obj> | nothing
     action failed: <reason>
 
-The summarizer and query generator run as one parallel gateway fan-out.
+The summarizer and query generator run as one gateway fan-out, and a
+gateway fault in either degrades through the gateway's fallback table.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import ActionCommand, Observation, Outcome, canonical_name, to_doc
-from .gateway import GatewayError, ReasonerGateway, ReasonerRole
+from .gateway import GatewayError, ReasonerGateway, ReasonerRole, fallback
 from .spatial import Triplet
-
-logger = logging.getLogger(__name__)
 
 AGENT = "agent"
 
@@ -94,9 +92,15 @@ def visible_entities(triplets: Sequence[Triplet]) -> List[str]:
 
 
 class Preprocessor:
-    def __init__(self, gateway: Optional[ReasonerGateway] = None, instruction: str = ""):
+    def __init__(
+        self,
+        gateway: Optional[ReasonerGateway] = None,
+        instruction: str = "",
+        parallel: bool = True,
+    ):
         self.gateway = gateway or ReasonerGateway()
         self.instruction = instruction
+        self.parallel = parallel  # the run's fan-out decision (MemoryOrchestrator.parallel)
 
     def preprocess(
         self,
@@ -125,27 +129,16 @@ class Preprocessor:
         }
         requests.append((ReasonerRole.QUERY_GENERATOR, query_payload))
 
-        results = self.gateway.invoke_parallel(requests)
-        # A backend fault degrades to a template below; any other exception
-        # is a bug, and the episode is reported as crashed.
+        results = self.gateway.invoke_parallel(requests, self.parallel)
+        # A gateway fault degrades to the role's fallback; any other
+        # exception is a bug, and the episode is reported as crashed.
         for result in results:
             if isinstance(result, Exception) and not isinstance(result, GatewayError):
                 raise result
-        summary_result = results[0] if last_action is not None else None
-        query_result = results[-1]
-
-        summary = None  # the reset observation follows no step
-        if isinstance(summary_result, GatewayError):
-            logger.warning("summarizer failed (%s); fallback template", summary_result)
-            target = last_action.target or ""
-            summary = f"{last_action.verb.value} {target}".strip() + f": {(outcome or Outcome.SUCCESS).value}"
-        elif summary_result is not None:
-            summary = summary_result["summary"]
-
-        if isinstance(query_result, GatewayError):
-            logger.warning("query generator failed (%s); fallback to instruction", query_result)
-            query = self.instruction or obs.text.splitlines()[0]
-        else:
-            query = query_result["query"]
-
-        return PreprocessOutput(summary=summary, query=query, triplets=triplets)
+        answers = [
+            fallback(role, payload, result) if isinstance(result, GatewayError) else result
+            for (role, payload), result in zip(requests, results)
+        ]
+        # The reset observation follows no step, so it has no summary.
+        summary = answers[0]["summary"] if last_action is not None else None
+        return PreprocessOutput(summary=summary, query=answers[-1]["query"], triplets=triplets)

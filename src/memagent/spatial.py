@@ -22,7 +22,6 @@ from .gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_FUNCTIONAL_GROUPS,
     DEFAULT_STATE_SETS,
-    GatewayError,
     ReasonerGateway,
     ReasonerRole,
 )
@@ -361,13 +360,7 @@ class SpatialMemory:
             "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
             "state_sets": DEFAULT_STATE_SETS,
         }
-        try:
-            response = self.gateway.invoke(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
-        except GatewayError as exc:
-            logger.warning("conflict detector failed (%s); using oracle rules", exc)
-            from .gateway import _oracle_detect_conflicts
-
-            response = _oracle_detect_conflicts(payload)
+        response = self.gateway.ask(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
 
         losers: Set[EdgeKey] = set()
         for group in response["conflicts"]:

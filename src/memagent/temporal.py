@@ -6,15 +6,12 @@ the new item.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .core import StepRecord, to_doc
-from .gateway import COMPACTION_MAX_CHARS, GatewayError, ReasonerGateway, ReasonerRole
-
-logger = logging.getLogger(__name__)
+from .gateway import ReasonerGateway, ReasonerRole
 
 DEFAULT_CAPACITY = 3
 
@@ -64,12 +61,7 @@ class TemporalMemory:
         first = min(_item_range(e)[0] for e in entries)
         last = max(_item_range(e)[1] for e in entries)
         payload = {"kind": "compact", "entries": texts, "covers_steps": [first, last]}
-        try:
-            response = self.gateway.invoke(ReasonerRole.STEP_SUMMARIZER, payload)
-            text = response["summary"]
-        except GatewayError as exc:
-            logger.warning("compaction summarizer failed (%s); falling back", exc)
-            text = f"steps {first}-{last}: " + "; ".join(texts)[:COMPACTION_MAX_CHARS]
+        text = self.gateway.ask(ReasonerRole.STEP_SUMMARIZER, payload)["summary"]
         return CompactedSummary(text=text, covers_steps=(first, last))
 
     def render(self) -> str:

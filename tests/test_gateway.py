@@ -1,4 +1,5 @@
 import json
+import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -17,6 +18,7 @@ from memagent.gateway import (
     RemoteBackend,
     SchemaViolationError,
 )
+from perfbench.spans import LOG_KINDS
 
 
 def _plan_payload(**overrides):
@@ -227,16 +229,115 @@ class TestInvokeParallel:
         assert ReasonerGateway(backend=object()).latency_bound
 
 
-class TestTranscript:
-    def test_invocations_logged_as_json_lines(self, tmp_path):
-        path = tmp_path / "transcript.jsonl"
-        gateway = ReasonerGateway(transcript_path=str(path))
-        gateway.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "find cup"})
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
-        entry = json.loads(lines[0])
-        assert entry["role"] == "query_generator"
-        assert entry["response"]["query"].startswith("find cup")
+class _DeadBackend:
+    def invoke(self, role, payload):
+        raise BackendUnreachableError("connection refused")
+
+
+class _EmptyAnswerBackend:
+    """Answers every role with a document its response check rejects."""
+
+    def invoke(self, role, payload):
+        return {}
+
+
+_CRITIC_PAYLOAD = {
+    "action": {"verb": "open", "target": "fridge"},
+    "facts": [["fridge", "is", "open"]],
+}
+_UPDATER_PAYLOAD = {
+    "new": {"id": "e1", "text": "x", "tags": []},
+    "similar": [{"id": "e0", "text": "x"}],
+}
+
+#: (role, payload, fallback answer, fallback kind of the benchmark's log
+#: counter, a request that fails validation but keeps what the fallback
+#: reads, or None where the request check covers every field it reads).
+_FALLBACK_CASES = {
+    "summarizer-step": (
+        ReasonerRole.STEP_SUMMARIZER,
+        {"kind": "step", "action": {"verb": "open", "target": "fridge"}, "outcome": "failure",
+         "failure_reason": "locked"},
+        {"summary": "open fridge: failure"},
+        "fallbacks.template_summarizer",
+        None,
+    ),
+    "summarizer-compact": (
+        ReasonerRole.STEP_SUMMARIZER,
+        {"kind": "compact", "entries": ["a" * 300, "b" * 300], "covers_steps": [1, 3]},
+        {"summary": "steps 1-3: " + "a" * 300 + "; " + "b" * 98},
+        "fallbacks.template_summarizer",
+        None,
+    ),
+    "query": (
+        ReasonerRole.QUERY_GENERATOR,
+        {"instruction": "heat the apple", "last_verb": "open", "visible_entities": ["apple"]},
+        {"query": "heat the apple"},
+        "fallbacks.query_instruction",
+        None,
+    ),
+    "conflict": (
+        ReasonerRole.KG_CONFLICT_DETECTOR,
+        {"edges": [{"subject": "cup", "relation": "on", "object": "table"},
+                   {"subject": "cup", "relation": "in", "object": "fridge"}]},
+        {"conflicts": [[0, 1]]},
+        "fallbacks.conflict_oracle",
+        None,
+    ),
+    "extractor": (
+        ReasonerRole.MEMORY_EXTRACTOR,
+        {"task_id": "t1", "instruction": "put cup on table", "outcome": "failure", "steps_used": 4},
+        {"episodic": ["task t1: put cup on table -> failure"], "semantic": []},
+        "fallbacks.template_extractor",
+        None,
+    ),
+    "updater": (
+        ReasonerRole.MEMORY_UPDATER,
+        _UPDATER_PAYLOAD,
+        {"action": "add"},
+        "fallbacks.add_only",
+        dict(_UPDATER_PAYLOAD, similar=None),
+    ),
+    "critic": (
+        ReasonerRole.CRITIC,
+        _CRITIC_PAYLOAD,
+        {"decision": "approve", "reason": "critic unavailable"},
+        "fallbacks.critic_auto_approve",
+        dict(_CRITIC_PAYLOAD, facts=None),
+    ),
+    "planner": (ReasonerRole.PLANNER, _plan_payload(), None, None, _plan_payload(goals=None)),
+}
+
+_FAULTS = ("unreachable_backend", "invalid_response", "invalid_request")
+
+
+class TestFallbacks:
+    @pytest.mark.parametrize(
+        "case, fault",
+        [
+            (case, fault)
+            for case, spec in _FALLBACK_CASES.items()
+            for fault in _FAULTS
+            if fault != "invalid_request" or spec[4] is not None
+        ],
+    )
+    def test_fault_degrades_to_the_role_fallback(self, case, fault, caplog):
+        role, payload, answer, kind, bad_request = _FALLBACK_CASES[case]
+        backend = {"unreachable_backend": _DeadBackend(), "invalid_response": _EmptyAnswerBackend()}
+        gateway = ReasonerGateway(backend=backend.get(fault))
+        if fault == "invalid_request":
+            payload = bad_request
+        caplog.set_level(logging.WARNING, logger="memagent")
+        if role is ReasonerRole.PLANNER:
+            with pytest.raises(GatewayError):
+                gateway.ask(role, payload)
+            assert not caplog.records
+            return
+        assert gateway.ask(role, payload) == answer
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        # Classified as the benchmark's log counter does: first phrase found.
+        assert next(k for phrase, k in LOG_KINDS.items() if phrase in record.msg) == kind
 
 
 class _StubHandler(BaseHTTPRequestHandler):

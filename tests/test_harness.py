@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import random
+import threading
 
 import pytest
 
+from memagent import gateway as gateway_module
 from memagent.core import TaskResult, Termination, canonical_json
-from memagent.envsim import TaskSpec
-from memagent.gateway import ReasonerRole
+from memagent.envsim import TaskSpec, builtin_suite_path, load_suite
+from memagent.gateway import BackendUnreachableError
 from memagent.harness import (
     REPORT_SCHEMA_VERSION,
     AgentSystem,
@@ -79,12 +81,6 @@ class TestMetrics:
 
 
 class TestAgentSystem:
-    def test_build_writes_transcript(self, tmp_path):
-        path = tmp_path / "transcript.jsonl"
-        system = AgentSystem.build(transcript_path=str(path))
-        system.gateway.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "find cup"})
-        assert json.loads(path.read_text())["role"] == "query_generator"
-
     def test_fans_out_only_on_a_latency_bound_backend(self, tmp_path):
         assert not AgentSystem.build(parallel=True).orchestrator.parallel
         config = tmp_path / "gateway.json"
@@ -102,6 +98,27 @@ class TestAgentSystem:
         assert AgentSystem.build().gateway.backend.name == "oracle"
         assert AgentSystem.build(config_path=str(config)).gateway.backend.name == "remote"
 
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_run_parallel_flag_governs_every_backend_call(self, parallel, monkeypatch):
+        # A latency-bound backend fans out only when the run asks for it:
+        # the preprocessor's summarizer and query calls included.
+        threads = []
+
+        class LatencyBoundOracle(gateway_module.OracleBackend):
+            latency_bound = True
+
+            def invoke(self, role, payload):
+                threads.append(threading.current_thread())
+                return super().invoke(role, payload)
+
+        monkeypatch.setattr(gateway_module, "OracleBackend", LatencyBoundOracle)
+        system = AgentSystem.build(parallel=parallel)
+        profile, tasks = load_suite(builtin_suite_path())
+        run_pass(tasks[:3], system, suite_seed=3, profile=profile, failure_p=0.1)
+        off_main = sum(t is not threading.main_thread() for t in threads)
+        assert threads
+        assert (off_main > 0) if parallel else (off_main == 0)
+
 
 class TestRunPass:
     def test_crashed_episode_counts_as_failure(self, tmp_path):
@@ -118,6 +135,22 @@ class TestRunPass:
         assert len(episodes) == 1
         assert episodes[0].result.scn == 0
         assert episodes[0].result.terminated_by is Termination.CRASHED
+
+    def test_dead_backend_aborts_every_task_at_step_zero(self):
+        # Every role but the planner degrades to its fallback; the planner's
+        # fault aborts the episode before its first step, and nothing crashes.
+        class DeadBackend:
+            def invoke(self, role, payload):
+                raise BackendUnreachableError("connection refused")
+
+        system = AgentSystem.build()
+        system.gateway.backend = DeadBackend()
+        profile, tasks = load_suite(builtin_suite_path())
+        episodes = run_pass(tasks[:3], system, suite_seed=3, profile=profile, failure_p=0.1)
+        assert len(episodes) == 3
+        for episode in episodes:
+            assert episode.result.steps_used == 0
+            assert episode.result.terminated_by is not Termination.CRASHED
 
     def test_trajectory_log_is_json_lines(self, tmp_path):
         suite = tiny_suite(tmp_path, n=1)

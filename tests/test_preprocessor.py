@@ -101,7 +101,7 @@ class TestPreprocess:
 
     def test_gateway_failure_falls_back(self):
         class Broken(ReasonerGateway):
-            def invoke_parallel(self, requests):
+            def invoke_parallel(self, requests, parallel=True):
                 return [GatewayError("down") for _ in requests]
 
         pre = Preprocessor(gateway=Broken(), instruction="put cup on table")
@@ -116,7 +116,7 @@ class TestPreprocess:
     def test_error_that_is_not_a_gateway_error_is_raised(self):
         # A bug in a rule must crash the episode, not read as a template.
         class Buggy(ReasonerGateway):
-            def invoke_parallel(self, requests):
+            def invoke_parallel(self, requests, parallel=True):
                 return [KeyError("bug"), {"query": "q"}]
 
         pre = Preprocessor(gateway=Buggy(), instruction="put cup on table")
