@@ -48,6 +48,8 @@ class Termination(str, Enum):
     SUCCESS = "success"
     STEP_BUDGET = "step_budget"
     SELF_TERMINATED = "self_terminated"
+    #: Planning failed on a backend fault (``GatewayError``).
+    ABORTED = "aborted"
     CRASHED = "crashed"
 
 

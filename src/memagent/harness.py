@@ -27,7 +27,7 @@ from .temporal import TemporalMemory
 logger = logging.getLogger(__name__)
 
 DEFAULT_PASSES = 2
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def compute_metrics(results: Sequence[TaskResult]) -> Dict[str, float]:

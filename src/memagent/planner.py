@@ -311,7 +311,7 @@ def run_episode(
     plan: Optional[Plan] = None
     plan_index = 0
     plan_id = 0
-    aborted = False
+    stopped: Optional[Termination] = None  # set when planning fails
     beliefs: Optional[BeliefState] = None  # None once memory or the query changed
 
     while executed < env.max_steps and not env.done:
@@ -324,7 +324,13 @@ def run_episode(
                 plan = planner.plan(task.instruction, goals, beliefs, trace)
             except (EmptyPlanError, GatewayError) as exc:
                 logger.warning("planning failed for %s: %s", task.id, exc)
-                aborted = True
+                # A planner with nothing left to do stops the agent; a
+                # backend fault aborts it.
+                stopped = (
+                    Termination.ABORTED
+                    if isinstance(exc, GatewayError)
+                    else Termination.SELF_TERMINATED
+                )
                 break
             plan_index = 0
             plan_id += 1
@@ -387,7 +393,9 @@ def run_episode(
     scn, gcn = env.score()
     if env.reported_success:
         terminated_by = Termination.SUCCESS
-    elif aborted or env.done:
+    elif stopped:
+        terminated_by = stopped
+    elif env.done:
         terminated_by = Termination.SELF_TERMINATED
     else:
         terminated_by = Termination.STEP_BUDGET

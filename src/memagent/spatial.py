@@ -12,6 +12,7 @@ import functools
 import logging
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -46,8 +47,15 @@ SIMILAR_CACHE_SIZE = 16384
 
 EdgeKey = Tuple[str, str, str]
 
-#: Relation pairs that ``_fast_conflict`` treats as mutually exclusive.
-_EXCLUSIVE = frozenset(frozenset(pair) for pair in DEFAULT_EXCLUSIVE_PAIRS)
+#: For each relation, the other relations that ``_fast_conflict`` treats as
+#: mutually exclusive with it.
+_EXCLUSIVE_WITH: Dict[str, Tuple[str, ...]] = {
+    relation: tuple(
+        r for p in DEFAULT_EXCLUSIVE_PAIRS if relation in p for r in p if r != relation
+    )
+    for pair in DEFAULT_EXCLUSIVE_PAIRS
+    for relation in pair
+}
 
 
 class KHopBoundError(RuntimeError):
@@ -153,6 +161,9 @@ class SpatialMemory:
         self._compared: Dict[str, Set[str]] = {}
         self._similar_to: Dict[str, Set[str]] = {}
         self._pairs_indexed = 0
+        # Names whose pairs with each other have all been decided (in the
+        # pair index); emptied by clear() and when the pair index starts over.
+        self._decided: Set[str] = set()
         self._index = VectorIndex(dim=self.embedder.dim)
         self._pending: List[Triplet] = []
         self._retrieval_seed: Set[str] = set()  # most recent retrieval entities
@@ -188,6 +199,7 @@ class SpatialMemory:
             self._in.clear()
             self._nodes.clear()
             self._clean.clear()
+            self._decided.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
             self._pending.clear()
             self._retrieval_seed.clear()
@@ -203,16 +215,11 @@ class SpatialMemory:
                     self.integrate()
 
     def _fast_conflict(self, triplet: Triplet) -> bool:
-        # A fact with the triplet's own key has its relation, so it never matches.
-        keys = [t.key for t in self._pending]
-        keys.extend(self._out.get(triplet.subject, ()))
-        for subject, relation, obj in keys:
-            if (
-                subject == triplet.subject
-                and obj == triplet.object
-                and relation != triplet.relation
-                and frozenset((relation, triplet.relation)) in _EXCLUSIVE
-            ):
+        """Whether the graph or the buffer holds a fact on the triplet's
+        subject and object under a relation exclusive with its own."""
+        for partner in _EXCLUSIVE_WITH.get(triplet.relation, ()):
+            key = (triplet.subject, partner, triplet.object)
+            if key in self._edges or any(t.key == key for t in self._pending):
                 return True
         return False
 
@@ -234,9 +241,7 @@ class SpatialMemory:
         region_nodes |= {t.subject for t in t_new} | {t.object for t in t_new}
 
         # Local working set: retrieved edges plus the new facts.
-        local: Dict[EdgeKey, Triplet] = {}
-        for edge in region_edges:
-            local[edge.key] = edge
+        local = {edge.key: edge for edge in region_edges}
         for triplet in t_new:
             prior = local.get(triplet.key)
             if prior is None or triplet.step_index >= prior.step_index:
@@ -252,30 +257,52 @@ class SpatialMemory:
         suspects = {key[0] for key in fresh} | (subjects - self._clean)
         local = self._resolve_conflicts(local, suspects)
 
-        # Merge back. A node can exceed a degree cap only by gaining a key,
-        # so only the endpoints of fresh keys (dirty nodes) can evict. Their
-        # region edges are all removed and re-added in local order, as a full
-        # replace of the region would; every other edge that stays in the
-        # local set stays in place.
-        dirty = {node for key in fresh if key in local for node in (key[0], key[2])}
-        for node in region_nodes:
-            for key in [
-                k
-                for k in self._out.get(node, ())
-                if k[2] in region_nodes and (k not in local or node in dirty or k[2] in dirty)
-            ]:
-                self._remove_edge(key)
+        # Merge back. Only a node that gains a key can end above a degree
+        # cap, and only a node above its cap evicts, so no other node evicts
+        # during a full replace of the region either. The region edges of
+        # these hot nodes are removed and re-added in local order, as a full
+        # replace would. Every other edge that stays in the local set stays
+        # in place; a newer triplet of a key the graph holds overwrites it.
+        hot = self._hot_nodes([key for key in fresh if key in local], local, region_nodes)
+        for key in [
+            k
+            for node in region_nodes
+            for k in self._out.get(node, ())
+            if k[2] in region_nodes and (k not in local or node in hot or k[2] in hot)
+        ]:
+            self._remove_edge(key)
         for key, edge in local.items():
-            if self._edges.get(key) != edge:
+            if self._edges.get(key) is not edge:
                 self._add_edge(edge)
         # A subject not sent was clean and gained no key, though a re-add
         # above may have marked it; a subject sent is clean when the detector
         # saw every out-edge it now has.
+        self._clean |= subjects - suspects
         self._clean.update(
-            s
-            for s in subjects
-            if s not in suspects or all(k in local for k in self._out.get(s, ()))
+            s for s in suspects if all(k in local for k in self._out.get(s, ()))
         )
+
+    def _hot_nodes(
+        self, gained: List[EdgeKey], local: Dict[EdgeKey, Triplet], region_nodes: Set[str]
+    ) -> Set[str]:
+        """The endpoints of ``gained`` keys whose out- or in-degree after
+        the merge-back, before any eviction, exceeds its cap: the edges they
+        keep (local ones and those leaving the region) plus the keys they
+        gain."""
+        hot: Set[str] = set()
+        for end, index, cap in (
+            (0, self._out, self.max_out_degree),
+            (2, self._in, self.max_in_degree),
+        ):
+            far = 2 - end
+            for node, count in Counter(key[end] for key in gained).items():
+                keys = index.get(node, ())
+                if len(keys) + count <= cap:
+                    continue  # it keeps at most the keys it has
+                kept = sum(1 for k in keys if k in local or k[far] not in region_nodes)
+                if kept + count > cap:
+                    hot.add(node)
+        return hot
 
     def _dedup_entities(
         self, local: Dict[EdgeKey, Triplet], region_nodes: Set[str]
@@ -304,29 +331,34 @@ class SpatialMemory:
         """Greedy rename map over the sorted local names: each name not yet
         renamed absorbs every later similar name (see ``_similar``) that has
         no edge outside ``local``. ``local`` and the graph do not change
-        during the scan. Only pairs not compared before are decided; the
-        scan then walks the similar pairs alone."""
-        names = sorted({n for e in local.values() for n in (e.subject, e.object)})
-        present = set(names)
+        during the scan. Only a name outside ``_decided`` is compared, with
+        the present and decided names it has not met before; the scan then
+        walks the similar pairs alone."""
+        present = {n for e in local.values() for n in (e.subject, e.object)}
         if self._pairs_indexed > SIMILAR_CACHE_SIZE:
             self._compared.clear()
             self._similar_to.clear()
             self._pairs_indexed = 0
-        for name in names:
-            compared = self._compared.setdefault(name, {name})
-            for other in present - compared:
-                compared.add(other)
-                self._compared.setdefault(other, {other}).add(name)
-                self._pairs_indexed += 1
-                if _similar(min(name, other), max(name, other), self.theta):
-                    self._similar_to.setdefault(name, set()).add(other)
-                    self._similar_to.setdefault(other, set()).add(name)
+            self._decided.clear()
+        new = present - self._decided
+        if new:
+            known = present | self._decided
+            for name in new:
+                compared = self._compared.setdefault(name, {name})
+                for other in known - compared:
+                    compared.add(other)
+                    self._compared.setdefault(other, {other}).add(name)
+                    self._pairs_indexed += 1
+                    if _similar(min(name, other), max(name, other), self.theta):
+                        self._similar_to.setdefault(name, set()).add(other)
+                        self._similar_to.setdefault(other, set()).add(name)
+            self._decided |= new
         outside: Dict[str, bool] = {}
         rename: Dict[str, str] = {}
-        for name in names:
+        for name in sorted(present.intersection(self._similar_to)):
             if name in rename:
                 continue
-            for other in sorted(o for o in self._similar_to.get(name, ()) if o > name):
+            for other in sorted(o for o in self._similar_to[name] if o > name):
                 if other in rename or other not in present:
                     continue
                 if other not in outside:
@@ -449,28 +481,31 @@ class SpatialMemory:
         # A word and the number after it name one instance (``drawer`` in
         # ``drawer 2``), so no fragment ends between them.
         numbered = {i for i, word in enumerate(words) if _instance_numbers(word)}
-        fragments = set()
-        for n in (1, 2, 3):
-            for i in range(len(words) - n + 1):
-                if i + n not in numbered:
-                    fragments.add(" ".join(words[i : i + n]))
-        seeds = set()
-        for fragment in fragments:
-            if fragment in self._nodes:
-                seeds.add(fragment)
-        if not seeds:
-            for fragment in sorted(fragments):
-                resolved = self._resolve_seed(fragment)
-                if resolved:
-                    seeds.add(resolved)
-        return seeds
+        fragments = {
+            " ".join(words[i : i + n])
+            for n in (1, 2, 3)
+            for i in range(len(words) - n + 1)
+            if i + n not in numbered
+        }
+        seeds = fragments & self._nodes
+        if seeds or not self._nodes:
+            return seeds
+        # One product over all fragments prunes those that no node may
+        # reach; the rest resolve by search, which alone decides a hit.
+        ordered = sorted(fragments)
+        reach = self._index.may_hit([self.embedder.embed(f) for f in ordered], self.theta)
+        candidates = [fragment for fragment, may in zip(ordered, reach) if may]
+        return {r for r in map(self._resolve_seed, candidates) if r}
 
     # -- low-level mutation --------------------------------------------------
 
     def _add_edge(self, edge: Triplet) -> None:
         key = edge.key
-        if key not in self._edges:
-            self._clean.discard(edge.subject)
+        if key in self._edges:
+            # Same endpoints: no node, degree or incident key changes.
+            self._edges[key] = edge
+            return
+        self._clean.discard(edge.subject)
         self._edges[key] = edge
         self._out.setdefault(edge.subject, set()).add(key)
         self._in.setdefault(edge.object, set()).add(key)

@@ -18,7 +18,8 @@ products in another order, so for finite vectors (squared norms that
 neither overflow nor underflow) they differ by a few ulps, about 1e-15 at
 64 dimensions. With a slack of 1e-9, far more than twice that, every row of
 the exact top k at or above theta survives the prune, ties at the k-th
-score included.
+score included. ``may_hit`` applies the same prune to many queries with one
+matrix product and answers only whether any row survives it for theta.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,11 +193,7 @@ class VectorIndex:
         matrix product only prunes (see the module docstring)."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if query.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"query dim {query.shape} != index dim ({self.dim},)"
-            )
-        query_norm = _finite_norm(query)
+        query_norm = self._query_norm(query)
         n = len(self._rows)
         # Each row's approximate score, times query_norm.
         scaled = self._unit[:n] @ query
@@ -212,3 +209,22 @@ class VectorIndex:
                 kept.append((entry, score))
         kept.sort(key=_rank)
         return kept[:k]
+
+    def may_hit(self, queries: Sequence[np.ndarray], theta: float = DEFAULT_THETA) -> List[bool]:
+        """For each query, whether any row's approximate score reaches
+        ``(theta - PRUNE_SLACK)`` times the query norm. False means
+        ``search(query, k, theta)`` is empty for every k. True does not
+        promise a hit: only ``search``'s exact scores decide one."""
+        norms = [self._query_norm(query) for query in queries]
+        n = len(self._rows)
+        if not n or not norms:
+            return [False] * len(norms)
+        best = (np.stack(queries) @ self._unit[:n].T).max(axis=1)
+        return (best >= (theta - PRUNE_SLACK) * np.array(norms)).tolist()
+
+    def _query_norm(self, query: np.ndarray) -> float:
+        if query.shape != (self.dim,):
+            raise DimensionMismatchError(
+                f"query dim {query.shape} != index dim ({self.dim},)"
+            )
+        return _finite_norm(query)

@@ -138,7 +138,8 @@ class TestRunPass:
 
     def test_dead_backend_aborts_every_task_at_step_zero(self):
         # Every role but the planner degrades to its fallback; the planner's
-        # fault aborts the episode before its first step, and nothing crashes.
+        # fault aborts the episode before its first step, and the report says
+        # so rather than showing an agent that stopped on its own.
         class DeadBackend:
             def invoke(self, role, payload):
                 raise BackendUnreachableError("connection refused")
@@ -150,7 +151,7 @@ class TestRunPass:
         assert len(episodes) == 3
         for episode in episodes:
             assert episode.result.steps_used == 0
-            assert episode.result.terminated_by is not Termination.CRASHED
+            assert episode.result.terminated_by is Termination.ABORTED
 
     def test_trajectory_log_is_json_lines(self, tmp_path):
         suite = tiny_suite(tmp_path, n=1)

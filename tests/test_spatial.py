@@ -248,6 +248,17 @@ class TestBuffer:
         assert ("agent", "holds", "cup") in keys
         assert ("agent", "near", "cup") not in keys
 
+    def test_fast_conflict_looks_up_the_graph_and_the_buffer(self):
+        mem = make_memory()
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
+        mem.integrate()
+        # "near" is not exclusive with "on", and "in" names another object.
+        mem.buffer_triplets([Triplet("cup", "near", "table", step_index=2),
+                             Triplet("cup", "in", "drawer", step_index=2)])
+        assert len(mem.pending()) == 2
+        mem.buffer_triplets([Triplet("cup", "in", "table", step_index=3)])
+        assert mem.pending() == []
+
     def test_explicit_integrate_flushes(self):
         mem = make_memory()
         mem.buffer_triplets([Triplet("cup", "on", "table")])
@@ -429,6 +440,19 @@ class TestDedup:
         assert sorted(decided) == sorted(
             tuple(sorted((n, "table"))) for n in names + ["agent"]
         )
+
+    def test_names_first_met_in_different_scans_are_compared(self):
+        # "red cups" is new in a scan without "red cup"; it is compared with
+        # the names decided before, so a later scan holding both merges them.
+        mem = make_memory()
+
+        def local(*edges):
+            return {t.key: t for t in (Triplet(s, "near", o) for s, o in edges)}
+
+        assert mem._dedup_renames(local(("red cup", "agent"))) == {}
+        assert mem._dedup_renames(local(("red cups", "table"))) == {}
+        both = local(("red cup", "agent"), ("red cups", "agent"))
+        assert mem._dedup_renames(both) == {"red cups": "red cup"}
 
     def test_pair_index_starts_over_past_its_bound(self, monkeypatch):
         monkeypatch.setattr(spatial, "SIMILAR_CACHE_SIZE", 4)
@@ -707,6 +731,75 @@ class TestIncrementalMergeBack:
             ("the red cup", "on", "drawer 1"),
         ]
         assert mem.snapshot() == ref.snapshot()
+
+
+class TestHotNodeMergeBack:
+    def integrate_twice(self, mem, removed):
+        mem.buffer_triplets([Triplet("agent", "at", "kitchen", step_index=1),
+                             Triplet("agent", "near", "cup", step_index=1),
+                             Triplet("cup", "on", "table", step_index=1)])
+        mem.integrate()
+        real_remove = mem._remove_edge
+        mem._remove_edge = lambda key: (removed.append(key), real_remove(key))
+        mem.buffer_triplets([Triplet("agent", "near", "apple", step_index=2),
+                             Triplet("cup", "on", "table", step_index=2)])
+        mem.integrate()
+
+    def test_nodes_under_their_caps_keep_their_edges_in_place(self):
+        # agent gains a key but stays under its cap, so nothing is removed.
+        mem, ref = make_memory(), FullReplaceMemory()
+        removed = []
+        self.integrate_twice(mem, removed)
+        self.integrate_twice(ref, [])
+        assert removed == []
+        assert mem.snapshot() == ref.snapshot()
+        assert {e.key: e.step_index for e in mem.edges()}[("cup", "on", "table")] == 2
+
+    def test_only_the_edges_of_a_node_above_its_cap_are_re_added(self):
+        config = dict(max_out_degree=2)
+        mem, ref = make_memory(**config), FullReplaceMemory(**config)
+        removed = []
+        self.integrate_twice(mem, removed)
+        self.integrate_twice(ref, [])
+        assert removed and all(key[0] == "agent" for key in removed)
+        assert mem.snapshot() == ref.snapshot()
+        assert ("agent", "at", "kitchen") not in {e.key for e in mem.edges()}
+
+
+def reference_seeds(mem, text):
+    """Seeds as found without the prune: when no fragment names a node,
+    every fragment is resolved by search."""
+    words = text.split()
+    numbered = {i for i, word in enumerate(words) if any(c.isdigit() for c in word)}
+    fragments = {
+        " ".join(words[i:i + n])
+        for n in (1, 2, 3)
+        for i in range(len(words) - n + 1)
+        if i + n not in numbered
+    }
+    seeds = fragments & mem.nodes
+    return seeds or {r for r in map(mem._resolve_seed, fragments) if r}
+
+
+_SEED_NAMES = _NEAR_NAMES + ["kitchen counter", "cabinet 3", "cabinet 13", "apple"]
+_QUERY_WORDS = ["find", "the", "red", "cup", "cups", "cupz", "drawer", "drawers", "1", "2",
+                "3", "13", "kitchen", "counter", "countertop", "cabinet", "tables", "apples"]
+
+
+class TestSeedPrune:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), max_size=8
+        ),
+        queries=st.lists(st.lists(st.sampled_from(_QUERY_WORDS), max_size=6), max_size=6),
+    )
+    def test_matches_resolving_every_fragment(self, edges, queries):
+        mem = make_memory()
+        seed_graph(mem, [Triplet(s, "near", o) for s, o in edges])
+        for words in queries:
+            text = " ".join(words)
+            assert mem._extract_seeds(text) == reference_seeds(mem, text)
 
 
 class TestPersistence:
