@@ -9,7 +9,7 @@ import logging
 import click
 
 from . import harness
-from .core import canonical_json
+from .core import Termination, canonical_json
 from .gateway import BACKENDS, GatewayConfigError
 
 
@@ -72,6 +72,10 @@ def run(
     if out:
         harness.write_report(outcome, out)
         click.echo(f"report written to {out}")
+    ended = [t["terminated_by"] for p in outcome["report"]["passes"] for t in p["tasks"]]
+    if ended and all(kind == Termination.ABORTED.value for kind in ended):
+        # Nothing ran: a dead or misconfigured backend, not a weak agent.
+        raise click.ClickException(f"all {len(ended)} episodes aborted on backend faults")
 
 
 @main.command()

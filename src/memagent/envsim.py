@@ -463,6 +463,8 @@ class Environment:
             self._objects[target].power = "on"
         elif verb is Verb.TURN_OFF:
             self._objects[target].power = "off"
+        elif verb is Verb.SLICE:
+            self._objects[target].states.add("sliced")
 
     def _apply_physics(self) -> None:
         for name, state in self._objects.items():

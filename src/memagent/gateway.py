@@ -659,7 +659,9 @@ def fallback(role: ReasonerRole, payload: dict, error: GatewayError) -> dict:
 class OracleBackend:
     """Deterministic rule-based implementation of every role.
 
-    Pure: the response is a function of (role, payload) alone.
+    Pure: the response is a function of (role, payload) alone. It is the
+    document its rule built: plain JSON values, none shared with the
+    payload or with another answer, so a remote model could have sent it.
     """
 
     #: The ``GatewayConfig.backend`` that builds it.
@@ -669,9 +671,7 @@ class OracleBackend:
     latency_bound = False
 
     def invoke(self, role: ReasonerRole, payload: dict) -> dict:
-        # Round-trip through canonical JSON so callers cannot observe
-        # shared mutable state and purity is byte-level.
-        return json.loads(canonical_json(_ORACLE_RULES[role](payload)))
+        return _ORACLE_RULES[role](payload)
 
 
 class RemoteBackend:

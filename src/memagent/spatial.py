@@ -152,6 +152,8 @@ class SpatialMemory:
         self._out: Dict[str, Set[EdgeKey]] = {}
         self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
+        # First word of each node name -> how many node names start with it.
+        self._first_words: Counter = Counter()
         # Subjects whose out-edges in the graph hold no conflict: the detector
         # has seen them all, and _add_edge has added no key since.
         self._clean: Set[str] = set()
@@ -198,6 +200,7 @@ class SpatialMemory:
             self._out.clear()
             self._in.clear()
             self._nodes.clear()
+            self._first_words.clear()
             self._clean.clear()
             self._decided.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
@@ -477,22 +480,29 @@ class SpatialMemory:
             return tuple(edges)
 
     def _extract_seeds(self, text: str) -> Set[str]:
+        """The nodes named by 1-3-word fragments of ``text``; when none is,
+        the nodes the fragments resolve to by similarity."""
         words = canonical_name(text).split()
         # A word and the number after it name one instance (``drawer`` in
         # ``drawer 2``), so no fragment ends between them.
         numbered = {i for i, word in enumerate(words) if _instance_numbers(word)}
-        fragments = {
-            " ".join(words[i : i + n])
-            for n in (1, 2, 3)
-            for i in range(len(words) - n + 1)
-            if i + n not in numbered
-        }
-        seeds = fragments & self._nodes
+
+        def fragments(starts: Iterable[int]) -> Iterable[str]:
+            return (
+                " ".join(words[i:end])
+                for i in starts
+                for end in range(i + 1, min(i + 3, len(words)) + 1)
+                if end not in numbered
+            )
+
+        # A fragment names a node only where some node name starts.
+        starts = [i for i, word in enumerate(words) if word in self._first_words]
+        seeds = {fragment for fragment in fragments(starts) if fragment in self._nodes}
         if seeds or not self._nodes:
             return seeds
         # One product over all fragments prunes those that no node may
         # reach; the rest resolve by search, which alone decides a hit.
-        ordered = sorted(fragments)
+        ordered = sorted(set(fragments(range(len(words)))))
         reach = self._index.may_hit([self.embedder.embed(f) for f in ordered], self.theta)
         candidates = [fragment for fragment, may in zip(ordered, reach) if may]
         return {r for r in map(self._resolve_seed, candidates) if r}
@@ -517,6 +527,7 @@ class SpatialMemory:
     def _add_node(self, node: str) -> None:
         if node not in self._nodes:
             self._nodes.add(node)
+            self._first_words[node.split(" ", 1)[0]] += 1
             self._index.upsert(IndexEntry(id=node, text=node, embedding=self.embedder.embed(node)))
 
     def _remove_edge(self, key: EdgeKey) -> None:
@@ -540,7 +551,12 @@ class SpatialMemory:
             self._remove_edge(victim.key)
 
     def _drop_node(self, node: str) -> None:
-        self._nodes.discard(node)
+        if node in self._nodes:
+            self._nodes.remove(node)
+            first = node.split(" ", 1)[0]
+            self._first_words[first] -= 1
+            if not self._first_words[first]:
+                del self._first_words[first]
         if node in self._index:
             self._index.remove(node)
         for key in self._out.get(node, set()) | self._in.get(node, set()):

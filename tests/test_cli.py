@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from memagent import gateway as gateway_module
 from memagent.cli import main
 
 
@@ -101,6 +102,23 @@ class TestRun:
         result = runner.invoke(main, ["run", "--suite", suite_path, "--config", str(config)])
         assert result.exit_code != 0
         assert "unknown backend 'remot'" in result.output
+
+    def test_run_fails_when_every_episode_aborts(self, runner, suite_path, tmp_path, monkeypatch):
+        # A dead backend aborts every episode before its first step; the run
+        # still reports, then exits non-zero instead of passing as a weak agent.
+        def unreachable(self, role, payload):
+            raise gateway_module.BackendUnreachableError("connection refused")
+
+        monkeypatch.setattr(gateway_module.OracleBackend, "invoke", unreachable)
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["run", "--suite", suite_path, "--passes", "2", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "suite.json" in result.output
+        assert "all 2 episodes aborted" in result.output
+        report = json.loads(out.read_text())
+        assert [t["terminated_by"] for p in report["passes"] for t in p["tasks"]] == ["aborted"] * 2
 
 
 class TestAblate:

@@ -277,6 +277,30 @@ class TestPhysicsAndScoring:
         env.step(act(Verb.PUT_DOWN_TO, "kitchen table"))
         assert env.done and env.reported_success
 
+    def test_slice_marks_the_target_sliced(self):
+        # A second goal keeps the episode open after the slice.
+        task = TaskSpec(
+            id="a2",
+            instruction="slice tomato and put spoon in sink",
+            category="pick_operate_place",
+            goal_conditions=(
+                {"kind": "state", "obj": "tomato", "state": "sliced"},
+                {"kind": "at", "obj": "spoon", "place": "sink"},
+            ),
+            initial_seed=2,
+        )
+        env = Environment(profile="alfred", failure_p=0.0)
+        env.reset(task)
+        env.step(act(Verb.FIND, "knife"))
+        env.step(act(Verb.PICK_UP, "knife"))
+        env.step(act(Verb.FIND, "tomato"))
+        obs, outcome, failure = env.step(act(Verb.SLICE, "tomato"))
+        assert (outcome, failure) == (Outcome.SUCCESS, None)
+        assert "tomato is sliced" in obs.text.splitlines()
+        assert env.score() == (1, 2)
+        _, outcome, failure = env.step(act(Verb.SLICE, "tomato"))
+        assert (outcome, failure) == (Outcome.FAILURE, "already sliced")
+
     def test_step_budget_terminates(self):
         env = Environment(profile="realworld", failure_p=0.0, max_steps=3)
         env.reset(simple_task(), seed=3)

@@ -1,3 +1,4 @@
+import copy
 import json
 import logging
 import threading
@@ -6,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from memagent.core import canonical_json
 from memagent.gateway import (
     BackendUnreachableError,
     BudgetExceededError,
@@ -18,6 +20,7 @@ from memagent.gateway import (
     RemoteBackend,
     SchemaViolationError,
 )
+from memagent.harness import run_suite
 from perfbench.spans import LOG_KINDS
 
 
@@ -79,15 +82,119 @@ class TestBudget:
         gateway.invoke(ReasonerRole.QUERY_GENERATOR, payload)
 
 
+#: One request per role, each drawing an answer with nested lists or dicts
+#: where the role's answer has them.
+_ROLE_PAYLOADS = {
+    ReasonerRole.STEP_SUMMARIZER: {
+        "kind": "compact", "entries": ["open fridge: success", "pick_up cup: failure"],
+        "covers_steps": [1, 2],
+    },
+    ReasonerRole.QUERY_GENERATOR: {
+        "instruction": "heat cup", "last_verb": "open", "visible_entities": ["fridge", "cup"],
+    },
+    ReasonerRole.KG_CONFLICT_DETECTOR: {
+        "edges": [
+            {"subject": "agent", "relation": "near", "object": "cup"},
+            {"subject": "agent", "relation": "holds", "object": "cup"},
+            {"subject": "cup", "relation": "on", "object": "shelf"},
+            {"subject": "cup", "relation": "in", "object": "fridge"},
+        ]
+    },
+    ReasonerRole.MEMORY_EXTRACTOR: {
+        "task_id": "t1", "instruction": "put cup on shelf", "outcome": "success",
+        "steps_used": 3, "scn": 1, "gcn": 1, "first_seen": [["cup", "on", "table"]],
+        "verbs": ["pick_up", "navigate_to", "put_down_to"],
+    },
+    ReasonerRole.MEMORY_UPDATER: {
+        "new": {"text": "cup on shelf", "tags": ["cup", "outcome:success"]},
+        "similar": [{"id": "t0-e0", "text": "cup on shelf", "tags": ["cup"]}],
+    },
+    ReasonerRole.PLANNER: _plan_payload(),
+    ReasonerRole.CRITIC: {
+        "action": {"verb": "pick_up", "target": "cup"}, "facts": [["cup", "on", "shelf"]],
+        "holding": "banana", "plan_suffix": [], "goals": [],
+    },
+}
+
+_JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _containers(doc) -> list:
+    """Every list, tuple and dict inside ``doc``, ``doc`` included."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            found.append(node)
+            stack.extend(node.values())
+        elif isinstance(node, (list, tuple)):
+            found.append(node)
+            stack.extend(node)
+    return found
+
+
+def _json_closed(answer) -> bool:
+    """Whether ``answer`` is made of plain JSON values only, so that a remote
+    model could have sent it."""
+    try:
+        closed = json.loads(canonical_json(answer)) == answer
+    except (TypeError, ValueError):
+        return False
+    # Equality alone lets a str subclass, such as an enum member, through.
+    values = [v for c in _containers(answer) for v in (c.values() if isinstance(c, dict) else c)]
+    return closed and all(type(v) in _JSON_TYPES for v in [answer, *values])
+
+
+def _aliased(payload, answer) -> bool:
+    """Whether some list or dict of ``answer`` is reachable from ``payload``."""
+    return not {id(c) for c in _containers(answer)}.isdisjoint(map(id, _containers(payload)))
+
+
+def _wipe(doc) -> None:
+    """Empty every list and dict of ``doc``, as a careless caller might."""
+    for container in _containers(doc):
+        if not isinstance(container, tuple):
+            container.clear()
+
+
 class TestOracleBackend:
-    def test_pure_function_of_inputs(self):
+    @pytest.mark.parametrize("role", list(ReasonerRole), ids=lambda role: role.value)
+    def test_pure_function_of_inputs(self, role):
         backend = OracleBackend()
-        payload = _plan_payload()
-        first = backend.invoke(ReasonerRole.PLANNER, payload)
-        second = backend.invoke(ReasonerRole.PLANNER, json.loads(json.dumps(payload)))
-        assert first == second
-        first["steps"].append({"verb": "drop"})  # caller mutation must not leak
-        assert backend.invoke(ReasonerRole.PLANNER, payload) == second
+        payload = copy.deepcopy(_ROLE_PAYLOADS[role])
+        first = backend.invoke(role, payload)
+        expected = copy.deepcopy(first)
+        assert backend.invoke(role, json.loads(json.dumps(payload))) == expected
+        assert payload == _ROLE_PAYLOADS[role]
+        assert _json_closed(first)
+        assert not _aliased(payload, first)
+        _wipe(first)  # caller mutation must not leak
+        assert backend.invoke(role, payload) == expected
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_suite_answers_are_closed_json_and_unaliased(self, parallel, monkeypatch):
+        # The oracle hands each answer over as its rule built it, so every
+        # answer of a real run must be plain JSON that shares nothing with
+        # its request or with a later answer.
+        calls = []
+        invoke = OracleBackend.invoke
+
+        def recording(self, role, payload):
+            answer = invoke(self, role, payload)
+            calls.append((role, copy.deepcopy(payload), copy.deepcopy(answer),
+                          _json_closed(answer), _aliased(payload, answer)))
+            return answer
+
+        monkeypatch.setattr(OracleBackend, "invoke", recording)
+        run_suite(seed=3, passes=2, failure_p=0.1, parallel=parallel)
+        monkeypatch.undo()
+        assert {role for role, *_ in calls} == set(ReasonerRole)
+        assert [role for role, _, _, closed, _ in calls if not closed] == []
+        assert [role for role, _, _, _, aliased in calls if aliased] == []
+        backend = OracleBackend()
+        for role, payload, answer, _, _ in calls:
+            _wipe(backend.invoke(role, payload))
+            assert backend.invoke(role, payload) == answer, role
 
     def test_step_summary_includes_failure_reason(self):
         out = OracleBackend().invoke(

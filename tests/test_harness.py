@@ -279,6 +279,24 @@ class TestGoldenSnapshots:
         assert digests == GOLDEN_SNAPSHOT_SHA256[seed]
 
 
+#: sha256 of the trajectory log of the same runs. Critic reasons and plan ids
+#: in it come straight from reasoner answers; both modes write the same bytes.
+GOLDEN_TRAJECTORY_SHA256 = {
+    3: "520454eb929bf0f0bcc72dbfa7dd98a53062557381e330bbe68125630db237e6",
+    11: "bdbd1b790c4319d531b2b233f9874d211a2ba1b7caea141cd46edf470451bfc9",
+}
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_TRAJECTORY_SHA256))
+    def test_trajectory_log_matches_golden_digest(self, seed, parallel):
+        log = io.StringIO()
+        run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel, trajectory_log=log)
+        digest = hashlib.sha256(log.getvalue().encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_TRAJECTORY_SHA256[seed]
+
+
 class TestBench:
     def test_parallel_beats_sequential(self):
         timings = bench_retrieval(section_delay_s=0.03, rounds=2)

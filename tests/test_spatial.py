@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -781,9 +782,15 @@ def reference_seeds(mem, text):
     return seeds or {r for r in map(mem._resolve_seed, fragments) if r}
 
 
-_SEED_NAMES = _NEAR_NAMES + ["kitchen counter", "cabinet 3", "cabinet 13", "apple"]
+_SEED_NAMES = _NEAR_NAMES + [
+    "kitchen counter", "cabinet 3", "cabinet 13", "apple",
+    # numbered names, repeated words, and names longer than three words
+    "kitchen counter 2", "2 drawer", "red red cup", "cup cup", "the big red cup",
+    "drawer 1 of the kitchen counter",
+]
 _QUERY_WORDS = ["find", "the", "red", "cup", "cups", "cupz", "drawer", "drawers", "1", "2",
-                "3", "13", "kitchen", "counter", "countertop", "cabinet", "tables", "apples"]
+                "3", "13", "kitchen", "counter", "countertop", "cabinet", "tables", "apples",
+                "big", "of"]
 
 
 class TestSeedPrune:
@@ -792,11 +799,20 @@ class TestSeedPrune:
         edges=st.lists(
             st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), max_size=8
         ),
-        queries=st.lists(st.lists(st.sampled_from(_QUERY_WORDS), max_size=6), max_size=6),
+        merged=st.lists(
+            st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), max_size=4
+        ),
+        queries=st.lists(
+            st.lists(st.sampled_from(_QUERY_WORDS + _SEED_NAMES), max_size=6), max_size=6
+        ),
     )
-    def test_matches_resolving_every_fragment(self, edges, queries):
+    def test_matches_resolving_every_fragment(self, edges, merged, queries):
         mem = make_memory()
         seed_graph(mem, [Triplet(s, "near", o) for s, o in edges])
+        # Integrate de-duplicates, so some names may leave the graph again.
+        mem.buffer_triplets([Triplet(s, "near", o) for s, o in merged])
+        mem.integrate()
+        assert mem._first_words == Counter(name.split(" ", 1)[0] for name in mem.nodes)
         for words in queries:
             text = " ".join(words)
             assert mem._extract_seeds(text) == reference_seeds(mem, text)
