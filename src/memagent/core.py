@@ -6,7 +6,10 @@ byte-stable; :func:`to_doc` gives the plain document of a core type.
 
 Every concurrent fan-out (the gateway's parallel invoke, the
 orchestrator's update dispatch and context gather) goes through
-:func:`fan_out`, which runs on one process-wide thread pool.
+:func:`fan_out`, which runs on one process-wide thread pool. It is also
+the one fault policy of a fan-out: every call runs to its end, then the
+first exception in call order is raised. A gateway fault never reaches
+it, since each reasoner call degrades inside ``ReasonerGateway.ask``.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ class ActionCommand:
         if self.verb in TARGETLESS_VERBS:
             object.__setattr__(self, "target", None)
         else:
-            if not self.target or not canonical_name(self.target):
+            if not isinstance(self.target, str) or not canonical_name(self.target):
                 raise InvariantError(
-                    f"verb {self.verb.value} requires a target", "target"
+                    f"verb {self.verb.value} requires a non-blank string target", "target"
                 )
             object.__setattr__(self, "target", canonical_name(self.target))
 
@@ -218,8 +221,11 @@ def _result_or_exception(call: Callable[[], Any]) -> Any:
 
 
 def fan_out(calls: Sequence[Callable[[], Any]], parallel: bool) -> List[Any]:
-    """Run zero-argument ``calls`` and return each one's result, or the
-    exception it raised, in call order.
+    """Run zero-argument ``calls`` and return their results in call order.
+
+    Every call runs to its end, so a failing call never stops a sibling
+    and both schedules leave the same state; then the first exception in
+    call order, if any, is raised.
 
     The calls run inline on the caller's thread, in order, when
     ``parallel`` is false or there are fewer than two; otherwise on one
@@ -230,7 +236,12 @@ def fan_out(calls: Sequence[Callable[[], Any]], parallel: bool) -> List[Any]:
     waits on inner calls queued behind it could wait forever.
     """
     if not parallel or len(calls) < 2:
-        return [_result_or_exception(call) for call in calls]
-    pool = _shared_pool()
-    futures = [pool.submit(_result_or_exception, call) for call in calls]
-    return [future.result() for future in futures]
+        results = [_result_or_exception(call) for call in calls]
+    else:
+        pool = _shared_pool()
+        futures = [pool.submit(_result_or_exception, call) for call in calls]
+        results = [future.result() for future in futures]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results

@@ -2,11 +2,11 @@
 
 Two backends: a deterministic rule-based oracle (the default, used by all
 tests), and a remote chat-completions-style HTTP adapter. Both sit behind
-one invoke() surface with per-role request/response validation, a
-per-episode call budget, and an order-preserving parallel variant.
-Callers use ask(), which degrades a gateway fault to the role's entry in
-one fallback table and logs it; the planner has none, so its fault is
-raised.
+one invoke() surface with per-role request/response validation and a
+per-episode call budget. Callers use ask(), which degrades a gateway fault
+to the role's entry in one fallback table and logs it; the planner has
+none, so its fault is raised. invoke_parallel() is an order-preserving
+fan-out of ask() calls.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def _check(cond: bool, msg: str) -> None:
 
 
 def _nonempty_str(doc: dict, key: str) -> None:
-    _check(isinstance(doc.get(key), str) and doc[key] != "", f"{key} must be a non-empty string")
+    value = doc.get(key)
+    _check(isinstance(value, str) and value.strip() != "", f"{key} must be a non-blank string")
 
 
 def _validate_summarizer_request(p: dict) -> None:
@@ -136,7 +137,7 @@ def _validate_extractor_response(r: dict) -> None:
     )
     _check(isinstance(r.get("semantic"), list), "semantic must be a list")
     for text in r["episodic"] + r["semantic"]:
-        _check(isinstance(text, str) and text != "", "entity texts must be non-empty")
+        _check(isinstance(text, str) and text.strip() != "", "entity texts must be non-blank")
 
 
 def _validate_updater_request(p: dict) -> None:
@@ -645,17 +646,6 @@ _FALLBACKS: Dict[ReasonerRole, Callable[[dict], Tuple[str, dict]]] = {
 }
 
 
-def fallback(role: ReasonerRole, payload: dict, error: GatewayError) -> dict:
-    """The answer that stands in for a ``role`` call that failed with
-    ``error``: logs the role's warning and returns its fallback, or raises
-    ``error`` again for a role without one (the planner)."""
-    if role not in _FALLBACKS:
-        raise error
-    template, answer = _FALLBACKS[role](payload)
-    logger.warning(template, error)
-    return answer
-
-
 class OracleBackend:
     """Deterministic rule-based implementation of every role.
 
@@ -857,21 +847,29 @@ class ReasonerGateway:
         return response
 
     def ask(self, role: ReasonerRole, payload: dict) -> dict:
-        """``invoke``, with a gateway fault degraded to the role's
-        fallback (see ``fallback``)."""
+        """``invoke``, with a gateway fault degraded to the role's fallback:
+        the one place a fallback fires. Logs the role's warning and returns
+        its answer, or raises the fault for a role without one (the
+        planner)."""
         try:
             return self.invoke(role, payload)
         except GatewayError as exc:
-            return fallback(role, payload, exc)
+            if role not in _FALLBACKS:
+                raise
+            template, answer = _FALLBACKS[role](payload)
+            logger.warning(template, exc)
+            return answer
 
     def invoke_parallel(
         self, requests: Sequence[Tuple[ReasonerRole, dict]], parallel: bool = True
-    ) -> List[Any]:
-        """Invoke all requests concurrently; results (or exceptions) are
-        returned in request order. Unless ``parallel`` is set and the backend
-        is ``latency_bound`` they run inline in request order: threads would
-        overlap no waits and only add hand-off time."""
+    ) -> List[dict]:
+        """``ask`` every request concurrently; the answers are returned in
+        request order. A gateway fault has degraded to its role's fallback
+        inside the batch; any other exception (a planner fault included) is
+        raised once every call has finished. Unless ``parallel`` is set and
+        the backend is ``latency_bound`` the calls run inline in request
+        order: threads would overlap no waits and only add hand-off time."""
         return fan_out(
-            [functools.partial(self.invoke, role, payload) for role, payload in requests],
+            [functools.partial(self.ask, role, payload) for role, payload in requests],
             parallel and self.latency_bound,
         )

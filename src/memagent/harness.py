@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .core import TaskResult, canonical_json, to_doc
+from .core import TaskResult, Termination, canonical_json, to_doc
 from .envsim import Environment, TaskSpec, builtin_suite_path, load_suite
 from .gateway import GatewayConfig, ReasonerGateway
-from .lifelong import LifelongMemory
+from .lifelong import LifelongMemory, TaskTrace
 from .orchestrator import MemoryOrchestrator
 from .planner import EpisodeResult, run_episode
 from .spatial import SpatialMemory
@@ -89,9 +89,6 @@ def run_pass(
     critic_enabled: bool = True,
     trajectory_log: Optional[object] = None,
 ) -> List[EpisodeResult]:
-    from .core import Termination
-    from .lifelong import TaskTrace
-
     episodes = []
     for task in tasks:
         env = Environment(profile=profile, failure_p=failure_p)
@@ -106,7 +103,7 @@ def run_pass(
             )
         except Exception as exc:
             # A crashed episode counts as a failed task; the run continues.
-            logger.error("episode %s crashed: %s", task.id, exc)
+            logger.error("episode %s crashed: %s", task.id, exc, exc_info=exc)
             episode = EpisodeResult(
                 result=TaskResult(
                     task_id=task.id,

@@ -43,8 +43,8 @@ class MemoryEntity:
     avoid: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if not self.text:
-            raise ValueError("memory entity text must be non-empty")
+        if not self.text.strip():
+            raise ValueError("memory entity text must be non-blank")
         if self.kind not in ("episodic", "semantic"):
             raise ValueError(f"unknown kind: {self.kind}")
         object.__setattr__(self, "tags", tuple(self.tags))

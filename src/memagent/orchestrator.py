@@ -6,21 +6,23 @@ long-term extraction and consolidation. With ``parallel`` set, updates and
 retrievals run concurrently across modules through ``core.fan_out`` on
 the one process-wide pool (each module serializes internally), so the
 final state is independent of branch scheduling.
+
+A branch that raises does not stop its siblings; ``core.fan_out`` raises
+the error again once every branch has finished, and the harness records
+the episode as crashed. Gateway faults never get here: each module's
+reasoner calls degrade through ``ReasonerGateway.ask``.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import StepRecord, TaskResult, canonical_json, fan_out
 from .lifelong import LifelongMemory, MemoryEntity, TaskTrace
-from .spatial import KHopBoundError, SpatialMemory, Triplet
+from .spatial import SpatialMemory, Triplet
 from .temporal import TemporalMemory
-
-logger = logging.getLogger(__name__)
 
 #: Entries retrieved per long-term kind for one context.
 RETRIEVAL_K = 5
@@ -73,36 +75,21 @@ class MemoryOrchestrator:
 
     # -- update fan-out -----------------------------------------------------
 
-    def dispatch_update(self, event: UpdateEvent) -> Dict[str, Optional[str]]:
-        """Apply an event to every module at its update frequency; returns a
-        per-branch error map (None = ok). Branch failures never block
-        siblings."""
-        branches = self._branches(event)
-        results = fan_out([fn for _, fn in branches], self.parallel)
-        errors: Dict[str, Optional[str]] = {}
-        for (name, _), result in zip(branches, results):
-            errors[name] = None
-            if isinstance(result, Exception):
-                logger.warning("update branch %s failed: %s", name, result)
-                errors[name] = str(result)
-        return errors
+    def dispatch_update(self, event: UpdateEvent) -> None:
+        """Apply an event to every module at its update frequency. A failed
+        branch never stops a sibling; its error is raised once all have
+        finished."""
+        fan_out(self._branches(event), self.parallel)
 
-    def _branches(self, event: UpdateEvent) -> List[Tuple[str, Callable[[], None]]]:
-        branches: List[Tuple[str, Callable[[], None]]] = []
+    def _branches(self, event: UpdateEvent) -> List[Callable[[], object]]:
+        branches: List[Callable[[], object]] = []
         if event.level == "action":
             if self.spatial_enabled and event.triplets:
-                branches.append(
-                    ("spatial", lambda: self.spatial.buffer_triplets(event.triplets))
-                )
+                branches.append(lambda: self.spatial.buffer_triplets(event.triplets))
             if event.record is not None:
-                branches.append(("temporal", lambda: self.temporal.append(event.record)))
+                branches.append(lambda: self.temporal.append(event.record))
                 if self.longterm_enabled:
-                    branches.append(
-                        (
-                            "semantic",
-                            lambda: self.lifelong.record_action_experience(event.record),
-                        )
-                    )
+                    branches.append(lambda: self.lifelong.record_action_experience(event.record))
         else:
             if self.longterm_enabled:
 
@@ -110,7 +97,7 @@ class MemoryOrchestrator:
                     entities = self.lifelong.extract_task_entities(event.trace, event.result)
                     self.lifelong.consolidate(entities)
 
-                branches.append(("longterm", consolidate))
+                branches.append(consolidate)
         return branches
 
     # -- retrieval fan-out -----------------------------------------------------
@@ -129,20 +116,11 @@ class MemoryOrchestrator:
             if self.longterm_enabled
             else (lambda: []),
         }
-        empty = {"spatial": (), "temporal": "", "episodic": [], "semantic": []}
         results = fan_out(
             [self._padded(name, fn) for name, fn in sections.items()], self.parallel
         )
-        context: Dict[str, object] = {}
-        for name, result in zip(sections, results):
-            if isinstance(result, KHopBoundError):
-                raise result  # a broken invariant, not a degraded section
-            if isinstance(result, Exception):
-                logger.warning("retrieval branch %s failed: %s", name, result)
-                result = empty[name]
-            context[name] = result
         self.gather_latencies.append(time.perf_counter() - start)
-        return MemoryContext(**context)
+        return MemoryContext(*results)
 
     def _padded(self, section: str, fn: Callable[[], object]) -> Callable[[], object]:
         delay = self.delay_hooks.get(section, 0.0)

@@ -14,8 +14,9 @@ Observation text follows a fixed line grammar (documented in the README):
     holding: <obj> | nothing
     action failed: <reason>
 
-The summarizer and query generator run as one gateway fan-out, and a
-gateway fault in either degrades through the gateway's fallback table.
+The summarizer and query generator run as one gateway fan-out of ``ask``
+calls, so a gateway fault in either has already degraded to the role's
+fallback; any other error is raised and ends the episode as crashed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import ActionCommand, Observation, Outcome, canonical_name, to_doc
-from .gateway import GatewayError, ReasonerGateway, ReasonerRole, fallback
+from .gateway import ReasonerGateway, ReasonerRole
 from .spatial import Triplet
 
 AGENT = "agent"
@@ -129,16 +130,7 @@ class Preprocessor:
         }
         requests.append((ReasonerRole.QUERY_GENERATOR, query_payload))
 
-        results = self.gateway.invoke_parallel(requests, self.parallel)
-        # A gateway fault degrades to the role's fallback; any other
-        # exception is a bug, and the episode is reported as crashed.
-        for result in results:
-            if isinstance(result, Exception) and not isinstance(result, GatewayError):
-                raise result
-        answers = [
-            fallback(role, payload, result) if isinstance(result, GatewayError) else result
-            for (role, payload), result in zip(requests, results)
-        ]
+        answers = self.gateway.invoke_parallel(requests, self.parallel)
         # The reset observation follows no step, so it has no summary.
         summary = answers[0]["summary"] if last_action is not None else None
         return PreprocessOutput(summary=summary, query=answers[-1]["query"], triplets=triplets)

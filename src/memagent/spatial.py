@@ -420,12 +420,9 @@ class SpatialMemory:
         if not name or not self._nodes:
             return None
         numbers = _instance_numbers(name)
-        try:
-            results = self._index.search(
-                self.embedder.embed(name), k=len(self._index) if numbers else 1, theta=self.theta
-            )
-        except ValueError:
-            return None
+        results = self._index.search(
+            self.embedder.embed(name), k=len(self._index) if numbers else 1, theta=self.theta
+        )
         for entry, _ in results:
             if not numbers or _instance_numbers(entry.id) == numbers:
                 return entry.id

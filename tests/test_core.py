@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,11 @@ class TestActionCommand:
     def test_target_required_for_object_verbs(self):
         with pytest.raises(InvariantError):
             ActionCommand(verb=Verb.PICK_UP, target=None)
+
+    @pytest.mark.parametrize("target", [7, ["cup"], "   "])
+    def test_target_must_be_a_non_blank_string(self, target):
+        with pytest.raises(InvariantError):
+            ActionCommand(verb=Verb.PICK_UP, target=target)
 
     def test_drop_takes_no_target(self):
         assert ActionCommand(verb=Verb.DROP).target is None
@@ -114,14 +120,27 @@ class TestCanonicalJson:
 
 class TestFanOut:
     @pytest.mark.parametrize("parallel", [True, False])
-    def test_results_and_exceptions_in_call_order(self, parallel):
-        boom = ValueError("boom")
+    def test_results_in_call_order(self, parallel):
+        assert fan_out([lambda: 1, lambda: None, lambda: "three"], parallel) == [1, None, "three"]
 
-        def fail():
-            raise boom
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_every_call_runs_then_the_first_exception_is_raised(self, parallel):
+        first, second = ValueError("first"), KeyError("second")
+        ran = []
 
-        results = fan_out([lambda: 1, fail, lambda: "three"], parallel)
-        assert results == [1, boom, "three"]
+        def fail_late():
+            time.sleep(0.05)  # on the pool, the second failure finishes first
+            ran.append("fail_late")
+            raise first
+
+        def fail_early():
+            ran.append("fail_early")
+            raise second
+
+        with pytest.raises(ValueError) as raised:
+            fan_out([fail_late, fail_early, lambda: ran.append("last")], parallel)
+        assert raised.value is first
+        assert sorted(ran) == ["fail_early", "fail_late", "last"]
 
     @pytest.mark.parametrize("parallel, calls", [(False, 3), (True, 1)])
     def test_runs_inline_on_the_callers_thread(self, parallel, calls):

@@ -286,16 +286,50 @@ class TestInvokeParallel:
         assert results[0]["query"].startswith("first")
         assert results[1]["query"].startswith("second")
 
-    def test_exceptions_returned_positionally(self):
-        gateway = ReasonerGateway()
-        results = gateway.invoke_parallel(
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_gateway_faults_degrade_to_fallbacks(self, parallel, caplog):
+        gateway = ReasonerGateway(backend=_DeadBackend())
+        caplog.set_level(logging.WARNING, logger="memagent")
+        answers = gateway.invoke_parallel(
             [
-                (ReasonerRole.QUERY_GENERATOR, {"instruction": ""}),
-                (ReasonerRole.QUERY_GENERATOR, {"instruction": "ok"}),
-            ]
+                (ReasonerRole.QUERY_GENERATOR, {"instruction": "first"}),
+                (ReasonerRole.CRITIC, _CRITIC_PAYLOAD),
+            ],
+            parallel,
         )
-        assert isinstance(results[0], SchemaViolationError)
-        assert results[1]["query"].startswith("ok")
+        assert answers == [
+            {"query": "first"},
+            {"decision": "approve", "reason": "critic unavailable"},
+        ]
+        assert len(caplog.records) == 2
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_planner_fault_is_raised_after_every_call_finished(self, parallel):
+        class PlannerDown:
+            latency_bound = True
+
+            def __init__(self):
+                self.answered = []
+
+            def invoke(self, role, payload):
+                if role is ReasonerRole.PLANNER:
+                    raise BackendUnreachableError("planner down")
+                time.sleep(0.05)  # still running when the planner fails
+                self.answered.append(payload["instruction"])
+                return {"query": payload["instruction"]}
+
+        backend = PlannerDown()
+        gateway = ReasonerGateway(backend=backend)
+        with pytest.raises(BackendUnreachableError, match="planner down"):
+            gateway.invoke_parallel(
+                [
+                    (ReasonerRole.QUERY_GENERATOR, {"instruction": "before"}),
+                    (ReasonerRole.PLANNER, _plan_payload()),
+                    (ReasonerRole.QUERY_GENERATOR, {"instruction": "after"}),
+                ],
+                parallel,
+            )
+        assert sorted(backend.answered) == ["after", "before"]
 
     def test_runs_concurrently(self):
         class SlowBackend:

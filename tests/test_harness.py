@@ -22,6 +22,7 @@ from memagent.harness import (
     run_suite,
     write_report,
 )
+from memagent.spatial import SpatialMemory
 
 
 def result(task_id, scn, gcn):
@@ -121,7 +122,7 @@ class TestAgentSystem:
 
 
 class TestRunPass:
-    def test_crashed_episode_counts_as_failure(self, tmp_path):
+    def test_crashed_episode_counts_as_failure(self, tmp_path, caplog):
         task = TaskSpec(
             id="boom",
             instruction="put cup on kitchen counter",
@@ -135,6 +136,21 @@ class TestRunPass:
         assert len(episodes) == 1
         assert episodes[0].result.scn == 0
         assert episodes[0].result.terminated_by is Termination.CRASHED
+        [record] = [r for r in caplog.records if "crashed" in r.getMessage()]
+        assert record.exc_info[0] is TypeError  # logged with its traceback
+
+    def test_failing_memory_branch_crashes_every_task(self, monkeypatch):
+        # A raising update branch must not read as an agent that stopped on
+        # its own with a lower score.
+        def explode(self, triplets):
+            raise RuntimeError("spatial exploded")
+
+        monkeypatch.setattr(SpatialMemory, "buffer_triplets", explode)
+        profile, tasks = load_suite(builtin_suite_path())
+        episodes = run_pass(tasks, AgentSystem.build(), suite_seed=3, profile=profile)
+        assert len(episodes) == 15
+        for episode in episodes:
+            assert episode.result.terminated_by is Termination.CRASHED
 
     def test_dead_backend_aborts_every_task_at_step_zero(self):
         # Every role but the planner degrades to its fallback; the planner's

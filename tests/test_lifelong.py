@@ -52,6 +52,8 @@ class TestMemoryEntity:
         with pytest.raises(ValueError):
             MemoryEntity(id="x", kind="episodic", text="", task="t")
         with pytest.raises(ValueError):
+            MemoryEntity(id="x", kind="episodic", text=" \n ", task="t")
+        with pytest.raises(ValueError):
             MemoryEntity(id="x", kind="oops", text="hi", task="t")
 
 

@@ -1,14 +1,25 @@
 """Tests for the parallel memory update/retrieval coordinator."""
 
 import json
+import logging
 import threading
 import time
 
 import pytest
 
-from memagent.core import ActionCommand, Outcome, StepRecord, TaskResult, Termination, Verb
+from memagent.core import (
+    ActionCommand,
+    Observation,
+    Outcome,
+    StepRecord,
+    TaskResult,
+    Termination,
+    Verb,
+)
+from memagent.gateway import OracleBackend, ReasonerGateway, ReasonerRole
 from memagent.lifelong import LifelongMemory, TaskTrace
 from memagent.orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
+from memagent.preprocessor import Preprocessor
 from memagent import spatial
 from memagent.spatial import KHopBoundError, SpatialMemory, Triplet
 from memagent.temporal import TemporalMemory
@@ -36,6 +47,16 @@ def task_event(task_id="t1"):
     return UpdateEvent(level="task", trace=trace, result=result)
 
 
+class BrokenSpatial(SpatialMemory):
+    def buffer_triplets(self, new_triplets):
+        raise RuntimeError("spatial exploded")
+
+
+class BrokenTemporal(TemporalMemory):
+    def render(self):
+        raise RuntimeError("temporal exploded")
+
+
 class TestUpdateEvent:
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):
@@ -49,29 +70,45 @@ class TestUpdateEvent:
 class TestDispatch:
     def test_action_event_reaches_all_branches(self):
         orch = MemoryOrchestrator()
-        errors = orch.dispatch_update(
-            action_event(0, [Triplet("cup", "on", "table")])
-        )
-        assert errors == {"spatial": None, "temporal": None, "semantic": None}
+        assert orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")])) is None
         assert len(orch.temporal.entries()) == 1
         assert orch.spatial.pending() or orch.spatial.edges()
 
     def test_task_event_consolidates_longterm(self):
         orch = MemoryOrchestrator()
-        errors = orch.dispatch_update(task_event())
-        assert errors == {"longterm": None}
+        assert orch.dispatch_update(task_event()) is None
         assert len(orch.lifelong) >= 1
 
     def test_branch_failure_is_isolated(self):
-        class BrokenSpatial(SpatialMemory):
-            def buffer_triplets(self, new_triplets):
-                raise RuntimeError("spatial exploded")
+        # On either schedule the failure is raised, but only after every
+        # sibling has run.
+        failing = UpdateEvent(
+            level="action",
+            record=step(0, verb=Verb.PICK_UP, target="cup", outcome=Outcome.FAILURE,
+                        reason="hands full"),
+            triplets=(Triplet("cup", "on", "table"),),
+        )
+        for parallel in (True, False):
+            orch = MemoryOrchestrator(spatial=BrokenSpatial(), parallel=parallel)
+            with pytest.raises(RuntimeError, match="spatial exploded"):
+                orch.dispatch_update(failing)
+            assert len(orch.temporal.entries()) == 1
+            orch.dispatch_update(task_event())
+            lessons = [e.text for e in orch.lifelong.entities("semantic")]
+            assert any("fails when hands full" in text for text in lessons)
 
-        orch = MemoryOrchestrator(spatial=BrokenSpatial())
-        errors = orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")]))
-        assert errors["spatial"] == "spatial exploded"
-        assert errors["temporal"] is None
-        assert len(orch.temporal.entries()) == 1
+    def test_failed_branch_leaves_the_same_memory_on_both_schedules(self):
+        def run(parallel):
+            orch = MemoryOrchestrator(spatial=BrokenSpatial(), parallel=parallel)
+            for i in range(5):
+                with pytest.raises(RuntimeError, match="spatial exploded"):
+                    orch.dispatch_update(
+                        action_event(i, [Triplet(f"object {i}", "on", "table", step_index=i)])
+                    )
+            orch.dispatch_update(task_event())
+            return orch.snapshot()
+
+        assert run(True) == run(False)
 
     def test_disabled_modules_receive_nothing(self):
         orch = MemoryOrchestrator(spatial_enabled=False, longterm_enabled=False)
@@ -111,14 +148,26 @@ class TestGather:
         assert "step 0" in ctx.temporal
         assert ctx.episodic
 
-    def test_retrieval_branch_failure_yields_empty_section(self):
-        class BrokenTemporal(TemporalMemory):
-            def render(self):
-                raise RuntimeError("boom")
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_retrieval_branch_failure_is_raised(self, parallel):
+        # Not an empty section: the episode ends as crashed. The sections
+        # before and after the failed one still ran.
+        retrieved = []
 
-        orch = MemoryOrchestrator(temporal=BrokenTemporal())
-        ctx = orch.gather_context("anything")
-        assert ctx.temporal == ""
+        class RecordingLifelong(LifelongMemory):
+            def retrieve(self, query, kind, k=5):
+                retrieved.append(kind)
+                return super().retrieve(query, kind, k)
+
+        orch = MemoryOrchestrator(
+            temporal=BrokenTemporal(), lifelong=RecordingLifelong(), parallel=parallel
+        )
+        orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")]))
+        orch.spatial.integrate()
+        with pytest.raises(RuntimeError, match="temporal exploded"):
+            orch.gather_context("where is the cup")
+        assert orch.spatial.snapshot()["retrieval_seed"] == ["cup"]
+        assert sorted(retrieved) == ["episodic", "semantic"]
 
     @pytest.mark.parametrize("parallel", [True, False])
     def test_khop_bound_violation_is_raised(self, monkeypatch, parallel):
@@ -162,6 +211,59 @@ class TestGather:
         assert ctx_par.temporal == ctx_seq.temporal
         assert [e.text for e, _ in ctx_par.episodic] == [e.text for e, _ in ctx_seq.episodic]
         assert [e.text for e, _ in ctx_par.semantic] == [e.text for e, _ in ctx_seq.semantic]
+
+
+class Answering(OracleBackend):
+    """The oracle, except that one role always gives one answer."""
+
+    def __init__(self, role, answer):
+        self.role, self.answer = role, answer
+
+    def invoke(self, role, payload):
+        if role is self.role:
+            return json.loads(json.dumps(self.answer))
+        return super().invoke(role, payload)
+
+
+class TestBlankAnswers:
+    """A whitespace-only text in an answer fails its role's response check,
+    so it degrades to the role's fallback instead of reaching memory."""
+
+    def assert_indexed(self, lifelong):
+        for entity in lifelong.entities():
+            hits = lifelong.retrieve(entity.text, entity.kind, k=len(lifelong))
+            assert entity.id in [e.id for e, _ in hits]
+
+    def test_blank_extracted_texts_degrade_to_the_template(self, caplog):
+        answer = {"episodic": ["   "], "semantic": ["recipe: ok", "  "]}
+        gateway = ReasonerGateway(backend=Answering(ReasonerRole.MEMORY_EXTRACTOR, answer))
+        orch = MemoryOrchestrator(lifelong=LifelongMemory(gateway=gateway))
+        caplog.set_level(logging.WARNING, logger="memagent")
+        orch.dispatch_update(task_event())
+        [record] = caplog.records
+        assert "extractor failed" in record.getMessage()
+        assert [e.text for e in orch.lifelong.entities()] == [
+            "task t1: put cup on table -> success"
+        ]
+        self.assert_indexed(orch.lifelong)
+
+    def test_blank_query_degrades_to_the_instruction(self, caplog):
+        gateway = ReasonerGateway(backend=Answering(ReasonerRole.QUERY_GENERATOR, {"query": " "}))
+        orch = MemoryOrchestrator(lifelong=LifelongMemory(gateway=gateway))
+        failed = step(1, verb=Verb.PICK_UP, target="cup", outcome=Outcome.FAILURE,
+                      reason="hands full")
+        orch.dispatch_update(UpdateEvent(level="action", record=failed))
+        orch.dispatch_update(task_event())
+        self.assert_indexed(orch.lifelong)
+        caplog.set_level(logging.WARNING, logger="memagent")
+        out = Preprocessor(gateway=gateway, instruction="put cup on table").preprocess(
+            Observation(task_id="t2", step_index=0, text="you are at sink"), None, None
+        )
+        [record] = caplog.records
+        assert "query generator failed" in record.getMessage()
+        assert out.query == "put cup on table"
+        context = orch.gather_context(out.query)
+        assert context.episodic and context.semantic
 
 
 class TestTaskBoundaries:

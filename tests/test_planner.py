@@ -1,5 +1,7 @@
 """Tests for goal parsing, belief assembly, and the planner-critic loop."""
 
+import logging
+
 import pytest
 
 from memagent import planner as planner_module
@@ -266,6 +268,27 @@ class TestPlannerCritic:
         beliefs = build_beliefs(empty_context(), observed("you are at sink"))
         plan = planner.plan("x", [], beliefs, trace)
         assert [(s.verb, s.target) for s in plan.steps] == [(Verb.NAVIGATE_TO, "sink")]
+
+    def test_plan_drops_a_step_whose_target_is_not_a_string(self, caplog):
+        env, _ = self.setup_env()
+
+        class NumberTarget(ReasonerGateway):
+            def invoke(self, role, payload):
+                return {
+                    "steps": [
+                        {"verb": "pick_up", "target": 7},
+                        {"verb": "navigate_to", "target": "sink"},
+                    ]
+                }
+
+        planner = PlannerCritic(NumberTarget(), env)
+        trace = TaskTrace(task_id="t1", instruction="x")
+        beliefs = build_beliefs(empty_context(), observed("you are at sink"))
+        caplog.set_level(logging.WARNING, logger="memagent")
+        plan = planner.plan("x", [], beliefs, trace)
+        assert [(s.verb, s.target) for s in plan.steps] == [(Verb.NAVIGATE_TO, "sink")]
+        [record] = caplog.records
+        assert "dropping invalid plan step" in record.getMessage()
 
     def test_empty_plan_raises_after_retry(self):
         env, _ = self.setup_env()

@@ -3,7 +3,12 @@
 import pytest
 
 from memagent.core import ActionCommand, Observation, Outcome, Verb
-from memagent.gateway import GatewayError, ReasonerGateway
+from memagent.gateway import (
+    BackendUnreachableError,
+    OracleBackend,
+    ReasonerGateway,
+    ReasonerRole,
+)
 from memagent.preprocessor import Preprocessor, extract_triplets, visible_entities
 
 
@@ -100,11 +105,12 @@ class TestPreprocess:
         assert "cup" in out.query
 
     def test_gateway_failure_falls_back(self):
-        class Broken(ReasonerGateway):
-            def invoke_parallel(self, requests, parallel=True):
-                return [GatewayError("down") for _ in requests]
+        class Down:
+            def invoke(self, role, payload):
+                raise BackendUnreachableError("down")
 
-        pre = Preprocessor(gateway=Broken(), instruction="put cup on table")
+        gateway = ReasonerGateway(backend=Down())
+        pre = Preprocessor(gateway=gateway, instruction="put cup on table")
         out = pre.preprocess(
             obs("you are at sink", step=1),
             last_action=ActionCommand(verb=Verb.FIND, target="cup"),
@@ -115,11 +121,14 @@ class TestPreprocess:
 
     def test_error_that_is_not_a_gateway_error_is_raised(self):
         # A bug in a rule must crash the episode, not read as a template.
-        class Buggy(ReasonerGateway):
-            def invoke_parallel(self, requests, parallel=True):
-                return [KeyError("bug"), {"query": "q"}]
+        class Buggy(OracleBackend):
+            def invoke(self, role, payload):
+                if role is ReasonerRole.STEP_SUMMARIZER:
+                    raise KeyError("bug")
+                return super().invoke(role, payload)
 
-        pre = Preprocessor(gateway=Buggy(), instruction="put cup on table")
+        gateway = ReasonerGateway(backend=Buggy())
+        pre = Preprocessor(gateway=gateway, instruction="put cup on table")
         with pytest.raises(KeyError, match="bug"):
             pre.preprocess(
                 obs("you are at sink", step=1),
