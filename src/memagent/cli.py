@@ -10,6 +10,7 @@ import click
 
 from . import harness
 from .core import Termination, canonical_json
+from .envsim import SuiteError
 from .gateway import BACKENDS, GatewayConfigError
 
 
@@ -65,6 +66,8 @@ def run(
         )
     except GatewayConfigError as exc:
         raise click.ClickException(f"gateway config: {exc}")
+    except SuiteError as exc:
+        raise click.ClickException(f"suite: {exc}")
     finally:
         if trajectory_log:
             trajectory_log.close()
@@ -95,6 +98,8 @@ def ablate(suite, backend, config, seed, failure_p, passes, out):
         )
     except GatewayConfigError as exc:
         raise click.ClickException(f"gateway config: {exc}")
+    except SuiteError as exc:
+        raise click.ClickException(f"suite: {exc}")
     click.echo(f"{'variant':>10}  {'sr':>6}  {'gc':>6}")
     for variant, doc in results.items():
         click.echo(f"{variant:>10}  {doc['sr']:>6.3f}  {doc['gc']:>6.3f}")

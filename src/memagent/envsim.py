@@ -140,6 +140,11 @@ ALFRED_TEMPLATE = WorldTemplate(
 TEMPLATES = {"realworld": REALWORLD_TEMPLATE, "alfred": ALFRED_TEMPLATE}
 
 
+class SuiteError(ValueError):
+    """An invalid task. Raised when the suite loads, so that a task that
+    cannot run fails the run before its first episode."""
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     id: str
@@ -150,7 +155,9 @@ class TaskSpec:
 
     def __post_init__(self):
         if len(self.goal_conditions) < 1:
-            raise ValueError("a task needs at least one goal condition")
+            raise SuiteError(f"task {self.id!r} needs at least one goal condition")
+        if not isinstance(self.instruction, str) or not self.instruction.strip():
+            raise SuiteError(f"task {self.id!r} needs a non-blank instruction")
         object.__setattr__(self, "goal_conditions", tuple(self.goal_conditions))
 
     @property

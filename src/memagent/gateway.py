@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -28,6 +29,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGET = 200
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_TIMEOUT_MS = 30_000
+#: Wait before the first remote retry; each later retry waits twice as long,
+#: up to RETRY_BACKOFF_MAX_S.
+RETRY_BACKOFF_S = 0.25
+RETRY_BACKOFF_MAX_S = 4.0
 API_KEY_ENV = "MEMAGENT_API_KEY"
 
 
@@ -668,7 +673,9 @@ class RemoteBackend:
     """Chat-completions-style JSON-over-HTTP adapter.
 
     Sends the role name and payload as a single user message and expects
-    the assistant content to be the response JSON document.
+    the assistant content to be the response JSON document. A failed attempt
+    that may succeed again is retried after a bounded exponential backoff;
+    ``sleep`` waits it out (tests pass one that only records).
     """
 
     name = "remote"
@@ -681,11 +688,13 @@ class RemoteBackend:
         model: str,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
+        sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout_ms = timeout_ms
         self.max_retries = max_retries
+        self.sleep = sleep
 
     def invoke(self, role: ReasonerRole, payload: dict) -> dict:
         import requests
@@ -706,6 +715,8 @@ class RemoteBackend:
         }
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
+            if attempt:
+                self.sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1), RETRY_BACKOFF_MAX_S))
             # Transport first: an invalid URL, a connection error, a timeout or
             # an HTTP error status (requests raises some of these as
             # ValueErrors, so they must not reach the parsing handlers).

@@ -2,8 +2,17 @@
 
 New facts land in a small pending buffer (rapid response). On buffer
 saturation or a fast-detected conflict, the affected K-hop region of the
-graph is retrieved, de-duplicated, conflict-resolved, and merged back;
-nodes outside that region are never touched.
+graph is de-duplicated, conflict-resolved, and merged back; nodes outside
+that region are never touched.
+
+Integrate costs what the step changed, not what the region holds. The
+region is a set of nodes, and its local edge set is never copied: it is
+the graph's edges inside the region, overlaid by the changed keys (new
+facts that win on step index, and de-dup renames). The conflict detector
+gets only the edges in contested slots of subjects that may conflict, and
+the merge-back re-adds, in the order a full replace of the region would,
+only the changed keys and the region edges of nodes that would exceed a
+degree cap.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import re
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,6 +65,53 @@ _EXCLUSIVE_WITH: Dict[str, Tuple[str, ...]] = {
     for pair in DEFAULT_EXCLUSIVE_PAIRS
     for relation in pair
 }
+
+#: The detector's one-of slots on a subject, from the tables its payload
+#: carries: per relation, its functional groups (one object each); per value
+#: of ``is``, its state sets (one value each). Exclusive pairs are looked up
+#: by key through ``_EXCLUSIVE_WITH``.
+_GROUPS_OF: Dict[str, Tuple[tuple, ...]] = {
+    r: tuple(("group", i) for i, group in enumerate(DEFAULT_FUNCTIONAL_GROUPS) if r in group)
+    for group in DEFAULT_FUNCTIONAL_GROUPS
+    for r in group
+}
+_STATES_OF: Dict[str, Tuple[tuple, ...]] = {
+    v: tuple(("state", i) for i, values in enumerate(DEFAULT_STATE_SETS) if v in values)
+    for values in DEFAULT_STATE_SETS
+    for v in values
+}
+
+
+def _one_of_slots(relation: str, obj: str) -> Tuple[tuple, ...]:
+    """The functional groups and state sets an edge fills on its subject."""
+    groups = _GROUPS_OF.get(relation, ())
+    return groups + _STATES_OF.get(obj, ()) if relation == "is" else groups
+
+
+def _contested(keys: Set[EdgeKey]) -> Set[EdgeKey]:
+    """The keys, all of one subject, that sit in a contested slot: a
+    functional group holding more than one object, a state set holding more
+    than one value, or an exclusive pair of relations on one object. Only
+    these can be in a conflict the detector reports, and a contested slot
+    goes whole, so the detector finds the same conflicts among them as among
+    all the keys. Like ``VectorIndex.may_hit`` for search, a prune that
+    never decides."""
+    contested: Set[EdgeKey] = set()
+    first: Dict[tuple, str] = {}
+    clashes: Set[tuple] = set()
+    for key in keys:
+        subject, relation, obj = key
+        for partner in _EXCLUSIVE_WITH.get(relation, ()):
+            if (subject, partner, obj) in keys:
+                contested.add(key)
+        for slot in _one_of_slots(relation, obj):
+            if first.setdefault(slot, obj) != obj:
+                clashes.add(slot)
+    if clashes:
+        contested.update(
+            key for key in keys if not clashes.isdisjoint(_one_of_slots(key[1], key[2]))
+        )
+    return contested
 
 
 class KHopBoundError(RuntimeError):
@@ -154,9 +210,9 @@ class SpatialMemory:
         self._nodes: Set[str] = set()
         # First word of each node name -> how many node names start with it.
         self._first_words: Counter = Counter()
-        # Subjects whose out-edges in the graph hold no conflict: the detector
-        # has seen them all, and _add_edge has added no key since.
-        self._clean: Set[str] = set()
+        # Subjects whose out-edges may hold a conflict: _add_edge has added a
+        # key of theirs since the detector last saw all their out-edges.
+        self._dirty: Set[str] = set()
         # Pair index over _similar, kept across clear(): the names each name
         # has been compared with, and those found similar (both directions).
         # It starts over past SIMILAR_CACHE_SIZE pairs.
@@ -201,7 +257,7 @@ class SpatialMemory:
             self._in.clear()
             self._nodes.clear()
             self._first_words.clear()
-            self._clean.clear()
+            self._dirty.clear()
             self._decided.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
             self._pending.clear()
@@ -237,28 +293,61 @@ class SpatialMemory:
             self._integrate(t_new)
 
     def _integrate(self, t_new: List[Triplet]) -> None:
-        seeds = {t.subject for t in t_new} | {t.object for t in t_new}
-        seeds |= self._retrieval_seed
+        ends = {t.subject for t in t_new} | {t.object for t in t_new}
+        reached = self._region(ends | self._retrieval_seed, self.k_hops)
+        region = reached | ends
 
-        region_nodes, region_edges = self._retrieve(seeds, self.k_hops)
-        region_nodes |= {t.subject for t in t_new} | {t.object for t in t_new}
-
-        # Local working set: retrieved edges plus the new facts.
-        local = {edge.key: edge for edge in region_edges}
-        for triplet in t_new:
-            prior = local.get(triplet.key)
+        # The local set is never built: it is the graph's edges with both
+        # endpoints in the region, overlaid by ``changed``, the keys whose
+        # local triplet is not the graph's. Its order is the sorted region
+        # keys, then new keys in arrival order; ``place`` ranks a key in it.
+        changed: Dict[EdgeKey, Triplet] = {}
+        arrival: Dict[EdgeKey, int] = {}
+        for i, triplet in enumerate(t_new):
+            key = triplet.key
+            prior = changed.get(key) or self._edges.get(key)
+            if prior is None:
+                arrival[key] = i
             if prior is None or triplet.step_index >= prior.step_index:
-                local[triplet.key] = triplet  # relationship merging: max step_index wins
+                changed[key] = triplet  # relationship merging: max step_index wins
+        placed: Dict[EdgeKey, tuple] = {}
 
-        local = self._dedup_entities(local, region_nodes)
-        region_nodes = {n for e in local.values() for n in (e.subject, e.object)} | (
-            region_nodes & self._nodes
+        def place(key: EdgeKey) -> tuple:
+            if key in placed:
+                return placed[key]
+            return (1, arrival[key]) if key in arrival else (0, key)
+
+        # A node reached by a hop has an in-edge from the region, so only a
+        # retrieval seed may be in the region without a region edge.
+        present = reached | ends
+        present.difference_update(
+            [
+                n
+                for n in self._retrieval_seed - ends
+                if n in reached
+                and not any(k[2] in reached for k in self._out.get(n, ()))
+                and not any(k[0] in reached for k in self._in.get(n, ()))
+            ]
         )
-        # Keys the graph does not hold: new facts and de-dup renames.
-        fresh = [key for key in local if key not in self._edges]
-        subjects = {key[0] for key in local}
-        suspects = {key[0] for key in fresh} | (subjects - self._clean)
-        local = self._resolve_conflicts(local, suspects)
+        rename = self._dedup_renames(present, region)
+        if rename:
+            # The renamed names leave the graph with all their edges, so no
+            # test below of a key's endpoints against the region meets them.
+            placed.update(self._dedup_entities(rename, changed, place))
+
+        # Keys the graph does not hold: new facts and de-dup renames. A
+        # subject may conflict when it gains one, or when the detector has
+        # not seen its out-edges since it last gained one.
+        suspects = {key[0] for key in changed if key not in self._edges}
+        suspects.update(
+            n
+            for n in self._dirty
+            if n in region and any(k[2] in region for k in self._out.get(n, ()))
+        )
+        losers = self._resolve_conflicts(suspects, changed, region)
+        graph_losers = {key for key in losers if key in self._edges}
+        for key in losers:
+            changed.pop(key, None)
 
         # Merge back. Only a node that gains a key can end above a degree
         # cap, and only a node above its cap evicts, so no other node evicts
@@ -266,78 +355,97 @@ class SpatialMemory:
         # these hot nodes are removed and re-added in local order, as a full
         # replace would. Every other edge that stays in the local set stays
         # in place; a newer triplet of a key the graph holds overwrites it.
-        hot = self._hot_nodes([key for key in fresh if key in local], local, region_nodes)
-        for key in [
-            k
-            for node in region_nodes
-            for k in self._out.get(node, ())
-            if k[2] in region_nodes and (k not in local or node in hot or k[2] in hot)
-        ]:
+        hot = self._hot_nodes([key for key in changed if key not in self._edges], graph_losers)
+        stale = set(graph_losers)
+        for node in hot:
+            stale.update(k for k in self._out.get(node, ()) if k[2] in region)
+            stale.update(k for k in self._in.get(node, ()) if k[0] in region)
+        readd = {key: self._edges[key] for key in stale - graph_losers}
+        readd.update(changed)
+        for key in stale:
             self._remove_edge(key)
-        for key, edge in local.items():
-            if self._edges.get(key) is not edge:
-                self._add_edge(edge)
-        # A subject not sent was clean and gained no key, though a re-add
-        # above may have marked it; a subject sent is clean when the detector
+        for key in sorted(readd, key=place):
+            if key in self._edges:
+                self._edges[key] = readd[key]  # same endpoints: nothing else changes
+            else:
+                self._add_edge(readd[key])
+        # A re-added edge of a subject that was not sent marked it dirty,
+        # though it gained no key; a subject sent is clean when the detector
         # saw every out-edge it now has.
-        self._clean |= subjects - suspects
-        self._clean.update(
-            s for s in suspects if all(k in local for k in self._out.get(s, ()))
+        self._dirty -= {key[0] for key in readd} - suspects
+        self._dirty.difference_update(
+            [s for s in suspects if all(k[2] in region for k in self._out.get(s, ()))]
         )
 
-    def _hot_nodes(
-        self, gained: List[EdgeKey], local: Dict[EdgeKey, Triplet], region_nodes: Set[str]
-    ) -> Set[str]:
+    def _hot_nodes(self, gained: List[EdgeKey], graph_losers: Set[EdgeKey]) -> Set[str]:
         """The endpoints of ``gained`` keys whose out- or in-degree after
         the merge-back, before any eviction, exceeds its cap: the edges they
-        keep (local ones and those leaving the region) plus the keys they
-        gain."""
+        keep (all but the conflict losers) plus the keys they gain."""
         hot: Set[str] = set()
+        if not gained:
+            return hot
         for end, index, cap in (
             (0, self._out, self.max_out_degree),
             (2, self._in, self.max_in_degree),
         ):
-            far = 2 - end
-            for node, count in Counter(key[end] for key in gained).items():
+            for node in {key[end] for key in gained}:
                 keys = index.get(node, ())
-                if len(keys) + count <= cap:
+                if len(keys) + len(gained) <= cap:
                     continue  # it keeps at most the keys it has
-                kept = sum(1 for k in keys if k in local or k[far] not in region_nodes)
-                if kept + count > cap:
+                count = sum(1 for key in gained if key[end] == node)
+                if len(keys) - len(graph_losers.intersection(keys)) + count > cap:
                     hot.add(node)
         return hot
 
     def _dedup_entities(
-        self, local: Dict[EdgeKey, Triplet], region_nodes: Set[str]
-    ) -> Dict[EdgeKey, Triplet]:
-        """Merge theta-similar entity names within the local region into the
-        lexicographically smallest spelling. Nodes with edges outside the
-        region are left alone to preserve locality."""
-        rename = self._dedup_renames(local)
-        if not rename:
-            return local
-        merged: Dict[EdgeKey, Triplet] = {}
-        for edge in local.values():
+        self,
+        rename: Dict[str, str],
+        changed: Dict[EdgeKey, Triplet],
+        place: Callable[[EdgeKey], tuple],
+    ) -> Dict[EdgeKey, tuple]:
+        """Apply ``rename`` to the local edges of the renamed names, which
+        are all region edges or new facts, and drop those names from the
+        graph. A renamed edge merges into the key it lands on (max
+        step_index wins, a tie goes to the later in local order) and that
+        key takes the first place of the keys merged into it. Updates
+        ``changed`` and returns those places."""
+        moved = {
+            key for name in rename for index in (self._out, self._in) for key in index.get(name, ())
+        }
+        moved.update(key for key in changed if key[0] in rename or key[2] in rename)
+        landed: Dict[EdgeKey, List[Tuple[tuple, Triplet]]] = {}
+        for key in moved:
+            edge = changed.pop(key, None) or self._edges[key]
             renamed = replace(
                 edge,
                 subject=rename.get(edge.subject, edge.subject),
                 object=rename.get(edge.object, edge.object),
             )
-            prior = merged.get(renamed.key)
-            if prior is None or renamed.step_index >= prior.step_index:
-                merged[renamed.key] = renamed
+            landed.setdefault(renamed.key, []).append((place(key), renamed))
         for loser in rename:
             self._drop_node(loser)
-        return merged
+        placed: Dict[EdgeKey, tuple] = {}
+        for key, merged in landed.items():
+            prior = changed.get(key) or self._edges.get(key)
+            if prior is not None:
+                merged.append((place(key), prior))
+            merged.sort(key=lambda ranked: ranked[0])
+            edge = merged[0][1]
+            for _, other in merged[1:]:
+                if other.step_index >= edge.step_index:
+                    edge = other
+            if edge is not self._edges.get(key):
+                changed[key] = edge
+            placed[key] = merged[0][0]
+        return placed
 
-    def _dedup_renames(self, local: Dict[EdgeKey, Triplet]) -> Dict[str, str]:
-        """Greedy rename map over the sorted local names: each name not yet
-        renamed absorbs every later similar name (see ``_similar``) that has
-        no edge outside ``local``. ``local`` and the graph do not change
-        during the scan. Only a name outside ``_decided`` is compared, with
-        the present and decided names it has not met before; the scan then
-        walks the similar pairs alone."""
-        present = {n for e in local.values() for n in (e.subject, e.object)}
+    def _dedup_renames(self, present: Set[str], region: Set[str]) -> Dict[str, str]:
+        """Greedy rename map over the sorted ``present`` names: each name not
+        yet renamed absorbs every later similar name (see ``_similar``) that
+        has no edge leaving ``region``. The graph does not change during the
+        scan. Only a name outside ``_decided`` is compared, with the present
+        and decided names it has not met before; the scan then walks the
+        similar pairs alone."""
         if self._pairs_indexed > SIMILAR_CACHE_SIZE:
             self._compared.clear()
             self._similar_to.clear()
@@ -365,30 +473,36 @@ class SpatialMemory:
                 if other in rename or other not in present:
                     continue
                 if other not in outside:
-                    outside[other] = self._has_edges_outside(other, local)
+                    outside[other] = self._has_edges_outside(other, region)
                 if not outside[other]:
                     rename[other] = name
         return rename
 
-    def _has_edges_outside(self, node: str, local: Dict[EdgeKey, Triplet]) -> bool:
-        return any(
-            key not in local
-            for keys in (self._out.get(node, ()), self._in.get(node, ()))
-            for key in keys
+    def _has_edges_outside(self, node: str, region: Set[str]) -> bool:
+        return any(k[2] not in region for k in self._out.get(node, ())) or any(
+            k[0] not in region for k in self._in.get(node, ())
         )
 
     def _resolve_conflicts(
-        self, local: Dict[EdgeKey, Triplet], suspects: Set[str]
-    ) -> Dict[EdgeKey, Triplet]:
-        """Drop the losers of each conflict among the local edges whose
-        subject is a suspect. Every rule of the detector is per subject
-        (exclusive relations on one subject and object, one object per
-        functional group of a subject, one value per state set of a
-        subject), so the edges of other subjects cannot conflict and are not
-        sent."""
-        edges = [local[k] for k in sorted(local) if k[0] in suspects]
-        if not edges:
-            return local
+        self, suspects: Set[str], changed: Dict[EdgeKey, Triplet], region: Set[str]
+    ) -> Set[EdgeKey]:
+        """The losers of each conflict among the local out-edges of the
+        suspects. Every rule of the detector is per subject (exclusive
+        relations on one subject and object, one object per functional
+        group of a subject, one value per state set of a subject), so the
+        edges of other subjects cannot conflict and are not sent; of a
+        suspect's edges, only those in a contested slot are (see
+        ``_contested``). With no contested slot there is no call."""
+        local_out: Dict[str, Set[EdgeKey]] = {
+            s: {k for k in self._out.get(s, ()) if k[2] in region} for s in suspects
+        }
+        for key in changed:
+            if key[0] in local_out:
+                local_out[key[0]].add(key)
+        keys = sorted(k for out in local_out.values() if len(out) > 1 for k in _contested(out))
+        if not keys:
+            return set()
+        edges = [changed.get(k) or self._edges[k] for k in keys]
         payload = {
             "edges": [e.to_doc() for e in edges],
             "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
@@ -406,7 +520,7 @@ class SpatialMemory:
             for edge in contenders:
                 if edge.key != winner.key:
                     losers.add(edge.key)
-        return {k: v for k, v in local.items() if k not in losers}
+        return losers
 
     # -- retrieval ----------------------------------------------------------
 
@@ -437,7 +551,7 @@ class SpatialMemory:
         with self._lock:
             hops = self.k_hops if k is None else k
             resolved = {r for r in (self._resolve_seed(s) for s in seeds) if r}
-            nodes, edges = self._retrieve(resolved, hops)
+            nodes = self._region(resolved, hops)
             max_degree = max(map(len, self._out.values()), default=0)
             bound = min(
                 float(len(self._nodes)) if self._nodes else 0.0,
@@ -447,10 +561,13 @@ class SpatialMemory:
                 raise KHopBoundError(
                     f"k-hop extraction returned {len(nodes)} nodes, bound {bound}"
                 )
-            return nodes, edges
+            keys = [key for node in nodes for key in self._out.get(node, ()) if key[2] in nodes]
+            return nodes, [self._edges[key] for key in sorted(keys)]
 
-    def _retrieve(self, seeds: Set[str], k: int) -> Tuple[Set[str], List[Triplet]]:
-        frontier = {s for s in seeds if s in self._nodes}
+    def _region(self, seeds: Set[str], k: int) -> Set[str]:
+        """The nodes reachable from the seeds that are nodes via <= k
+        outgoing hops."""
+        frontier = seeds & self._nodes
         reached = set(frontier)
         for _ in range(k):
             frontier = {
@@ -462,8 +579,7 @@ class SpatialMemory:
             if not frontier:
                 break
             reached |= frontier
-        keys = [key for node in reached for key in self._out.get(node, ()) if key[2] in reached]
-        return reached, [self._edges[key] for key in sorted(keys)]
+        return reached
 
     def query(self, text: str) -> Tuple[Triplet, ...]:
         """The edges of the subgraph around entities mentioned in the query,
@@ -512,7 +628,7 @@ class SpatialMemory:
             # Same endpoints: no node, degree or incident key changes.
             self._edges[key] = edge
             return
-        self._clean.discard(edge.subject)
+        self._dirty.add(edge.subject)
         self._edges[key] = edge
         self._out.setdefault(edge.subject, set()).add(key)
         self._in.setdefault(edge.object, set()).add(key)
@@ -556,6 +672,7 @@ class SpatialMemory:
                 del self._first_words[first]
         if node in self._index:
             self._index.remove(node)
+        self._dirty.discard(node)
         for key in self._out.get(node, set()) | self._in.get(node, set()):
             self._remove_edge(key)
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from memagent import gateway as gateway_module
+from memagent import harness
 from memagent.cli import main
 
 
@@ -102,6 +103,22 @@ class TestRun:
         result = runner.invoke(main, ["run", "--suite", suite_path, "--config", str(config)])
         assert result.exit_code != 0
         assert "unknown backend 'remot'" in result.output
+
+    def test_run_rejects_a_blank_instruction_before_the_first_episode(
+        self, runner, suite_path, tmp_path, monkeypatch
+    ):
+        doc = json.loads(open(suite_path).read())
+        doc["tasks"].append(dict(doc["tasks"][0], id="task-1", instruction="   "))
+        bad = tmp_path / "blank.json"
+        bad.write_text(json.dumps(doc))
+        episodes = []
+        monkeypatch.setattr(harness, "run_episode", lambda *args, **kw: episodes.append(args))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["run", "--suite", str(bad), "--out", str(out)])
+        assert result.exit_code != 0
+        assert "suite: task 'task-1' needs a non-blank instruction" in result.output
+        assert episodes == []
+        assert not out.exists()
 
     def test_run_fails_when_every_episode_aborts(self, runner, suite_path, tmp_path, monkeypatch):
         # A dead backend aborts every episode before its first step; the run

@@ -1,6 +1,7 @@
 """Tests for the deterministic partially observable household simulator."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from memagent.core import ActionCommand, Outcome, Verb
 from memagent.envsim import (
     EXECUTOR_FAILURE,
     Environment,
+    SuiteError,
     TaskSpec,
     builtin_suite_path,
     load_suite,
@@ -50,6 +52,23 @@ class TestTaskSpec:
 
     def test_gcn_counts_conditions(self):
         assert simple_task().gcn == 1
+
+    @pytest.mark.parametrize("instruction", ["", "   ", "\n\t", None])
+    def test_rejects_blank_instruction_naming_the_task(self, instruction):
+        with pytest.raises(SuiteError, match="'t9'.*instruction"):
+            dataclasses.replace(simple_task(), id="t9", instruction=instruction)
+
+    def test_load_suite_rejects_a_blank_instruction(self, tmp_path):
+        doc = {
+            "id": "t1",
+            "instruction": "put cup on kitchen counter",
+            "category": "pick_place",
+            "goal_conditions": [{"kind": "at", "obj": "cup", "place": "kitchen counter"}],
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"tasks": [doc, dict(doc, id="t2", instruction="   ")]}))
+        with pytest.raises(ValueError, match="'t2'"):
+            load_suite(str(path))
 
 
 class TestDeterminism:

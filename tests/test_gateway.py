@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from memagent import gateway as gateway_module
 from memagent.core import canonical_json
 from memagent.gateway import (
     BackendUnreachableError,
@@ -528,27 +529,49 @@ class TestRemoteBackend:
 
     def test_retries_transient_500(self, stub_server):
         _StubHandler.behaviors = ["http500", "ok"]
-        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=2)
+        waits = []
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=2, sleep=waits.append)
         out = backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
         assert out == {"query": "stubbed"}
+        assert waits == [gateway_module.RETRY_BACKOFF_S]
+
+    def test_retries_back_off_exponentially_up_to_a_bound(self, stub_server):
+        _StubHandler.behaviors = ["http500"] * 7 + ["ok"]
+        waits = []
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=7, sleep=waits.append)
+        out = backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+        assert out == {"query": "stubbed"}
+        base, bound = gateway_module.RETRY_BACKOFF_S, gateway_module.RETRY_BACKOFF_MAX_S
+        assert waits == [min(base * 2**i, bound) for i in range(7)]
+        assert waits[-1] == bound > waits[0]
+
+    def test_no_wait_after_the_last_attempt(self, stub_server):
+        _StubHandler.behaviors = ["garbage"] * 3
+        waits = []
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=2, sleep=waits.append)
+        with pytest.raises(SchemaViolationError):
+            backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
+        assert len(waits) == 2
 
     def test_client_error_is_not_retried(self, stub_server):
         _StubHandler.behaviors = ["http400", "ok"]
-        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=3)
+        waits = []
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=3, sleep=waits.append)
         with pytest.raises(BackendUnreachableError, match="400"):
             backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
         assert _StubHandler.behaviors == ["ok"]
+        assert waits == []
 
     @pytest.mark.parametrize("status", ["http408", "http429"])
     def test_try_again_statuses_are_retried(self, stub_server, status):
         _StubHandler.behaviors = [status, "ok"]
-        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=1)
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=1, sleep=[].append)
         out = backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
         assert out == {"query": "stubbed"}
 
     def test_malformed_body_raises_schema_error(self, stub_server):
         _StubHandler.behaviors = ["garbage", "garbage", "garbage", "garbage"]
-        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=1)
+        backend = RemoteBackend(base_url=stub_server, model="m", max_retries=1, sleep=[].append)
         with pytest.raises(SchemaViolationError):
             backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
 

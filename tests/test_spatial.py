@@ -1,5 +1,6 @@
 """Tests for the knowledge-graph spatial memory."""
 
+import dataclasses
 import json
 import os
 import random
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memagent import spatial, vector_index
+from memagent import gateway, harness, spatial, vector_index
+from memagent.envsim import builtin_suite_path, load_suite
 from memagent.spatial import (
     DEFAULT_BUFFER_CAPACITY,
     KHopBoundError,
@@ -20,6 +22,13 @@ from memagent.spatial import (
     khop_bound,
 )
 from memagent.core import canonical_json
+from memagent.gateway import (
+    DEFAULT_EXCLUSIVE_PAIRS,
+    DEFAULT_FUNCTIONAL_GROUPS,
+    DEFAULT_STATE_SETS,
+    ReasonerGateway,
+    ReasonerRole,
+)
 from memagent.vector_index import cosine
 
 
@@ -53,6 +62,13 @@ def bfs_oracle(edge_keys, seeds, k):
         frontier = nxt
     edges = {key for key in edge_keys if key[0] in reached and key[2] in reached}
     return reached, edges
+
+
+def dedup_renames(mem, local):
+    """``mem._dedup_renames`` over the names of ``local``, a dict of edges
+    that spans its whole region."""
+    names = {n for s, _, o in local for n in (s, o)}
+    return mem._dedup_renames(names, names)
 
 
 def random_graph(rng, n, max_out):
@@ -319,13 +335,48 @@ class TestConflictResolution:
         assert edge.step_index == 4
 
 
+_NAMES = ["cup", "cups", "table", "shelf", "drawer 1", "drawer 2",
+          "kitchen counter", "kitchen countertop"]
+_RELATIONS = ["on", "in", "at", "near", "holds", "is"]
+# Objects include the values of both state sets, so every detector rule fires.
+_slot_triplets = st.builds(
+    Triplet,
+    st.sampled_from(_NAMES),
+    st.sampled_from(_RELATIONS),
+    st.sampled_from(_NAMES + ["open", "closed", "on", "off", "heated"]),
+    step_index=st.integers(min_value=0, max_value=5),
+)
+
+
+def detector_conflicts(edges):
+    """The oracle detector's conflict groups over ``edges``, as sets of keys."""
+    payload = {
+        "edges": [e.to_doc() for e in edges],
+        "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
+        "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
+        "state_sets": DEFAULT_STATE_SETS,
+    }
+    groups = gateway._oracle_detect_conflicts(payload)["conflicts"]
+    return {frozenset(edges[i].key for i in group) for group in groups}
+
+
+def conflict_losers(edges):
+    """The keys integrate drops: all but the newest of each conflict group."""
+    by_key = {e.key: e for e in edges}
+    losers = set()
+    for group in detector_conflicts(edges):
+        winner = max((by_key[k] for k in group), key=lambda e: (e.step_index, e.relation))
+        losers |= group - {winner.key}
+    return losers
+
+
 class TestConflictScope:
     def record_detector(self, mem):
         sent = []
         invoke = mem.gateway.invoke
 
         def recording(role, payload):
-            sent.append(sorted({e["subject"] for e in payload["edges"]}))
+            sent.append([(e["subject"], e["relation"], e["object"]) for e in payload["edges"]])
             return invoke(role, payload)
 
         mem.gateway.invoke = recording
@@ -334,19 +385,45 @@ class TestConflictScope:
     def test_detector_sees_only_subjects_that_may_conflict(self):
         mem = make_memory()
         sent = self.record_detector(mem)
+        # No slot of cup or table holds two facts, so there is no call.
         mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1),
                              Triplet("table", "near", "window", step_index=1)])
         mem.integrate()
-        assert sent == [["cup", "table"]]
-        # cup gains a key; table's edges are in the region but unchanged.
+        assert sent == []
+        # cup gains a key, but its location group still holds one object.
         mem.buffer_triplets([Triplet("cup", "near", "door", step_index=2)])
         mem.integrate()
-        assert sent[-1] == ["cup"]
-        # Only a step index changes: no subject may conflict, so no call.
-        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=3)])
+        assert sent == []
+        # Now it holds two: that slot goes, not cup's "near" edge, and not
+        # table's edges, which are in the region but unchanged.
+        mem.buffer_triplets([Triplet("cup", "in", "cabinet", step_index=3)])
         mem.integrate()
-        assert len(sent) == 2
-        assert {e.key: e.step_index for e in mem.edges()}[("cup", "on", "table")] == 3
+        assert sent == [[("cup", "in", "cabinet"), ("cup", "on", "table")]]
+        assert ("cup", "on", "table") not in {e.key for e in mem.edges()}
+        # A state set holding two values goes without the oven's other set.
+        mem.buffer_triplets([Triplet("oven", "is", "closed", step_index=4),
+                             Triplet("oven", "is", "off", step_index=4)])
+        mem.integrate()
+        assert len(sent) == 1
+        mem.buffer_triplets([Triplet("oven", "is", "open", step_index=5)])
+        mem.integrate()
+        assert sent[-1] == [("oven", "is", "closed"), ("oven", "is", "open")]
+        # An exclusive pair of relations on one object (a fast conflict).
+        mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=6),
+                             Triplet("agent", "holds", "cup", step_index=7)])
+        assert sent[-1] == [("agent", "holds", "cup"), ("agent", "near", "cup")]
+        # Only a step index changes: no subject may conflict, so no call.
+        mem.buffer_triplets([Triplet("cup", "in", "cabinet", step_index=8)])
+        mem.integrate()
+        assert len(sent) == 3
+        assert {e.key: e.step_index for e in mem.edges()} == {
+            ("agent", "holds", "cup"): 7,
+            ("cup", "in", "cabinet"): 8,
+            ("cup", "near", "door"): 2,
+            ("oven", "is", "off"): 4,
+            ("oven", "is", "open"): 5,
+            ("table", "near", "window"): 1,
+        }
 
     def test_edge_added_outside_integrate_makes_its_subject_suspect(self):
         mem = make_memory()
@@ -356,7 +433,7 @@ class TestConflictScope:
         seed_graph(mem, [Triplet("cup", "in", "cabinet", step_index=5)])
         mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
         mem.integrate()
-        assert sent[-1] == ["cup"]
+        assert sent == [[("cup", "in", "cabinet"), ("cup", "on", "table")]]
         keys = {e.key for e in mem.edges()}
         assert keys == {("cup", "in", "cabinet")}
 
@@ -373,6 +450,19 @@ class TestConflictScope:
                              Triplet("cup", "in", "cabinet", step_index=2)])
         mem.integrate()
         assert [e.key for e in mem.edges()] == [("cup", "in", "cabinet")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(triplets=st.lists(_slot_triplets, max_size=12))
+    def test_contested_slots_give_the_detector_the_same_conflicts(self, triplets):
+        # A local set holds one triplet per key, sent sorted by key.
+        edges = sorted({t.key: t for t in triplets}.values(), key=lambda e: e.key)
+        by_subject = {}
+        for edge in edges:
+            by_subject.setdefault(edge.subject, set()).add(edge.key)
+        contested = set().union(*map(spatial._contested, by_subject.values()))
+        subset = [e for e in edges if e.key in contested]
+        assert detector_conflicts(subset) == detector_conflicts(edges)
+        assert conflict_losers(subset) == conflict_losers(edges)
 
 
 class TestDedup:
@@ -419,25 +509,25 @@ class TestDedup:
 
         assert want["kitchen countertop"] == "kitchen counter"
         assert not {"drawer 2", "apple 2", "cabinet 10"} & set(want)
-        assert mem._dedup_renames(local) == want
+        assert dedup_renames(mem, local) == want
         # Decided once per pair: a second scan gives the same map from the memo.
-        assert mem._dedup_renames(local) == want
+        assert dedup_renames(mem, local) == want
 
     def test_pair_decisions_survive_clear(self, monkeypatch):
         mem = make_memory()
         names = ["red cup", "red cups", "the red cup", "drawer 1"]
         local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
-        want = mem._dedup_renames(local)
+        want = dedup_renames(mem, local)
         assert want == {"red cups": "red cup", "the red cup": "red cup"}
         mem.clear()
         decided = []
         monkeypatch.setattr(spatial, "_similar", lambda *args: decided.append(args[:2]))
-        assert mem._dedup_renames(local) == want
+        assert dedup_renames(mem, local) == want
         assert decided == []
         # A new name is compared with the names it meets, once.
         local[("table", "near", "agent")] = Triplet("table", "near", "agent")
-        mem._dedup_renames(local)
-        mem._dedup_renames(local)
+        dedup_renames(mem, local)
+        dedup_renames(mem, local)
         assert sorted(decided) == sorted(
             tuple(sorted((n, "table"))) for n in names + ["agent"]
         )
@@ -450,31 +540,43 @@ class TestDedup:
         def local(*edges):
             return {t.key: t for t in (Triplet(s, "near", o) for s, o in edges)}
 
-        assert mem._dedup_renames(local(("red cup", "agent"))) == {}
-        assert mem._dedup_renames(local(("red cups", "table"))) == {}
+        assert dedup_renames(mem, local(("red cup", "agent"))) == {}
+        assert dedup_renames(mem, local(("red cups", "table"))) == {}
         both = local(("red cup", "agent"), ("red cups", "agent"))
-        assert mem._dedup_renames(both) == {"red cups": "red cup"}
+        assert dedup_renames(mem, both) == {"red cups": "red cup"}
 
     def test_pair_index_starts_over_past_its_bound(self, monkeypatch):
         monkeypatch.setattr(spatial, "SIMILAR_CACHE_SIZE", 4)
         mem = make_memory()
         names = ["red cup", "red cups", "the red cup", "table"]
         local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
-        want = mem._dedup_renames(local)
+        want = dedup_renames(mem, local)
         assert mem._pairs_indexed == 10  # five names
-        assert mem._dedup_renames(local) == want
+        assert dedup_renames(mem, local) == want
         assert mem._pairs_indexed == 10  # indexed again from scratch
 
     def test_similar_name_outside_the_local_set_is_kept(self):
         mem = make_memory()
         both = {("red cup", "near", "agent"): Triplet("red cup", "near", "agent"),
                 ("red cups", "near", "agent"): Triplet("red cups", "near", "agent")}
-        assert mem._dedup_renames(both) == {"red cups": "red cup"}
+        assert dedup_renames(mem, both) == {"red cups": "red cup"}
         # "red cups" is now a node without edges, outside the next region.
         mem.restore({"nodes": ["red cups"], "edges": []})
         mem.buffer_triplets([Triplet("red cup", "on", "table")])
         mem.integrate()
         assert mem.nodes == {"red cup", "red cups", "table"}
+
+    def test_retrieval_seed_without_a_region_edge_is_not_merged(self):
+        # "red cup" is a node without edges that the last query named, so it
+        # is in the region but in no local edge, and "red cups" stays apart.
+        mem, ref = make_memory(), FullReplaceMemory()
+        for m in (mem, ref):
+            m.restore({"nodes": ["red cup"], "edges": []})
+            m.query("find the red cup")
+            m.buffer_triplets([Triplet("red cups", "on", "table")])
+            m.integrate()
+        assert mem.nodes == {"red cup", "red cups", "table"}
+        assert mem.snapshot() == ref.snapshot()
 
     def test_numbered_instances_survive_integration(self):
         # drawer 1 / drawer 2 score 0.889 against theta 0.8, yet are two drawers.
@@ -547,9 +649,6 @@ class TestDegreeCap:
         assert mem.in_degree("shelf") == 2
 
 
-_NAMES = ["cup", "cups", "table", "shelf", "drawer 1", "drawer 2",
-          "kitchen counter", "kitchen countertop"]
-_RELATIONS = ["on", "in", "at", "near", "holds", "is"]
 _triplets = st.builds(
     Triplet,
     st.sampled_from(_NAMES),
@@ -616,9 +715,11 @@ class TestIncidentIndex:
 
 class FullReplaceMemory(SpatialMemory):
     """Reference model: integrate as it was before merge-back became
-    incremental. Every de-dup scan decides every pair afresh, every local
-    edge goes to the conflict detector, and the merge-back removes the whole
-    retrieved region and re-adds the local set in order."""
+    incremental, frozen here so that it does not follow the code it checks.
+    It retrieves the region's sorted edges and builds the local set from
+    them, every de-dup scan decides every pair afresh, every local edge goes
+    to the conflict detector, and the merge-back removes the whole retrieved
+    region and re-adds the local set in order."""
 
     def _integrate(self, t_new):
         seeds = {t.subject for t in t_new} | {t.object for t in t_new}
@@ -641,6 +742,40 @@ class FullReplaceMemory(SpatialMemory):
         for edge in local.values():
             self._add_edge(edge)
 
+    def _retrieve(self, seeds, k):
+        frontier = {s for s in seeds if s in self._nodes}
+        reached = set(frontier)
+        for _ in range(k):
+            frontier = {
+                key[2]
+                for node in frontier
+                for key in self._out.get(node, ())
+                if key[2] not in reached
+            }
+            if not frontier:
+                break
+            reached |= frontier
+        keys = [key for node in reached for key in self._out.get(node, ()) if key[2] in reached]
+        return reached, [self._edges[key] for key in sorted(keys)]
+
+    def _dedup_entities(self, local, region_nodes):
+        rename = self._dedup_renames(local)
+        if not rename:
+            return local
+        merged = {}
+        for edge in local.values():
+            renamed = dataclasses.replace(
+                edge,
+                subject=rename.get(edge.subject, edge.subject),
+                object=rename.get(edge.object, edge.object),
+            )
+            prior = merged.get(renamed.key)
+            if prior is None or renamed.step_index >= prior.step_index:
+                merged[renamed.key] = renamed
+        for loser in rename:
+            self._drop_node(loser)
+        return merged
+
     def _dedup_renames(self, local):
         names = sorted({n for e in local.values() for n in (e.subject, e.object)})
         rename = {}
@@ -653,6 +788,35 @@ class FullReplaceMemory(SpatialMemory):
                 if not self._has_edges_outside(other, local):
                     rename[other] = name
         return rename
+
+    def _has_edges_outside(self, node, local):
+        return any(
+            key not in local
+            for keys in (self._out.get(node, ()), self._in.get(node, ()))
+            for key in keys
+        )
+
+    def _resolve_conflicts(self, local, suspects):
+        edges = [local[k] for k in sorted(local) if k[0] in suspects]
+        if not edges:
+            return local
+        payload = {
+            "edges": [e.to_doc() for e in edges],
+            "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
+            "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
+            "state_sets": DEFAULT_STATE_SETS,
+        }
+        response = self.gateway.ask(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
+        losers = set()
+        for group in response["conflicts"]:
+            contenders = [edges[i] for i in group if 0 <= i < len(edges)]
+            if len(contenders) < 2:
+                continue
+            winner = max(contenders, key=lambda e: (e.step_index, e.relation))
+            for edge in contenders:
+                if edge.key != winner.key:
+                    losers.add(edge.key)
+        return {k: v for k, v in local.items() if k not in losers}
 
 
 # Near-duplicate spellings (red cup ~ red cups ~ the red cup, drawer 1 ~
@@ -765,6 +929,60 @@ class TestHotNodeMergeBack:
         assert removed and all(key[0] == "agent" for key in removed)
         assert mem.snapshot() == ref.snapshot()
         assert ("agent", "at", "kitchen") not in {e.key for e in mem.edges()}
+
+
+class ShadowedMemory:
+    """Stands in for an agent's spatial memory: every buffer, integrate,
+    query and clear goes to a SpatialMemory and to a FullReplaceMemory
+    shadow, one triplet at a time, and their snapshots must agree after
+    each one, so after every integrate. The shadow asks its own gateway, so
+    the agent's call budget is not spent on it."""
+
+    def __init__(self, gateway, **config):
+        self.memory = SpatialMemory(gateway=gateway, **config)
+        self.shadow = FullReplaceMemory(gateway=ReasonerGateway(budget=10**9), **config)
+        self.integrates = 0
+
+    def check(self):
+        assert self.memory.snapshot() == self.shadow.snapshot()
+
+    def buffer_triplets(self, triplets):
+        for triplet in triplets:
+            for m in (self.memory, self.shadow):
+                m.buffer_triplets([triplet])
+            self.integrates += not self.memory.pending()
+            self.check()
+
+    def integrate(self):
+        self.integrates += bool(self.memory.pending())
+        for m in (self.memory, self.shadow):
+            m.integrate()
+        self.check()
+
+    def query(self, text):
+        found = self.memory.query(text)
+        assert self.shadow.query(text) == found
+        return found
+
+    def clear(self):
+        for m in (self.memory, self.shadow):
+            m.clear()
+
+    def __getattr__(self, name):
+        return getattr(self.memory, name)
+
+
+class TestFullReplaceShadow:
+    # The default caps, and caps low enough that hot nodes evict often.
+    @pytest.mark.parametrize("cap", [spatial.DEFAULT_MAX_OUT_DEGREE, 3])
+    def test_seed_3_suite_matches_full_replace_after_every_integrate(self, cap):
+        system = harness.AgentSystem.build()
+        shadowed = ShadowedMemory(system.gateway, max_out_degree=cap, max_in_degree=cap)
+        system.orchestrator.spatial = shadowed
+        profile, tasks = load_suite(builtin_suite_path())
+        episodes = harness.run_pass(tasks, system, suite_seed=3, profile=profile, failure_p=0.1)
+        assert not any(e.result.terminated_by.value == "crashed" for e in episodes)
+        assert shadowed.integrates > 100
 
 
 def reference_seeds(mem, text):
