@@ -814,9 +814,11 @@ class GatewayConfig:
 
 
 class ReasonerGateway:
-    """Validated, budget-capped access to the active backend."""
+    """Validated, budget-capped access to the active backend. ``budget``
+    caps the calls between two ``reset_budget`` calls; ``math.inf`` sets no
+    cap."""
 
-    def __init__(self, backend: Optional[Any] = None, budget: int = DEFAULT_BUDGET):
+    def __init__(self, backend: Optional[Any] = None, budget: float = DEFAULT_BUDGET):
         self.backend = backend if backend is not None else OracleBackend()
         self.budget = budget
         self._remaining = budget

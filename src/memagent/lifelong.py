@@ -6,14 +6,21 @@ two sources: per-action failure micro-entries buffered during the task,
 and post-task lessons (search dead-ends, failure causes, success recipes).
 Consolidation merges each new entry against its theta-similar neighbors of
 the same kind, so unrelated entries are never touched.
+
+Retrieval may be scoped to the entries one task's trace wrote (``task``).
+Each kind keeps a map from scope to entry ids, updated on the one write
+path, ``_apply``; a scope with no entry of the kind costs no embedding and
+no search. Ranking is still global: a scoped retrieval is the kind's top k
+with the other scopes' entries dropped, so those entries still take slots.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import Outcome, StepRecord, TaskResult
 from .gateway import ReasonerGateway, ReasonerRole
@@ -107,13 +114,17 @@ class TaskTrace:
 
 class LifelongMemory:
     def __init__(self, gateway: Optional[ReasonerGateway] = None):
-        self.gateway = gateway or ReasonerGateway()
+        # Nothing resets the budget of a gateway of its own, so it has none.
+        self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.embedder = HashingEmbedder()
         self._indexes = {
             "episodic": VectorIndex(dim=self.embedder.dim),
             "semantic": VectorIndex(dim=self.embedder.dim),
         }
         self._entities: Dict[str, MemoryEntity] = {}
+        # Per kind: scope (an entry's ``task``) -> ids of that kind's entries
+        # in it. Only _apply and wipe change it.
+        self._scopes: Dict[str, Dict[str, Set[str]]] = {"episodic": {}, "semantic": {}}
         self._id_counters: Dict[str, int] = {}
         # Micro-entity text -> (occurrence count, tags).
         self._action_buffer: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
@@ -302,20 +313,42 @@ class LifelongMemory:
         for entity_id in plan.deletes:
             old = self._entities.pop(entity_id)
             self._indexes[old.kind].remove(entity_id)
-        # An update keeps its target's id, so it is written like an add.
+            self._unscope(old)
+        # An update keeps its target's id, so it is written like an add; it
+        # may move the entry to another task's scope.
         for entity in [updated for _, updated in plan.updates] + plan.adds:
+            prior = self._entities.get(entity.id)
+            if prior is not None:
+                self._unscope(prior)
             self._entities[entity.id] = entity
+            self._scopes[entity.kind].setdefault(entity.task, set()).add(entity.id)
             self._indexes[entity.kind].upsert(
                 IndexEntry(id=entity.id, text=entity.text, embedding=self.embedder.embed(entity.text))
             )
 
+    def _unscope(self, entity: MemoryEntity) -> None:
+        ids = self._scopes[entity.kind][entity.task]
+        ids.discard(entity.id)
+        if not ids:
+            del self._scopes[entity.kind][entity.task]
+
     # -- retrieval -----------------------------------------------------------
 
-    def retrieve(self, query: str, kind: str, k: int = 5) -> List[Tuple[MemoryEntity, float]]:
+    def retrieve(
+        self, query: str, kind: str, k: int = 5, scope: Optional[str] = None
+    ) -> List[Tuple[MemoryEntity, float]]:
         """The top ``k`` entries of one kind at least theta-similar to
-        ``query``, best first, ties by id."""
+        ``query``, best first, ties by id. With a ``scope``, only those of
+        them whose ``task`` is the scope: the ranking is over the whole
+        kind, so this may return fewer than ``k`` while the scope holds more
+        similar entries. With no entry of the kind in the scope it returns
+        ``[]`` without embedding ``query``."""
         with self._lock:
-            return self._search(query, kind, k)
+            if scope is None:
+                return self._search(query, kind, k)
+            if scope not in self._scopes[kind]:
+                return []
+            return [hit for hit in self._search(query, kind, k) if hit[0].task == scope]
 
     def _search(self, text: str, kind: str, k: int) -> List[Tuple[MemoryEntity, float]]:
         index = self._indexes[kind]
@@ -329,6 +362,7 @@ class LifelongMemory:
     def wipe(self) -> None:
         with self._lock:
             self._entities.clear()
+            self._scopes = {"episodic": {}, "semantic": {}}
             self._indexes = {
                 "episodic": VectorIndex(dim=self.embedder.dim),
                 "semantic": VectorIndex(dim=self.embedder.dim),

@@ -102,17 +102,19 @@ class MemoryOrchestrator:
 
     # -- retrieval fan-out -----------------------------------------------------
 
-    def gather_context(self, query: str) -> MemoryContext:
+    def gather_context(self, query: str, scope: Optional[str] = None) -> MemoryContext:
+        """The four sections for ``query``. ``scope`` narrows the long-term
+        sections to one task's entries (see ``LifelongMemory.retrieve``)."""
         start = time.perf_counter()
         sections: Dict[str, Callable[[], object]] = {
             "spatial": (lambda: self.spatial.query(query))
             if self.spatial_enabled
             else (lambda: ()),
             "temporal": self.temporal.render,
-            "episodic": (lambda: self.lifelong.retrieve(query, "episodic", RETRIEVAL_K))
+            "episodic": (lambda: self.lifelong.retrieve(query, "episodic", RETRIEVAL_K, scope))
             if self.longterm_enabled
             else (lambda: []),
-            "semantic": (lambda: self.lifelong.retrieve(query, "semantic", RETRIEVAL_K))
+            "semantic": (lambda: self.lifelong.retrieve(query, "semantic", RETRIEVAL_K, scope))
             if self.longterm_enabled
             else (lambda: []),
         }

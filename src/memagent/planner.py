@@ -316,7 +316,7 @@ def run_episode(
 
     while executed < env.max_steps and not env.done:
         if beliefs is None:
-            context = orchestrator.gather_context(query)
+            context = orchestrator.gather_context(query, scope=task.id)
             beliefs = build_beliefs(context, observed, task.id, trace)
 
         if plan is None or plan_index >= len(plan.steps):

@@ -17,10 +17,16 @@ Observation text follows a fixed line grammar (documented in the README):
 The summarizer and query generator run as one gateway fan-out of ``ask``
 calls, so a gateway fault in either has already degraded to the role's
 fallback; any other error is raised and ends the episode as crashed.
+
+Observations repeat lines from step to step, so the grammar lives in
+``_parse_line``, memoized per distinct line; ``extract_triplets`` only
+builds each step's triplets from the parsed facts.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -35,6 +41,9 @@ _AT = re.compile(r"^you are at (?P<point>.+)$")
 _SEE = re.compile(r"^you see (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
 _STATE = re.compile(r"^(?P<obj>.+?) is (?P<state>open|closed|on|off|sliced|heated|cleaned)$")
 _HOLDING = re.compile(r"^holding: (?P<obj>.+)$")
+#: Distinct observation lines whose parse is kept; one suite run has about
+#: 140.
+PARSE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,33 @@ class PreprocessOutput:
     triplets: Tuple[Triplet, ...]
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_line(line: str) -> Optional[Tuple[str, str, str]]:
+    """The (subject, relation, object) fact one observation line states,
+    its names canonical; ``None`` for a blank or unknown line and for
+    ``holding: nothing``. A pure function of the line, so each distinct
+    line is parsed once per process."""
+    line = line.strip().lower()
+    if not line:
+        return None
+    match = _AT.match(line)
+    if match:
+        return (AGENT, "at", canonical_name(match.group("point")))
+    match = _SEE.match(line)
+    if match:
+        obj = canonical_name(match.group("obj"))
+        return (obj, match.group("rel"), canonical_name(match.group("place")))
+    match = _STATE.match(line)
+    if match:
+        return (canonical_name(match.group("obj")), "is", match.group("state"))
+    match = _HOLDING.match(line)
+    if match:
+        obj = canonical_name(match.group("obj"))
+        if obj != "nothing":
+            return (AGENT, "holds", obj)
+    return None
+
+
 def extract_triplets(obs: Observation) -> List[Triplet]:
     """Parse the observation grammar into spatial facts. The agent's own
     position, nearness to co-located objects, and held object are all
@@ -51,34 +87,16 @@ def extract_triplets(obs: Observation) -> List[Triplet]:
     triplets: List[Triplet] = []
     current_point: Optional[str] = None
     step = obs.step_index
-    for raw_line in obs.text.splitlines():
-        line = raw_line.strip().lower()
-        if not line:
+    for line in obs.text.splitlines():
+        fact = _parse_line(line)
+        if fact is None:
             continue
-        match = _AT.match(line)
-        if match:
-            current_point = canonical_name(match.group("point"))
-            triplets.append(Triplet(AGENT, "at", current_point, step))
-            continue
-        match = _SEE.match(line)
-        if match:
-            obj = canonical_name(match.group("obj"))
-            place = canonical_name(match.group("place"))
-            triplets.append(Triplet(obj, match.group("rel"), place, step))
-            if current_point is not None and place == current_point:
-                triplets.append(Triplet(AGENT, "near", obj, step))
-            continue
-        match = _STATE.match(line)
-        if match:
-            triplets.append(
-                Triplet(canonical_name(match.group("obj")), "is", match.group("state"), step)
-            )
-            continue
-        match = _HOLDING.match(line)
-        if match:
-            obj = canonical_name(match.group("obj"))
-            if obj != "nothing":
-                triplets.append(Triplet(AGENT, "holds", obj, step))
+        subject, relation, obj = fact
+        triplets.append(Triplet(subject, relation, obj, step))
+        if relation == "at":
+            current_point = obj
+        elif relation in ("on", "in") and obj == current_point:  # a "you see" line
+            triplets.append(Triplet(AGENT, "near", subject, step))
     return triplets
 
 
@@ -99,7 +117,8 @@ class Preprocessor:
         instruction: str = "",
         parallel: bool = True,
     ):
-        self.gateway = gateway or ReasonerGateway()
+        # Nothing resets the budget of a gateway of its own, so it has none.
+        self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.instruction = instruction
         self.parallel = parallel  # the run's fan-out decision (MemoryOrchestrator.parallel)
 

@@ -13,12 +13,18 @@ gets only the edges in contested slots of subjects that may conflict, and
 the merge-back re-adds, in the order a full replace of the region would,
 only the changed keys and the region edges of nodes that would exceed a
 degree cap.
+
+The step pays only for lookups some decision reads. The fast conflict
+check is a key lookup in the graph and in a set of the buffer's keys. The
+similarity index of node names is filled only when a seed lookup first
+needs a search, since most seeds resolve by exact name.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 import re
 import threading
 from collections import Counter
@@ -194,7 +200,8 @@ class SpatialMemory:
         max_out_degree: int = DEFAULT_MAX_OUT_DEGREE,
         max_in_degree: int = DEFAULT_MAX_IN_DEGREE,
     ):
-        self.gateway = gateway or ReasonerGateway()
+        # Nothing resets the budget of a gateway of its own, so it has none.
+        self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.embedder = _EMBEDDER
         self.theta = theta
         self.k_hops = k_hops
@@ -222,8 +229,14 @@ class SpatialMemory:
         # Names whose pairs with each other have all been decided (in the
         # pair index); emptied by clear() and when the pair index starts over.
         self._decided: Set[str] = set()
+        # Embeddings of the node names, for seed resolution by similarity.
+        # A new node waits in _unindexed until a search needs the index
+        # (_index_nodes).
         self._index = VectorIndex(dim=self.embedder.dim)
+        self._unindexed: Set[str] = set()
         self._pending: List[Triplet] = []
+        # The keys of _pending, for _fast_conflict; emptied with it.
+        self._pending_keys: Set[EdgeKey] = set()
         self._retrieval_seed: Set[str] = set()  # most recent retrieval entities
         self._lock = threading.RLock()
 
@@ -260,7 +273,9 @@ class SpatialMemory:
             self._dirty.clear()
             self._decided.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
+            self._unindexed.clear()
             self._pending.clear()
+            self._pending_keys.clear()
             self._retrieval_seed.clear()
 
     # -- rapid response phase ---------------------------------------------
@@ -270,6 +285,7 @@ class SpatialMemory:
         with self._lock:
             for triplet in new_triplets:
                 self._pending.append(triplet)
+                self._pending_keys.add(triplet.key)
                 if len(self._pending) >= self.buffer_capacity or self._fast_conflict(triplet):
                     self.integrate()
 
@@ -278,7 +294,7 @@ class SpatialMemory:
         subject and object under a relation exclusive with its own."""
         for partner in _EXCLUSIVE_WITH.get(triplet.relation, ()):
             key = (triplet.subject, partner, triplet.object)
-            if key in self._edges or any(t.key == key for t in self._pending):
+            if key in self._edges or key in self._pending_keys:
                 return True
         return False
 
@@ -290,6 +306,7 @@ class SpatialMemory:
                 return
             t_new = list(self._pending)
             self._pending = []
+            self._pending_keys.clear()
             self._integrate(t_new)
 
     def _integrate(self, t_new: List[Triplet]) -> None:
@@ -534,6 +551,7 @@ class SpatialMemory:
         if not name or not self._nodes:
             return None
         numbers = _instance_numbers(name)
+        self._index_nodes()
         results = self._index.search(
             self.embedder.embed(name), k=len(self._index) if numbers else 1, theta=self.theta
         )
@@ -616,6 +634,7 @@ class SpatialMemory:
         # One product over all fragments prunes those that no node may
         # reach; the rest resolve by search, which alone decides a hit.
         ordered = sorted(set(fragments(range(len(words)))))
+        self._index_nodes()
         reach = self._index.may_hit([self.embedder.embed(f) for f in ordered], self.theta)
         candidates = [fragment for fragment, may in zip(ordered, reach) if may]
         return {r for r in map(self._resolve_seed, candidates) if r}
@@ -641,7 +660,15 @@ class SpatialMemory:
         if node not in self._nodes:
             self._nodes.add(node)
             self._first_words[node.split(" ", 1)[0]] += 1
+            self._unindexed.add(node)
+
+    def _index_nodes(self) -> None:
+        """Upsert the nodes not yet in the index, in sorted order. Search is
+        exact and ranks by (score, id), and ``may_hit`` only prunes, so no
+        result depends on the order of the rows."""
+        for node in sorted(self._unindexed):
             self._index.upsert(IndexEntry(id=node, text=node, embedding=self.embedder.embed(node)))
+        self._unindexed.clear()
 
     def _remove_edge(self, key: EdgeKey) -> None:
         del self._edges[key]
@@ -672,6 +699,7 @@ class SpatialMemory:
                 del self._first_words[first]
         if node in self._index:
             self._index.remove(node)
+        self._unindexed.discard(node)
         self._dirty.discard(node)
         for key in self._out.get(node, set()) | self._in.get(node, set()):
             self._remove_edge(key)
@@ -695,4 +723,5 @@ class SpatialMemory:
             for node in doc["nodes"]:
                 self._add_node(node)
             self._pending = [Triplet(**t) for t in doc.get("pending", [])]
+            self._pending_keys = {t.key for t in self._pending}
             self._retrieval_seed = set(doc.get("retrieval_seed", []))

@@ -6,6 +6,7 @@ the new item.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -40,7 +41,8 @@ class TemporalMemory:
     def __init__(self, gateway: Optional[ReasonerGateway] = None, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.gateway = gateway or ReasonerGateway()
+        # Nothing resets the budget of a gateway of its own, so it has none.
+        self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.capacity = capacity
         self._entries: List[BufferItem] = []
         self._lock = threading.RLock()

@@ -10,6 +10,7 @@ import pytest
 from memagent import gateway as gateway_module
 from memagent.core import canonical_json
 from memagent.gateway import (
+    DEFAULT_BUDGET,
     BackendUnreachableError,
     BudgetExceededError,
     GatewayConfig,
@@ -22,6 +23,10 @@ from memagent.gateway import (
     SchemaViolationError,
 )
 from memagent.harness import run_suite
+from memagent.lifelong import LifelongMemory
+from memagent.preprocessor import Preprocessor
+from memagent.spatial import SpatialMemory
+from memagent.temporal import TemporalMemory
 from perfbench.spans import LOG_KINDS
 
 
@@ -81,6 +86,15 @@ class TestBudget:
         gateway.invoke(ReasonerRole.QUERY_GENERATOR, payload)
         gateway.reset_budget()
         gateway.invoke(ReasonerRole.QUERY_GENERATOR, payload)
+
+    @pytest.mark.parametrize(
+        "component", [SpatialMemory, TemporalMemory, LifelongMemory, Preprocessor]
+    )
+    def test_a_gateway_of_a_component_s_own_has_no_budget(self, component):
+        # Only run_episode resets a budget, and it never sees this gateway.
+        gateway = component().gateway
+        for _ in range(DEFAULT_BUDGET + 1):
+            gateway.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
 
 
 #: One request per role, each drawing an answer with nested lists or dicts

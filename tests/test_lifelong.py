@@ -238,6 +238,99 @@ class TestRetrieval:
         assert mem.retrieve("put cup on table", kind="episodic")
 
 
+def scope_recount(mem):
+    """The scope map, recomputed from the entries alone."""
+    scopes = {"episodic": {}, "semantic": {}}
+    for entity in mem.entities():
+        scopes[entity.kind].setdefault(entity.task, set()).add(entity.id)
+    return scopes
+
+
+class TestScopedRetrieval:
+    #: Texts that, under the oracle updater, add, update (same text, which
+    #: moves the entry to the new entity's task) or replace (same
+    #: instruction tag, other outcome) an entry.
+    TEXTS = ["cup on shelf", "cup on sink", "pick_up cup: fails when hands full",
+             "open fridge: fails when target not here", "recipe for cup on shelf"]
+    SCOPES = ["t0", "t1", "t2", "t3", "t9"]
+
+    def check(self, mem):
+        assert mem._scopes == scope_recount(mem)
+        for kind in ("episodic", "semantic"):
+            for query in self.TEXTS + ["cup"]:
+                everywhere = mem.retrieve(query, kind, k=3)
+                for scope in self.SCOPES:
+                    want = [hit for hit in everywhere if hit[0].task == scope]
+                    assert mem.retrieve(query, kind, k=3, scope=scope) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 3),
+                        st.sampled_from(["episodic", "semantic"]),
+                        st.integers(0, 4),
+                        st.booleans(),
+                    ),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.sampled_from(["wipe", "snapshot", "restore"]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_scoped_equals_global_filtered_after_every_operation(self, operations):
+        mem = LifelongMemory()
+        saved = mem.snapshot()
+        for b, op in enumerate(operations):
+            if op == "wipe":
+                mem.wipe()
+            elif op == "snapshot":
+                saved = mem.snapshot()
+            elif op == "restore":
+                mem.restore(saved)
+            else:
+                mem.consolidate([
+                    MemoryEntity(
+                        id=f"{kind}-t{task}-{b}-{i}",
+                        kind=kind,
+                        text=self.TEXTS[text],
+                        task=f"t{task}",
+                        tags=("instruction:put cup on table",
+                              "outcome:success" if ok else "outcome:failure"),
+                    )
+                    for i, (task, kind, text, ok) in enumerate(op)
+                ])
+            self.check(mem)
+
+    def test_update_moves_the_entry_to_the_new_scope(self):
+        mem = LifelongMemory()
+        text = "pick_up cup: fails when hands full"
+        mem.consolidate([MemoryEntity(id="semantic-t1-1", kind="semantic", text=text, task="t1")])
+        plan = mem.consolidate(
+            [MemoryEntity(id="semantic-t2-1", kind="semantic", text=text, task="t2")]
+        )
+        assert len(plan.updates) == 1
+        assert mem._scopes == {"episodic": {}, "semantic": {"t2": {"semantic-t1-1"}}}
+        assert mem.retrieve(text, "semantic", scope="t1") == []
+        assert [e.id for e, _ in mem.retrieve(text, "semantic", scope="t2")] == ["semantic-t1-1"]
+
+    def test_scope_without_entries_neither_embeds_nor_searches(self, monkeypatch):
+        mem = LifelongMemory()
+        mem.consolidate([MemoryEntity(id="episodic-t1-1", kind="episodic",
+                                      text="cup on shelf", task="t1")])
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(mem.embedder, "embed", no_search)
+        for kind, scope in (("episodic", "t2"), ("semantic", "t1")):
+            assert mem.retrieve("cup on shelf", kind, scope=scope) == []
+
+
 class TestPersistence:
     def build(self):
         mem = LifelongMemory()

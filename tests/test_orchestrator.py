@@ -155,9 +155,9 @@ class TestGather:
         retrieved = []
 
         class RecordingLifelong(LifelongMemory):
-            def retrieve(self, query, kind, k=5):
+            def retrieve(self, query, kind, k=5, scope=None):
                 retrieved.append(kind)
-                return super().retrieve(query, kind, k)
+                return super().retrieve(query, kind, k, scope)
 
         orch = MemoryOrchestrator(
             temporal=BrokenTemporal(), lifelong=RecordingLifelong(), parallel=parallel

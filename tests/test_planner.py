@@ -403,7 +403,9 @@ class TestEpisodeLoop:
         orch = MemoryOrchestrator()
         gathers = []
         gather = orch.gather_context
-        orch.gather_context = lambda query: gathers.append(query) or gather(query)
+        orch.gather_context = (
+            lambda query, scope=None: gathers.append(query) or gather(query, scope)
+        )
         env = Environment(profile="realworld", failure_p=0.0)
         episode = run_episode(self.task(), env, AlwaysRejectGateway(), orch)
         assert sum(not t["executed"] for t in episode.trajectory) >= 2

@@ -1,8 +1,13 @@
 """Tests for the observation-to-memory preprocessor."""
 
-import pytest
+import re
 
-from memagent.core import ActionCommand, Observation, Outcome, Verb
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memagent import harness, preprocessor
+from memagent.core import ActionCommand, Observation, Outcome, Verb, canonical_name
 from memagent.gateway import (
     BackendUnreachableError,
     OracleBackend,
@@ -10,6 +15,7 @@ from memagent.gateway import (
     ReasonerRole,
 )
 from memagent.preprocessor import Preprocessor, extract_triplets, visible_entities
+from memagent.spatial import Triplet
 
 
 def obs(text, step=0):
@@ -67,6 +73,103 @@ class TestTripletExtraction:
         )
         assert "agent" not in names
         assert names == ["sink", "cup", "fork"]
+
+
+# The line grammar as one regex pass per line and step, frozen here so that
+# it does not follow the memoized parse it checks.
+_AT = re.compile(r"^you are at (?P<point>.+)$")
+_SEE = re.compile(r"^you see (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
+_STATE = re.compile(r"^(?P<obj>.+?) is (?P<state>open|closed|on|off|sliced|heated|cleaned)$")
+_HOLDING = re.compile(r"^holding: (?P<obj>.+)$")
+
+
+def reference_triplets(observation):
+    triplets = []
+    current_point = None
+    step = observation.step_index
+    for raw_line in observation.text.splitlines():
+        line = raw_line.strip().lower()
+        if not line:
+            continue
+        match = _AT.match(line)
+        if match:
+            current_point = canonical_name(match.group("point"))
+            triplets.append(Triplet("agent", "at", current_point, step))
+            continue
+        match = _SEE.match(line)
+        if match:
+            obj = canonical_name(match.group("obj"))
+            place = canonical_name(match.group("place"))
+            triplets.append(Triplet(obj, match.group("rel"), place, step))
+            if current_point is not None and place == current_point:
+                triplets.append(Triplet("agent", "near", obj, step))
+            continue
+        match = _STATE.match(line)
+        if match:
+            triplets.append(
+                Triplet(canonical_name(match.group("obj")), "is", match.group("state"), step)
+            )
+            continue
+        match = _HOLDING.match(line)
+        if match:
+            obj = canonical_name(match.group("obj"))
+            if obj != "nothing":
+                triplets.append(Triplet("agent", "holds", obj, step))
+    return triplets
+
+
+def assert_parses_like_reference(observation):
+    try:
+        want = reference_triplets(observation)
+    except ValueError as exc:  # a name that canonicalizes to nothing
+        with pytest.raises(type(exc)):
+            extract_triplets(observation)
+        return
+    got = extract_triplets(observation)
+    assert got == want
+    assert [t.key for t in got] == [t.key for t in want]
+
+
+_LINE_NAMES = ["cup", "Red  Cup", "sink", " dining table ", "nothing", "Nothing",
+               "is", "on", "you see cup", "drawer 1", "open"]
+_generated_lines = st.one_of(
+    st.sampled_from(["", "   ", "???", "action failed: target not found", "you are at",
+                     "you see cup on", "holding:", "holding: nothing", "HOLDING: nothing",
+                     "cup is", "cup is broken", "you see   on table"]),
+    st.builds("you are at {}".format, st.sampled_from(_LINE_NAMES)),
+    st.builds("you see {} {} {}".format, st.sampled_from(_LINE_NAMES),
+              st.sampled_from(["on", "in", "at", "ON"]), st.sampled_from(_LINE_NAMES)),
+    st.builds("{} is {}".format, st.sampled_from(_LINE_NAMES),
+              st.sampled_from(["open", "closed", "on", "off", "sliced", "heated", "cleaned",
+                               "red"])),
+    st.builds("holding: {}".format, st.sampled_from(_LINE_NAMES)),
+    st.builds("  {}\t".format, st.sampled_from(["You Are At Sink", "you see cup on sink"])),
+)
+
+
+class TestParseMatchesRegexReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_generated_lines, max_size=8), step=st.integers(0, 20))
+    def test_generated_lines(self, lines, step):
+        # An observation is never empty, so each one ends with an unknown line.
+        assert_parses_like_reference(obs("\n".join(lines + ["???"]), step=step))
+
+    def test_every_observation_of_a_seed_3_suite(self, monkeypatch):
+        seen = []
+
+        def checked(observation):
+            seen.append(observation.text)
+            assert_parses_like_reference(observation)
+            return extract_triplets(observation)
+
+        monkeypatch.setattr(preprocessor, "extract_triplets", checked)
+        outcome = harness.run_suite(seed=3, passes=2, failure_p=0.1)
+        assert len(seen) > 300
+        assert all(
+            t["terminated_by"] != "crashed"
+            for p in outcome["report"]["passes"]
+            for t in p["tasks"]
+        )
 
 
 class TestPreprocess:

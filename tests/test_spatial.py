@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import logging
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from memagent.gateway import (
     ReasonerGateway,
     ReasonerRole,
 )
-from memagent.vector_index import cosine
+from memagent.vector_index import VectorIndex, cosine
 
 
 def make_memory(**kwargs):
@@ -333,6 +335,24 @@ class TestConflictResolution:
         mem.integrate()
         (edge,) = mem.edges()
         assert edge.step_index == 4
+
+    def test_own_gateway_never_runs_out_of_budget(self, caplog):
+        # No episode resets the budget of a memory used on its own, so its
+        # detector must keep answering past the per-episode call budget.
+        caplog.set_level(logging.WARNING, logger="memagent")
+        mem = make_memory()
+        calls = []
+        backend_invoke = mem.gateway.backend.invoke
+        mem.gateway.backend.invoke = lambda role, payload: (
+            calls.append(role) or backend_invoke(role, payload)
+        )
+        for step in range(251):
+            place = ("table", "cabinet")[step % 2]
+            mem.buffer_triplets([Triplet("cup", "on", place, step_index=step)])
+            mem.integrate()
+        assert calls.count(ReasonerRole.KG_CONFLICT_DETECTOR) == 250
+        assert not [r for r in caplog.records if "exhausted" in r.getMessage()]
+        assert [e.key for e in mem.edges()] == [("cup", "on", "table")]
 
 
 _NAMES = ["cup", "cups", "table", "shelf", "drawer 1", "drawer 2",
@@ -713,6 +733,44 @@ class TestIncidentIndex:
             check_index(mem, k)
 
 
+#: For each relation, the relations the detector holds exclusive with it on
+#: one subject and object.
+_PARTNERS = {r: [o for pair in DEFAULT_EXCLUSIVE_PAIRS if r in pair for o in pair if o != r]
+             for pair in DEFAULT_EXCLUSIVE_PAIRS for r in pair}
+
+
+class TestPendingKeys:
+    @settings(max_examples=100, deadline=None)
+    @given(operations=_operations, buffer=st.integers(min_value=1, max_value=6))
+    def test_fast_conflict_matches_a_scan_of_the_buffer(self, operations, buffer):
+        mem = make_memory(buffer_capacity=buffer)
+        fast_conflict = mem._fast_conflict
+
+        def scanned(triplet):
+            keys = [(triplet.subject, partner, triplet.object)
+                    for partner in _PARTNERS.get(triplet.relation, ())]
+            want = any(
+                key in mem._edges or any(t.key == key for t in mem._pending) for key in keys
+            )
+            assert fast_conflict(triplet) == want
+            return want
+
+        mem._fast_conflict = scanned
+        saved = mem.snapshot()
+        for op in operations:
+            if op == "integrate":
+                mem.integrate()
+            elif op == "snapshot":
+                saved = mem.snapshot()
+            elif op == "restore":
+                mem.restore(saved)
+            elif op == "clear":
+                mem.clear()
+            else:
+                mem.buffer_triplets(op)
+            assert mem._pending_keys == {t.key for t in mem._pending}
+
+
 class FullReplaceMemory(SpatialMemory):
     """Reference model: integrate as it was before merge-back became
     incremental, frozen here so that it does not follow the code it checks.
@@ -1034,6 +1092,82 @@ class TestSeedPrune:
         for words in queries:
             text = " ".join(words)
             assert mem._extract_seeds(text) == reference_seeds(mem, text)
+
+
+_index_operations = st.lists(
+    st.one_of(
+        st.lists(_near_triplets, min_size=1, max_size=4),
+        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
+        # Names that are often not nodes, so they resolve by similarity.
+        st.sampled_from(_SEED_NAMES + ["red cupz", "drawerz 1", "tables"]).map(
+            lambda name: ("query", name)
+        ),
+    ),
+    max_size=16,
+)
+
+
+class TestLazyIndex:
+    """Node names enter the similarity index only when a search needs it,
+    and then the index holds exactly the nodes."""
+
+    def checked(self, mem, searched):
+        real_search, real_may_hit = VectorIndex.search, VectorIndex.may_hit
+
+        def check(index):
+            if index is mem._index:
+                assert len(index) == len(mem.nodes)
+                assert {entry.id for entry in index.entries()} == mem.nodes
+                searched.append(len(index))
+
+        def search(index, *args, **kwargs):
+            check(index)
+            return real_search(index, *args, **kwargs)
+
+        def may_hit(index, *args, **kwargs):
+            check(index)
+            return real_may_hit(index, *args, **kwargs)
+
+        return mock.patch.multiple(VectorIndex, search=search, may_hit=may_hit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operations=_index_operations, buffer=st.integers(min_value=1, max_value=4))
+    def test_index_holds_the_nodes_at_every_search(self, operations, buffer):
+        mem = make_memory(buffer_capacity=buffer, max_out_degree=2, max_in_degree=2)
+        saved = mem.snapshot()
+        with self.checked(mem, []):
+            for op in operations:
+                if op == "integrate":
+                    mem.integrate()
+                elif op == "snapshot":
+                    saved = mem.snapshot()
+                elif op == "restore":
+                    mem.restore(saved)
+                elif op == "clear":
+                    mem.clear()
+                elif isinstance(op, tuple):
+                    mem.query(op[1])
+                    mem.retrieve_subgraph([op[1]])
+                else:
+                    mem.buffer_triplets(op)
+
+    def test_nodes_wait_for_the_first_similarity_search(self):
+        mem = make_memory()
+        searched = []
+        with self.checked(mem, searched):
+            mem.buffer_triplets([Triplet("red cup", "on", "table"),
+                                 Triplet("drawer 1", "near", "table")])
+            mem.integrate()
+            assert [e.key for e in mem.query("red cup")] == [("red cup", "on", "table")]
+            assert len(mem._index) == 0 and searched == []
+            assert [e.key for e in mem.query("red cups")] == [("red cup", "on", "table")]
+            assert searched and len(mem._index) == 3
+            # A de-dup drop leaves the index with the node.
+            mem.buffer_triplets([Triplet("the red cup", "on", "table", step_index=1)])
+            mem.integrate()
+            assert "the red cup" not in mem.nodes
+            assert mem.query("red cupz")
+            assert searched[-1] == len(mem.nodes) == 3
 
 
 class TestPersistence:
