@@ -195,6 +195,19 @@ def to_doc(value: Any) -> Any:
     raise TypeError(f"not a serializable core type: {type(value)!r}")
 
 
+def step_record_from_doc(doc: dict) -> StepRecord:
+    """The ``StepRecord`` whose ``to_doc`` is ``doc``; other keys are
+    ignored."""
+    action = doc["action"]
+    return StepRecord(
+        step_index=doc["step_index"],
+        action=ActionCommand(verb=Verb(action["verb"]), target=action.get("target")),
+        summary=doc["summary"],
+        outcome=Outcome(doc["outcome"]),
+        failure_reason=doc.get("failure_reason"),
+    )
+
+
 #: Workers of the shared pool: the widest fan-out in the program, the four
 #: retrieval sections of ``MemoryOrchestrator.gather_context``.
 FAN_OUT_WORKERS = 4

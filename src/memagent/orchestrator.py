@@ -15,6 +15,7 @@ reasoner calls degrade through ``ReasonerGateway.ask``.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -152,3 +153,10 @@ class MemoryOrchestrator:
                 "lifelong": self.lifelong.snapshot(),
             }
         )
+
+    def restore(self, text: str) -> None:
+        """Restore all three stores from a ``snapshot`` document."""
+        doc = json.loads(text)
+        self.spatial.restore(doc["spatial"])
+        self.temporal.restore(doc["temporal"])
+        self.lifelong.restore(doc["lifelong"])

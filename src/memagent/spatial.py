@@ -1,9 +1,12 @@
 """Knowledge-graph spatial memory with buffered two-phase updates.
 
-New facts land in a small pending buffer (rapid response). On buffer
-saturation or a fast-detected conflict, the affected K-hop region of the
-graph is de-duplicated, conflict-resolved, and merged back; nodes outside
-that region are never touched.
+New facts land in a small pending buffer (rapid response), one batch per
+observation. When a batch leaves the buffer saturated or holds a
+fast-detected conflict, the whole buffer is integrated once: the affected
+K-hop region of the graph is de-duplicated, conflict-resolved, and merged
+back; nodes outside that region are never touched. A batch is never cut,
+so a query made after the call never misses the tail of an observation
+that filled the buffer.
 
 Integrate costs what the step changed, not what the region holds. The
 region is a set of nodes, and its local edge set is never copied: it is
@@ -281,13 +284,20 @@ class SpatialMemory:
     # -- rapid response phase ---------------------------------------------
 
     def buffer_triplets(self, new_triplets: Sequence[Triplet]) -> None:
-        """Buffer new facts; integrate on saturation or a fast conflict."""
+        """Buffer a batch of new facts (one observation's), then integrate
+        the whole buffer once if it has reached ``buffer_capacity`` or any
+        fact of the batch fast-conflicts. Nothing reads the graph between
+        two facts of one call, so no reader sees a batch half merged, and
+        between calls the buffer holds fewer than ``buffer_capacity`` facts
+        and no fast conflict."""
         with self._lock:
+            conflict = False
             for triplet in new_triplets:
                 self._pending.append(triplet)
                 self._pending_keys.add(triplet.key)
-                if len(self._pending) >= self.buffer_capacity or self._fast_conflict(triplet):
-                    self.integrate()
+                conflict = conflict or self._fast_conflict(triplet)
+            if conflict or len(self._pending) >= self.buffer_capacity:
+                self.integrate()
 
     def _fast_conflict(self, triplet: Triplet) -> bool:
         """Whether the graph or the buffer holds a fact on the triplet's

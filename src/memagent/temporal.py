@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .core import StepRecord, to_doc
+from .core import StepRecord, step_record_from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 
 DEFAULT_CAPACITY = 3
@@ -90,3 +90,22 @@ class TemporalMemory:
                 for item in self._entries
             ]
             return {"capacity": self.capacity, "entries": items}
+
+    def restore(self, doc: dict) -> None:
+        """Take the capacity and buffer of a ``snapshot`` document."""
+        capacity = doc["capacity"]
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        entries: List[BufferItem] = []
+        for item in doc["entries"]:
+            if item["type"] == "compacted":
+                entries.append(
+                    CompactedSummary(text=item["text"], covers_steps=tuple(item["covers_steps"]))
+                )
+            elif item["type"] == "step":
+                entries.append(step_record_from_doc(item))
+            else:
+                raise ValueError(f"unknown temporal entry type: {item['type']!r}")
+        with self._lock:
+            self.capacity = capacity
+            self._entries = entries

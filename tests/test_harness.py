@@ -274,11 +274,11 @@ class TestGoldenReports:
 GOLDEN_SNAPSHOT_SHA256 = {
     3: (
         "c222f9e337972664a2bfcb5ece4bcf05cb2b9c3ce6e25d756419739d13fbcb06",
-        "ab8653c2642ad77df30cb31091e23a83d2b91e21239a8aaadae0813e701276f9",
+        "4eaecf207a3a8f36611c23a31980a47e5ebc675ec1269460b129ba4c4b6f7651",
     ),
     11: (
         "621d7f9c1a14b24135b38ecc886b3f450f30cb16fcca30eafeb646ca2738f538",
-        "cbb481fbba068e9ff8102d0abc540fd11f8b87fb53fb8418941d063fc51f7745",
+        "2b9e65860275bd5192ff81861cd1a71bc5df69fbdaf58499b007eaa3ae964be6",
     ),
 }
 

@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memagent.core import (
     ActionCommand,
@@ -15,6 +17,7 @@ from memagent.core import (
     TaskResult,
     Termination,
     Verb,
+    canonical_json,
 )
 from memagent.gateway import OracleBackend, ReasonerGateway, ReasonerRole
 from memagent.lifelong import LifelongMemory, TaskTrace
@@ -286,3 +289,61 @@ class TestTaskBoundaries:
             "temporal": orch.temporal.snapshot(),
             "lifelong": orch.lifelong.snapshot(),
         }
+
+
+_NAMES = ["cup", "table", "sink", "fridge", "drawer 1", "agent"]
+_triplets = st.builds(
+    Triplet,
+    st.sampled_from(_NAMES),
+    st.sampled_from(["on", "in", "near", "holds", "is"]),
+    st.sampled_from(_NAMES + ["open", "closed"]),
+    step_index=st.integers(min_value=0, max_value=5),
+)
+_records = st.builds(
+    lambda i, verb, target, failed: step(
+        i, verb, target, Outcome.FAILURE if failed else Outcome.SUCCESS,
+        "hands full" if failed else None,
+    ),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from([Verb.NAVIGATE_TO, Verb.OPEN, Verb.DROP]),
+    st.sampled_from(["sink", "fridge", "cup"]),
+    st.booleans(),
+)
+_store_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("action"), _records, st.lists(_triplets, max_size=10)),
+        st.tuples(st.just("task"), st.sampled_from(["t1", "t2"]), st.booleans()),
+        st.tuples(st.just("query"), st.sampled_from(["find cup | seen: sink", "table"])),
+        st.just(("reset",)),
+    ),
+    max_size=12,
+)
+
+
+class TestRestore:
+    @settings(max_examples=60, deadline=None)
+    @given(operations=_store_operations, capacity=st.integers(min_value=1, max_value=4))
+    def test_snapshot_restore_snapshot_is_byte_identical(self, operations, capacity):
+        orch = MemoryOrchestrator(temporal=TemporalMemory(capacity=capacity), parallel=False)
+        for op in operations:
+            if op[0] == "action":
+                orch.dispatch_update(UpdateEvent(level="action", record=op[1], triplets=op[2]))
+            elif op[0] == "task":
+                trace = TaskTrace(task_id=op[1], instruction="put cup on table")
+                trace.note_seen("cup", "on", "table")
+                result = TaskResult(task_id=op[1], scn=int(op[2]), gcn=1, steps_used=3,
+                                    terminated_by=Termination.SELF_TERMINATED)
+                orch.dispatch_update(UpdateEvent(level="task", trace=trace, result=result))
+            elif op[0] == "query":
+                orch.gather_context(op[1])
+            else:
+                orch.reset_task_state()
+        text = orch.snapshot()
+        other = MemoryOrchestrator(parallel=False)
+        other.restore(text)
+        assert other.snapshot() == text
+        for store in (orch.spatial, orch.temporal, orch.lifelong):
+            saved = canonical_json(store.snapshot())
+            fresh = type(store)()
+            fresh.restore(json.loads(saved))
+            assert canonical_json(fresh.snapshot()) == saved

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from memagent import gateway, harness, spatial, vector_index
 from memagent.envsim import builtin_suite_path, load_suite
+from memagent.preprocessor import Preprocessor
 from memagent.spatial import (
     DEFAULT_BUFFER_CAPACITY,
     KHopBoundError,
@@ -771,6 +772,69 @@ class TestPendingKeys:
             assert mem._pending_keys == {t.key for t in mem._pending}
 
 
+def spy_integrate():
+    """Patch ``SpatialMemory._integrate`` to count its calls, on every
+    memory, and still integrate."""
+    return mock.patch.object(
+        SpatialMemory, "_integrate", autospec=True, side_effect=SpatialMemory._integrate
+    )
+
+
+class TestBatchIntegrate:
+    """One ``buffer_triplets`` call is one batch: it is never cut, and it
+    integrates at most once."""
+
+    def test_batch_past_capacity_integrates_whole_once(self):
+        mem = make_memory(theta=2.0)
+        batch = [
+            Triplet(f"object {i}", "on", f"surface {i}")
+            for i in range(2 * DEFAULT_BUFFER_CAPACITY - 1)
+        ]
+        with spy_integrate() as integrate:
+            mem.buffer_triplets(batch)
+        assert mem.pending() == []
+        assert {e.key for e in mem.edges()} == {t.key for t in batch}
+        assert integrate.call_count == 1
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_fast_conflict_anywhere_integrates_whole_batch(self, position):
+        mem = make_memory(theta=2.0)
+        mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=1)])
+        mem.integrate()
+        batch = [Triplet(f"object {i}", "on", f"surface {i}", step_index=2) for i in range(3)]
+        batch.insert(position, Triplet("agent", "holds", "cup", step_index=2))
+        assert len(batch) < DEFAULT_BUFFER_CAPACITY
+        with spy_integrate() as integrate:
+            mem.buffer_triplets(batch)
+        assert mem.pending() == []
+        assert {e.key for e in mem.edges()} == {t.key for t in batch}
+        assert integrate.call_count == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(st.lists(_triplets, min_size=1, max_size=10), max_size=12),
+        capacity=st.integers(min_value=1, max_value=6),
+    )
+    def test_each_call_integrates_at_most_once_and_leaves_no_conflict(
+        self, batches, capacity
+    ):
+        mem = make_memory(buffer_capacity=capacity)
+        for batch in batches:
+            with spy_integrate() as integrate:
+                mem.buffer_triplets(batch)
+            assert integrate.call_count <= 1
+            pending = mem.pending()
+            assert len(pending) < capacity
+            assert not any(mem._fast_conflict(t) for t in pending)
+
+    def test_seed_3_suite_integrates_at_most_once_per_observation(self):
+        with spy_integrate() as integrate, mock.patch.object(
+            Preprocessor, "preprocess", autospec=True, side_effect=Preprocessor.preprocess
+        ) as preprocess:
+            harness.run_suite(seed=3, passes=2, failure_p=0.1)
+        assert 0 < integrate.call_count <= preprocess.call_count
+
+
 class FullReplaceMemory(SpatialMemory):
     """Reference model: integrate as it was before merge-back became
     incremental, frozen here so that it does not follow the code it checks.
@@ -992,9 +1056,10 @@ class TestHotNodeMergeBack:
 class ShadowedMemory:
     """Stands in for an agent's spatial memory: every buffer, integrate,
     query and clear goes to a SpatialMemory and to a FullReplaceMemory
-    shadow, one triplet at a time, and their snapshots must agree after
-    each one, so after every integrate. The shadow asks its own gateway, so
-    the agent's call budget is not spent on it."""
+    shadow, and their snapshots must agree after each buffer call and
+    integrate, so after every integrate (a buffer call makes at most one).
+    The shadow asks its own gateway, so the agent's call budget is not
+    spent on it."""
 
     def __init__(self, gateway, **config):
         self.memory = SpatialMemory(gateway=gateway, **config)
@@ -1005,11 +1070,10 @@ class ShadowedMemory:
         assert self.memory.snapshot() == self.shadow.snapshot()
 
     def buffer_triplets(self, triplets):
-        for triplet in triplets:
-            for m in (self.memory, self.shadow):
-                m.buffer_triplets([triplet])
-            self.integrates += not self.memory.pending()
-            self.check()
+        for m in (self.memory, self.shadow):
+            m.buffer_triplets(triplets)
+        self.integrates += not self.memory.pending()
+        self.check()
 
     def integrate(self):
         self.integrates += bool(self.memory.pending())

@@ -138,6 +138,23 @@ class TestLifecycle:
         assert doc["entries"][1]["type"] == "step"
         assert doc["entries"][1]["action"]["verb"] == "find"
 
+    def test_restored_buffer_compacts_as_the_original(self):
+        mem = TemporalMemory(capacity=2)
+        for i in range(5):
+            mem.append(record(i))
+        other = TemporalMemory()
+        other.restore(json.loads(canonical_json(mem.snapshot())))
+        assert other.snapshot() == mem.snapshot()
+        for i in range(5, 8):
+            mem.append(record(i))
+            other.append(record(i))
+        assert other.snapshot() == mem.snapshot()
+
+    def test_restore_rejects_an_unknown_entry_type(self):
+        doc = {"capacity": 2, "entries": [{"type": "note", "text": "x"}]}
+        with pytest.raises(ValueError):
+            TemporalMemory().restore(doc)
+
     def test_snapshot_records_failure_reason(self):
         mem = TemporalMemory()
         mem.append(
