@@ -2,7 +2,8 @@
 
 Every document written to disk (reports, snapshots, trajectory logs) is
 rendered by :func:`canonical_json`, so golden files and snapshot diffs are
-byte-stable; :func:`to_doc` gives the plain document of a core type.
+byte-stable; :func:`to_doc` gives the plain document of a core type, and
+:func:`read_json` reads an input file (a suite, a gateway config).
 
 Every concurrent fan-out (the gateway's parallel invoke, the
 orchestrator's update dispatch and context gather) goes through
@@ -21,7 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Type
 
 
 class Verb(str, Enum):
@@ -159,6 +160,18 @@ class TaskResult:
 def canonical_json(doc: Any) -> str:
     """Deterministic JSON text: sorted keys, compact separators, UTF-8."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def read_json(path: str, error: Type[Exception]) -> Any:
+    """The JSON document in the file at ``path``. Raises ``error``, naming
+    the file, when it cannot be read or is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # undecodable bytes included
+        raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
 def to_doc(value: Any) -> Any:

@@ -11,12 +11,11 @@ location; closed containers hide their contents.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import ActionCommand, Observation, Outcome, Verb
+from .core import ActionCommand, Observation, Outcome, Verb, read_json
 
 EXECUTOR_FAILURE = "executor_failure"
 
@@ -527,9 +526,25 @@ class Environment:
 
 
 def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return doc.get("profile", "realworld"), [TaskSpec.from_doc(t) for t in doc["tasks"]]
+    """The profile and tasks of a suite file; ``SuiteError`` names the file
+    (and the task's index) when it cannot be read, names an unknown profile
+    or holds a malformed task."""
+    doc = read_json(path, SuiteError)
+    tasks = doc.get("tasks") if isinstance(doc, dict) else None
+    if not isinstance(tasks, list):
+        raise SuiteError(f"{path}: expected an object whose 'tasks' is a list")
+    profile, profiles = doc.get("profile", "realworld"), sorted(TEMPLATES)
+    if profile not in profiles:
+        raise SuiteError(f"{path}: unknown profile {profile!r} (expected one of {profiles})")
+    specs = []
+    for index, task in enumerate(tasks):
+        if not isinstance(task, dict):
+            raise SuiteError(f"{path}: task {index} is not an object")
+        try:
+            specs.append(TaskSpec.from_doc(task))
+        except KeyError as exc:
+            raise SuiteError(f"{path}: task {index} has no {exc.args[0]!r}") from exc
+    return profile, specs
 
 
 def builtin_suite_path() -> str:

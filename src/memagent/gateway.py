@@ -1,11 +1,13 @@
 """Single gateway for every language-model-backed role in the system.
 
-Two backends: a deterministic rule-based oracle (the default, used by all
-tests), and a remote chat-completions-style HTTP adapter. Both sit behind
-one invoke() surface with per-role request/response validation and a
-per-episode call budget. Callers use ask(), which degrades a gateway fault
-to the role's entry in one fallback table and logs it; the planner has
-none, so its fault is raised. invoke_parallel() is an order-preserving
+One table, ``_ROLES``, holds each role's ``RoleContract``: its request and
+response schemas (data that one ``Schema.validate`` walks), its oracle rule
+and its fallback. Two backends sit behind one invoke() surface, which checks
+both schemas and a per-episode call budget: a deterministic oracle that
+answers with the table's rules (the default, used by all tests), and a
+remote chat-completions-style HTTP adapter. Callers use ask(), which
+degrades a gateway fault to the role's fallback and logs it; the planner
+has none, so its fault is raised. invoke_parallel() is an order-preserving
 fan-out of ask() calls.
 """
 
@@ -22,7 +24,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
-from .core import canonical_json, fan_out
+from .core import canonical_json, fan_out, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -69,126 +71,76 @@ class GatewayConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Request / response validation (one pair of checkers per role)
+# Schemas: what a role's request and response must hold, as data
 # ---------------------------------------------------------------------------
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaViolationError(msg)
+#: A test of one field's value, and what it expects (for the message). A
+#: plain tuple, which unpacks fastest.
+Check = Tuple[Callable[[Any], bool], str]
+
+TEXT: Check = (lambda v: isinstance(v, str) and v.strip() != "", "a non-blank string")
+
+_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer"}
 
 
-def _nonempty_str(doc: dict, key: str) -> None:
-    value = doc.get(key)
-    _check(isinstance(value, str) and value.strip() != "", f"{key} must be a non-blank string")
+def typed(kind: type, min_len: int = 0) -> Check:
+    """A ``kind`` value with at least ``min_len`` items."""
+    expects = _TYPE_NAMES[kind] + (f" of length >= {min_len}" if min_len else "")
+    return lambda v: isinstance(v, kind) and (not min_len or len(v) >= min_len), expects
 
 
-def _validate_summarizer_request(p: dict) -> None:
-    kind = p.get("kind")
-    _check(kind in ("step", "compact"), "kind must be 'step' or 'compact'")
-    if kind == "step":
-        _check(isinstance(p.get("action"), dict), "action must be an object")
-        _check(p.get("outcome") in ("success", "failure"), "outcome must be success/failure")
-    else:
-        _check(isinstance(p.get("entries"), list) and p["entries"], "entries must be non-empty list")
-        span = p.get("covers_steps")
-        _check(
-            isinstance(span, (list, tuple)) and len(span) == 2 and span[0] <= span[1],
-            "covers_steps must be [first, last]",
-        )
+def one_of(*values: str) -> Check:
+    return lambda v: v in values, "one of " + "/".join(values)
 
 
-def _validate_summarizer_response(r: dict) -> None:
-    _nonempty_str(r, "summary")
-
-
-def _validate_query_request(p: dict) -> None:
-    _nonempty_str(p, "instruction")
-
-
-def _validate_query_response(r: dict) -> None:
-    _nonempty_str(r, "query")
-
-
-def _validate_conflict_request(p: dict) -> None:
-    _check(isinstance(p.get("edges"), list), "edges must be a list")
-    for edge in p["edges"]:
-        _check(
-            isinstance(edge, dict) and {"subject", "relation", "object"} <= set(edge),
-            "each edge needs subject/relation/object",
-        )
-
-
-def _validate_conflict_response(r: dict) -> None:
-    groups = r.get("conflicts")
-    _check(isinstance(groups, list), "conflicts must be a list")
-    for group in groups:
-        _check(
-            isinstance(group, list) and len(group) >= 2 and all(isinstance(i, int) for i in group),
-            "each conflict group must list >= 2 edge indices",
-        )
-
-
-def _validate_extractor_request(p: dict) -> None:
-    _nonempty_str(p, "task_id")
-    _nonempty_str(p, "instruction")
-    _check(p.get("outcome") in ("success", "failure"), "outcome must be success/failure")
-
-
-def _validate_extractor_response(r: dict) -> None:
-    _check(
-        isinstance(r.get("episodic"), list) and len(r["episodic"]) >= 1,
-        "episodic must be a non-empty list",
+def list_of(item: Check, min_len: int = 0) -> Check:
+    """A list of at least ``min_len`` values, each passing ``item``."""
+    test, expects = item
+    return (
+        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(test, v)),
+        f"{typed(list, min_len)[1]}, each item {expects}",
     )
-    _check(isinstance(r.get("semantic"), list), "semantic must be a list")
-    for text in r["episodic"] + r["semantic"]:
-        _check(isinstance(text, str) and text.strip() != "", "entity texts must be non-blank")
 
 
-def _validate_updater_request(p: dict) -> None:
-    _check(isinstance(p.get("new"), dict), "new must be an object")
-    _check(isinstance(p.get("similar"), list), "similar must be a list")
+def has_keys(*keys: str) -> Check:
+    wanted = frozenset(keys)
+    return lambda v: isinstance(v, dict) and v.keys() >= wanted, "an object with " + "/".join(keys)
 
 
-def _validate_updater_response(r: dict) -> None:
-    _check(r.get("action") in ("add", "update", "replace"), "action must be add/update/replace")
-    if r["action"] in ("update", "replace"):
-        _nonempty_str(r, "target_id")
+def _is_span(value: Any) -> bool:
+    try:
+        return isinstance(value, (list, tuple)) and len(value) == 2 and value[0] <= value[1]
+    except TypeError:  # bounds that do not compare
+        return False
 
 
-def _validate_planner_request(p: dict) -> None:
-    _nonempty_str(p, "instruction")
-    _check(isinstance(p.get("goals"), list), "goals must be a list")
-    _check(p.get("profile") in ("alfred", "realworld"), "profile must be alfred/realworld")
-    _check(isinstance(p.get("nav_points"), list) and p["nav_points"], "nav_points required")
+SPAN: Check = (_is_span, "[first, last] with first <= last")
 
 
-def _validate_planner_response(r: dict) -> None:
-    _check(isinstance(r.get("steps"), list), "steps must be a list")
-    for step in r["steps"]:
-        _check(isinstance(step, dict) and "verb" in step, "each step needs a verb")
+@dataclass(frozen=True)
+class Schema:
+    """The checks a JSON object must pass: one per field, plus those of the
+    schema that ``when`` picks by the value of one of those fields."""
 
+    fields: Dict[str, Check]
+    #: (field, {value: the schema that value adds}).
+    when: Optional[Tuple[str, Dict[str, "Schema"]]] = None
 
-def _validate_critic_request(p: dict) -> None:
-    _check(isinstance(p.get("action"), dict), "action must be an object")
-    _check(isinstance(p.get("facts"), list), "facts must be a list")
-
-
-def _validate_critic_response(r: dict) -> None:
-    _check(r.get("decision") in ("approve", "reject"), "decision must be approve/reject")
-    if r["decision"] == "reject":
-        _nonempty_str(r, "reason")
-
-
-_VALIDATORS: Dict[ReasonerRole, Tuple[Callable, Callable]] = {
-    ReasonerRole.STEP_SUMMARIZER: (_validate_summarizer_request, _validate_summarizer_response),
-    ReasonerRole.QUERY_GENERATOR: (_validate_query_request, _validate_query_response),
-    ReasonerRole.KG_CONFLICT_DETECTOR: (_validate_conflict_request, _validate_conflict_response),
-    ReasonerRole.MEMORY_EXTRACTOR: (_validate_extractor_request, _validate_extractor_response),
-    ReasonerRole.MEMORY_UPDATER: (_validate_updater_request, _validate_updater_response),
-    ReasonerRole.PLANNER: (_validate_planner_request, _validate_planner_response),
-    ReasonerRole.CRITIC: (_validate_critic_request, _validate_critic_response),
-}
+    def validate(self, doc: Any) -> None:
+        """Raise ``SchemaViolationError`` unless ``doc`` passes every check."""
+        if not isinstance(doc, dict):
+            raise SchemaViolationError("expected a JSON object")
+        for name, (test, expects) in self.fields.items():
+            if not test(doc.get(name)):
+                raise SchemaViolationError(f"{name} must be {expects}")
+        if self.when is not None:
+            # Looked up only now that the field has passed its own check: an
+            # odd value (an unhashable one, say) would raise here.
+            name, cases = self.when
+            schema = cases.get(doc[name])
+            if schema is not None:
+                schema.validate(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +558,6 @@ def _oracle_critic(p: dict) -> dict:
     return {"decision": "approve", "reason": "action is consistent with known state"}
 
 
-_ORACLE_RULES: Dict[ReasonerRole, Callable[[dict], dict]] = {
-    ReasonerRole.STEP_SUMMARIZER: _oracle_summarize,
-    ReasonerRole.QUERY_GENERATOR: _oracle_query,
-    ReasonerRole.KG_CONFLICT_DETECTOR: _oracle_detect_conflicts,
-    ReasonerRole.MEMORY_EXTRACTOR: _oracle_extract,
-    ReasonerRole.MEMORY_UPDATER: _oracle_update,
-    ReasonerRole.PLANNER: _oracle_plan,
-    ReasonerRole.CRITIC: _oracle_critic,
-}
-
-
 def _fallback_summary(p: dict) -> Tuple[str, dict]:
     if p["kind"] == "step":
         text = f"{_action_text(p['action'])}: {p['outcome']}"
@@ -626,29 +567,82 @@ def _fallback_summary(p: dict) -> Tuple[str, dict]:
     return "compaction summarizer failed (%s); falling back", {"summary": text}
 
 
-#: Per role, the warning template (one ``%s`` for the error) and the answer
-#: that stand in for a failed call, both computed from the request payload.
-#: The planner has no entry: without a plan the episode aborts.
-_FALLBACKS: Dict[ReasonerRole, Callable[[dict], Tuple[str, dict]]] = {
-    ReasonerRole.STEP_SUMMARIZER: _fallback_summary,
-    ReasonerRole.QUERY_GENERATOR: lambda p: (
-        "query generator failed (%s); fallback to instruction", {"query": p["instruction"]}
+@dataclass(frozen=True)
+class RoleContract:
+    """Everything the gateway knows of one reasoner role."""
+
+    request: Schema
+    response: Schema
+    #: The oracle backend's answer to a request.
+    oracle: Callable[[dict], dict]
+    #: The warning template (one ``%s`` for the error) and the answer that
+    #: stand in for a failed call, both computed from the request. None for
+    #: the planner: without a plan the episode aborts.
+    fallback: Optional[Callable[[dict], Tuple[str, dict]]]
+
+
+_OUTCOME = one_of("success", "failure")
+_TARGET = Schema({"target_id": TEXT})
+
+#: Per role: request schema, response schema, oracle rule, fallback.
+_ROLES: Dict[ReasonerRole, RoleContract] = {
+    ReasonerRole.STEP_SUMMARIZER: RoleContract(
+        Schema({"kind": one_of("step", "compact")}, when=("kind", {
+            "step": Schema({"action": typed(dict), "outcome": _OUTCOME}),
+            "compact": Schema({"entries": typed(list, 1), "covers_steps": SPAN}),
+        })),
+        Schema({"summary": TEXT}),
+        _oracle_summarize,
+        _fallback_summary,
     ),
-    ReasonerRole.KG_CONFLICT_DETECTOR: lambda p: (
-        "conflict detector failed (%s); using oracle rules", _oracle_detect_conflicts(p)
+    ReasonerRole.QUERY_GENERATOR: RoleContract(
+        Schema({"instruction": TEXT}),
+        Schema({"query": TEXT}),
+        _oracle_query,
+        lambda p: ("query generator failed (%s); fallback to instruction",
+                   {"query": p["instruction"]}),
     ),
-    ReasonerRole.MEMORY_EXTRACTOR: lambda p: (
-        "extractor failed (%s); using fallback template",
-        {"episodic": [f"task {p['task_id']}: {p['instruction']} -> {p['outcome']}"], "semantic": []}
+    ReasonerRole.KG_CONFLICT_DETECTOR: RoleContract(
+        Schema({"edges": list_of(has_keys("subject", "relation", "object"))}),
+        Schema({"conflicts": list_of(list_of(typed(int), 2))}),
+        _oracle_detect_conflicts,
+        lambda p: ("conflict detector failed (%s); using oracle rules",
+                   _oracle_detect_conflicts(p)),
     ),
-    ReasonerRole.MEMORY_UPDATER: lambda p: (
-        "updater failed (%s); add-only fallback", {"action": "add"}
+    ReasonerRole.MEMORY_EXTRACTOR: RoleContract(
+        Schema({"task_id": TEXT, "instruction": TEXT, "outcome": _OUTCOME}),
+        Schema({"episodic": list_of(TEXT, 1), "semantic": list_of(TEXT)}),
+        _oracle_extract,
+        lambda p: ("extractor failed (%s); using fallback template",
+                   {"episodic": [f"task {p['task_id']}: {p['instruction']} -> {p['outcome']}"],
+                    "semantic": []}),
     ),
-    ReasonerRole.CRITIC: lambda p: (
-        "critic failed (%s); approving by default",
-        {"decision": "approve", "reason": "critic unavailable"},
+    ReasonerRole.MEMORY_UPDATER: RoleContract(
+        Schema({"new": typed(dict), "similar": typed(list)}),
+        Schema({"action": one_of("add", "update", "replace")},
+               when=("action", {"update": _TARGET, "replace": _TARGET})),
+        _oracle_update,
+        lambda p: ("updater failed (%s); add-only fallback", {"action": "add"}),
+    ),
+    ReasonerRole.PLANNER: RoleContract(
+        Schema({"instruction": TEXT, "goals": typed(list),
+                "profile": one_of("alfred", "realworld"), "nav_points": typed(list, 1)}),
+        Schema({"steps": list_of(has_keys("verb"))}),
+        _oracle_plan,
+        None,
+    ),
+    ReasonerRole.CRITIC: RoleContract(
+        Schema({"action": typed(dict), "facts": typed(list)}),
+        Schema({"decision": one_of("approve", "reject")},
+               when=("decision", {"reject": Schema({"reason": TEXT})})),
+        _oracle_critic,
+        lambda p: ("critic failed (%s); approving by default",
+                   {"decision": "approve", "reason": "critic unavailable"}),
     ),
 }
+
+#: The oracle rules alone (the benchmark's loopback stub answers with them).
+_ORACLE_RULES = {role: contract.oracle for role, contract in _ROLES.items()}
 
 
 class OracleBackend:
@@ -666,7 +660,7 @@ class OracleBackend:
     latency_bound = False
 
     def invoke(self, role: ReasonerRole, payload: dict) -> dict:
-        return _ORACLE_RULES[role](payload)
+        return _ROLES[role].oracle(payload)
 
 
 class RemoteBackend:
@@ -795,11 +789,7 @@ class GatewayConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "GatewayConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise GatewayConfigError(f"{path}: not valid JSON ({exc})") from exc
+        doc = read_json(path, GatewayConfigError)
         remote = doc.get("remote", {}) if isinstance(doc, dict) else None
         if not isinstance(remote, dict):
             raise GatewayConfigError(f"{path}: expected an object whose 'remote' is an object")
@@ -849,14 +839,14 @@ class ReasonerGateway:
             self._remaining = self.budget
 
     def invoke(self, role: ReasonerRole, payload: dict) -> dict:
-        validate_request, validate_response = _VALIDATORS[role]
-        validate_request(payload)
+        contract = _ROLES[role]
+        contract.request.validate(payload)
         with self._lock:
             if self._remaining <= 0:
                 raise BudgetExceededError(f"per-episode budget of {self.budget} calls exhausted")
             self._remaining -= 1
         response = self.backend.invoke(role, payload)
-        validate_response(response)
+        contract.response.validate(response)
         return response
 
     def ask(self, role: ReasonerRole, payload: dict) -> dict:
@@ -867,9 +857,10 @@ class ReasonerGateway:
         try:
             return self.invoke(role, payload)
         except GatewayError as exc:
-            if role not in _FALLBACKS:
+            fallback = _ROLES[role].fallback
+            if fallback is None:
                 raise
-            template, answer = _FALLBACKS[role](payload)
+            template, answer = fallback(payload)
             logger.warning(template, exc)
             return answer
 

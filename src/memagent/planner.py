@@ -211,17 +211,17 @@ class PlannerCritic:
             "avoid_points": beliefs.avoid_points,
         }
         response = self.gateway.ask(ReasonerRole.PLANNER, payload)
-        steps = self._validate_steps(response.get("steps", []))
+        steps = self._usable_steps(response.get("steps", []))
         if not steps:
             # One retry that forgets the search history.
             payload = dict(payload, retry=True, visited_points=[])
             response = self.gateway.ask(ReasonerRole.PLANNER, payload)
-            steps = self._validate_steps(response.get("steps", []))
+            steps = self._usable_steps(response.get("steps", []))
             if not steps:
                 raise EmptyPlanError("planner produced no valid steps")
         return Plan(steps=tuple(steps))
 
-    def _validate_steps(self, raw_steps: List[dict]) -> List[ActionCommand]:
+    def _usable_steps(self, raw_steps: List[dict]) -> List[ActionCommand]:
         steps = []
         for raw in raw_steps:
             try:

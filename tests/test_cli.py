@@ -138,6 +138,47 @@ class TestRun:
         assert [t["terminated_by"] for p in report["passes"] for t in p["tasks"]] == ["aborted"] * 2
 
 
+def _bad_inputs(tmp_path, suite_path):
+    """Case -> (arguments, the message's prefix, what the message names)."""
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{tasks: []}")
+    doc = json.loads(open(suite_path).read())
+    unknown_profile = tmp_path / "unknown_profile.json"
+    unknown_profile.write_text(json.dumps(dict(doc, profile="alfredo")))
+    doc["tasks"].append({k: v for k, v in doc["tasks"][0].items() if k != "id"})
+    no_id = tmp_path / "no_id.json"
+    no_id.write_text(json.dumps(doc))
+    missing = str(tmp_path / "missing.json")
+    return {
+        "missing-config": (["--suite", suite_path, "--config", missing], "gateway config", [missing]),
+        "missing-suite": (["--suite", missing], "suite", [missing]),
+        "non-json-suite": (["--suite", str(not_json)], "suite", [str(not_json), "not valid JSON"]),
+        "task-without-id": (["--suite", str(no_id)], "suite", [str(no_id), "task 1", "'id'"]),
+        "unknown-profile": (
+            ["--suite", str(unknown_profile)], "suite", [str(unknown_profile), "'alfredo'"]
+        ),
+    }
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        "case",
+        ["missing-config", "missing-suite", "non-json-suite", "task-without-id", "unknown-profile"],
+    )
+    def test_exits_1_naming_the_file_without_a_traceback(
+        self, runner, tmp_path, suite_path, command, case
+    ):
+        args, prefix, named = _bad_inputs(tmp_path, suite_path)[case]
+        result = runner.invoke(main, [command, *args, "--passes", "1"])
+        # An error the command did not handle reaches the runner as itself.
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.exit_code == 1
+        [line] = [l for l in result.output.splitlines() if l.startswith("Error: ")]
+        assert line.startswith(f"Error: {prefix}: ")
+        assert all(name in line for name in named), line
+
+
 class TestAblate:
     def test_ablate_lists_all_variants(self, runner, suite_path, tmp_path):
         out = tmp_path / "ablation.json"

@@ -626,6 +626,46 @@ class TestRemoteBackend:
         assert len(attempts) == 1
 
 
+class _OracleStubHandler(BaseHTTPRequestHandler):
+    """Answers each chat-completions request with the role table's oracle rule."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        doc = json.loads(body["messages"][0]["content"])
+        answer = gateway_module._ROLES[ReasonerRole(doc["role"])].oracle(doc["payload"])
+        data = json.dumps({"choices": [{"message": {"content": canonical_json(answer)}}]})
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRemoteSuite:
+    def test_suite_through_the_remote_backend_reports_as_the_oracle(self, tmp_path):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleStubHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        config = tmp_path / "gateway.json"
+        config.write_text(json.dumps({"backend": "remote", "remote": {
+            "base_url": f"http://127.0.0.1:{server.server_address[1]}", "model": "oracle-stub",
+        }}))
+        try:
+            remote = run_suite(config_path=str(config), seed=3, passes=2, failure_p=0.1)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        oracle = run_suite(seed=3, passes=2, failure_p=0.1)
+        assert remote["report"].pop("backend") == "remote"
+        assert oracle["report"].pop("backend") == "oracle"
+        assert remote["report"] == oracle["report"]
+
+
 class TestGatewayConfig:
     def test_from_file_oracle_default(self, tmp_path):
         path = tmp_path / "config.json"
@@ -682,3 +722,216 @@ class TestGatewayConfig:
     def test_config_error_is_a_value_error(self):
         assert issubclass(GatewayConfigError, ValueError)
         assert not issubclass(GatewayConfigError, GatewayError)
+
+
+# ---------------------------------------------------------------------------
+# The role table's schemas against the hand-written validators they replaced
+# ---------------------------------------------------------------------------
+# A frozen copy of the 14 per-role validators the gateway used before its
+# schemas became data; the reference the table's verdicts are compared with.
+
+
+def _check(cond: bool, msg: str) -> None:
+    if not cond:
+        raise SchemaViolationError(msg)
+
+
+def _nonempty_str(doc: dict, key: str) -> None:
+    value = doc.get(key)
+    _check(isinstance(value, str) and value.strip() != "", f"{key} must be a non-blank string")
+
+
+def _validate_summarizer_request(p: dict) -> None:
+    kind = p.get("kind")
+    _check(kind in ("step", "compact"), "kind must be 'step' or 'compact'")
+    if kind == "step":
+        _check(isinstance(p.get("action"), dict), "action must be an object")
+        _check(p.get("outcome") in ("success", "failure"), "outcome must be success/failure")
+    else:
+        _check(isinstance(p.get("entries"), list) and p["entries"], "entries must be non-empty list")
+        span = p.get("covers_steps")
+        _check(
+            isinstance(span, (list, tuple)) and len(span) == 2 and span[0] <= span[1],
+            "covers_steps must be [first, last]",
+        )
+
+
+def _validate_summarizer_response(r: dict) -> None:
+    _nonempty_str(r, "summary")
+
+
+def _validate_query_request(p: dict) -> None:
+    _nonempty_str(p, "instruction")
+
+
+def _validate_query_response(r: dict) -> None:
+    _nonempty_str(r, "query")
+
+
+def _validate_conflict_request(p: dict) -> None:
+    _check(isinstance(p.get("edges"), list), "edges must be a list")
+    for edge in p["edges"]:
+        _check(
+            isinstance(edge, dict) and {"subject", "relation", "object"} <= set(edge),
+            "each edge needs subject/relation/object",
+        )
+
+
+def _validate_conflict_response(r: dict) -> None:
+    groups = r.get("conflicts")
+    _check(isinstance(groups, list), "conflicts must be a list")
+    for group in groups:
+        _check(
+            isinstance(group, list) and len(group) >= 2 and all(isinstance(i, int) for i in group),
+            "each conflict group must list >= 2 edge indices",
+        )
+
+
+def _validate_extractor_request(p: dict) -> None:
+    _nonempty_str(p, "task_id")
+    _nonempty_str(p, "instruction")
+    _check(p.get("outcome") in ("success", "failure"), "outcome must be success/failure")
+
+
+def _validate_extractor_response(r: dict) -> None:
+    _check(
+        isinstance(r.get("episodic"), list) and len(r["episodic"]) >= 1,
+        "episodic must be a non-empty list",
+    )
+    _check(isinstance(r.get("semantic"), list), "semantic must be a list")
+    for text in r["episodic"] + r["semantic"]:
+        _check(isinstance(text, str) and text.strip() != "", "entity texts must be non-blank")
+
+
+def _validate_updater_request(p: dict) -> None:
+    _check(isinstance(p.get("new"), dict), "new must be an object")
+    _check(isinstance(p.get("similar"), list), "similar must be a list")
+
+
+def _validate_updater_response(r: dict) -> None:
+    _check(r.get("action") in ("add", "update", "replace"), "action must be add/update/replace")
+    if r["action"] in ("update", "replace"):
+        _nonempty_str(r, "target_id")
+
+
+def _validate_planner_request(p: dict) -> None:
+    _nonempty_str(p, "instruction")
+    _check(isinstance(p.get("goals"), list), "goals must be a list")
+    _check(p.get("profile") in ("alfred", "realworld"), "profile must be alfred/realworld")
+    _check(isinstance(p.get("nav_points"), list) and p["nav_points"], "nav_points required")
+
+
+def _validate_planner_response(r: dict) -> None:
+    _check(isinstance(r.get("steps"), list), "steps must be a list")
+    for step in r["steps"]:
+        _check(isinstance(step, dict) and "verb" in step, "each step needs a verb")
+
+
+def _validate_critic_request(p: dict) -> None:
+    _check(isinstance(p.get("action"), dict), "action must be an object")
+    _check(isinstance(p.get("facts"), list), "facts must be a list")
+
+
+def _validate_critic_response(r: dict) -> None:
+    _check(r.get("decision") in ("approve", "reject"), "decision must be approve/reject")
+    if r["decision"] == "reject":
+        _nonempty_str(r, "reason")
+
+
+_REFERENCE_VALIDATORS = {
+    ReasonerRole.STEP_SUMMARIZER: (_validate_summarizer_request, _validate_summarizer_response),
+    ReasonerRole.QUERY_GENERATOR: (_validate_query_request, _validate_query_response),
+    ReasonerRole.KG_CONFLICT_DETECTOR: (_validate_conflict_request, _validate_conflict_response),
+    ReasonerRole.MEMORY_EXTRACTOR: (_validate_extractor_request, _validate_extractor_response),
+    ReasonerRole.MEMORY_UPDATER: (_validate_updater_request, _validate_updater_response),
+    ReasonerRole.PLANNER: (_validate_planner_request, _validate_planner_response),
+    ReasonerRole.CRITIC: (_validate_critic_request, _validate_critic_response),
+}
+
+#: Values each field is set to in turn: wrong types, blanks, empty and short
+#: containers, and containers of wrong or incomparable items.
+_ODD_VALUES = [
+    None, "", "   ", "x", "step", "compact", "update", "reject", 0, 1, -1, 2.5, True,
+    [], {}, [[]], [{}], [""], [" "], ["a"], ["a", 1], [1], [1, 2], [2, 1], [1, "a"],
+    [True, False], [[0]], [[0, 1]], [[0, "1"]], [[0, 1.0]], [[True, 1]], (0, 1), [[1], [2]],
+    [{"verb": "open"}], [{"target": "cup"}], [{"subject": "a", "relation": "on"}],
+    [{"subject": "a", "relation": "on", "object": "b"}], {"verb": "open"}, {"a": 1},
+]
+
+
+def _verdict(check, doc):
+    """What ``check`` makes of ``doc``: "accept", "reject" (it raised
+    SchemaViolationError), or the type of any other exception it raised."""
+    try:
+        check(doc)
+    except SchemaViolationError:
+        return "reject"
+    except Exception as exc:
+        return type(exc)
+    return "accept"
+
+
+def _mutants(doc: dict, fields):
+    """``doc``, then ``doc`` with each of ``fields`` dropped and with each set
+    to every odd value."""
+    yield doc
+    for field in fields:
+        yield {k: v for k, v in doc.items() if k != field}
+        for value in _ODD_VALUES:
+            yield dict(doc, **{field: value})
+
+
+@pytest.fixture(scope="module")
+def suite_calls():
+    """Seed -> (role, request, answer) of every backend call of the seed's
+    two-pass suite run, for seeds 3 and 11."""
+    calls = {3: [], 11: []}
+    invoke = OracleBackend.invoke
+    for seed, recorded in calls.items():
+
+        def recording(self, role, payload, recorded=recorded):
+            answer = invoke(self, role, payload)
+            recorded.append((role, copy.deepcopy(payload), copy.deepcopy(answer)))
+            return answer
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(OracleBackend, "invoke", recording)
+            run_suite(seed=seed, passes=2, failure_p=0.1)
+    return calls
+
+
+class TestRoleTable:
+    @pytest.mark.parametrize("side", ["request", "response"])
+    @pytest.mark.parametrize("role", list(ReasonerRole), ids=lambda role: role.value)
+    def test_schemas_agree_with_the_hand_written_validators(self, role, side, suite_calls):
+        reference = _REFERENCE_VALIDATORS[role][side == "response"]
+        schema = getattr(gateway_module._ROLES[role], side)
+        docs = {}
+        for call_role, request, answer in suite_calls[3] + suite_calls[11]:
+            if call_role is role:
+                doc = request if side == "request" else answer
+                docs.setdefault(canonical_json(doc), doc)
+        assert docs
+        fields = set(schema.fields).union(*docs.values())
+        if schema.when:
+            fields.update(*(case.fields for case in schema.when[1].values()))
+        compared, differ = 0, []
+        for doc in docs.values():
+            for mutant in _mutants(doc, sorted(fields)):
+                expected, got = _verdict(reference, mutant), _verdict(schema.validate, mutant)
+                compared += 1
+                # Where the reference crashed (a covers_steps whose bounds do
+                # not compare), the table rejects the document instead.
+                if got != ("reject" if isinstance(expected, type) else expected):
+                    differ.append((mutant, expected, got))
+        assert differ[:3] == [], f"{len(differ)} of {compared} documents"
+
+    def test_every_fallback_answer_passes_its_response_schema(self, suite_calls):
+        checked = 0
+        for role, request, _ in suite_calls[3]:
+            contract = gateway_module._ROLES[role]
+            if contract.fallback is not None:
+                _, answer = contract.fallback(request)
+                contract.response.validate(answer)
+                checked += 1
+        assert checked > 1000

@@ -55,6 +55,28 @@ def tiny_suite(tmp_path, n=2):
     return str(path)
 
 
+@pytest.fixture
+def latency_bound_oracle(monkeypatch):
+    """Makes every gateway built from now on run an oracle that says it waits
+    (as a remote backend does), so that a ``parallel=True`` run fans its
+    calls out to threads. Returns the calling thread of every backend call."""
+    threads = []
+
+    class LatencyBoundOracle(gateway_module.OracleBackend):
+        latency_bound = True
+
+        def invoke(self, role, payload):
+            threads.append(threading.current_thread())
+            return super().invoke(role, payload)
+
+    monkeypatch.setattr(gateway_module, "OracleBackend", LatencyBoundOracle)
+    return threads
+
+
+def off_main_thread(threads) -> int:
+    return sum(t is not threading.main_thread() for t in threads)
+
+
 class TestMetrics:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
@@ -100,25 +122,15 @@ class TestAgentSystem:
         assert AgentSystem.build(config_path=str(config)).gateway.backend.name == "remote"
 
     @pytest.mark.parametrize("parallel", [True, False])
-    def test_run_parallel_flag_governs_every_backend_call(self, parallel, monkeypatch):
+    def test_run_parallel_flag_governs_every_backend_call(self, parallel, latency_bound_oracle):
         # A latency-bound backend fans out only when the run asks for it:
         # the preprocessor's summarizer and query calls included.
-        threads = []
-
-        class LatencyBoundOracle(gateway_module.OracleBackend):
-            latency_bound = True
-
-            def invoke(self, role, payload):
-                threads.append(threading.current_thread())
-                return super().invoke(role, payload)
-
-        monkeypatch.setattr(gateway_module, "OracleBackend", LatencyBoundOracle)
+        threads = latency_bound_oracle
         system = AgentSystem.build(parallel=parallel)
         profile, tasks = load_suite(builtin_suite_path())
         run_pass(tasks[:3], system, suite_seed=3, profile=profile, failure_p=0.1)
-        off_main = sum(t is not threading.main_thread() for t in threads)
         assert threads
-        assert (off_main > 0) if parallel else (off_main == 0)
+        assert (off_main_thread(threads) > 0) == parallel
 
 
 class TestRunPass:
@@ -264,9 +276,17 @@ class TestGoldenReports:
     @pytest.mark.parametrize("parallel", [True, False])
     @pytest.mark.parametrize("seed", sorted(GOLDEN_PASSES_SHA256))
     def test_builtin_suite_passes_match_golden_digest(self, seed, parallel):
+        assert self.digest(seed, parallel) == GOLDEN_PASSES_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_PASSES_SHA256))
+    def test_threaded_schedule_matches_golden_digest(self, seed, latency_bound_oracle):
+        assert self.digest(seed, parallel=True) == GOLDEN_PASSES_SHA256[seed]
+        assert off_main_thread(latency_bound_oracle) > 0
+
+    @staticmethod
+    def digest(seed, parallel):
         report = run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel)["report"]
-        digest = hashlib.sha256(canonical_json(report["passes"]).encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_PASSES_SHA256[seed]
+        return hashlib.sha256(canonical_json(report["passes"]).encode("utf-8")).hexdigest()
 
 
 #: sha256 of the memory snapshot written after each pass (pass 1, pass 2) of
@@ -287,12 +307,21 @@ class TestGoldenSnapshots:
     @pytest.mark.parametrize("parallel", [True, False])
     @pytest.mark.parametrize("seed", sorted(GOLDEN_SNAPSHOT_SHA256))
     def test_pass_snapshots_match_golden_digest(self, seed, parallel, tmp_path):
-        run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel, snapshot_dir=str(tmp_path))
-        digests = tuple(
-            hashlib.sha256((tmp_path / f"memory_pass{n}.json").read_bytes()).hexdigest()
+        assert self.digests(seed, parallel, tmp_path) == GOLDEN_SNAPSHOT_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SNAPSHOT_SHA256))
+    def test_threaded_schedule_matches_golden_digest(self, seed, latency_bound_oracle, tmp_path):
+        assert self.digests(seed, True, tmp_path) == GOLDEN_SNAPSHOT_SHA256[seed]
+        assert off_main_thread(latency_bound_oracle) > 0
+
+    @staticmethod
+    def digests(seed, parallel, snapshot_dir):
+        run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel,
+                  snapshot_dir=str(snapshot_dir))
+        return tuple(
+            hashlib.sha256((snapshot_dir / f"memory_pass{n}.json").read_bytes()).hexdigest()
             for n in (1, 2)
         )
-        assert digests == GOLDEN_SNAPSHOT_SHA256[seed]
 
 
 #: sha256 of the trajectory log of the same runs. Critic reasons and plan ids
@@ -307,10 +336,18 @@ class TestGoldenTrajectories:
     @pytest.mark.parametrize("parallel", [True, False])
     @pytest.mark.parametrize("seed", sorted(GOLDEN_TRAJECTORY_SHA256))
     def test_trajectory_log_matches_golden_digest(self, seed, parallel):
+        assert self.digest(seed, parallel) == GOLDEN_TRAJECTORY_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_TRAJECTORY_SHA256))
+    def test_threaded_schedule_matches_golden_digest(self, seed, latency_bound_oracle):
+        assert self.digest(seed, parallel=True) == GOLDEN_TRAJECTORY_SHA256[seed]
+        assert off_main_thread(latency_bound_oracle) > 0
+
+    @staticmethod
+    def digest(seed, parallel):
         log = io.StringIO()
         run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel, trajectory_log=log)
-        digest = hashlib.sha256(log.getvalue().encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_TRAJECTORY_SHA256[seed]
+        return hashlib.sha256(log.getvalue().encode("utf-8")).hexdigest()
 
 
 class TestBench:
