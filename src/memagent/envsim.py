@@ -144,6 +144,12 @@ class SuiteError(ValueError):
     cannot run fails the run before its first episode."""
 
 
+#: The fields, besides ``kind``, that each kind of goal condition needs.
+GOAL_FIELDS = {"at": ("obj", "place"), "state": ("obj", "state")}
+#: The values a ``state`` goal may ask for: the states ``score`` can see.
+GOAL_STATES = ("open", "closed", "on", "off", "heated", "cleaned", "sliced")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     id: str
@@ -157,6 +163,17 @@ class TaskSpec:
             raise SuiteError(f"task {self.id!r} needs at least one goal condition")
         if not isinstance(self.instruction, str) or not self.instruction.strip():
             raise SuiteError(f"task {self.id!r} needs a non-blank instruction")
+        for goal in self.goal_conditions:
+            kind = goal.get("kind") if isinstance(goal, dict) else None
+            if not isinstance(kind, str) or kind not in GOAL_FIELDS:
+                raise SuiteError(
+                    f"task {self.id!r}: goal {goal!r} is not an object whose kind is "
+                    f"one of {sorted(GOAL_FIELDS)}"
+                )
+            for name in GOAL_FIELDS[kind]:
+                value = goal.get(name)
+                if not isinstance(value, str) or not value.strip():
+                    raise SuiteError(f"task {self.id!r}: goal {goal!r} needs a non-blank {name!r}")
         object.__setattr__(self, "goal_conditions", tuple(self.goal_conditions))
 
     @property
@@ -236,11 +253,16 @@ class Environment:
         self._held = None
         self._objects = {}
 
-        goal_places = {
-            (g["obj"], g["place"])
-            for g in task.goal_conditions
-            if g["kind"] == "at"
-        }
+        # An object never starts at a goal place of its own. Apart from that,
+        # a pool depends on the object only through whether it may sit in a
+        # container, so it is built once for each of the two kinds.
+        goal_places: Dict[str, Set[str]] = {}
+        for g in task.goal_conditions:
+            if g["kind"] == "at":
+                goal_places.setdefault(g["obj"], set()).add(g["place"])
+        nav_points = set(self.template.nav_points)
+        full = self.template.placement_pool
+        pools = {False: full, True: [p for p in full if p in nav_points]}
         for spec in self.template.objects:
             if spec.fixed_location is not None:
                 state = _ObjectState(
@@ -250,13 +272,9 @@ class Environment:
                     power="off" if spec.powered else None,
                 )
             else:
-                pool = [
-                    p
-                    for p in self.template.placement_pool
-                    if (spec.name, p) not in goal_places
-                    and not (not spec.interactive and p not in self.template.nav_points)
-                    and not (spec.container and p not in self.template.nav_points)
-                ]
+                pool = pools[spec.container or not spec.interactive]
+                if spec.name in goal_places:
+                    pool = [p for p in pool if p not in goal_places[spec.name]]
                 location = placement_rng.choice(pool)
                 state = _ObjectState(spec=spec, location=location)
             self._objects[spec.name] = state
@@ -541,10 +559,30 @@ def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
         if not isinstance(task, dict):
             raise SuiteError(f"{path}: task {index} is not an object")
         try:
-            specs.append(TaskSpec.from_doc(task))
+            spec = TaskSpec.from_doc(task)
         except KeyError as exc:
             raise SuiteError(f"{path}: task {index} has no {exc.args[0]!r}") from exc
+        _check_goals(spec, profile, path)
+        specs.append(spec)
     return profile, specs
+
+
+def _check_goals(task: TaskSpec, profile: str, path: str) -> None:
+    """Raise ``SuiteError`` naming the task when a goal names an object, a
+    place or a state that the profile's world cannot score."""
+    template = TEMPLATES[profile]
+    objects = {spec.name for spec in template.objects}
+    places = set(template.nav_points) | {spec.name for spec in template.objects if spec.container}
+    for goal in task.goal_conditions:
+        if goal["obj"] not in objects:
+            wrong = f"object {goal['obj']!r} is not in the {profile} world"
+        elif goal["kind"] == "at" and goal["place"] not in places:
+            wrong = f"place {goal['place']!r} is neither a nav point nor a container"
+        elif goal["kind"] == "state" and goal["state"] not in GOAL_STATES:
+            wrong = f"state {goal['state']!r} is not one of {list(GOAL_STATES)}"
+        else:
+            continue
+        raise SuiteError(f"{path}: task {task.id!r}: goal {wrong}")
 
 
 def builtin_suite_path() -> str:

@@ -18,7 +18,11 @@ only the changed keys and the region edges of nodes that would exceed a
 degree cap.
 
 The step pays only for lookups some decision reads. The fast conflict
-check is a key lookup in the graph and in a set of the buffer's keys. The
+check is a key lookup in the graph and in a set of the buffer's keys. Seeds
+are looked up by exact name through a name index, which maps the first word
+of each node name to the names it starts and their words: a query's words
+are walked once, and at a word that starts some name, that name's words are
+compared with the words that follow, with no fragment string built. The
 similarity index of node names is filled only when a seed lookup first
 needs a search, since most seeds resolve by exact name.
 """
@@ -30,7 +34,6 @@ import logging
 import math
 import re
 import threading
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -218,8 +221,9 @@ class SpatialMemory:
         self._out: Dict[str, Set[EdgeKey]] = {}
         self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
-        # First word of each node name -> how many node names start with it.
-        self._first_words: Counter = Counter()
+        # Name index for the exact seed lookup: first word of a node name ->
+        # {name: the words of the name}.
+        self._names_by_first: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         # Subjects whose out-edges may hold a conflict: _add_edge has added a
         # key of theirs since the detector last saw all their out-edges.
         self._dirty: Set[str] = set()
@@ -272,7 +276,7 @@ class SpatialMemory:
             self._out.clear()
             self._in.clear()
             self._nodes.clear()
-            self._first_words.clear()
+            self._names_by_first.clear()
             self._dirty.clear()
             self._decided.clear()
             self._index = VectorIndex(dim=self.embedder.dim)
@@ -379,8 +383,8 @@ class SpatialMemory:
         # Merge back. Only a node that gains a key can end above a degree
         # cap, and only a node above its cap evicts, so no other node evicts
         # during a full replace of the region either. The region edges of
-        # these hot nodes are removed and re-added in local order, as a full
-        # replace would. Every other edge that stays in the local set stays
+        # these hot nodes are removed and re-added so that they evict as a
+        # full replace in local order would. Every other edge that stays in the local set stays
         # in place; a newer triplet of a key the graph holds overwrites it.
         hot = self._hot_nodes([key for key in changed if key not in self._edges], graph_losers)
         stale = set(graph_losers)
@@ -391,7 +395,11 @@ class SpatialMemory:
         readd.update(changed)
         for key in stale:
             self._remove_edge(key)
-        for key in sorted(readd, key=place):
+        # Without a rename, ``readd`` already evicts as local order does: the
+        # removed edges held together under the caps before, so none of them
+        # evicts on its way back, and the keys the graph lacks follow them in
+        # arrival order. A rename may place a key among the removed ones.
+        for key in sorted(readd, key=place) if rename else readd:
             if key in self._edges:
                 self._edges[key] = readd[key]  # same endpoints: nothing else changes
             else:
@@ -621,29 +629,38 @@ class SpatialMemory:
             return tuple(edges)
 
     def _extract_seeds(self, text: str) -> Set[str]:
-        """The nodes named by 1-3-word fragments of ``text``; when none is,
-        the nodes the fragments resolve to by similarity."""
-        words = canonical_name(text).split()
-        # A word and the number after it name one instance (``drawer`` in
-        # ``drawer 2``), so no fragment ends between them.
-        numbered = {i for i, word in enumerate(words) if _instance_numbers(word)}
-
-        def fragments(starts: Iterable[int]) -> Iterable[str]:
-            return (
-                " ".join(words[i:end])
-                for i in starts
-                for end in range(i + 1, min(i + 3, len(words)) + 1)
-                if end not in numbered
-            )
-
-        # A fragment names a node only where some node name starts.
-        starts = [i for i, word in enumerate(words) if word in self._first_words]
-        seeds = {fragment for fragment in fragments(starts) if fragment in self._nodes}
+        """The nodes named by 1-3 consecutive words of ``text``; when none
+        is, the nodes its 1-3-word fragments resolve to by similarity. A word
+        and the number after it name one instance (``drawer`` in ``drawer
+        2``), so no name or fragment ends between them."""
+        words = tuple(canonical_name(text).split())
+        # Only a name whose first word is here can match; its words are
+        # compared with the words that follow, and no string is built.
+        seeds: Set[str] = set()
+        for i, word in enumerate(words):
+            names = self._names_by_first.get(word)
+            if not names:
+                continue
+            for name, parts in names.items():
+                end = i + len(parts)
+                if (
+                    len(parts) <= 3
+                    and words[i:end] == parts
+                    and (end == len(words) or not _instance_numbers(words[end]))
+                ):
+                    seeds.add(name)
         if seeds or not self._nodes:
             return seeds
+        numbered = {i for i, word in enumerate(words) if _instance_numbers(word)}
+        fragments = {
+            " ".join(words[i:end])
+            for i in range(len(words))
+            for end in range(i + 1, min(i + 3, len(words)) + 1)
+            if end not in numbered
+        }
         # One product over all fragments prunes those that no node may
         # reach; the rest resolve by search, which alone decides a hit.
-        ordered = sorted(set(fragments(range(len(words)))))
+        ordered = sorted(fragments)
         self._index_nodes()
         reach = self._index.may_hit([self.embedder.embed(f) for f in ordered], self.theta)
         candidates = [fragment for fragment, may in zip(ordered, reach) if may]
@@ -669,7 +686,8 @@ class SpatialMemory:
     def _add_node(self, node: str) -> None:
         if node not in self._nodes:
             self._nodes.add(node)
-            self._first_words[node.split(" ", 1)[0]] += 1
+            words = tuple(node.split(" "))
+            self._names_by_first.setdefault(words[0], {})[node] = words
             self._unindexed.add(node)
 
     def _index_nodes(self) -> None:
@@ -704,9 +722,10 @@ class SpatialMemory:
         if node in self._nodes:
             self._nodes.remove(node)
             first = node.split(" ", 1)[0]
-            self._first_words[first] -= 1
-            if not self._first_words[first]:
-                del self._first_words[first]
+            names = self._names_by_first[first]
+            del names[node]
+            if not names:
+                del self._names_by_first[first]
         if node in self._index:
             self._index.remove(node)
         self._unindexed.discard(node)

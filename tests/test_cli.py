@@ -149,6 +149,15 @@ def _bad_inputs(tmp_path, suite_path):
     no_id = tmp_path / "no_id.json"
     no_id.write_text(json.dumps(doc))
     missing = str(tmp_path / "missing.json")
+    goal = doc["tasks"][0]["goal_conditions"][0]
+    unscorable = tmp_path / "unscorable.json"
+    unscorable.write_text(json.dumps(dict(doc, tasks=[
+        dict(doc["tasks"][0], goal_conditions=[dict(goal, obj="cupx")])
+    ])))
+    no_place = tmp_path / "no_place.json"
+    no_place.write_text(json.dumps(dict(doc, tasks=[
+        dict(doc["tasks"][0], goal_conditions=[{"kind": "at", "obj": "cup"}])
+    ])))
     return {
         "missing-config": (["--suite", suite_path, "--config", missing], "gateway config", [missing]),
         "missing-suite": (["--suite", missing], "suite", [missing]),
@@ -157,6 +166,10 @@ def _bad_inputs(tmp_path, suite_path):
         "unknown-profile": (
             ["--suite", str(unknown_profile)], "suite", [str(unknown_profile), "'alfredo'"]
         ),
+        "unscorable-goal": (
+            ["--suite", str(unscorable)], "suite", [str(unscorable), "'task-0'", "'cupx'"]
+        ),
+        "goal-without-place": (["--suite", str(no_place)], "suite", ["'task-0'", "'place'"]),
     }
 
 
@@ -164,7 +177,10 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize(
         "case",
-        ["missing-config", "missing-suite", "non-json-suite", "task-without-id", "unknown-profile"],
+        [
+            "missing-config", "missing-suite", "non-json-suite", "task-without-id",
+            "unknown-profile", "unscorable-goal", "goal-without-place",
+        ],
     )
     def test_exits_1_naming_the_file_without_a_traceback(
         self, runner, tmp_path, suite_path, command, case

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from memagent import envsim
 from memagent.core import ActionCommand, Outcome, Verb
 from memagent.envsim import (
     EXECUTOR_FAILURE,
@@ -25,6 +26,44 @@ def simple_task(seed=3):
         goal_conditions=({"kind": "at", "obj": "cup", "place": "kitchen counter"},),
         initial_seed=seed,
     )
+
+
+class PerObjectPoolEnvironment(Environment):
+    """Reference model: reset as it was when each object built its own
+    placement pool, frozen here so that it does not follow the code it
+    checks."""
+
+    def reset(self, task, seed=None):
+        self._task = task
+        world_seed = task.initial_seed if seed is None else seed
+        placement_rng = random.Random(world_seed)
+        self._rng = random.Random(world_seed + 1)
+        self._steps = 0
+        self.done = False
+        self.reported_success = False
+        self._agent_at = self.template.start_point
+        self._held = None
+        self._objects = {}
+        goal_places = {(g["obj"], g["place"]) for g in task.goal_conditions if g["kind"] == "at"}
+        for spec in self.template.objects:
+            if spec.fixed_location is not None:
+                state = envsim._ObjectState(
+                    spec=spec,
+                    location=spec.fixed_location,
+                    open_state="closed" if spec.openable else None,
+                    power="off" if spec.powered else None,
+                )
+            else:
+                pool = [
+                    p
+                    for p in self.template.placement_pool
+                    if (spec.name, p) not in goal_places
+                    and not (not spec.interactive and p not in self.template.nav_points)
+                    and not (spec.container and p not in self.template.nav_points)
+                ]
+                state = envsim._ObjectState(spec=spec, location=placement_rng.choice(pool))
+            self._objects[spec.name] = state
+        return self._observe()
 
 
 def act(verb, target=None):
@@ -71,6 +110,69 @@ class TestTaskSpec:
             load_suite(str(path))
 
 
+    @pytest.mark.parametrize(
+        "goal, wrong",
+        [
+            ("cup on table", "not an object"),
+            ({"obj": "cup", "place": "shelf"}, "kind"),
+            ({"kind": "near", "obj": "cup", "place": "shelf"}, "kind"),
+            ({"kind": "at", "obj": "cup"}, "'place'"),
+            ({"kind": "at", "obj": "cup", "place": "  "}, "'place'"),
+            ({"kind": "at", "place": "shelf"}, "'obj'"),
+            ({"kind": "state", "obj": "cup"}, "'state'"),
+            ({"kind": "state", "obj": "", "state": "heated"}, "'obj'"),
+        ],
+    )
+    def test_rejects_a_malformed_goal_naming_the_task(self, goal, wrong):
+        with pytest.raises(SuiteError, match=f"'t9'.*{wrong}"):
+            dataclasses.replace(simple_task(), id="t9", goal_conditions=(goal,))
+
+    def suite_with_goal(self, tmp_path, goal, profile="realworld"):
+        doc = {
+            "id": "t2",
+            "instruction": "put cup on shelf",
+            "category": "pick_place",
+            "goal_conditions": [{"kind": "at", "obj": "cup", "place": "shelf"}, goal],
+        }
+        path = tmp_path / "suite.json"
+        good = dict(doc, id="t1", goal_conditions=doc["goal_conditions"][:1])
+        path.write_text(json.dumps({"profile": profile, "tasks": [good, doc]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "goal, wrong",
+        [
+            ({"kind": "at", "obj": "cupx", "rel": "on", "place": "shelf"}, "object 'cupx'"),
+            ({"kind": "at", "obj": "cup", "rel": "on", "place": "moon"}, "place 'moon'"),
+            # A non-container object is no place to put things.
+            ({"kind": "at", "obj": "cup", "rel": "in", "place": "apple"}, "place 'apple'"),
+            ({"kind": "state", "obj": "cup", "state": "melted"}, "state 'melted'"),
+            ({"kind": "state", "obj": "knife", "state": "cleaned"}, "object 'knife'"),
+        ],
+    )
+    def test_load_suite_rejects_a_goal_the_world_cannot_score(self, tmp_path, goal, wrong):
+        path = self.suite_with_goal(tmp_path, goal)
+        with pytest.raises(SuiteError, match=f"suite.json: task 't2': goal {wrong}"):
+            load_suite(path)
+
+    @pytest.mark.parametrize(
+        "goal",
+        [
+            {"kind": "at", "obj": "apple", "rel": "in", "place": "basket"},
+            {"kind": "at", "obj": "basket", "rel": "on", "place": "window sill"},
+            {"kind": "state", "obj": "oven", "state": "open"},
+        ],
+    )
+    def test_load_suite_accepts_goals_of_its_world(self, tmp_path, goal):
+        _, tasks = load_suite(self.suite_with_goal(tmp_path, goal))
+        assert tasks[1].goal_conditions[1] == goal
+
+    def test_goal_objects_are_checked_against_the_suite_profile(self, tmp_path):
+        goal = {"kind": "state", "obj": "tomato", "state": "sliced"}
+        with pytest.raises(SuiteError, match="'t1': goal object 'cup' is not in the alfred world"):
+            load_suite(self.suite_with_goal(tmp_path, goal, profile="alfred"))
+
+
 class TestDeterminism:
     def run_sequence(self, seed, actions):
         env = Environment(profile="realworld", failure_p=0.0)
@@ -105,6 +207,23 @@ class TestDeterminism:
             env.reset(simple_task(), seed=seed)
             scn, gcn = env.score()
             assert scn == 0 and gcn == 1
+
+    def test_reset_matches_the_per_object_pool(self):
+        """Every built-in task, and one with two goal places for one object,
+        starts the same world in both profiles as with a pool built per
+        object: same contents and order of each pool, same draws."""
+        _, tasks = load_suite(builtin_suite_path())
+        tasks.append(dataclasses.replace(simple_task(), goal_conditions=(
+            {"kind": "at", "obj": "cup", "place": "stove"},
+            {"kind": "at", "obj": "cup", "place": "cabinet"},
+            {"kind": "at", "obj": "spoon", "place": "kitchen table"},
+        )))
+        for profile in ("realworld", "alfred"):
+            env, ref = Environment(profile=profile), PerObjectPoolEnvironment(profile=profile)
+            for task in tasks:
+                for seed in range(20):
+                    assert env.reset(task, seed) == ref.reset(task, seed)
+                    assert env.world_snapshot() == ref.world_snapshot()
 
     def test_failure_stream_is_one_draw_per_step(self):
         """The failure roll happens on every step, even invalid ones, so the

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from unittest import mock
 
 import pytest
@@ -1020,6 +1019,22 @@ class TestIncrementalMergeBack:
         assert mem.snapshot() == ref.snapshot()
 
 
+    def test_renamed_key_is_re_added_in_local_order(self):
+        # "the drawer 1" merges into "drawer 1" within one batch, so the
+        # renamed "drawer 1 in table" takes the first arrival place. Added
+        # first, it evicts "table is table" at the in-cap, and then the
+        # out-cap evicts it; added last, the out-cap evicts it at once and
+        # "table is table" stays.
+        config = dict(max_out_degree=1, max_in_degree=1, buffer_capacity=1, k_hops=2)
+        mem, ref = make_memory(**config), FullReplaceMemory(**config)
+        for m in (mem, ref):
+            m.buffer_triplets([Triplet("table", "is", "table", step_index=4)])
+            m.buffer_triplets([Triplet("the drawer 1", "in", "table", step_index=5),
+                               Triplet("drawer 1", "near", "cup", step_index=5)])
+        assert [e.key for e in mem.edges()] == [("drawer 1", "near", "cup")]
+        assert mem.snapshot() == ref.snapshot()
+
+
 class TestHotNodeMergeBack:
     def integrate_twice(self, mem, removed):
         mem.buffer_triplets([Triplet("agent", "at", "kitchen", step_index=1),
@@ -1133,29 +1148,85 @@ _QUERY_WORDS = ["find", "the", "red", "cup", "cups", "cupz", "drawer", "drawers"
                 "big", "of"]
 
 
+def name_index(names):
+    """The name index recounted from scratch: first word -> {name: words}."""
+    index = {}
+    for name in names:
+        words = tuple(name.split(" "))
+        index.setdefault(words[0], {})[name] = words
+    return index
+
+
+_seed_pairs = st.lists(
+    st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), min_size=1, max_size=4
+)
+_seed_operations = st.lists(
+    st.one_of(
+        _seed_pairs.map(lambda pairs: [Triplet(s, "near", o) for s, o in pairs]),
+        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
+        st.lists(st.sampled_from(_QUERY_WORDS + _SEED_NAMES), max_size=6).map(
+            lambda words: ("query", " ".join(words))
+        ),
+    ),
+    max_size=12,
+)
+
+
 class TestSeedPrune:
+    """The exact seed lookup goes through the name index, which must hold
+    exactly the nodes after every operation that adds or drops one: an
+    integrate (de-dup drops names), ``clear`` and ``restore``."""
+
     @settings(max_examples=100, deadline=None)
-    @given(
-        edges=st.lists(
-            st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), max_size=8
-        ),
-        merged=st.lists(
-            st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), max_size=4
-        ),
-        queries=st.lists(
-            st.lists(st.sampled_from(_QUERY_WORDS + _SEED_NAMES), max_size=6), max_size=6
-        ),
-    )
-    def test_matches_resolving_every_fragment(self, edges, merged, queries):
-        mem = make_memory()
+    @given(edges=_seed_pairs, operations=_seed_operations)
+    def test_matches_resolving_every_fragment(self, edges, operations):
+        mem = make_memory(buffer_capacity=3)
         seed_graph(mem, [Triplet(s, "near", o) for s, o in edges])
-        # Integrate de-duplicates, so some names may leave the graph again.
-        mem.buffer_triplets([Triplet(s, "near", o) for s, o in merged])
+        saved = mem.snapshot()
+        for op in operations:
+            if op == "integrate":
+                mem.integrate()
+            elif op == "snapshot":
+                saved = mem.snapshot()
+            elif op == "restore":
+                mem.restore(saved)
+            elif op == "clear":
+                mem.clear()
+            elif isinstance(op, tuple):
+                assert mem._extract_seeds(op[1]) == reference_seeds(mem, op[1])
+            else:
+                mem.buffer_triplets(op)
+            assert mem._names_by_first == name_index(mem.nodes)
+
+    @pytest.mark.parametrize(
+        "text, seeds",
+        [
+            # A name of three words matches; one of four never does.
+            ("find the red cup", {"red cup", "the red cup"}),
+            ("the big red cup", {"red cup"}),
+            # No match ends just before a number: kitchen counter 2 is
+            # another instance than kitchen counter.
+            ("kitchen counter 2 | cup", {"kitchen counter 2"}),
+            ("cup on kitchen counter", {"kitchen counter"}),
+        ],
+    )
+    def test_exact_lookup(self, text, seeds):
+        mem = make_memory()
+        seed_graph(mem, [Triplet("the red cup", "near", "kitchen counter"),
+                         Triplet("red cup", "on", "kitchen counter 2"),
+                         Triplet("the big red cup", "near", "red cup")])
+        assert mem._extract_seeds(text) == seeds == reference_seeds(mem, text)
+
+    def test_dedup_drop_leaves_the_name_index(self):
+        mem = make_memory()
+        # Both spellings are nodes, one hop from the table.
+        seed_graph(mem, [Triplet("table", "near", "red cup"),
+                         Triplet("table", "near", "the red cup")])
+        mem.buffer_triplets([Triplet("table", "near", "sink", step_index=1)])
         mem.integrate()
-        assert mem._first_words == Counter(name.split(" ", 1)[0] for name in mem.nodes)
-        for words in queries:
-            text = " ".join(words)
-            assert mem._extract_seeds(text) == reference_seeds(mem, text)
+        assert mem.nodes == {"table", "red cup", "sink"}
+        assert mem._names_by_first == name_index(mem.nodes)
+        assert mem._extract_seeds("the red cup") == {"red cup"}
 
 
 _index_operations = st.lists(
