@@ -12,6 +12,7 @@ from . import harness
 from .core import Termination, canonical_json
 from .envsim import SuiteError
 from .gateway import BACKENDS, GatewayConfigError
+from .orchestrator import MemoryOrchestrator
 
 
 @click.group()
@@ -132,6 +133,8 @@ def replay(log_path):
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise click.ClickException(f"line {line_no}: not valid JSON ({exc})")
+            if not isinstance(entry, dict):
+                raise click.ClickException(f"line {line_no}: not a JSON object")
             verdict = entry.get("verdict") or "-"
             if entry.get("executed"):
                 click.echo(
@@ -149,17 +152,16 @@ def replay(log_path):
 @click.argument("snapshot_path", type=click.Path(exists=True))
 def snapshot(snapshot_path):
     """Summarize a memory snapshot file."""
+    memory = MemoryOrchestrator()
     try:
         with open(snapshot_path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        edges, entries = len(doc["spatial"]["edges"]), len(doc["temporal"]["entries"])
-        entities = doc["lifelong"]["entities"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise click.ClickException(f"not a memory snapshot document ({exc})")
-    click.echo(f"spatial: {edges} edges")
-    click.echo(f"temporal: {entries} buffer entries")
-    episodic = sum(1 for e in entities if e.get("kind") == "episodic")
-    click.echo(f"long-term: {episodic} episodic, {len(entities) - episodic} semantic entities")
+            memory.restore(handle.read())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise click.ClickException(f"not a memory snapshot document ({exc!r})")
+    click.echo(f"spatial: {len(memory.spatial.edges())} edges")
+    click.echo(f"temporal: {len(memory.temporal.entries())} buffer entries")
+    episodic, semantic = (len(memory.lifelong.entities(kind)) for kind in ("episodic", "semantic"))
+    click.echo(f"long-term: {episodic} episodic, {semantic} semantic entities")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Every document written to disk (reports, snapshots, trajectory logs) is
 rendered by :func:`canonical_json`, so golden files and snapshot diffs are
-byte-stable; :func:`to_doc` gives the plain document of a core type, and
-:func:`read_json` reads an input file (a suite, a gateway config).
+byte-stable; :func:`read_json` reads an input file (a suite, a gateway
+config). One codec gives every type its document: :func:`to_doc` writes a
+dataclass's init fields, and :func:`from_doc` passes them back to the type.
 
 Every concurrent fan-out (the gateway's parallel invoke, the
 orchestrator's update dispatch and context gather) goes through
@@ -15,6 +16,7 @@ it, since each reasoner call degrades inside ``ReasonerGateway.ask``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import re
@@ -22,7 +24,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 
 class Verb(str, Enum):
@@ -66,6 +68,8 @@ class InvariantError(ValueError):
         self.path = path
 
 
+T = TypeVar("T")
+
 _WS = re.compile(r"\s+")
 
 #: Distinct strings kept canonicalized; a seed-3 suite run uses about 650.
@@ -85,6 +89,8 @@ class ActionCommand:
     target: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.verb, Verb):
+            object.__setattr__(self, "verb", Verb(self.verb))
         if self.verb in TARGETLESS_VERBS:
             object.__setattr__(self, "target", None)
         else:
@@ -122,6 +128,10 @@ class StepRecord:
     failure_reason: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.action, ActionCommand):
+            object.__setattr__(self, "action", from_doc(ActionCommand, self.action))
+        if not isinstance(self.outcome, Outcome):
+            object.__setattr__(self, "outcome", Outcome(self.outcome))
         if self.step_index < 0:
             raise InvariantError("step_index must be >= 0", "step_index")
         if not self.summary:
@@ -175,49 +185,58 @@ def read_json(path: str, error: Type[Exception]) -> Any:
 
 
 def to_doc(value: Any) -> Any:
-    """Plain JSON-ready document for a core type."""
-    if isinstance(value, ActionCommand):
-        doc = {"verb": value.verb.value}
-        if value.target is not None:
-            doc["target"] = value.target
-        return doc
-    if isinstance(value, Observation):
-        return {
-            "task_id": value.task_id,
-            "step_index": value.step_index,
-            "text": value.text,
-        }
-    if isinstance(value, StepRecord):
-        doc = {
-            "step_index": value.step_index,
-            "action": to_doc(value.action),
-            "summary": value.summary,
-            "outcome": value.outcome.value,
-        }
-        if value.failure_reason is not None:
-            doc["failure_reason"] = value.failure_reason
-        return doc
-    if isinstance(value, TaskResult):
-        return {
-            "task_id": value.task_id,
-            "scn": value.scn,
-            "gcn": value.gcn,
-            "steps_used": value.steps_used,
-            "terminated_by": value.terminated_by.value,
-        }
-    raise TypeError(f"not a serializable core type: {type(value)!r}")
+    """JSON-ready document of ``value``: a dataclass becomes an object of its
+    init fields but ``None`` ones, an enum its value, a tuple or list a list,
+    and a JSON scalar stays. Anything else raises ``TypeError``."""
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _ENCODERS[type(value)] = _encoder(type(value))
+    return encode(value)
 
 
-def step_record_from_doc(doc: dict) -> StepRecord:
-    """The ``StepRecord`` whose ``to_doc`` is ``doc``; other keys are
-    ignored."""
-    action = doc["action"]
-    return StepRecord(
-        step_index=doc["step_index"],
-        action=ActionCommand(verb=Verb(action["verb"]), target=action.get("target")),
-        summary=doc["summary"],
-        outcome=Outcome(doc["outcome"]),
-        failure_reason=doc.get("failure_reason"),
+def from_doc(cls: Type[T], doc: dict) -> T:
+    """The ``cls`` whose ``to_doc`` is ``doc``: its init fields found in
+    ``doc`` go to ``cls``, whose ``__post_init__`` normalizes them; other
+    keys are ignored, and a missing required field is a ``KeyError``."""
+    fields = _init_fields(cls)
+    return cls(**{name: doc[name] for name, required in fields if required or name in doc})
+
+
+#: Per type met so far, the function that encodes its values.
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {}
+#: Field types a dataclass encoder copies as they are, with no lookup.
+_SCALARS = frozenset({str, int, float, bool})
+
+
+def _encoder(cls: type) -> Callable[[Any], Any]:
+    if dataclasses.is_dataclass(cls):
+        names = [name for name, _ in _init_fields(cls)]
+
+        def encode(value: Any) -> dict:
+            doc = {}
+            for name in names:
+                item = getattr(value, name)
+                if item is not None:
+                    doc[name] = item if type(item) in _SCALARS else to_doc(item)
+            return doc
+
+        return encode
+    if issubclass(cls, Enum):
+        return lambda value: value.value
+    if issubclass(cls, (tuple, list)):
+        return lambda value: [to_doc(item) for item in value]
+    if issubclass(cls, (str, int, float, type(None))):
+        return lambda value: value
+    raise TypeError(f"no document form for {cls!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _init_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
+    """``(name, required)`` of each init field of the dataclass ``cls``."""
+    return tuple(
+        (f.name, f.default is f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+        if f.init
     )
 
 

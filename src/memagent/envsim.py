@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import ActionCommand, Observation, Outcome, Verb, read_json
+from .core import ActionCommand, Observation, Outcome, Verb, from_doc, read_json
 
 EXECUTOR_FAILURE = "executor_failure"
 
@@ -159,8 +159,14 @@ class TaskSpec:
     initial_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id.strip():
+            raise SuiteError(f"task {self.id!r} needs a non-blank text id")
+        if not isinstance(self.goal_conditions, (list, tuple)):
+            raise SuiteError(f"task {self.id!r}: goal_conditions is not a list")
         if len(self.goal_conditions) < 1:
             raise SuiteError(f"task {self.id!r} needs at least one goal condition")
+        if not isinstance(self.initial_seed, int) or isinstance(self.initial_seed, bool):
+            raise SuiteError(f"task {self.id!r}: initial_seed {self.initial_seed!r} is not an int")
         if not isinstance(self.instruction, str) or not self.instruction.strip():
             raise SuiteError(f"task {self.id!r} needs a non-blank instruction")
         for goal in self.goal_conditions:
@@ -179,16 +185,6 @@ class TaskSpec:
     @property
     def gcn(self) -> int:
         return len(self.goal_conditions)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TaskSpec":
-        return cls(
-            id=doc["id"],
-            instruction=doc["instruction"],
-            category=doc["category"],
-            goal_conditions=tuple(doc["goal_conditions"]),
-            initial_seed=doc.get("initial_seed", 0),
-        )
 
 
 @dataclass
@@ -559,7 +555,7 @@ def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
         if not isinstance(task, dict):
             raise SuiteError(f"{path}: task {index} is not an object")
         try:
-            spec = TaskSpec.from_doc(task)
+            spec = from_doc(TaskSpec, task)
         except KeyError as exc:
             raise SuiteError(f"{path}: task {index} has no {exc.args[0]!r}") from exc
         _check_goals(spec, profile, path)

@@ -164,7 +164,7 @@ def run_suite(
             {
                 "pass": pass_index + 1,
                 "metrics": compute_metrics(results),
-                "tasks": [to_doc(r) for r in results],
+                "tasks": to_doc(results),
             }
         )
         all_latencies.extend(system.orchestrator.gather_latencies)

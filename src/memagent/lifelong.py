@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import Outcome, StepRecord, TaskResult
+from .core import Outcome, StepRecord, TaskResult, from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 from .vector_index import HashingEmbedder, IndexEntry, VectorIndex
 
@@ -57,18 +57,6 @@ class MemoryEntity:
         object.__setattr__(self, "tags", tuple(self.tags))
         object.__setattr__(self, "facts", tuple(tuple(f) for f in self.facts))
         object.__setattr__(self, "avoid", tuple(tuple(a) for a in self.avoid))
-
-    def to_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "text": self.text,
-            "task": self.task,
-            "tags": list(self.tags),
-            "count": self.count,
-            "facts": [list(f) for f in self.facts],
-            "avoid": [list(a) for a in self.avoid],
-        }
 
 
 @dataclass
@@ -373,7 +361,7 @@ class LifelongMemory:
     def snapshot(self) -> dict:
         with self._lock:
             return {
-                "entities": [e.to_doc() for e in self.entities()],
+                "entities": to_doc(self.entities()),
                 "id_counters": dict(sorted(self._id_counters.items())),
             }
 
@@ -381,4 +369,4 @@ class LifelongMemory:
         with self._lock:
             self.wipe()
             self._id_counters = dict(doc.get("id_counters", {}))
-            self._apply(UpdatePlan(adds=[MemoryEntity(**d) for d in doc["entities"]]))
+            self._apply(UpdatePlan(adds=[from_doc(MemoryEntity, d) for d in doc["entities"]]))

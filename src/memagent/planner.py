@@ -250,7 +250,7 @@ class PlannerCritic:
     ) -> CriticVerdict:
         payload = {
             "action": to_doc(action),
-            "plan_suffix": [to_doc(c) for c in plan_suffix],
+            "plan_suffix": to_doc(plan_suffix),
             "goals": goals,
             "facts": [list(f) for f in beliefs.facts],
             "holding": beliefs.holding,

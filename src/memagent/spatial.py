@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .core import canonical_name
+from .core import canonical_name, from_doc, to_doc
 from .gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_FUNCTIONAL_GROUPS,
@@ -149,14 +149,6 @@ class Triplet:
         object.__setattr__(self, "object", obj)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "key", (subject, relation, obj))
-
-    def to_doc(self) -> dict:
-        return {
-            "subject": self.subject,
-            "relation": self.relation,
-            "object": self.object,
-            "step_index": self.step_index,
-        }
 
 
 _NUMBERED_TOKEN = re.compile(r"\S*\d\S*")
@@ -539,7 +531,7 @@ class SpatialMemory:
             return set()
         edges = [changed.get(k) or self._edges[k] for k in keys]
         payload = {
-            "edges": [e.to_doc() for e in edges],
+            "edges": to_doc(edges),
             "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
             "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
             "state_sets": DEFAULT_STATE_SETS,
@@ -739,8 +731,8 @@ class SpatialMemory:
         with self._lock:
             return {
                 "nodes": sorted(self._nodes),
-                "edges": [e.to_doc() for e in self.edges()],
-                "pending": [t.to_doc() for t in self._pending],
+                "edges": to_doc(self.edges()),
+                "pending": to_doc(self._pending),
                 "retrieval_seed": sorted(self._retrieval_seed),
             }
 
@@ -748,9 +740,9 @@ class SpatialMemory:
         with self._lock:
             self.clear()
             for edge_doc in doc["edges"]:
-                self._add_edge(Triplet(**edge_doc))
+                self._add_edge(from_doc(Triplet, edge_doc))
             for node in doc["nodes"]:
                 self._add_node(node)
-            self._pending = [Triplet(**t) for t in doc.get("pending", [])]
+            self._pending = [from_doc(Triplet, t) for t in doc.get("pending", [])]
             self._pending_keys = {t.key for t in self._pending}
             self._retrieval_seed = set(doc.get("retrieval_seed", []))

@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .core import StepRecord, step_record_from_doc, to_doc
+from .core import StepRecord, from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 
 DEFAULT_CAPACITY = 3
@@ -23,12 +23,18 @@ class CompactedSummary:
     covers_steps: Tuple[int, int]  # inclusive step range
 
     def __post_init__(self):
+        if not isinstance(self.covers_steps, tuple):
+            object.__setattr__(self, "covers_steps", tuple(self.covers_steps))
         first, last = self.covers_steps
         if first > last:
             raise ValueError("covers_steps must be a non-empty range")
 
 
 BufferItem = Union[StepRecord, CompactedSummary]
+
+#: The ``type`` of each buffer item in a snapshot document.
+_ITEM_TYPES = {"step": StepRecord, "compacted": CompactedSummary}
+_TYPE_NAMES = {cls: name for name, cls in _ITEM_TYPES.items()}
 
 
 def _item_range(item: BufferItem) -> Tuple[int, int]:
@@ -83,12 +89,7 @@ class TemporalMemory:
 
     def snapshot(self) -> dict:
         with self._lock:
-            items = [
-                {"type": "compacted", "text": item.text, "covers_steps": list(item.covers_steps)}
-                if isinstance(item, CompactedSummary)
-                else dict(to_doc(item), type="step")
-                for item in self._entries
-            ]
+            items = [dict(to_doc(item), type=_TYPE_NAMES[type(item)]) for item in self._entries]
             return {"capacity": self.capacity, "entries": items}
 
     def restore(self, doc: dict) -> None:
@@ -98,14 +99,10 @@ class TemporalMemory:
             raise ValueError("capacity must be >= 1")
         entries: List[BufferItem] = []
         for item in doc["entries"]:
-            if item["type"] == "compacted":
-                entries.append(
-                    CompactedSummary(text=item["text"], covers_steps=tuple(item["covers_steps"]))
-                )
-            elif item["type"] == "step":
-                entries.append(step_record_from_doc(item))
-            else:
+            cls = _ITEM_TYPES.get(item["type"])
+            if cls is None:
                 raise ValueError(f"unknown temporal entry type: {item['type']!r}")
+            entries.append(from_doc(cls, item))
         with self._lock:
             self.capacity = capacity
             self._entries = entries

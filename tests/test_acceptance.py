@@ -23,6 +23,7 @@ from memagent.core import (
     TaskResult,
     Termination,
     Verb,
+    to_doc,
 )
 from memagent.envsim import Environment, TaskSpec
 from memagent.gateway import ReasonerGateway, ReasonerRole
@@ -199,7 +200,7 @@ def test_criterion_2_integration_locality():
             batch = [t for t in batch if t.subject != t.object]
             if not batch:
                 continue
-            before = {key: edge.to_doc() for key, edge in mem._edges.items()}
+            before = {key: to_doc(edge) for key, edge in mem._edges.items()}
             union_keys = set(before) | {t.key for t in batch}
             endpoints = {t.subject for t in batch} | {t.object for t in batch}
             region, _ = bfs_oracle(union_keys, endpoints, mem.k_hops)
@@ -209,7 +210,7 @@ def test_criterion_2_integration_locality():
             mem.integrate()
             integrations += 1
 
-            after = {key: edge.to_doc() for key, edge in mem._edges.items()}
+            after = {key: to_doc(edge) for key, edge in mem._edges.items()}
             for key, doc in before.items():
                 if key[0] in region and key[2] in region:
                     continue  # inside the affected neighborhood; may change

@@ -158,7 +158,18 @@ def _bad_inputs(tmp_path, suite_path):
     no_place.write_text(json.dumps(dict(doc, tasks=[
         dict(doc["tasks"][0], goal_conditions=[{"kind": "at", "obj": "cup"}])
     ])))
+    typed = {}
+    for case, field, value, named in [
+        ("goals-not-a-list", "goal_conditions", 5, ["'task-0'", "goal_conditions"]),
+        ("seed-not-an-int", "initial_seed", "x", ["'task-0'", "initial_seed 'x'"]),
+        ("seed-a-bool", "initial_seed", True, ["'task-0'", "initial_seed True"]),
+        ("id-not-text", "id", 7, ["task 7", "text id"]),
+    ]:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(dict(doc, tasks=[dict(doc["tasks"][0], **{field: value})])))
+        typed[case] = (["--suite", str(path)], "suite", named)
     return {
+        **typed,
         "missing-config": (["--suite", suite_path, "--config", missing], "gateway config", [missing]),
         "missing-suite": (["--suite", missing], "suite", [missing]),
         "non-json-suite": (["--suite", str(not_json)], "suite", [str(not_json), "not valid JSON"]),
@@ -180,6 +191,7 @@ class TestBadInputFiles:
         [
             "missing-config", "missing-suite", "non-json-suite", "task-without-id",
             "unknown-profile", "unscorable-goal", "goal-without-place",
+            "goals-not-a-list", "seed-not-an-int", "seed-a-bool", "id-not-text",
         ],
     )
     def test_exits_1_naming_the_file_without_a_traceback(
@@ -269,6 +281,14 @@ class TestReplay:
         result = runner.invoke(main, ["replay", str(log)])
         assert result.exit_code != 0
 
+    def test_replay_rejects_a_line_that_is_not_an_object(self, runner, tmp_path):
+        log = tmp_path / "list.jsonl"
+        log.write_text('{"executed": false, "action": "drop()"}\n[1]\n')
+        result = runner.invoke(main, ["replay", str(log)])
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "Error: line 2: not a JSON object"
+
     def test_replay_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["replay", str(tmp_path / "nope.jsonl")])
         assert result.exit_code != 0
@@ -299,3 +319,72 @@ class TestSnapshot:
         result = runner.invoke(main, ["snapshot", str(nested)])
         assert result.exit_code == 1
         assert "not a memory snapshot document" in result.output
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"spatial": {"edges": []}, "temporal": {"entries": []}, "lifelong": {"entities": [1]}},
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": [1]},
+            },
+            {
+                "spatial": {"nodes": [], "edges": [{"subject": "cup", "relation": "on"}]},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": []},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": [{"type": "note"}]},
+                "lifelong": {"entities": []},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": [{"id": "e", "kind": "semantic", "text": 5, "task": "a"}]},
+            },
+            [1, 2],
+            "{",
+        ],
+        ids=[
+            "no-nodes", "entity-not-an-object", "edge-without-object", "unknown-entry",
+            "text-not-text", "list", "not-json",
+        ],
+    )
+    def test_a_malformed_snapshot_prints_one_line(self, runner, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        result = runner.invoke(main, ["snapshot", str(bad)])
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.exit_code == 1
+        [line] = result.output.splitlines()
+        assert line.startswith("Error: not a memory snapshot document")
+
+    def test_snapshot_counts_what_restore_reads(self, runner, tmp_path):
+        doc = {
+            "spatial": {
+                "nodes": ["cup", "table"],
+                "edges": [{"subject": "cup", "relation": "on", "object": "table"}],
+            },
+            "temporal": {
+                "capacity": 3,
+                "entries": [{"type": "compacted", "text": "s", "covers_steps": [0, 2]}],
+            },
+            "lifelong": {
+                "entities": [
+                    {"id": "e1", "kind": "episodic", "text": "t", "task": "a"},
+                    {"id": "s1", "kind": "semantic", "text": "u", "task": "a"},
+                    {"id": "s2", "kind": "semantic", "text": "v", "task": "b"},
+                ]
+            },
+        }
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["snapshot", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            "spatial: 1 edges",
+            "temporal: 1 buffer entries",
+            "long-term: 1 episodic, 2 semantic entities",
+        ]

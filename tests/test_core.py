@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from memagent.core import (
     ActionCommand,
     InvariantError,
+    Observation,
     Outcome,
     StepRecord,
     TaskResult,
@@ -16,7 +17,12 @@ from memagent.core import (
     canonical_json,
     canonical_name,
     fan_out,
+    from_doc,
+    to_doc,
 )
+from memagent.lifelong import MemoryEntity
+from memagent.spatial import Triplet
+from memagent.temporal import CompactedSummary
 
 
 class TestCanonicalName:
@@ -116,6 +122,111 @@ class TestCanonicalJson:
     )
     def test_deterministic(self, doc):
         assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+
+
+_name = st.text(min_size=1).filter(lambda s: canonical_name(s) != "")
+_text = st.text(min_size=1)
+_action = st.builds(ActionCommand, verb=st.sampled_from(Verb), target=_name)
+_steps = st.integers(min_value=0, max_value=10**6)
+
+
+@st.composite
+def _step_records(draw):
+    outcome = draw(st.sampled_from(Outcome))
+    reason = draw(_text) if outcome is Outcome.FAILURE else None
+    return StepRecord(draw(_steps), draw(_action), draw(_text), outcome, reason)
+
+
+@st.composite
+def _task_results(draw):
+    gcn = draw(st.integers(min_value=1, max_value=5))
+    ended = draw(st.sampled_from(Termination))
+    return TaskResult(draw(_text), draw(st.integers(0, gcn)), gcn, draw(_steps), ended)
+
+
+@st.composite
+def _compacted(draw):
+    first = draw(_steps)
+    return CompactedSummary(draw(_text), (first, first + draw(st.integers(0, 10))))
+
+
+#: Every type with a document form: the four core types, graph edges, buffer
+#: summaries and long-term entities.
+_SERIALIZED = {
+    ActionCommand: _action,
+    Observation: st.builds(Observation, task_id=_text, step_index=_steps, text=_text),
+    StepRecord: _step_records(),
+    TaskResult: _task_results(),
+    Triplet: st.builds(Triplet, _name, st.text(), _name, _steps),
+    CompactedSummary: _compacted(),
+    MemoryEntity: st.builds(
+        MemoryEntity,
+        id=_text,
+        kind=st.sampled_from(["episodic", "semantic"]),
+        text=_text.filter(str.strip),
+        task=_text,
+        tags=st.lists(_text, max_size=3),
+        count=st.integers(min_value=1),
+        facts=st.lists(st.tuples(_text, _text, _text), max_size=3),
+        avoid=st.lists(st.tuples(_text, _text), max_size=3),
+    ),
+}
+
+
+class TestCodec:
+    @pytest.mark.parametrize("cls", list(_SERIALIZED), ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    def test_round_trip_through_canonical_json(self, cls, data):
+        value = data.draw(_SERIALIZED[cls])
+        text = canonical_json(to_doc(value))
+        back = from_doc(cls, json.loads(text))
+        assert back == value
+        assert canonical_json(to_doc(back)) == text
+
+    def test_documents_of_core_types(self):
+        record = StepRecord(4, ActionCommand(Verb.OPEN, "Oven"), "opened", Outcome.SUCCESS)
+        assert to_doc(record) == {
+            "step_index": 4,
+            "action": {"verb": "open", "target": "oven"},
+            "summary": "opened",
+            "outcome": "success",
+        }
+        assert to_doc(ActionCommand(Verb.TASK_COMPLETE)) == {"verb": "task_complete"}
+        assert to_doc(Triplet("cup", "on", "table", 2)) == {
+            "subject": "cup", "relation": "on", "object": "table", "step_index": 2
+        }
+        assert to_doc(CompactedSummary("s", (1, 3))) == {"text": "s", "covers_steps": [1, 3]}
+
+    def test_nested_documents_become_values(self):
+        doc = {
+            "step_index": 1,
+            "action": {"verb": "pick_up", "target": "cup"},
+            "summary": "x",
+            "outcome": "failure",
+            "failure_reason": "hands full",
+            "type": "step",
+        }
+        record = from_doc(StepRecord, doc)
+        assert record.action == ActionCommand(Verb.PICK_UP, "cup")
+        assert record.outcome is Outcome.FAILURE
+        assert type(record.action.verb) is Verb
+
+    def test_a_missing_required_field_is_a_key_error_naming_it(self):
+        with pytest.raises(KeyError) as raised:
+            from_doc(Observation, {"task_id": "t", "text": "x"})
+        assert raised.value.args == ("step_index",)
+
+    def test_defaults_fill_missing_optional_fields(self):
+        assert from_doc(Triplet, {"subject": "a", "relation": "on", "object": "b"}).step_index == 0
+
+    @pytest.mark.parametrize("value", [{1, 2}, frozenset(), {"a": 1}, object(), b"x"])
+    def test_other_values_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            to_doc(value)
+
+    def test_a_set_inside_a_dataclass_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            to_doc(Observation(task_id={"t"}, step_index=0, text="x"))
 
 
 class TestFanOut:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from memagent import envsim
-from memagent.core import ActionCommand, Outcome, Verb
+from memagent.core import ActionCommand, Outcome, Verb, from_doc
 from memagent.envsim import (
     EXECUTOR_FAILURE,
     Environment,
@@ -83,11 +83,11 @@ class TestTaskSpec:
             "goal_conditions": [{"kind": "at", "obj": "cup", "place": "kitchen counter"}],
             "initial_seed": 3,
         }
-        task = TaskSpec.from_doc(doc)
+        task = from_doc(TaskSpec, doc)
         assert task == simple_task()
         assert dataclasses.asdict(task) == dict(doc, goal_conditions=tuple(doc["goal_conditions"]))
         del doc["initial_seed"]
-        assert TaskSpec.from_doc(doc).initial_seed == 0
+        assert from_doc(TaskSpec, doc).initial_seed == 0
 
     def test_gcn_counts_conditions(self):
         assert simple_task().gcn == 1
@@ -108,6 +108,33 @@ class TestTaskSpec:
         path.write_text(json.dumps({"tasks": [doc, dict(doc, id="t2", instruction="   ")]}))
         with pytest.raises(ValueError, match="'t2'"):
             load_suite(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value, wrong",
+        [
+            ("goal_conditions", 5, "'t2': goal_conditions is not a list"),
+            ("goal_conditions", "at cup", "'t2': goal_conditions is not a list"),
+            ("initial_seed", "x", "'t2': initial_seed 'x' is not an int"),
+            ("initial_seed", True, "'t2': initial_seed True is not an int"),
+            ("initial_seed", 1.0, "'t2': initial_seed 1.0 is not an int"),
+            ("id", 7, "task 7 needs a non-blank text id"),
+            ("id", "  ", "task '  ' needs a non-blank text id"),
+            ("id", None, "task None needs a non-blank text id"),
+        ],
+    )
+    def test_load_suite_checks_field_types_naming_the_task(self, tmp_path, field, value, wrong):
+        doc = {
+            "id": "t2",
+            "instruction": "put cup on kitchen counter",
+            "category": "pick_place",
+            "goal_conditions": [{"kind": "at", "obj": "cup", "place": "kitchen counter"}],
+            "initial_seed": 3,
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"tasks": [dict(doc, id="t1"), dict(doc, **{field: value})]}))
+        with pytest.raises(SuiteError) as raised:
+            load_suite(str(path))
+        assert wrong in str(raised.value)
 
 
     @pytest.mark.parametrize(

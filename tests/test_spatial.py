@@ -23,7 +23,7 @@ from memagent.spatial import (
     Triplet,
     khop_bound,
 )
-from memagent.core import canonical_json
+from memagent.core import canonical_json, from_doc, to_doc
 from memagent.gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_FUNCTIONAL_GROUPS,
@@ -101,7 +101,7 @@ class TestTriplet:
     def test_key_and_doc_round_trip(self):
         t = Triplet("cup", "on", "table", step_index=3)
         assert t.key == ("cup", "on", "table")
-        assert Triplet(**t.to_doc()) == t
+        assert from_doc(Triplet, to_doc(t)) == t
 
 
 class TestKhopBound:
@@ -371,7 +371,7 @@ _slot_triplets = st.builds(
 def detector_conflicts(edges):
     """The oracle detector's conflict groups over ``edges``, as sets of keys."""
     payload = {
-        "edges": [e.to_doc() for e in edges],
+        "edges": to_doc(edges),
         "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
         "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
         "state_sets": DEFAULT_STATE_SETS,
@@ -922,7 +922,7 @@ class FullReplaceMemory(SpatialMemory):
         if not edges:
             return local
         payload = {
-            "edges": [e.to_doc() for e in edges],
+            "edges": to_doc(edges),
             "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
             "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
             "state_sets": DEFAULT_STATE_SETS,
