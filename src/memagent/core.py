@@ -68,6 +68,13 @@ class InvariantError(ValueError):
         self.path = path
 
 
+def check_int(value: Any, minimum: int, path: str) -> None:
+    """Raise ``InvariantError`` naming ``path`` unless ``value`` is an int,
+    not a bool, of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvariantError(f"must be an int >= {minimum}, not {value!r}", path)
+
+
 T = TypeVar("T")
 
 _WS = re.compile(r"\s+")

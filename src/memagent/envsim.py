@@ -541,8 +541,9 @@ class Environment:
 
 def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
     """The profile and tasks of a suite file; ``SuiteError`` names the file
-    (and the task's index) when it cannot be read, names an unknown profile
-    or holds a malformed task."""
+    when it cannot be read, names an unknown profile or holds a malformed
+    task, and then also the task's index (its id for a goal the world
+    cannot score)."""
     doc = read_json(path, SuiteError)
     tasks = doc.get("tasks") if isinstance(doc, dict) else None
     if not isinstance(tasks, list):
@@ -558,6 +559,8 @@ def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
             spec = from_doc(TaskSpec, task)
         except KeyError as exc:
             raise SuiteError(f"{path}: task {index} has no {exc.args[0]!r}") from exc
+        except SuiteError as exc:
+            raise SuiteError(f"{path}: task {index}: {exc}") from exc
         _check_goals(spec, profile, path)
         specs.append(spec)
     return profile, specs

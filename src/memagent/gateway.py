@@ -9,6 +9,12 @@ remote chat-completions-style HTTP adapter. Callers use ask(), which
 degrades a gateway fault to the role's fallback and logs it; the planner
 has none, so its fault is raised. invoke_parallel() is an order-preserving
 fan-out of ask() calls.
+
+The knowledge graph's conflict policy is one ``ConflictRules`` object, built
+from three tables (exclusive pairs, functional groups, state sets). The
+oracle conflict detector answers with the rules of the tables its payload
+carries; the spatial memory's contested-slot prune and fast conflict check
+read ``DEFAULT_RULES``, the rules of the tables it sends.
 """
 
 from __future__ import annotations
@@ -207,44 +213,87 @@ DEFAULT_FUNCTIONAL_GROUPS: List[List[str]] = [["on", "in", "at"], ["holds"]]
 #: sliced) never conflict.
 DEFAULT_STATE_SETS: List[List[str]] = [["open", "closed"], ["on", "off"]]
 
+#: The three tables under the names the conflict detector's payload gives
+#: them.
+DEFAULT_TABLES: Dict[str, List[List[str]]] = {
+    "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
+    "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
+    "state_sets": DEFAULT_STATE_SETS,
+}
+
+
+def _slots_of(kind: str, tables: Iterable[Iterable[str]]) -> Dict[str, Tuple[tuple, ...]]:
+    """Per member of the tables, the slots ``(kind, index)`` of the tables
+    that hold it."""
+    slots: Dict[str, Tuple[tuple, ...]] = {}
+    for index, table in enumerate(tables):
+        for member in set(table):
+            slots[member] = slots.get(member, ()) + ((kind, index),)
+    return slots
+
+
+class ConflictRules:
+    """The knowledge graph's conflict policy, built from the three tables.
+    Every rule is per subject: an edge fills slots on its subject, and a
+    slot that holds more than one value is a conflict.
+
+    - An exclusive pair of two relations gives one slot per object, filled
+      by the relation. It conflicts two facts at a time, so a repeated key
+      gives one group per pair of facts, never one group of three.
+    - A functional group gives one slot, filled by the object.
+    - A state set gives one slot, filled by the value of ``is``."""
+
+    def __init__(
+        self,
+        exclusive_pairs: Iterable[Iterable[str]],
+        functional_groups: Iterable[Iterable[str]],
+        state_sets: Iterable[Iterable[str]],
+    ):
+        pairs = [pair for pair in map(frozenset, exclusive_pairs) if len(pair) == 2]
+        self._partners = {
+            r: tuple(o for p in pairs if r in p for o in p - {r}) for pair in pairs for r in pair
+        }
+        self._pairs_of = _slots_of("pair", pairs)
+        self._groups_of = _slots_of("group", functional_groups)
+        self._states_of = _slots_of("state", state_sets)
+
+    def exclusive_with(self, relation: str) -> Tuple[str, ...]:
+        """The relations that may not hold beside ``relation`` on one
+        subject and object."""
+        return self._partners.get(relation, ())
+
+    def conflicts(self, keys: Sequence[Tuple[str, str, str]]) -> List[List[int]]:
+        """The sorted index groups of the ``(subject, relation, object)``
+        keys that fill one slot with more than one value."""
+        pairs: Dict[tuple, Dict[str, List[int]]] = {}
+        one_of: Dict[tuple, Dict[str, List[int]]] = {}
+        for i, (subject, relation, obj) in enumerate(keys):
+            for pair in self._pairs_of.get(relation, ()):
+                pairs.setdefault((subject, obj, pair), {}).setdefault(relation, []).append(i)
+            slots = self._groups_of.get(relation, ())
+            if relation == "is":
+                slots += self._states_of.get(obj, ())
+            for slot in slots:
+                one_of.setdefault((subject, slot), {}).setdefault(obj, []).append(i)
+        found = set()
+        for held in pairs.values():
+            if len(held) == 2:
+                first, second = held.values()
+                found.update((a, b) if a < b else (b, a) for a in first for b in second)
+        for held in one_of.values():
+            if len(held) > 1:
+                found.add(tuple(sorted(i for idxs in held.values() for i in idxs)))
+        return [list(group) for group in sorted(found)]
+
+
+DEFAULT_RULES = ConflictRules(**DEFAULT_TABLES)
+
 
 def _oracle_detect_conflicts(p: dict) -> dict:
-    edges = p["edges"]
-    exclusive = [frozenset(pair) for pair in p.get("exclusive_pairs", DEFAULT_EXCLUSIVE_PAIRS)]
-    groups = [set(g) for g in p.get("functional_groups", DEFAULT_FUNCTIONAL_GROUPS)]
-    state_sets = [set(s) for s in p.get("state_sets", DEFAULT_STATE_SETS)]
-    conflicts: List[List[int]] = []
-
-    def one_object_per_subject(selected: Iterable[int]) -> None:
-        by_subject: Dict[str, List[int]] = {}
-        for i in selected:
-            by_subject.setdefault(edges[i]["subject"], []).append(i)
-        for idxs in by_subject.values():
-            if len({edges[i]["object"] for i in idxs}) > 1:
-                conflicts.append(sorted(idxs))
-
-    # Pair-exclusive relations on the same (subject, object).
-    by_pair: Dict[Tuple[str, str], List[int]] = {}
-    for i, edge in enumerate(edges):
-        by_pair.setdefault((edge["subject"], edge["object"]), []).append(i)
-    for idxs in by_pair.values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                ra, rb = edges[idxs[a]]["relation"], edges[idxs[b]]["relation"]
-                if ra != rb and frozenset((ra, rb)) in exclusive:
-                    conflicts.append(sorted([idxs[a], idxs[b]]))
-
-    # Functional relations: one object per subject within each group.
-    for group in groups:
-        one_object_per_subject(i for i, e in enumerate(edges) if e["relation"] in group)
-    # State edges: one value per state set of a subject.
-    for values in state_sets:
-        one_object_per_subject(
-            i for i, e in enumerate(edges) if e["relation"] == "is" and e["object"] in values
-        )
-
-    unique = sorted({tuple(group) for group in conflicts})
-    return {"conflicts": [list(group) for group in unique]}
+    tables = {name: p.get(name, default) for name, default in DEFAULT_TABLES.items()}
+    rules = DEFAULT_RULES if tables == DEFAULT_TABLES else ConflictRules(**tables)
+    keys = [(e["subject"], e["relation"], e["object"]) for e in p["edges"]]
+    return {"conflicts": rules.conflicts(keys)}
 
 
 def _oracle_extract(p: dict) -> dict:

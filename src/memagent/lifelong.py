@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import Outcome, StepRecord, TaskResult, from_doc, to_doc
+from .core import Outcome, StepRecord, TaskResult, check_int, from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 from .vector_index import HashingEmbedder, IndexEntry, VectorIndex
 
@@ -54,6 +54,7 @@ class MemoryEntity:
             raise ValueError("memory entity text must be non-blank")
         if self.kind not in ("episodic", "semantic"):
             raise ValueError(f"unknown kind: {self.kind}")
+        check_int(self.count, 1, "count")
         object.__setattr__(self, "tags", tuple(self.tags))
         object.__setattr__(self, "facts", tuple(tuple(f) for f in self.facts))
         object.__setattr__(self, "avoid", tuple(tuple(a) for a in self.avoid))
@@ -368,5 +369,8 @@ class LifelongMemory:
     def restore(self, doc: dict) -> None:
         with self._lock:
             self.wipe()
-            self._id_counters = dict(doc.get("id_counters", {}))
+            counters = dict(doc.get("id_counters", {}))
+            for key, value in counters.items():
+                check_int(value, 0, f"id_counters[{key!r}]")
+            self._id_counters = counters
             self._apply(UpdatePlan(adds=[from_doc(MemoryEntity, d) for d in doc["entities"]]))

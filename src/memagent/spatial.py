@@ -15,7 +15,9 @@ facts that win on step index, and de-dup renames). The conflict detector
 gets only the edges in contested slots of subjects that may conflict, and
 the merge-back re-adds, in the order a full replace of the region would,
 only the changed keys and the region edges of nodes that would exceed a
-degree cap.
+degree cap. Conflicts are those of ``gateway.DEFAULT_RULES``: the detector
+gets its tables, the contested slots are the conflicts it finds among a
+subject's keys, and the fast check looks up its exclusive partners.
 
 The step pays only for lookups some decision reads. The fast conflict
 check is a key lookup in the graph and in a set of the buffer's keys. Seeds
@@ -39,14 +41,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .core import canonical_name, from_doc, to_doc
-from .gateway import (
-    DEFAULT_EXCLUSIVE_PAIRS,
-    DEFAULT_FUNCTIONAL_GROUPS,
-    DEFAULT_STATE_SETS,
-    ReasonerGateway,
-    ReasonerRole,
-)
+from .core import canonical_name, check_int, from_doc, to_doc
+from .gateway import DEFAULT_RULES, DEFAULT_TABLES, ReasonerGateway, ReasonerRole
 from .vector_index import (  # noqa: F401  (cosine stays importable as spatial.cosine)
     DEFAULT_THETA,
     HashingEmbedder,
@@ -68,62 +64,15 @@ SIMILAR_CACHE_SIZE = 16384
 
 EdgeKey = Tuple[str, str, str]
 
-#: For each relation, the other relations that ``_fast_conflict`` treats as
-#: mutually exclusive with it.
-_EXCLUSIVE_WITH: Dict[str, Tuple[str, ...]] = {
-    relation: tuple(
-        r for p in DEFAULT_EXCLUSIVE_PAIRS if relation in p for r in p if r != relation
-    )
-    for pair in DEFAULT_EXCLUSIVE_PAIRS
-    for relation in pair
-}
-
-#: The detector's one-of slots on a subject, from the tables its payload
-#: carries: per relation, its functional groups (one object each); per value
-#: of ``is``, its state sets (one value each). Exclusive pairs are looked up
-#: by key through ``_EXCLUSIVE_WITH``.
-_GROUPS_OF: Dict[str, Tuple[tuple, ...]] = {
-    r: tuple(("group", i) for i, group in enumerate(DEFAULT_FUNCTIONAL_GROUPS) if r in group)
-    for group in DEFAULT_FUNCTIONAL_GROUPS
-    for r in group
-}
-_STATES_OF: Dict[str, Tuple[tuple, ...]] = {
-    v: tuple(("state", i) for i, values in enumerate(DEFAULT_STATE_SETS) if v in values)
-    for values in DEFAULT_STATE_SETS
-    for v in values
-}
-
-
-def _one_of_slots(relation: str, obj: str) -> Tuple[tuple, ...]:
-    """The functional groups and state sets an edge fills on its subject."""
-    groups = _GROUPS_OF.get(relation, ())
-    return groups + _STATES_OF.get(obj, ()) if relation == "is" else groups
-
-
 def _contested(keys: Set[EdgeKey]) -> Set[EdgeKey]:
-    """The keys, all of one subject, that sit in a contested slot: a
-    functional group holding more than one object, a state set holding more
-    than one value, or an exclusive pair of relations on one object. Only
+    """The keys, all of one subject, that sit in a contested slot of
+    ``DEFAULT_RULES``: the keys of some conflict it finds among them. Only
     these can be in a conflict the detector reports, and a contested slot
     goes whole, so the detector finds the same conflicts among them as among
     all the keys. Like ``VectorIndex.may_hit`` for search, a prune that
     never decides."""
-    contested: Set[EdgeKey] = set()
-    first: Dict[tuple, str] = {}
-    clashes: Set[tuple] = set()
-    for key in keys:
-        subject, relation, obj = key
-        for partner in _EXCLUSIVE_WITH.get(relation, ()):
-            if (subject, partner, obj) in keys:
-                contested.add(key)
-        for slot in _one_of_slots(relation, obj):
-            if first.setdefault(slot, obj) != obj:
-                clashes.add(slot)
-    if clashes:
-        contested.update(
-            key for key in keys if not clashes.isdisjoint(_one_of_slots(key[1], key[2]))
-        )
-    return contested
+    ordered = list(keys)
+    return {ordered[i] for group in DEFAULT_RULES.conflicts(ordered) for i in group}
 
 
 class KHopBoundError(RuntimeError):
@@ -144,6 +93,7 @@ class Triplet:
         obj = canonical_name(self.object)
         if not subject or not obj:
             raise ValueError("triplet endpoints must be non-empty")
+        check_int(self.step_index, 0, "step_index")
         relation = canonical_name(self.relation)
         object.__setattr__(self, "subject", subject)
         object.__setattr__(self, "object", obj)
@@ -298,7 +248,7 @@ class SpatialMemory:
     def _fast_conflict(self, triplet: Triplet) -> bool:
         """Whether the graph or the buffer holds a fact on the triplet's
         subject and object under a relation exclusive with its own."""
-        for partner in _EXCLUSIVE_WITH.get(triplet.relation, ()):
+        for partner in DEFAULT_RULES.exclusive_with(triplet.relation):
             key = (triplet.subject, partner, triplet.object)
             if key in self._edges or key in self._pending_keys:
                 return True
@@ -530,12 +480,7 @@ class SpatialMemory:
         if not keys:
             return set()
         edges = [changed.get(k) or self._edges[k] for k in keys]
-        payload = {
-            "edges": to_doc(edges),
-            "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
-            "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
-            "state_sets": DEFAULT_STATE_SETS,
-        }
+        payload = dict(DEFAULT_TABLES, edges=to_doc(edges))
         response = self.gateway.ask(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
 
         losers: Set[EdgeKey] = set()

@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .core import StepRecord, from_doc, to_doc
+from .core import StepRecord, check_int, from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 
 DEFAULT_CAPACITY = 3
@@ -45,8 +45,7 @@ def _item_range(item: BufferItem) -> Tuple[int, int]:
 
 class TemporalMemory:
     def __init__(self, gateway: Optional[ReasonerGateway] = None, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        check_int(capacity, 1, "capacity")
         # Nothing resets the budget of a gateway of its own, so it has none.
         self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.capacity = capacity
@@ -95,8 +94,7 @@ class TemporalMemory:
     def restore(self, doc: dict) -> None:
         """Take the capacity and buffer of a ``snapshot`` document."""
         capacity = doc["capacity"]
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        check_int(capacity, 1, "capacity")
         entries: List[BufferItem] = []
         for item in doc["entries"]:
             cls = _ITEM_TYPES.get(item["type"])

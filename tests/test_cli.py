@@ -116,7 +116,7 @@ class TestRun:
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["run", "--suite", str(bad), "--out", str(out)])
         assert result.exit_code != 0
-        assert "suite: task 'task-1' needs a non-blank instruction" in result.output
+        assert f"suite: {bad}: task 1: task 'task-1' needs a non-blank instruction" in result.output
         assert episodes == []
         assert not out.exists()
 
@@ -164,10 +164,11 @@ def _bad_inputs(tmp_path, suite_path):
         ("seed-not-an-int", "initial_seed", "x", ["'task-0'", "initial_seed 'x'"]),
         ("seed-a-bool", "initial_seed", True, ["'task-0'", "initial_seed True"]),
         ("id-not-text", "id", 7, ["task 7", "text id"]),
+        ("blank-instruction", "instruction", " ", ["'task-0'", "instruction"]),
     ]:
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(dict(doc, tasks=[dict(doc["tasks"][0], **{field: value})])))
-        typed[case] = (["--suite", str(path)], "suite", named)
+        typed[case] = (["--suite", str(path)], "suite", [f"{path}: task 0: ", *named])
     return {
         **typed,
         "missing-config": (["--suite", suite_path, "--config", missing], "gateway config", [missing]),
@@ -180,7 +181,9 @@ def _bad_inputs(tmp_path, suite_path):
         "unscorable-goal": (
             ["--suite", str(unscorable)], "suite", [str(unscorable), "'task-0'", "'cupx'"]
         ),
-        "goal-without-place": (["--suite", str(no_place)], "suite", ["'task-0'", "'place'"]),
+        "goal-without-place": (
+            ["--suite", str(no_place)], "suite", [f"{no_place}: task 0: ", "'task-0'", "'place'"]
+        ),
     }
 
 
@@ -192,6 +195,7 @@ class TestBadInputFiles:
             "missing-config", "missing-suite", "non-json-suite", "task-without-id",
             "unknown-profile", "unscorable-goal", "goal-without-place",
             "goals-not-a-list", "seed-not-an-int", "seed-a-bool", "id-not-text",
+            "blank-instruction",
         ],
     )
     def test_exits_1_naming_the_file_without_a_traceback(
@@ -344,12 +348,37 @@ class TestSnapshot:
                 "temporal": {"capacity": 3, "entries": []},
                 "lifelong": {"entities": [{"id": "e", "kind": "semantic", "text": 5, "task": "a"}]},
             },
+            {
+                "spatial": {"nodes": [], "edges": [
+                    {"subject": "cup", "relation": "on", "object": "table", "step_index": "x"}
+                ]},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": []},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": [
+                    {"id": "e", "kind": "semantic", "text": "t", "task": "a", "count": "many"}
+                ]},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": [], "id_counters": {"a": "z"}},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": True, "entries": []},
+                "lifelong": {"entities": []},
+            },
             [1, 2],
             "{",
         ],
         ids=[
             "no-nodes", "entity-not-an-object", "edge-without-object", "unknown-entry",
-            "text-not-text", "list", "not-json",
+            "text-not-text", "step-index-not-an-int", "count-not-an-int",
+            "id-counter-not-an-int", "capacity-a-bool", "list", "not-json",
         ],
     )
     def test_a_malformed_snapshot_prints_one_line(self, runner, tmp_path, doc):

@@ -106,8 +106,9 @@ class TestTaskSpec:
         }
         path = tmp_path / "suite.json"
         path.write_text(json.dumps({"tasks": [doc, dict(doc, id="t2", instruction="   ")]}))
-        with pytest.raises(ValueError, match="'t2'"):
+        with pytest.raises(ValueError) as raised:
             load_suite(str(path))
+        assert str(raised.value) == f"{path}: task 1: task 't2' needs a non-blank instruction"
 
     @pytest.mark.parametrize(
         "field, value, wrong",
@@ -134,6 +135,7 @@ class TestTaskSpec:
         path.write_text(json.dumps({"tasks": [dict(doc, id="t1"), dict(doc, **{field: value})]}))
         with pytest.raises(SuiteError) as raised:
             load_suite(str(path))
+        assert f"{path}: task 1: " in str(raised.value)
         assert wrong in str(raised.value)
 
 

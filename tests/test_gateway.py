@@ -6,13 +6,21 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memagent import gateway as gateway_module
 from memagent.core import canonical_json
 from memagent.gateway import (
     DEFAULT_BUDGET,
+    DEFAULT_EXCLUSIVE_PAIRS,
+    DEFAULT_FUNCTIONAL_GROUPS,
+    DEFAULT_RULES,
+    DEFAULT_STATE_SETS,
+    DEFAULT_TABLES,
     BackendUnreachableError,
     BudgetExceededError,
+    ConflictRules,
     GatewayConfig,
     GatewayConfigError,
     GatewayError,
@@ -287,6 +295,138 @@ class TestOracleBackend:
             },
         )
         assert [0, 1] in out["conflicts"]
+
+
+def _reference_detect_conflicts(p: dict) -> dict:
+    """The oracle conflict detector as three passes over the edges, as it
+    was before ``ConflictRules``: the reference the rules must agree with."""
+    edges = p["edges"]
+    exclusive = [frozenset(pair) for pair in p.get("exclusive_pairs", DEFAULT_EXCLUSIVE_PAIRS)]
+    groups = [set(g) for g in p.get("functional_groups", DEFAULT_FUNCTIONAL_GROUPS)]
+    state_sets = [set(s) for s in p.get("state_sets", DEFAULT_STATE_SETS)]
+    conflicts = []
+
+    def one_object_per_subject(selected):
+        by_subject = {}
+        for i in selected:
+            by_subject.setdefault(edges[i]["subject"], []).append(i)
+        for idxs in by_subject.values():
+            if len({edges[i]["object"] for i in idxs}) > 1:
+                conflicts.append(sorted(idxs))
+
+    # Pair-exclusive relations on the same (subject, object).
+    by_pair = {}
+    for i, edge in enumerate(edges):
+        by_pair.setdefault((edge["subject"], edge["object"]), []).append(i)
+    for idxs in by_pair.values():
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                ra, rb = edges[idxs[a]]["relation"], edges[idxs[b]]["relation"]
+                if ra != rb and frozenset((ra, rb)) in exclusive:
+                    conflicts.append(sorted([idxs[a], idxs[b]]))
+
+    # Functional relations: one object per subject within each group.
+    for group in groups:
+        one_object_per_subject(i for i, e in enumerate(edges) if e["relation"] in group)
+    # State edges: one value per state set of a subject.
+    for values in state_sets:
+        one_object_per_subject(
+            i for i, e in enumerate(edges) if e["relation"] == "is" and e["object"] in values
+        )
+
+    unique = sorted({tuple(group) for group in conflicts})
+    return {"conflicts": [list(group) for group in unique]}
+
+
+_RULE_NAMES = ["agent", "cup", "table", "oven"]
+_RULE_RELATIONS = ["on", "in", "at", "near", "holds", "is", "under"]
+_RULE_VALUES = ["open", "closed", "on", "off", "heated"]
+#: Few names, so that keys repeat and slots fill; objects include the state
+#: values, so every state rule fires.
+_rule_edges = st.lists(
+    st.fixed_dictionaries({
+        "subject": st.sampled_from(_RULE_NAMES),
+        "relation": st.sampled_from(_RULE_RELATIONS),
+        "object": st.sampled_from(_RULE_NAMES + _RULE_VALUES),
+    }),
+    max_size=14,
+)
+_tables = st.fixed_dictionaries({
+    "exclusive_pairs": st.lists(st.lists(st.sampled_from(_RULE_RELATIONS), min_size=2, max_size=2),
+                                max_size=4),
+    "functional_groups": st.lists(st.lists(st.sampled_from(_RULE_RELATIONS), min_size=1,
+                                           max_size=3), max_size=4),
+    "state_sets": st.lists(st.lists(st.sampled_from(_RULE_VALUES), min_size=1, max_size=3),
+                           max_size=3),
+})
+
+
+def _edge(subject, relation, obj):
+    return {"subject": subject, "relation": relation, "object": obj}
+
+
+class TestConflictRules:
+    @settings(max_examples=400, deadline=None)
+    @given(edges=_rule_edges)
+    def test_default_tables_give_the_reference_answer(self, edges):
+        for payload in ({"edges": edges}, dict(DEFAULT_TABLES, edges=edges)):
+            assert OracleBackend().invoke(ReasonerRole.KG_CONFLICT_DETECTOR, payload) == (
+                _reference_detect_conflicts(payload)
+            )
+
+    @settings(max_examples=400, deadline=None)
+    @given(edges=_rule_edges, tables=_tables)
+    def test_any_tables_give_the_reference_answer(self, edges, tables):
+        payload = dict(tables, edges=edges)
+        assert OracleBackend().invoke(ReasonerRole.KG_CONFLICT_DETECTOR, payload) == (
+            _reference_detect_conflicts(payload)
+        )
+
+    def test_an_exclusive_pair_conflicts_two_facts_at_a_time(self):
+        edges = [
+            _edge("cup", "on", "table"),
+            _edge("cup", "in", "oven"),
+            _edge("table", "near", "agent"),
+            _edge("table", "near", "agent"),
+            _edge("table", "holds", "agent"),
+        ]
+        keys = [(e["subject"], e["relation"], e["object"]) for e in edges]
+        assert DEFAULT_RULES.conflicts(keys) == [[0, 1], [2, 4], [3, 4]]
+
+    def test_slots_of_each_rule(self):
+        keys = [
+            ("oven", "is", "closed"),
+            ("oven", "is", "off"),
+            ("oven", "is", "heated"),
+            ("oven", "is", "open"),
+            ("agent", "holds", "cup"),
+            ("agent", "holds", "knife"),
+            ("cup", "on", "table"),
+            ("cup", "at", "oven"),
+            ("cup", "in", "table"),
+        ]
+        # A state set holds one value; holds is a group of its own; on/at/in
+        # form one group, and on/in also an exclusive pair on one object.
+        assert DEFAULT_RULES.conflicts(keys) == [[0, 3], [4, 5], [6, 7, 8], [6, 8]]
+
+    def test_exclusive_with_names_the_partners(self):
+        assert DEFAULT_RULES.exclusive_with("near") == ("holds",)
+        assert DEFAULT_RULES.exclusive_with("in") == ("on",)
+        assert DEFAULT_RULES.exclusive_with("at") == ()
+        rules = ConflictRules([["a", "b"], ["a", "c"], ["d", "d"]], [], [])
+        assert rules.exclusive_with("a") == ("b", "c")
+        assert rules.exclusive_with("d") == ()
+
+    def test_the_default_tables_build_no_rules(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(gateway_module, "ConflictRules", lambda **tables: built.append(tables))
+        payload = dict(DEFAULT_TABLES, edges=[_edge("cup", "on", "table")])
+        gateway_module._oracle_detect_conflicts(payload)
+        gateway_module._oracle_detect_conflicts({"edges": payload["edges"]})
+        assert built == []
+        with pytest.raises(AttributeError):
+            gateway_module._oracle_detect_conflicts(dict(payload, state_sets=[]))
+        assert built == [dict(DEFAULT_TABLES, state_sets=[])]
 
 
 class TestInvokeParallel:

@@ -56,6 +56,11 @@ class TestMemoryEntity:
         with pytest.raises(ValueError):
             MemoryEntity(id="x", kind="oops", text="hi", task="t")
 
+    @pytest.mark.parametrize("count", ["many", False, 0, 2.0])
+    def test_count_is_an_int_at_least_1(self, count):
+        with pytest.raises(ValueError, match="count"):
+            MemoryEntity(id="x", kind="episodic", text="hi", task="t", count=count)
+
 
 class TestActionExperience:
     def test_success_bumps_tally_only(self):
@@ -347,6 +352,12 @@ class TestPersistence:
         other.restore(snap)
         assert other.snapshot() == snap
         assert len(other) == len(mem)
+
+    @pytest.mark.parametrize("value", ["z", True, -1, 1.5])
+    def test_restore_checks_each_id_counter(self, value):
+        doc = dict(self.build().snapshot(), id_counters={"t1": 1, "a": value})
+        with pytest.raises(ValueError, match=r"id_counters\['a'\]"):
+            LifelongMemory().restore(doc)
 
     def test_restored_ids_do_not_collide(self):
         mem = self.build()

@@ -26,8 +26,7 @@ from memagent.spatial import (
 from memagent.core import canonical_json, from_doc, to_doc
 from memagent.gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
-    DEFAULT_FUNCTIONAL_GROUPS,
-    DEFAULT_STATE_SETS,
+    DEFAULT_TABLES,
     ReasonerGateway,
     ReasonerRole,
 )
@@ -97,6 +96,11 @@ class TestTriplet:
             Triplet("", "on", "table")
         with pytest.raises(ValueError):
             Triplet("cup", "on", "   ")
+
+    @pytest.mark.parametrize("step_index", ["x", True, -1, 1.0, None])
+    def test_step_index_is_an_int_at_least_0(self, step_index):
+        with pytest.raises(ValueError, match="step_index"):
+            Triplet("cup", "on", "table", step_index=step_index)
 
     def test_key_and_doc_round_trip(self):
         t = Triplet("cup", "on", "table", step_index=3)
@@ -370,12 +374,7 @@ _slot_triplets = st.builds(
 
 def detector_conflicts(edges):
     """The oracle detector's conflict groups over ``edges``, as sets of keys."""
-    payload = {
-        "edges": to_doc(edges),
-        "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
-        "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
-        "state_sets": DEFAULT_STATE_SETS,
-    }
+    payload = dict(DEFAULT_TABLES, edges=to_doc(edges))
     groups = gateway._oracle_detect_conflicts(payload)["conflicts"]
     return {frozenset(edges[i].key for i in group) for group in groups}
 
@@ -921,12 +920,7 @@ class FullReplaceMemory(SpatialMemory):
         edges = [local[k] for k in sorted(local) if k[0] in suspects]
         if not edges:
             return local
-        payload = {
-            "edges": to_doc(edges),
-            "exclusive_pairs": DEFAULT_EXCLUSIVE_PAIRS,
-            "functional_groups": DEFAULT_FUNCTIONAL_GROUPS,
-            "state_sets": DEFAULT_STATE_SETS,
-        }
+        payload = dict(DEFAULT_TABLES, edges=to_doc(edges))
         response = self.gateway.ask(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
         losers = set()
         for group in response["conflicts"]:

@@ -150,6 +150,11 @@ class TestLifecycle:
             other.append(record(i))
         assert other.snapshot() == mem.snapshot()
 
+    @pytest.mark.parametrize("capacity", [True, "3", 2.0, 0])
+    def test_restore_checks_the_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            TemporalMemory().restore({"capacity": capacity, "entries": []})
+
     def test_restore_rejects_an_unknown_entry_type(self):
         doc = {"capacity": 2, "entries": [{"type": "note", "text": "x"}]}
         with pytest.raises(ValueError):
