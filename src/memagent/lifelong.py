@@ -22,7 +22,15 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import Outcome, StepRecord, TaskResult, check_int, from_doc, to_doc
+from .core import (
+    InvariantError,
+    Outcome,
+    StepRecord,
+    TaskResult,
+    check_int,
+    from_doc,
+    to_doc,
+)
 from .gateway import ReasonerGateway, ReasonerRole
 from .vector_index import HashingEmbedder, IndexEntry, VectorIndex
 
@@ -50,14 +58,36 @@ class MemoryEntity:
     avoid: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("memory entity text must be non-blank")
+        for name in ("id", "text", "task"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value.strip():
+                raise InvariantError(f"must be non-blank text, not {value!r}", name)
         if self.kind not in ("episodic", "semantic"):
             raise ValueError(f"unknown kind: {self.kind}")
         check_int(self.count, 1, "count")
-        object.__setattr__(self, "tags", tuple(self.tags))
-        object.__setattr__(self, "facts", tuple(tuple(f) for f in self.facts))
-        object.__setattr__(self, "avoid", tuple(tuple(a) for a in self.avoid))
+        tags = _texts(self.tags)
+        if tags is None:
+            raise InvariantError(f"must be a list of text, not {self.tags!r}", "tags")
+        object.__setattr__(self, "tags", tags)
+        for name, width in (("facts", 3), ("avoid", 2)):
+            value = getattr(self, name)
+            rows = tuple(map(_texts, value)) if isinstance(value, (list, tuple)) else None
+            if rows is None or any(row is None or len(row) != width for row in rows):
+                raise InvariantError(
+                    f"must be a list of {width}-item lists of text, not {value!r}", name
+                )
+            object.__setattr__(self, name, rows)
+
+
+def _texts(value: object) -> Optional[Tuple[str, ...]]:
+    """``value`` as a tuple if it is a list or tuple of strings, else None.
+    A string is not: its items are its characters."""
+    if not isinstance(value, (list, tuple)):
+        return None
+    for item in value:
+        if not isinstance(item, str):
+            return None
+    return tuple(value)
 
 
 @dataclass

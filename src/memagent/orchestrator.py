@@ -7,6 +7,13 @@ retrievals run concurrently across modules through ``core.fan_out`` on
 the one process-wide pool (each module serializes internally), so the
 final state is independent of branch scheduling.
 
+Retrieval has two parts. Working memory (the spatial query, which also
+sets the seed the next integrate reads, and the temporal buffer) changes
+with every executed step; long-term memory changes only at a task-level
+update. ``gather_context`` returns all four sections by default; with
+``recall=False`` it leaves out the two long-term ones, which ``recall``
+then fetches on their own for a reader that needs them (the planner).
+
 A branch that raises does not stop its siblings; ``core.fan_out`` raises
 the error again once every branch has finished, and the harness records
 the episode as crashed. Gateway faults never get here: each module's
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import StepRecord, TaskResult, canonical_json, fan_out
@@ -47,10 +54,13 @@ class UpdateEvent:
 
 @dataclass
 class MemoryContext:
+    """One gather's sections; the long-term two are empty when it was made
+    without ``recall``."""
+
     spatial: Tuple[Triplet, ...]
     temporal: str
-    episodic: List[Tuple[MemoryEntity, float]]
-    semantic: List[Tuple[MemoryEntity, float]]
+    episodic: List[Tuple[MemoryEntity, float]] = field(default_factory=list)
+    semantic: List[Tuple[MemoryEntity, float]] = field(default_factory=list)
 
 
 class MemoryOrchestrator:
@@ -103,27 +113,46 @@ class MemoryOrchestrator:
 
     # -- retrieval fan-out -----------------------------------------------------
 
-    def gather_context(self, query: str, scope: Optional[str] = None) -> MemoryContext:
-        """The four sections for ``query``. ``scope`` narrows the long-term
-        sections to one task's entries (see ``LifelongMemory.retrieve``)."""
+    def gather_context(
+        self, query: str, scope: Optional[str] = None, recall: bool = True
+    ) -> MemoryContext:
+        """The sections for ``query``: working memory, and with ``recall``
+        also long-term memory. ``scope`` narrows the long-term sections to
+        one task's entries (see ``LifelongMemory.retrieve``)."""
         start = time.perf_counter()
         sections: Dict[str, Callable[[], object]] = {
             "spatial": (lambda: self.spatial.query(query))
             if self.spatial_enabled
             else (lambda: ()),
             "temporal": self.temporal.render,
-            "episodic": (lambda: self.lifelong.retrieve(query, "episodic", RETRIEVAL_K, scope))
-            if self.longterm_enabled
-            else (lambda: []),
-            "semantic": (lambda: self.lifelong.retrieve(query, "semantic", RETRIEVAL_K, scope))
-            if self.longterm_enabled
-            else (lambda: []),
         }
+        if recall:
+            sections.update(self._recall_sections(query, scope))
         results = fan_out(
             [self._padded(name, fn) for name, fn in sections.items()], self.parallel
         )
         self.gather_latencies.append(time.perf_counter() - start)
         return MemoryContext(*results)
+
+    def recall(
+        self, query: str, scope: Optional[str] = None
+    ) -> Tuple[List[Tuple[MemoryEntity, float]], List[Tuple[MemoryEntity, float]]]:
+        """The episodic and semantic sections of ``gather_context`` alone."""
+        sections = self._recall_sections(query, scope)
+        episodic, semantic = fan_out(
+            [self._padded(name, fn) for name, fn in sections.items()], self.parallel
+        )
+        return episodic, semantic
+
+    def _recall_sections(
+        self, query: str, scope: Optional[str]
+    ) -> Dict[str, Callable[[], object]]:
+        def retrieve(kind: str) -> Callable[[], object]:
+            if not self.longterm_enabled:
+                return lambda: []
+            return lambda: self.lifelong.retrieve(query, kind, RETRIEVAL_K, scope)
+
+        return {kind: retrieve(kind) for kind in ("episodic", "semantic")}
 
     def _padded(self, section: str, fn: Callable[[], object]) -> Callable[[], object]:
         delay = self.delay_hooks.get(section, 0.0)

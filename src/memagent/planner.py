@@ -25,7 +25,7 @@ from .core import (
 )
 from .envsim import Environment, TaskSpec
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
-from .lifelong import TaskTrace
+from .lifelong import MemoryEntity, TaskTrace
 from .orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
 from .preprocessor import Preprocessor
 from .spatial import Triplet
@@ -53,12 +53,17 @@ class EmptyPlanError(Exception):
 
 @dataclass(frozen=True)
 class Plan:
+    """The planner's steps, with each step's document made once for the
+    critic's payloads. No reader may change a document."""
+
     steps: Tuple[ActionCommand, ...]
+    docs: Tuple[dict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
             raise ValueError("a plan must contain at least one step")
         object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "docs", tuple(to_doc(step) for step in self.steps))
 
 
 @dataclass(frozen=True)
@@ -153,16 +158,28 @@ def build_beliefs(
     if beliefs.holding is not None:
         beliefs.known_locations.pop(beliefs.holding, None)
 
-    # Long-term hints: discovered locations (episodic facts) and search
-    # dead-ends (semantic avoid). Only entries whose facts an earlier attempt
-    # at this same task wrote are trusted; other tasks reshuffle the world. A
-    # hint dies once this episode has searched its place without seeing the
-    # object there: visiting a point reveals everything on it, and an opened
-    # container reveals everything in it.
+    add_hints(beliefs, context.episodic + context.semantic, task_id, trace)
+    seen = set()
+    beliefs.facts = [f for f in merged if not (f in seen or seen.add(f))]
+    return beliefs
+
+
+def add_hints(
+    beliefs: BeliefState,
+    entries: Sequence[Tuple[MemoryEntity, float]],
+    task_id: Optional[str] = None,
+    trace: Optional[TaskTrace] = None,
+) -> None:
+    """Add long-term hints to ``beliefs``: discovered locations (episodic
+    facts) and search dead-ends (semantic avoid). Only entries whose facts
+    an earlier attempt at this same task wrote are trusted; other tasks
+    reshuffle the world. A hint dies once this episode has searched its
+    place without seeing the object there: visiting a point reveals
+    everything on it, and an opened container reveals everything in it."""
     visited = set(trace.visited_points) if trace else set()
     opened = set(trace.opened_containers) if trace else set()
     first_seen = trace.first_seen if trace else {}
-    for entity, _ in context.episodic + context.semantic:
+    for entity, _ in entries:
         if task_id is not None and entity.task != task_id:
             continue
         for obj, rel, place in entity.facts:
@@ -176,10 +193,6 @@ def build_beliefs(
             points = beliefs.avoid_points.setdefault(obj, [])
             if point not in points:
                 points.append(point)
-
-    seen = set()
-    beliefs.facts = [f for f in merged if not (f in seen or seen.add(f))]
-    return beliefs
 
 
 class PlannerCritic:
@@ -242,15 +255,17 @@ class PlannerCritic:
 
     def review(
         self,
-        action: ActionCommand,
-        plan_suffix: List[ActionCommand],
+        plan: Plan,
+        index: int,
         goals: List[dict],
         beliefs: BeliefState,
         recent_steps: str,
     ) -> CriticVerdict:
+        """The critic's verdict on step ``index`` of ``plan``, shown with the
+        steps after it."""
         payload = {
-            "action": to_doc(action),
-            "plan_suffix": to_doc(plan_suffix),
+            "action": plan.docs[index],
+            "plan_suffix": list(plan.docs[index + 1 :]),
             "goals": goals,
             "facts": [list(f) for f in beliefs.facts],
             "holding": beliefs.holding,
@@ -313,13 +328,22 @@ def run_episode(
     plan_id = 0
     stopped: Optional[Termination] = None  # set when planning fails
     beliefs: Optional[BeliefState] = None  # None once memory or the query changed
+    recalled = False  # whether the beliefs hold this step's long-term hints
 
     while executed < env.max_steps and not env.done:
+        # Working memory every decision; long-term memory, which only the
+        # planner reads and only the task-level update writes, once per
+        # executed step and only when a plan is made.
         if beliefs is None:
-            context = orchestrator.gather_context(query, scope=task.id)
-            beliefs = build_beliefs(context, observed, task.id, trace)
+            context = orchestrator.gather_context(query, recall=False)
+            beliefs = build_beliefs(context, observed)
+            recalled = False
 
         if plan is None or plan_index >= len(plan.steps):
+            if not recalled:
+                episodic, semantic = orchestrator.recall(query, scope=task.id)
+                add_hints(beliefs, episodic + semantic, task.id, trace)
+                recalled = True
             try:
                 plan = planner.plan(task.instruction, goals, beliefs, trace)
             except (EmptyPlanError, GatewayError) as exc:
@@ -338,9 +362,7 @@ def run_episode(
         action = plan.steps[plan_index]
         verdict: Optional[CriticVerdict] = None
         if critic_enabled and plan_index >= 1:
-            verdict = planner.review(
-                action, list(plan.steps[plan_index + 1 :]), goals, beliefs, context.temporal
-            )
+            verdict = planner.review(plan, plan_index, goals, beliefs, context.temporal)
             if verdict.decision == "reject":
                 trajectory.append(
                     {

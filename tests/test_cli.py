@@ -369,6 +369,20 @@ class TestSnapshot:
             },
             {
                 "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": [
+                    {"id": 5, "kind": "semantic", "text": "t", "task": 7, "tags": "cup"}
+                ]},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
+                "temporal": {"capacity": 3, "entries": []},
+                "lifelong": {"entities": [
+                    {"id": "e", "kind": "episodic", "text": "t", "task": "a", "facts": ["cup"]}
+                ]},
+            },
+            {
+                "spatial": {"nodes": [], "edges": []},
                 "temporal": {"capacity": True, "entries": []},
                 "lifelong": {"entities": []},
             },
@@ -378,7 +392,8 @@ class TestSnapshot:
         ids=[
             "no-nodes", "entity-not-an-object", "edge-without-object", "unknown-entry",
             "text-not-text", "step-index-not-an-int", "count-not-an-int",
-            "id-counter-not-an-int", "capacity-a-bool", "list", "not-json",
+            "id-counter-not-an-int", "entity-ids-not-text", "facts-not-rows",
+            "capacity-a-bool", "list", "not-json",
         ],
     )
     def test_a_malformed_snapshot_prints_one_line(self, runner, tmp_path, doc):

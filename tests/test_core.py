@@ -161,10 +161,10 @@ _SERIALIZED = {
     CompactedSummary: _compacted(),
     MemoryEntity: st.builds(
         MemoryEntity,
-        id=_text,
+        id=_text.filter(str.strip),
         kind=st.sampled_from(["episodic", "semantic"]),
         text=_text.filter(str.strip),
-        task=_text,
+        task=_text.filter(str.strip),
         tags=st.lists(_text, max_size=3),
         count=st.integers(min_value=1),
         facts=st.lists(st.tuples(_text, _text, _text), max_size=3),

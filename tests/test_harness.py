@@ -350,6 +350,32 @@ class TestGoldenTrajectories:
         return hashlib.sha256(log.getvalue().encode("utf-8")).hexdigest()
 
 
+#: sha256 over canonical_json([role, payload, answer]) of every reasoner call
+#: of the same runs, in call order: what each module asked and was told, so a
+#: change that only moves work around must leave it as it is.
+GOLDEN_CALLS_SHA256 = {
+    3: "be80c1aaffbae831f39626e99c4af2b8168ad3bdbbb8b519d1d3c9451116af11",
+    11: "254650a860514cee59fe9a210a8249ed22f6fca77a87fa0328952095ad11a4e7",
+}
+
+
+class TestGoldenCalls:
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_CALLS_SHA256))
+    def test_reasoner_traffic_matches_golden_digest(self, seed, parallel, monkeypatch):
+        digest = hashlib.sha256()
+
+        class RecordingOracle(gateway_module.OracleBackend):
+            def invoke(self, role, payload):
+                answer = super().invoke(role, payload)
+                digest.update(canonical_json([role.value, payload, answer]).encode("utf-8"))
+                return answer
+
+        monkeypatch.setattr(gateway_module, "OracleBackend", RecordingOracle)
+        run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel)
+        assert digest.hexdigest() == GOLDEN_CALLS_SHA256[seed]
+
+
 class TestBench:
     def test_parallel_beats_sequential(self):
         timings = bench_retrieval(section_delay_s=0.03, rounds=2)

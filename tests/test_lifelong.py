@@ -56,6 +56,30 @@ class TestMemoryEntity:
         with pytest.raises(ValueError):
             MemoryEntity(id="x", kind="oops", text="hi", task="t")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", 5), ("id", " "), ("task", 7), ("task", ""), ("text", 5),
+            ("tags", "cup"), ("tags", [1]), ("facts", "cup on sink"),
+            ("facts", ["cup on sink"]), ("facts", [("cup", "sink")]),
+            ("avoid", "sink"), ("avoid", [("cup", "sink", "bed")]), ("avoid", [("cup", 3)]),
+        ],
+    )
+    def test_fields_have_their_types(self, field, value):
+        fields = dict(id="x", kind="episodic", text="hi", task="t")
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            MemoryEntity(**fields)
+
+    def test_lists_become_tuples(self):
+        entry = MemoryEntity(
+            id="x", kind="episodic", text="hi", task="t", tags=["cup"],
+            facts=[["cup", "on", "sink"]], avoid=[["cup", "bed"]],
+        )
+        assert entry.tags == ("cup",)
+        assert entry.facts == (("cup", "on", "sink"),)
+        assert entry.avoid == (("cup", "bed"),)
+
     @pytest.mark.parametrize("count", ["many", False, 0, 2.0])
     def test_count_is_an_int_at_least_1(self, count):
         with pytest.raises(ValueError, match="count"):

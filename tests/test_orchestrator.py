@@ -152,6 +152,26 @@ class TestGather:
         assert ctx.episodic
 
     @pytest.mark.parametrize("parallel", [True, False])
+    def test_working_memory_gather_leaves_longterm_memory_to_recall(self, parallel):
+        orch = self.build()
+        orch.parallel = parallel
+        retrieved = []
+        retrieve = orch.lifelong.retrieve
+        orch.lifelong.retrieve = lambda *args: retrieved.append(args[1]) or retrieve(*args)
+        full = orch.gather_context("where is the cup")
+        working = orch.gather_context("where is the cup", recall=False)
+        assert sorted(retrieved) == ["episodic", "semantic"]
+        assert working == MemoryContext(full.spatial, full.temporal, [], [])
+        assert orch.recall("where is the cup") == (full.episodic, full.semantic)
+        assert full.episodic
+        assert len(orch.gather_latencies) == 2
+
+    def test_recall_of_disabled_longterm_memory_is_empty(self):
+        orch = self.build()
+        orch.longterm_enabled = False
+        assert orch.recall("where is the cup") == ([], [])
+
+    @pytest.mark.parametrize("parallel", [True, False])
     def test_retrieval_branch_failure_is_raised(self, parallel):
         # Not an empty section: the episode ends as crashed. The sections
         # before and after the failed one still ran.

@@ -1,12 +1,13 @@
 """Tests for goal parsing, belief assembly, and the planner-critic loop."""
 
+import copy
 import logging
 
 import pytest
 
 from memagent import planner as planner_module
 from memagent import preprocessor
-from memagent.core import ActionCommand, Observation, TaskResult, Termination, Verb
+from memagent.core import ActionCommand, Observation, TaskResult, Termination, Verb, to_doc
 from memagent.envsim import Environment, TaskSpec
 from memagent.gateway import ReasonerGateway, ReasonerRole
 from memagent.lifelong import LifelongMemory, MemoryEntity, TaskTrace
@@ -16,6 +17,7 @@ from memagent.planner import (
     EmptyPlanError,
     Plan,
     PlannerCritic,
+    add_hints,
     build_beliefs,
     parse_goals,
     run_episode,
@@ -177,6 +179,24 @@ class TestBeliefs:
         trace = TaskTrace(task_id="t1", instruction="x")
         beliefs = build_beliefs(ctx, observed("you are at stove"), "t1", trace)
         assert beliefs.avoid_points == {"banana": ["shelf", "sink", "stove"]}
+
+    def test_hints_added_later_match_hints_built_in(self):
+        # The episode loop adds the long-term hints only before a plan.
+        episodic = [
+            (entity("task t1", facts=[("cup", "on", "sink"), ("fork", "on", "sink")]), 0.9),
+            (entity("task t0", task="t0", eid="e2", facts=[("egg", "in", "fridge")]), 0.8),
+        ]
+        semantic = [(entity("lesson", "semantic", eid="e3", avoid=[("cup", "bed")]), 0.7)]
+        seen = observed("you are at shelf\nyou see fork on shelf")
+        trace = TaskTrace(task_id="t1", instruction="x")
+        built_in = build_beliefs(
+            empty_context(episodic=episodic, semantic=semantic), seen, "t1", trace
+        )
+        later = build_beliefs(empty_context(), seen)
+        add_hints(later, episodic + semantic, "t1", trace)
+        assert later == built_in
+        assert later.hint_locations == {"cup": {"rel": "on", "place": "sink"}}
+        assert later.avoid_points == {"cup": ["bed"]}
 
     def test_trust_follows_the_task_that_wrote_the_facts(self):
         # Task B's attempt updates the entries task A created, with B's own
@@ -404,12 +424,78 @@ class TestEpisodeLoop:
         gathers = []
         gather = orch.gather_context
         orch.gather_context = (
-            lambda query, scope=None: gathers.append(query) or gather(query, scope)
+            lambda query, scope=None, recall=True: gathers.append(query)
+            or gather(query, scope, recall)
         )
         env = Environment(profile="realworld", failure_p=0.0)
         episode = run_episode(self.task(), env, AlwaysRejectGateway(), orch)
         assert sum(not t["executed"] for t in episode.trajectory) >= 2
         assert 1 <= len(gathers) <= episode.result.steps_used + 1
+
+    @pytest.mark.parametrize("base", [ReasonerGateway, AlwaysRejectGateway])
+    def test_only_planning_decisions_recall_longterm_memory(self, base):
+        # Only the planner reads long-term memory, and only the task-level
+        # update writes it: each recall round is for a plan about to be
+        # made, and a step's rejections and replans share one round.
+        events = []
+
+        class RecordingLifelong(LifelongMemory):
+            def retrieve(self, query, kind, k=5, scope=None):
+                events.append("recall")
+                return super().retrieve(query, kind, k, scope)
+
+        class RecordingGateway(base):
+            def invoke(self, role, payload):
+                if role in (ReasonerRole.PLANNER, ReasonerRole.CRITIC):
+                    events.append(role.value)
+                return super().invoke(role, payload)
+
+        class RecordingEnvironment(Environment):
+            def step(self, action):
+                events.append("step")
+                return super().step(action)
+
+        env = RecordingEnvironment(profile="realworld", failure_p=0.0)
+        orch = MemoryOrchestrator(lifelong=RecordingLifelong())
+        episode = run_episode(self.task(), env, RecordingGateway(), orch)
+        rounds = [
+            i for i, event in enumerate(events)
+            if event == "recall" and (i == 0 or events[i - 1] != "recall")
+        ]
+        assert rounds and "critic" in events
+        for start in rounds:
+            after = [event for event in events[start:] if event != "recall"]
+            assert after[0] == "planner", events[start:start + 6]
+        if base is AlwaysRejectGateway:
+            assert len(rounds) <= episode.result.steps_used + 1
+
+    @pytest.mark.parametrize("base", [ReasonerGateway, AlwaysRejectGateway])
+    def test_critic_payloads_show_the_plans_step_documents(self, base, monkeypatch):
+        plans, reviews = [], []
+        make_plan = PlannerCritic.plan
+
+        def recording_plan(self, *args, **kwargs):
+            plan = make_plan(self, *args, **kwargs)
+            plans.append((plan, copy.deepcopy(plan.docs)))
+            return plan
+
+        class RecordingGateway(base):
+            def invoke(self, role, payload):
+                if role is ReasonerRole.CRITIC:
+                    reviews.append((plans[-1][0], copy.deepcopy(payload)))
+                return super().invoke(role, payload)
+
+        monkeypatch.setattr(PlannerCritic, "plan", recording_plan)
+        env = Environment(profile="realworld", failure_p=0.0)
+        run_episode(self.task(), env, RecordingGateway(), MemoryOrchestrator())
+        assert reviews and any(payload["plan_suffix"] for _, payload in reviews)
+        for plan, payload in reviews:
+            index = len(plan.steps) - 1 - len(payload["plan_suffix"])
+            assert index >= 1
+            assert payload["action"] == to_doc(plan.steps[index])
+            assert payload["plan_suffix"] == to_doc(list(plan.steps[index + 1:]))
+        for plan, docs in plans:
+            assert plan.docs == docs == tuple(to_doc(step) for step in plan.steps)
 
     @pytest.mark.parametrize("base", [ReasonerGateway, AlwaysRejectGateway])
     def test_critic_reads_the_temporal_buffer(self, base):
