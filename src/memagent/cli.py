@@ -29,13 +29,17 @@ def _suite_option(fn):
     fn = click.option("--backend", default="oracle", type=click.Choice(BACKENDS))(fn)
     fn = click.option("--config", default=None, help="Gateway config file (remote backend).")(fn)
     fn = click.option("--seed", default=0, type=int, show_default=True)(fn)
-    fn = click.option("--failure-p", default=None, type=float, help="Executor failure rate.")(fn)
+    fn = click.option(
+        "--failure-p", default=None, type=click.FloatRange(0, 1), help="Executor failure rate."
+    )(fn)
     return fn
 
 
 @main.command()
 @_suite_option
-@click.option("--passes", default=harness.DEFAULT_PASSES, type=int, show_default=True)
+@click.option(
+    "--passes", default=harness.DEFAULT_PASSES, type=click.IntRange(min=1), show_default=True
+)
 @click.option("--wipe-between-passes", is_flag=True, help="Clear long-term memory between passes.")
 @click.option(
     "--disable",
@@ -84,7 +88,9 @@ def run(
 
 @main.command()
 @_suite_option
-@click.option("--passes", default=harness.DEFAULT_PASSES, type=int, show_default=True)
+@click.option(
+    "--passes", default=harness.DEFAULT_PASSES, type=click.IntRange(min=1), show_default=True
+)
 @click.option("--out", default=None, help="Write ablation results JSON here.")
 def ablate(suite, backend, config, seed, failure_p, passes, out):
     """Run the suite with each capability removed in turn."""
@@ -110,10 +116,12 @@ def ablate(suite, backend, config, seed, failure_p, passes, out):
 
 
 @main.command()
-@click.option("--delay-ms", default=100.0, type=float, show_default=True)
-@click.option("--rounds", default=3, type=int, show_default=True)
+@click.option("--delay-ms", default=100.0, type=click.FloatRange(min=0), show_default=True)
+@click.option("--rounds", default=3, type=click.IntRange(min=1), show_default=True)
 def bench(delay_ms, rounds):
-    """Measure assembled-context latency, parallel vs forced-sequential."""
+    """Measure a planning step's retrieval latency, parallel vs
+    forced-sequential: working memory, then long-term recall, each round's
+    two sections padded by --delay-ms (a speedup of about 2x)."""
     timings = harness.bench_retrieval(section_delay_s=delay_ms / 1000.0, rounds=rounds)
     for mode in ("parallel", "sequential"):
         click.echo(f"{mode:>10}: mean {timings[mode]['mean_s'] * 1000:.1f} ms")

@@ -7,7 +7,7 @@ config). One codec gives every type its document: :func:`to_doc` writes a
 dataclass's init fields, and :func:`from_doc` passes them back to the type.
 
 Every concurrent fan-out (the gateway's parallel invoke, the
-orchestrator's update dispatch and context gather) goes through
+orchestrator's update dispatch, gather and recall) goes through
 :func:`fan_out`, which runs on one process-wide thread pool. It is also
 the one fault policy of a fan-out: every call runs to its end, then the
 first exception in call order is raised. A gateway fault never reaches
@@ -247,9 +247,9 @@ def _init_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
     )
 
 
-#: Workers of the shared pool: the widest fan-out in the program, the four
-#: retrieval sections of ``MemoryOrchestrator.gather_context``.
-FAN_OUT_WORKERS = 4
+#: Workers of the shared pool: the widest fan-out in the program, the three
+#: branches of an action-level ``MemoryOrchestrator.dispatch_update``.
+FAN_OUT_WORKERS = 3
 
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()

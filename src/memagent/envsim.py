@@ -211,6 +211,8 @@ class Environment:
         self.failure_p = (
             self._config["default_failure_p"] if failure_p is None else failure_p
         )
+        if not 0 <= self.failure_p <= 1:
+            raise ValueError(f"failure_p must be within [0, 1], got {self.failure_p}")
         self.max_steps = max_steps or self._config["max_steps"]
         self.verbs = set(self._config["verbs"])
         self.reports_success = self._config["reports_success"]

@@ -138,6 +138,8 @@ def run_suite(
     """Run the suite ``passes`` times over one persistent agent and report
     per-pass metrics. Long-term memory carries across passes unless
     ``wipe_between_passes`` is set; per-task working memory always resets."""
+    if passes < 1:
+        raise ValueError(f"passes must be at least 1, got {passes}")
     path = suite_path or builtin_suite_path()
     profile, tasks = load_suite(path)
     system = AgentSystem.build(
@@ -210,7 +212,8 @@ def run_ablation(
     passes: int = DEFAULT_PASSES,
     failure_p: Optional[float] = None,
 ) -> dict:
-    """Re-run the suite with one capability removed at a time."""
+    """Re-run the suite with one capability removed at a time. A ``passes``
+    below 1 is refused by the first ``run_suite``, before any episode."""
     out = {}
     for variant in ("full", "critic", "spatial", "longterm"):
         disable = () if variant == "full" else (variant,)
@@ -230,23 +233,22 @@ def run_ablation(
 
 
 def bench_retrieval(section_delay_s: float = 0.1, rounds: int = 3) -> dict:
-    """Compare assembled-context latency with the four retrieval branches
-    running in parallel versus serially, each padded to a fixed duration."""
+    """Compare the retrieval latency of a planning step (``gather_context``
+    then ``recall``) with each round's two sections running in parallel
+    versus serially, every section padded to a fixed duration."""
+    if section_delay_s < 0:
+        raise ValueError(f"section delay must be at least 0, got {section_delay_s}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     hooks = {name: section_delay_s for name in ("spatial", "temporal", "episodic", "semantic")}
     timings = {}
     for mode, parallel in (("parallel", True), ("sequential", False)):
-        gateway = ReasonerGateway()
-        orchestrator = MemoryOrchestrator(
-            spatial=SpatialMemory(gateway=gateway),
-            temporal=TemporalMemory(gateway=gateway),
-            lifelong=LifelongMemory(gateway=gateway),
-            parallel=parallel,
-            delay_hooks=hooks,
-        )
+        orchestrator = MemoryOrchestrator(parallel=parallel, delay_hooks=hooks)
         samples = []
         for _ in range(rounds):
             start = time.perf_counter()
             orchestrator.gather_context("where is the cup")
+            orchestrator.recall("where is the cup", scope="t1")
             samples.append(time.perf_counter() - start)
         timings[mode] = {"mean_s": statistics.mean(samples), "min_s": min(samples)}
     timings["speedup"] = timings["sequential"]["mean_s"] / timings["parallel"]["mean_s"]

@@ -7,12 +7,13 @@ retrievals run concurrently across modules through ``core.fan_out`` on
 the one process-wide pool (each module serializes internally), so the
 final state is independent of branch scheduling.
 
-Retrieval has two parts. Working memory (the spatial query, which also
-sets the seed the next integrate reads, and the temporal buffer) changes
-with every executed step; long-term memory changes only at a task-level
-update. ``gather_context`` returns all four sections by default; with
-``recall=False`` it leaves out the two long-term ones, which ``recall``
-then fetches on their own for a reader that needs them (the planner).
+Retrieval has one read path per kind of memory. ``gather_context``
+reads working memory (the spatial query, which also sets the seed the next
+integrate reads, and the temporal buffer), which changes with every
+executed step. ``recall`` reads long-term memory, which changes only at a
+task-level update, and returns only the entries of one task's scope. That
+scope (``LifelongMemory.retrieve``) is the one place the rule "trust only
+this task's entries" is kept; the planner takes what is recalled.
 
 A branch that raises does not stop its siblings; ``core.fan_out`` raises
 the error again once every branch has finished, and the harness records
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import StepRecord, TaskResult, canonical_json, fan_out
@@ -54,13 +55,11 @@ class UpdateEvent:
 
 @dataclass
 class MemoryContext:
-    """One gather's sections; the long-term two are empty when it was made
-    without ``recall``."""
+    """Working memory for one decision: the spatial subgraph and the
+    rendered temporal buffer. Long-term memory is read by ``recall``."""
 
     spatial: Tuple[Triplet, ...]
     temporal: str
-    episodic: List[Tuple[MemoryEntity, float]] = field(default_factory=list)
-    semantic: List[Tuple[MemoryEntity, float]] = field(default_factory=list)
 
 
 class MemoryOrchestrator:
@@ -113,46 +112,33 @@ class MemoryOrchestrator:
 
     # -- retrieval fan-out -----------------------------------------------------
 
-    def gather_context(
-        self, query: str, scope: Optional[str] = None, recall: bool = True
-    ) -> MemoryContext:
-        """The sections for ``query``: working memory, and with ``recall``
-        also long-term memory. ``scope`` narrows the long-term sections to
-        one task's entries (see ``LifelongMemory.retrieve``)."""
+    def gather_context(self, query: str) -> MemoryContext:
+        """Working memory for ``query``: the spatial and temporal sections."""
         start = time.perf_counter()
-        sections: Dict[str, Callable[[], object]] = {
-            "spatial": (lambda: self.spatial.query(query))
-            if self.spatial_enabled
-            else (lambda: ()),
-            "temporal": self.temporal.render,
-        }
-        if recall:
-            sections.update(self._recall_sections(query, scope))
+        spatial = (lambda: self.spatial.query(query)) if self.spatial_enabled else (lambda: ())
         results = fan_out(
-            [self._padded(name, fn) for name, fn in sections.items()], self.parallel
+            [self._padded("spatial", spatial), self._padded("temporal", self.temporal.render)],
+            self.parallel,
         )
         self.gather_latencies.append(time.perf_counter() - start)
         return MemoryContext(*results)
 
     def recall(
-        self, query: str, scope: Optional[str] = None
+        self, query: str, scope: str
     ) -> Tuple[List[Tuple[MemoryEntity, float]], List[Tuple[MemoryEntity, float]]]:
-        """The episodic and semantic sections of ``gather_context`` alone."""
-        sections = self._recall_sections(query, scope)
-        episodic, semantic = fan_out(
-            [self._padded(name, fn) for name, fn in sections.items()], self.parallel
-        )
-        return episodic, semantic
+        """The episodic and semantic entries for ``query`` among those the
+        task ``scope`` wrote (see ``LifelongMemory.retrieve``)."""
 
-    def _recall_sections(
-        self, query: str, scope: Optional[str]
-    ) -> Dict[str, Callable[[], object]]:
         def retrieve(kind: str) -> Callable[[], object]:
-            if not self.longterm_enabled:
-                return lambda: []
-            return lambda: self.lifelong.retrieve(query, kind, RETRIEVAL_K, scope)
+            fn = (
+                (lambda: self.lifelong.retrieve(query, kind, RETRIEVAL_K, scope))
+                if self.longterm_enabled
+                else (lambda: [])
+            )
+            return self._padded(kind, fn)
 
-        return {kind: retrieve(kind) for kind in ("episodic", "semantic")}
+        episodic, semantic = fan_out([retrieve("episodic"), retrieve("semantic")], self.parallel)
+        return episodic, semantic
 
     def _padded(self, section: str, fn: Callable[[], object]) -> Callable[[], object]:
         delay = self.delay_hooks.get(section, 0.0)

@@ -115,12 +115,9 @@ class BeliefState:
     avoid_points: Dict[str, List[str]] = field(default_factory=dict)
 
 
-def build_beliefs(
-    context: MemoryContext,
-    observed_triplets: Sequence[Triplet],
-    task_id: Optional[str] = None,
-    trace: Optional[TaskTrace] = None,
-) -> BeliefState:
+def build_beliefs(context: MemoryContext, observed_triplets: Sequence[Triplet]) -> BeliefState:
+    """Beliefs from working memory and the current observation; long-term
+    hints are added by ``add_hints``."""
     beliefs = BeliefState()
     obs_facts = [t.key for t in observed_triplets]
     kg_facts = [t.key for t in context.spatial]
@@ -158,35 +155,28 @@ def build_beliefs(
     if beliefs.holding is not None:
         beliefs.known_locations.pop(beliefs.holding, None)
 
-    add_hints(beliefs, context.episodic + context.semantic, task_id, trace)
     seen = set()
     beliefs.facts = [f for f in merged if not (f in seen or seen.add(f))]
     return beliefs
 
 
 def add_hints(
-    beliefs: BeliefState,
-    entries: Sequence[Tuple[MemoryEntity, float]],
-    task_id: Optional[str] = None,
-    trace: Optional[TaskTrace] = None,
+    beliefs: BeliefState, entries: Sequence[Tuple[MemoryEntity, float]], trace: TaskTrace
 ) -> None:
     """Add long-term hints to ``beliefs``: discovered locations (episodic
-    facts) and search dead-ends (semantic avoid). Only entries whose facts
-    an earlier attempt at this same task wrote are trusted; other tasks
-    reshuffle the world. A hint dies once this episode has searched its
-    place without seeing the object there: visiting a point reveals
-    everything on it, and an opened container reveals everything in it."""
-    visited = set(trace.visited_points) if trace else set()
-    opened = set(trace.opened_containers) if trace else set()
-    first_seen = trace.first_seen if trace else {}
+    facts) and search dead-ends (semantic avoid). ``entries`` are trusted as
+    recalled, within this task's scope (``MemoryOrchestrator.recall``). A
+    hint dies once this episode has searched its place without seeing the
+    object there: visiting a point reveals everything on it, and an opened
+    container reveals everything in it."""
+    visited = set(trace.visited_points)
+    opened = set(trace.opened_containers)
     for entity, _ in entries:
-        if task_id is not None and entity.task != task_id:
-            continue
         for obj, rel, place in entity.facts:
             if obj == beliefs.holding or obj in beliefs.known_locations:
                 continue
             searched = place in visited if rel == "on" else place in opened
-            if searched and first_seen.get(obj) != (rel, place):
+            if searched and trace.first_seen.get(obj) != (rel, place):
                 continue
             beliefs.hint_locations[obj] = {"rel": rel, "place": place}
         for obj, point in entity.avoid:
@@ -296,7 +286,7 @@ def run_episode(
     gateway.reset_budget()
     orchestrator.reset_task_state()
     planner = PlannerCritic(gateway, env)
-    preprocessor = Preprocessor(gateway, task.instruction, parallel=orchestrator.parallel)
+    preprocessor = Preprocessor(task.instruction, gateway, parallel=orchestrator.parallel)
 
     obs = env.reset(task, seed=world_seed)
     goals = parse_goals(task.instruction)
@@ -335,14 +325,14 @@ def run_episode(
         # planner reads and only the task-level update writes, once per
         # executed step and only when a plan is made.
         if beliefs is None:
-            context = orchestrator.gather_context(query, recall=False)
+            context = orchestrator.gather_context(query)
             beliefs = build_beliefs(context, observed)
             recalled = False
 
         if plan is None or plan_index >= len(plan.steps):
             if not recalled:
                 episodic, semantic = orchestrator.recall(query, scope=task.id)
-                add_hints(beliefs, episodic + semantic, task.id, trace)
+                add_hints(beliefs, episodic + semantic, trace)
                 recalled = True
             try:
                 plan = planner.plan(task.instruction, goals, beliefs, trace)

@@ -113,8 +113,8 @@ def visible_entities(triplets: Sequence[Triplet]) -> List[str]:
 class Preprocessor:
     def __init__(
         self,
+        instruction: str,
         gateway: Optional[ReasonerGateway] = None,
-        instruction: str = "",
         parallel: bool = True,
     ):
         # Nothing resets the budget of a gateway of its own, so it has none.
@@ -143,7 +143,7 @@ class Preprocessor:
             }
             requests.append((ReasonerRole.STEP_SUMMARIZER, summarizer_payload))
         query_payload = {
-            "instruction": self.instruction or obs.text.splitlines()[0],
+            "instruction": self.instruction,
             "last_verb": last_action.verb.value if last_action else None,
             "visible_entities": entities,
         }

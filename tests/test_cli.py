@@ -252,6 +252,42 @@ class TestAblate:
         assert "budget" in result.output
 
 
+class TestOutOfRangeOptions:
+    """An option out of its range is a usage error (exit 2) naming the
+    option, before anything runs; not a traceback, nor a run that reads as
+    an ordinary score."""
+
+    def assert_refused(self, result, option):
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert "Traceback" not in result.output and "sr" not in result.output.split()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--passes", "0"], "--passes"),
+            (["--passes", "-2"], "--passes"),
+            (["--failure-p", "1.5"], "--failure-p"),
+            (["--failure-p", "-0.5"], "--failure-p"),
+        ],
+    )
+    def test_run_options(self, runner, suite_path, monkeypatch, command, args, option):
+        started = []
+        monkeypatch.setattr(harness, "run_episode", lambda *a, **k: started.append(a))
+        result = runner.invoke(main, [command, "--suite", suite_path, *args])
+        self.assert_refused(result, option)
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [(["--rounds", "0"], "--rounds"), (["--delay-ms", "-5"], "--delay-ms")],
+    )
+    def test_bench_options(self, runner, args, option):
+        self.assert_refused(runner.invoke(main, ["bench", *args]), option)
+
+
 class TestBench:
     def test_bench_reports_speedup(self, runner):
         result = runner.invoke(main, ["bench", "--delay-ms", "20", "--rounds", "1"])

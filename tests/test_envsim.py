@@ -343,6 +343,12 @@ class TestValidation:
         _, _, reason = env.step(act(Verb.PICK_UP, "sponge"))
         assert reason == "target not found"
 
+    @pytest.mark.parametrize("failure_p", [1.5, -0.5, float("nan")])
+    def test_failure_rate_outside_0_1_is_refused(self, failure_p):
+        # Not a run whose every step fails (or none does) reading as a score.
+        with pytest.raises(ValueError, match=r"failure_p must be within \[0, 1\]"):
+            Environment(profile="realworld", failure_p=failure_p)
+
     def test_injected_failure_reports_executor_failure(self):
         env = Environment(profile="realworld", failure_p=1.0)
         env.reset(simple_task(), seed=3)

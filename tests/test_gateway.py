@@ -100,7 +100,8 @@ class TestBudget:
     )
     def test_a_gateway_of_a_component_s_own_has_no_budget(self, component):
         # Only run_episode resets a budget, and it never sees this gateway.
-        gateway = component().gateway
+        args = ("put cup on table",) if component is Preprocessor else ()
+        gateway = component(*args).gateway
         for _ in range(DEFAULT_BUDGET + 1):
             gateway.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
 

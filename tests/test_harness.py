@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from memagent import gateway as gateway_module
+from memagent import harness
 from memagent.core import TaskResult, Termination, canonical_json
 from memagent.envsim import TaskSpec, builtin_suite_path, load_suite
 from memagent.gateway import BackendUnreachableError
@@ -18,6 +19,7 @@ from memagent.harness import (
     bench_retrieval,
     compute_metrics,
     render_table,
+    run_ablation,
     run_pass,
     run_suite,
     write_report,
@@ -254,6 +256,18 @@ class TestRunSuite:
         sidecar = json.loads((tmp_path / "r.json.latency.json").read_text())
         assert sidecar["count"] > 0
 
+    @pytest.mark.parametrize("passes", [0, -2])
+    def test_fewer_than_one_pass_is_refused_before_the_first_episode(
+        self, tmp_path, monkeypatch, passes
+    ):
+        episodes = []
+        monkeypatch.setattr(harness, "run_episode", lambda *a, **k: episodes.append(a))
+        suite = tiny_suite(tmp_path)
+        for run in (run_suite, run_ablation):
+            with pytest.raises(ValueError, match="passes must be at least 1"):
+                run(suite_path=suite, passes=passes)
+        assert episodes == []
+
     def test_render_table_lists_every_pass(self, tmp_path):
         suite = tiny_suite(tmp_path)
         outcome = run_suite(suite_path=suite, seed=3, passes=2, failure_p=0.0)
@@ -381,3 +395,15 @@ class TestBench:
         timings = bench_retrieval(section_delay_s=0.03, rounds=2)
         assert timings["parallel"]["mean_s"] < timings["sequential"]["mean_s"]
         assert timings["speedup"] > 1.5
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rounds": 0}, "rounds must be at least 1"),
+            ({"rounds": -1}, "rounds must be at least 1"),
+            ({"section_delay_s": -0.005}, "section delay must be at least 0"),
+        ],
+    )
+    def test_out_of_range_options_are_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            bench_retrieval(**kwargs)

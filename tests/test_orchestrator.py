@@ -1,5 +1,6 @@
 """Tests for the parallel memory update/retrieval coordinator."""
 
+import dataclasses
 import json
 import logging
 import threading
@@ -21,7 +22,7 @@ from memagent.core import (
 )
 from memagent.gateway import OracleBackend, ReasonerGateway, ReasonerRole
 from memagent.lifelong import LifelongMemory, TaskTrace
-from memagent.orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
+from memagent.orchestrator import MemoryOrchestrator, UpdateEvent
 from memagent.preprocessor import Preprocessor
 from memagent import spatial
 from memagent.spatial import KHopBoundError, SpatialMemory, Triplet
@@ -149,7 +150,8 @@ class TestGather:
         ctx = orch.gather_context("where is the cup")
         assert [t.key for t in ctx.spatial] == [("cup", "on", "table")]
         assert "step 0" in ctx.temporal
-        assert ctx.episodic
+        episodic, _ = orch.recall("where is the cup", scope="t1")
+        assert episodic
 
     @pytest.mark.parametrize("parallel", [True, False])
     def test_working_memory_gather_leaves_longterm_memory_to_recall(self, parallel):
@@ -157,29 +159,31 @@ class TestGather:
         orch.parallel = parallel
         retrieved = []
         retrieve = orch.lifelong.retrieve
-        orch.lifelong.retrieve = lambda *args: retrieved.append(args[1]) or retrieve(*args)
-        full = orch.gather_context("where is the cup")
-        working = orch.gather_context("where is the cup", recall=False)
-        assert sorted(retrieved) == ["episodic", "semantic"]
-        assert working == MemoryContext(full.spatial, full.temporal, [], [])
-        assert orch.recall("where is the cup") == (full.episodic, full.semantic)
-        assert full.episodic
-        assert len(orch.gather_latencies) == 2
+        orch.lifelong.retrieve = lambda *args: retrieved.append(args[1:]) or retrieve(*args)
+        working = orch.gather_context("where is the cup")
+        assert retrieved == []
+        assert [f.name for f in dataclasses.fields(working)] == ["spatial", "temporal"]
+        episodic, semantic = orch.recall("where is the cup", scope="t1")
+        assert sorted(retrieved) == [("episodic", 5, "t1"), ("semantic", 5, "t1")]
+        assert episodic and {e.task for e, _ in episodic + semantic} == {"t1"}
+        assert len(orch.gather_latencies) == 1  # recall is not timed in it
 
     def test_recall_of_disabled_longterm_memory_is_empty(self):
         orch = self.build()
         orch.longterm_enabled = False
-        assert orch.recall("where is the cup") == ([], [])
+        assert orch.recall("where is the cup", scope="t1") == ([], [])
 
     @pytest.mark.parametrize("parallel", [True, False])
     def test_retrieval_branch_failure_is_raised(self, parallel):
-        # Not an empty section: the episode ends as crashed. The sections
-        # before and after the failed one still ran.
+        # Not an empty section: the episode ends as crashed. The section
+        # beside the failed one still ran.
         retrieved = []
 
         class RecordingLifelong(LifelongMemory):
             def retrieve(self, query, kind, k=5, scope=None):
                 retrieved.append(kind)
+                if kind == "episodic":
+                    raise RuntimeError("episodic exploded")
                 return super().retrieve(query, kind, k, scope)
 
         orch = MemoryOrchestrator(
@@ -190,6 +194,8 @@ class TestGather:
         with pytest.raises(RuntimeError, match="temporal exploded"):
             orch.gather_context("where is the cup")
         assert orch.spatial.snapshot()["retrieval_seed"] == ["cup"]
+        with pytest.raises(RuntimeError, match="episodic exploded"):
+            orch.recall("where is the cup", scope="t1")
         assert sorted(retrieved) == ["episodic", "semantic"]
 
     @pytest.mark.parametrize("parallel", [True, False])
@@ -203,12 +209,15 @@ class TestGather:
     def test_parallel_gather_overlaps_section_delays(self):
         delay = 0.05
         hooks = {name: delay for name in ("spatial", "temporal", "episodic", "semantic")}
-        fast = MemoryOrchestrator(parallel=True, delay_hooks=hooks)
-        slow = MemoryOrchestrator(parallel=False, delay_hooks=hooks)
-        fast.gather_context("cup")
-        slow.gather_context("cup")
-        assert fast.gather_latencies[-1] < 2.5 * delay
-        assert slow.gather_latencies[-1] >= 3.8 * delay
+        elapsed = {}
+        for parallel in (True, False):
+            orch = MemoryOrchestrator(parallel=parallel, delay_hooks=hooks)
+            start = time.perf_counter()
+            orch.gather_context("cup")
+            orch.recall("cup", scope="t1")
+            elapsed[parallel] = time.perf_counter() - start
+        assert elapsed[True] < 2.5 * delay
+        assert elapsed[False] >= 3.8 * delay
 
     def test_parallel_gathers_share_one_bounded_pool(self, monkeypatch):
         started = []
@@ -222,18 +231,18 @@ class TestGather:
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         for _ in range(50):
             orch.gather_context("where is the cup")
+            orch.recall("where is the cup", scope="t1")
         assert len(started) <= 4, started
 
     def test_gather_results_match_across_schedules(self):
         par = self.build()
         seq = self.build()
         seq.parallel = False
-        ctx_par = par.gather_context("where is the cup")
-        ctx_seq = seq.gather_context("where is the cup")
-        assert ctx_par.spatial == ctx_seq.spatial
-        assert ctx_par.temporal == ctx_seq.temporal
-        assert [e.text for e, _ in ctx_par.episodic] == [e.text for e, _ in ctx_seq.episodic]
-        assert [e.text for e, _ in ctx_par.semantic] == [e.text for e, _ in ctx_seq.semantic]
+        assert par.gather_context("where is the cup") == seq.gather_context("where is the cup")
+        recalled_par = par.recall("where is the cup", scope="t1")
+        recalled_seq = seq.recall("where is the cup", scope="t1")
+        for hits_par, hits_seq in zip(recalled_par, recalled_seq):
+            assert [e.text for e, _ in hits_par] == [e.text for e, _ in hits_seq]
 
 
 class Answering(OracleBackend):
@@ -285,8 +294,8 @@ class TestBlankAnswers:
         [record] = caplog.records
         assert "query generator failed" in record.getMessage()
         assert out.query == "put cup on table"
-        context = orch.gather_context(out.query)
-        assert context.episodic and context.semantic
+        episodic, semantic = orch.recall(out.query, scope="t1")
+        assert episodic and semantic
 
 
 class TestTaskBoundaries:
@@ -356,6 +365,7 @@ class TestRestore:
                 orch.dispatch_update(UpdateEvent(level="task", trace=trace, result=result))
             elif op[0] == "query":
                 orch.gather_context(op[1])
+                orch.recall(op[1], scope="t1")
             else:
                 orch.reset_task_state()
         text = orch.snapshot()

@@ -36,9 +36,24 @@ def observed(text):
 
 
 def empty_context(**kwargs):
-    defaults = dict(spatial=(), temporal="", episodic=[], semantic=[])
+    defaults = dict(spatial=(), temporal="")
     defaults.update(kwargs)
     return MemoryContext(**defaults)
+
+
+def hinted(entries, text, trace):
+    """Beliefs from one observation plus the long-term hints of ``entries``."""
+    beliefs = build_beliefs(empty_context(), observed(text))
+    add_hints(beliefs, entries, trace)
+    return beliefs
+
+
+def recalled(entities, query, scope):
+    """``recall`` of ``query`` in ``scope`` from a store holding ``entities``."""
+    orch = MemoryOrchestrator()
+    orch.lifelong.restore({"entities": to_doc(list(entities))})
+    episodic, semantic = orch.recall(query, scope)
+    return episodic + semantic
 
 
 def kg(*keys):
@@ -124,49 +139,49 @@ class TestBeliefs:
         assert beliefs.known_locations["lamp on stand"] == {"rel": "on", "place": "table in hall"}
 
     def test_episodic_hint_from_same_task(self):
-        ctx = empty_context(episodic=[(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)])
+        entries = [(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)]
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
+        beliefs = hinted(entries, "you are at shelf", trace)
         assert beliefs.hint_locations["cup"] == {"rel": "on", "place": "sink"}
 
     def test_hint_from_other_task_is_ignored(self):
-        ctx = empty_context(
-            episodic=[(entity("task t0", task="t0", facts=[("cup", "on", "sink")]), 0.9)]
-        )
+        # Other tasks reshuffle the world: their entries stay outside the
+        # recall scope, so no hint or dead-end of theirs reaches the beliefs.
+        others = [
+            entity("task t0 cup", task="t0", eid="e1", facts=[("cup", "on", "sink")]),
+            entity("task t0 cup", "semantic", task="t0", eid="e2", avoid=[("cup", "bed")]),
+        ]
+        assert len(recalled(others, "task t0 cup", "t0")) == 2
+        entries = recalled(others, "task t0 cup", "t1")
+        assert entries == []
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
-        assert beliefs.hint_locations == {}
+        beliefs = hinted(entries, "you are at shelf", trace)
+        assert beliefs.hint_locations == {} and beliefs.avoid_points == {}
 
     def test_hint_yields_to_holding_and_known_locations(self):
-        ctx = empty_context(
-            episodic=[
-                (entity("task t1", facts=[("cup", "on", "sink"), ("fork", "on", "sink")]), 0.9)
-            ]
-        )
+        entries = [
+            (entity("task t1", facts=[("cup", "on", "sink"), ("fork", "on", "sink")]), 0.9)
+        ]
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(
-            ctx, observed("you are at shelf\nyou see fork on shelf\nholding: cup"), "t1", trace
-        )
+        beliefs = hinted(entries, "you are at shelf\nyou see fork on shelf\nholding: cup", trace)
         assert beliefs.hint_locations == {}
 
     def test_hint_dies_after_searching_its_place(self):
-        ctx = empty_context(
-            episodic=[
-                (entity("task t1", facts=[("cup", "on", "sink"), ("egg", "in", "fridge")]), 0.9)
-            ]
-        )
+        entries = [
+            (entity("task t1", facts=[("cup", "on", "sink"), ("egg", "in", "fridge")]), 0.9)
+        ]
         trace = TaskTrace(task_id="t1", instruction="x")
         trace.note_visit("sink")
         trace.note_opened("fridge")
-        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
+        beliefs = hinted(entries, "you are at shelf", trace)
         assert beliefs.hint_locations == {}
 
     def test_hint_survives_when_confirmed_this_episode(self):
-        ctx = empty_context(episodic=[(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)])
+        entries = [(entity("task t1", facts=[("cup", "on", "sink")]), 0.9)]
         trace = TaskTrace(task_id="t1", instruction="x")
         trace.note_visit("sink")
         trace.note_seen("cup", "on", "sink")
-        beliefs = build_beliefs(ctx, observed("you are at shelf"), "t1", trace)
+        beliefs = hinted(entries, "you are at shelf", trace)
         assert beliefs.hint_locations["cup"] == {"rel": "on", "place": "sink"}
 
     def test_avoid_points_from_same_task_semantic_lessons(self):
@@ -175,28 +190,11 @@ class TestBeliefs:
             entity("lesson", "semantic", eid="e2", avoid=[("banana", "sink"), ("banana", "stove")]),
             entity("lesson", "semantic", task="t0", eid="e3", avoid=[("banana", "bed")]),
         ]
-        ctx = empty_context(semantic=[(e, 0.9) for e in lessons])
+        entries = recalled(lessons, "lesson", "t1")
+        assert [e.id for e, _ in entries] == ["e1", "e2"]
         trace = TaskTrace(task_id="t1", instruction="x")
-        beliefs = build_beliefs(ctx, observed("you are at stove"), "t1", trace)
+        beliefs = hinted(entries, "you are at stove", trace)
         assert beliefs.avoid_points == {"banana": ["shelf", "sink", "stove"]}
-
-    def test_hints_added_later_match_hints_built_in(self):
-        # The episode loop adds the long-term hints only before a plan.
-        episodic = [
-            (entity("task t1", facts=[("cup", "on", "sink"), ("fork", "on", "sink")]), 0.9),
-            (entity("task t0", task="t0", eid="e2", facts=[("egg", "in", "fridge")]), 0.8),
-        ]
-        semantic = [(entity("lesson", "semantic", eid="e3", avoid=[("cup", "bed")]), 0.7)]
-        seen = observed("you are at shelf\nyou see fork on shelf")
-        trace = TaskTrace(task_id="t1", instruction="x")
-        built_in = build_beliefs(
-            empty_context(episodic=episodic, semantic=semantic), seen, "t1", trace
-        )
-        later = build_beliefs(empty_context(), seen)
-        add_hints(later, episodic + semantic, "t1", trace)
-        assert later == built_in
-        assert later.hint_locations == {"cup": {"rel": "on", "place": "sink"}}
-        assert later.avoid_points == {"cup": ["bed"]}
 
     def test_trust_follows_the_task_that_wrote_the_facts(self):
         # Task B's attempt updates the entries task A created, with B's own
@@ -210,16 +208,15 @@ class TestBeliefs:
                              task=task, avoid=[("cup", place)]),
             ])
         assert [e.id for e in mem.entities()] == ["episodic-A-1", "semantic-A-1"]
-        ctx = empty_context(
-            episodic=mem.retrieve("cup attempt", "episodic"),
-            semantic=mem.retrieve("cup lesson", "semantic"),
-        )
         for task, hints, avoid in (
             ("B", {"cup": {"rel": "on", "place": "sink"}}, {"cup": ["sink"]}),
             ("A", {}, {}),
         ):
+            entries = mem.retrieve("cup attempt", "episodic", scope=task) + mem.retrieve(
+                "cup lesson", "semantic", scope=task
+            )
             trace = TaskTrace(task_id=task, instruction="x")
-            beliefs = build_beliefs(ctx, observed("you are at stove"), task, trace)
+            beliefs = hinted(entries, "you are at stove", trace)
             assert beliefs.hint_locations == hints
             assert beliefs.avoid_points == avoid
 
@@ -240,12 +237,8 @@ class TestBeliefs:
             result = TaskResult(task_id="t1", scn=0, gcn=1, steps_used=6,
                                 terminated_by=Termination.STEP_BUDGET)
             mem.consolidate(mem.extract_task_entities(trace, result))
-            ctx = empty_context(
-                episodic=[(e, 1.0) for e in mem.entities("episodic")],
-                semantic=[(e, 1.0) for e in mem.entities("semantic")],
-            )
             retry = TaskTrace(task_id="t1", instruction="put banana on shelf")
-            return build_beliefs(ctx, observed("you are at stove"), "t1", retry)
+            return hinted([(e, 1.0) for e in mem.entities()], "you are at stove", retry)
 
         oracle = beliefs_after_failed_attempt(ReasonerGateway())
         plain = beliefs_after_failed_attempt(PlainWordsExtractor())
@@ -423,10 +416,7 @@ class TestEpisodeLoop:
         orch = MemoryOrchestrator()
         gathers = []
         gather = orch.gather_context
-        orch.gather_context = (
-            lambda query, scope=None, recall=True: gathers.append(query)
-            or gather(query, scope, recall)
-        )
+        orch.gather_context = lambda query: gathers.append(query) or gather(query)
         env = Environment(profile="realworld", failure_p=0.0)
         episode = run_episode(self.task(), env, AlwaysRejectGateway(), orch)
         assert sum(not t["executed"] for t in episode.trajectory) >= 2
@@ -518,6 +508,37 @@ class TestEpisodeLoop:
             assert "latest_summary" not in payload
             assert payload["recent_steps"] == rendered
             assert rendered.splitlines()[-1] == f"step {len(done)}: {done[-1]}"
+
+    def test_plans_see_only_this_tasks_longterm_entries(self):
+        # Another task's world was reshuffled: its entries about the goal
+        # object reach no plan, while this task's own entries do.
+        text = "put cup on kitchen counter"
+        ours = [
+            entity(text, eid="seed-1", facts=[("cup", "on", "window sill")]),
+            entity(text, "semantic", eid="seed-2", avoid=[("cup", "stove")]),
+        ]
+        theirs = [
+            entity(text, task="t0", eid="seed-3", facts=[("cup", "on", "side table")]),
+            entity(text, "semantic", task="t0", eid="seed-4", avoid=[("cup", "shelf")]),
+        ]
+        payloads = []
+
+        class RecordingGateway(ReasonerGateway):
+            def invoke(self, role, payload):
+                if role is ReasonerRole.PLANNER:
+                    payloads.append(copy.deepcopy(payload))
+                return super().invoke(role, payload)
+
+        orch = MemoryOrchestrator()
+        orch.lifelong.restore({"entities": to_doc(ours + theirs)})
+        env = Environment(profile="realworld", failure_p=0.0)
+        run_episode(self.task(), env, RecordingGateway(), orch)
+        hints = [p["hint_locations"] for p in payloads]
+        avoid = [p["avoid_points"] for p in payloads]
+        assert hints[0] == {"cup": {"rel": "on", "place": "window sill"}}
+        assert avoid[0] == {"cup": ["stove"]}
+        assert all(h.get("cup", {}).get("place") != "side table" for h in hints)
+        assert all("shelf" not in points for a in avoid for points in a.values())
 
     def test_task_event_reaches_longterm_memory(self):
         env = Environment(profile="realworld", failure_p=0.0)
