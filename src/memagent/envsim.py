@@ -15,7 +15,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import ActionCommand, Observation, Outcome, Verb, from_doc, read_json
+from .core import (
+    ActionCommand,
+    Observation,
+    Outcome,
+    Verb,
+    check_int,
+    from_doc,
+    read_json,
+)
 
 EXECUTOR_FAILURE = "executor_failure"
 
@@ -213,7 +221,10 @@ class Environment:
         )
         if not 0 <= self.failure_p <= 1:
             raise ValueError(f"failure_p must be within [0, 1], got {self.failure_p}")
-        self.max_steps = max_steps or self._config["max_steps"]
+        if max_steps is None:
+            max_steps = self._config["max_steps"]
+        check_int(max_steps, 1, "max_steps")
+        self.max_steps = max_steps
         self.verbs = set(self._config["verbs"])
         self.reports_success = self._config["reports_success"]
         self._objects: Dict[str, _ObjectState] = {}

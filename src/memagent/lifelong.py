@@ -9,9 +9,10 @@ the same kind, so unrelated entries are never touched.
 
 Retrieval may be scoped to the entries one task's trace wrote (``task``).
 Each kind keeps a map from scope to entry ids, updated on the one write
-path, ``_apply``; a scope with no entry of the kind costs no embedding and
-no search. Ranking is still global: a scoped retrieval is the kind's top k
-with the other scopes' entries dropped, so those entries still take slots.
+path, ``_apply``. A scoped retrieval ranks only the scope's entries, with
+the same exact scoring as an unscoped one, so entries of other scopes never
+take its slots and its cost grows with the scope, not with the store. A
+scope with no entry of the kind costs no embedding and no search.
 """
 
 from __future__ import annotations
@@ -357,23 +358,28 @@ class LifelongMemory:
         self, query: str, kind: str, k: int = 5, scope: Optional[str] = None
     ) -> List[Tuple[MemoryEntity, float]]:
         """The top ``k`` entries of one kind at least theta-similar to
-        ``query``, best first, ties by id. With a ``scope``, only those of
-        them whose ``task`` is the scope: the ranking is over the whole
-        kind, so this may return fewer than ``k`` while the scope holds more
-        similar entries. With no entry of the kind in the scope it returns
-        ``[]`` without embedding ``query``."""
+        ``query``, best first, ties by id. With a ``scope``, the top ``k``
+        among the entries whose ``task`` is the scope: only they are scored,
+        so the cost is proportional to the scope's size, not the store's.
+        With no entry of the kind in the scope it returns ``[]`` without
+        embedding ``query``."""
         with self._lock:
             if scope is None:
                 return self._search(query, kind, k)
-            if scope not in self._scopes[kind]:
+            ids = self._scopes[kind].get(scope)
+            if not ids:
                 return []
-            return [hit for hit in self._search(query, kind, k) if hit[0].task == scope]
+            return self._search(query, kind, k, among=ids)
 
-    def _search(self, text: str, kind: str, k: int) -> List[Tuple[MemoryEntity, float]]:
+    def _search(
+        self, text: str, kind: str, k: int, among: Optional[Set[str]] = None
+    ) -> List[Tuple[MemoryEntity, float]]:
         index = self._indexes[kind]
         if len(index) == 0:
             return []
-        hits = index.search(self.embedder.embed(text), k=k, theta=DEFAULT_RETRIEVAL_THETA)
+        hits = index.search(
+            self.embedder.embed(text), k=k, theta=DEFAULT_RETRIEVAL_THETA, among=among
+        )
         return [(self._entities[e.id], score) for e, score in hits]
 
     # -- persistence ---------------------------------------------------------

@@ -11,9 +11,10 @@ Retrieval has one read path per kind of memory. ``gather_context``
 reads working memory (the spatial query, which also sets the seed the next
 integrate reads, and the temporal buffer), which changes with every
 executed step. ``recall`` reads long-term memory, which changes only at a
-task-level update, and returns only the entries of one task's scope. That
-scope (``LifelongMemory.retrieve``) is the one place the rule "trust only
-this task's entries" is kept; the planner takes what is recalled.
+task-level update, and ranks only the entries of one task's scope, so its
+cost is proportional to that scope, not to the whole store. That scope
+(``LifelongMemory.retrieve``) is the one place the rule "trust only this
+task's entries" is kept; the planner takes what is recalled.
 
 A branch that raises does not stop its siblings; ``core.fan_out`` raises
 the error again once every branch has finished, and the harness records
@@ -126,8 +127,10 @@ class MemoryOrchestrator:
     def recall(
         self, query: str, scope: str
     ) -> Tuple[List[Tuple[MemoryEntity, float]], List[Tuple[MemoryEntity, float]]]:
-        """The episodic and semantic entries for ``query`` among those the
-        task ``scope`` wrote (see ``LifelongMemory.retrieve``)."""
+        """The top episodic and semantic entries for ``query`` among those
+        the task ``scope`` wrote. Only that scope's entries are ranked, so
+        other tasks' entries take no slot and add no cost (see
+        ``LifelongMemory.retrieve``)."""
 
         def retrieve(kind: str) -> Callable[[], object]:
             fn = (

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (
     ActionCommand,
     InvariantError,
+    Outcome,
     StepRecord,
     TaskResult,
     Termination,
@@ -317,6 +318,7 @@ def run_episode(
     plan_index = 0
     plan_id = 0
     stopped: Optional[Termination] = None  # set when planning fails
+    completed = False  # whether the last executed action was a successful task_complete
     beliefs: Optional[BeliefState] = None  # None once memory or the query changed
     recalled = False  # whether the beliefs hold this step's long-term hints
 
@@ -369,6 +371,7 @@ def run_episode(
 
         obs, outcome, failure_reason = env.step(action)
         executed += 1
+        completed = action.verb is Verb.TASK_COMPLETE and outcome is Outcome.SUCCESS
         beliefs = None
         pre = preprocessor.preprocess(obs, action, outcome, failure_reason)
         observed = pre.triplets
@@ -407,9 +410,11 @@ def run_episode(
         terminated_by = Termination.SUCCESS
     elif stopped:
         terminated_by = stopped
-    elif env.done:
+    elif completed:
         terminated_by = Termination.SELF_TERMINATED
     else:
+        # The environment also sets ``done`` on the step that spends the
+        # budget, so ``done`` alone does not say the agent stopped itself.
         terminated_by = Termination.STEP_BUDGET
     result = TaskResult(
         task_id=task.id,

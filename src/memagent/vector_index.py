@@ -18,7 +18,8 @@ products in another order, so for finite vectors (squared norms that
 neither overflow nor underflow) they differ by a few ulps, about 1e-15 at
 64 dimensions. With a slack of 1e-9, far more than twice that, every row of
 the exact top k at or above theta survives the prune, ties at the k-th
-score included. ``may_hit`` applies the same prune to many queries with one
+score included. A search given ``among`` ids runs the same steps over only
+their rows. ``may_hit`` applies the same prune to many queries with one
 matrix product and answers only whether any row survives it for theta.
 """
 
@@ -28,7 +29,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,24 +187,36 @@ class VectorIndex:
             self._unit[row] = self._unit[len(self._rows)]
 
     def search(
-        self, query: np.ndarray, k: int, theta: float = DEFAULT_THETA
+        self,
+        query: np.ndarray,
+        k: int,
+        theta: float = DEFAULT_THETA,
+        among: Optional[Collection[str]] = None,
     ) -> List[Tuple[IndexEntry, float]]:
         """Top-k entries with cosine score >= theta, sorted by descending
         score then ascending id. The scores are the per-pair formula's; the
-        matrix product only prunes (see the module docstring)."""
+        matrix product only prunes (see the module docstring). With
+        ``among``, a collection of stored ids, only those entries are
+        candidates, and the search costs their number, not the index's."""
         if k < 1:
             raise ValueError("k must be >= 1")
         query_norm = self._query_norm(query)
-        n = len(self._rows)
-        # Each row's approximate score, times query_norm.
-        scaled = self._unit[:n] @ query
+        if among is None:
+            candidates = range(len(self._rows))
+            unit = self._unit[: len(self._rows)]
+        else:
+            candidates = [self._row_of[entry_id] for entry_id in among]
+            unit = self._unit.take(candidates, axis=0)
+        n = len(candidates)
+        # Each candidate's approximate score, times query_norm.
+        scaled = unit @ query
         floor = theta * query_norm
         if n > k:
             floor = max(floor, float(np.partition(scaled, n - k)[n - k]))
         rows = self._rows
         kept = []
-        for row in (scaled >= floor - PRUNE_SLACK * query_norm).nonzero()[0].tolist():
-            entry, norm = rows[row]
+        for i in (scaled >= floor - PRUNE_SLACK * query_norm).nonzero()[0].tolist():
+            entry, norm = rows[candidates[i]]
             score = cosine_with_norms(query, query_norm, entry.embedding, norm)
             if score >= theta:
                 kept.append((entry, score))

@@ -349,6 +349,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"failure_p must be within \[0, 1\]"):
             Environment(profile="realworld", failure_p=failure_p)
 
+    @pytest.mark.parametrize("max_steps", [0, -1, 2.5, "15", True])
+    def test_step_budget_below_1_or_not_an_int_is_refused(self, max_steps):
+        # Not the profile's budget in place of 0, nor an episode of no step.
+        with pytest.raises(ValueError, match="max_steps"):
+            Environment(profile="realworld", max_steps=max_steps)
+
+    def test_no_step_budget_keeps_the_profile_s(self):
+        assert Environment(profile="realworld").max_steps == 15
+        assert Environment(profile="alfred", max_steps=None).max_steps == 30
+        assert Environment(profile="realworld", max_steps=1).max_steps == 1
+
     def test_injected_failure_reports_executor_failure(self):
         env = Environment(profile="realworld", failure_p=1.0)
         env.reset(simple_task(), seed=3)

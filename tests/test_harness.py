@@ -281,8 +281,8 @@ class TestRunSuite:
 #: passes, failure_p=0.1. The closest theta decision among the suite's names
 #: is 0.2 from theta, so a last-bit difference in BLAS cannot flip a merge.
 GOLDEN_PASSES_SHA256 = {
-    3: "2d94afb842f30ec058c1c2e0697c96f46b5fb64cad24d2c0315e5c475877dd35",
-    11: "d7942dedad4970eacb6ad063b21da6fcc74a13b7ebaecfb12d42a24c748547a0",
+    3: "081eaec0ba04232670bc26dd0fe8a48d303354362f08e9e84f726a05b67904d7",
+    11: "85eebbc1c6a3ca43f8bc8d3a99209eadeeccacdf7da6ff9cb805c1de183e7b8e",
 }
 
 
@@ -308,11 +308,11 @@ class TestGoldenReports:
 GOLDEN_SNAPSHOT_SHA256 = {
     3: (
         "c222f9e337972664a2bfcb5ece4bcf05cb2b9c3ce6e25d756419739d13fbcb06",
-        "4eaecf207a3a8f36611c23a31980a47e5ebc675ec1269460b129ba4c4b6f7651",
+        "ce99f3e4e2b8f3091dfbfb9990db7ae8240761a9b17be8e1c1a06be8c3328971",
     ),
     11: (
         "621d7f9c1a14b24135b38ecc886b3f450f30cb16fcca30eafeb646ca2738f538",
-        "2b9e65860275bd5192ff81861cd1a71bc5df69fbdaf58499b007eaa3ae964be6",
+        "81a66e78ef46319be534e7f0b66001591d9c6c08a6c8437dad25fd1ac0e554a0",
     ),
 }
 
@@ -341,8 +341,8 @@ class TestGoldenSnapshots:
 #: sha256 of the trajectory log of the same runs. Critic reasons and plan ids
 #: in it come straight from reasoner answers; both modes write the same bytes.
 GOLDEN_TRAJECTORY_SHA256 = {
-    3: "520454eb929bf0f0bcc72dbfa7dd98a53062557381e330bbe68125630db237e6",
-    11: "bdbd1b790c4319d531b2b233f9874d211a2ba1b7caea141cd46edf470451bfc9",
+    3: "543279bde6c1d4237811f649485bcebbd533d5d81da73b5b37a9ddb50388e34a",
+    11: "e2cd9348c07047ec0d522cd51811a0ef78c563c498533df921c63a017244693d",
 }
 
 
@@ -368,8 +368,8 @@ class TestGoldenTrajectories:
 #: of the same runs, in call order: what each module asked and was told, so a
 #: change that only moves work around must leave it as it is.
 GOLDEN_CALLS_SHA256 = {
-    3: "be80c1aaffbae831f39626e99c4af2b8168ad3bdbbb8b519d1d3c9451116af11",
-    11: "254650a860514cee59fe9a210a8249ed22f6fca77a87fa0328952095ad11a4e7",
+    3: "dcccac4cadf4ec5c5dd4132c0652cc7b59a8843fd8176f80406a2b0fed98da49",
+    11: "7faa0a3b96d2b7af7f4f6f6df847018e721cb2d97a862ed5b49166420f19f07f",
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the episodic/semantic long-term memory store."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,11 @@ from memagent.core import (
     Termination,
     Verb,
     canonical_json,
+    to_doc,
 )
+from memagent import vector_index
+from memagent.envsim import Environment, builtin_suite_path, load_suite
+from memagent.harness import AgentSystem, compute_metrics, run_pass
 from memagent.lifelong import LifelongMemory, MemoryEntity, TaskTrace
 
 
@@ -287,9 +292,11 @@ class TestScopedRetrieval:
         assert mem._scopes == scope_recount(mem)
         for kind in ("episodic", "semantic"):
             for query in self.TEXTS + ["cup"]:
-                everywhere = mem.retrieve(query, kind, k=3)
+                # The whole kind's ranking; the scope's top 3 is its
+                # entries in that order, cut at 3.
+                everywhere = mem.retrieve(query, kind, k=max(1, len(mem)))
                 for scope in self.SCOPES:
-                    want = [hit for hit in everywhere if hit[0].task == scope]
+                    want = [hit for hit in everywhere if hit[0].task == scope][:3]
                     assert mem.retrieve(query, kind, k=3, scope=scope) == want
 
     @settings(max_examples=60, deadline=None)
@@ -346,6 +353,92 @@ class TestScopedRetrieval:
         assert mem._scopes == {"episodic": {}, "semantic": {"t2": {"semantic-t1-1"}}}
         assert mem.retrieve(text, "semantic", scope="t1") == []
         assert [e.id for e, _ in mem.retrieve(text, "semantic", scope="t2")] == ["semantic-t1-1"]
+
+    def test_entry_outranked_by_other_scopes_is_still_recalled(self):
+        # Six entries of other scopes match the query exactly, more than k;
+        # the scope's one entry, a weaker match, is still its top hit.
+        query = "pick_up cup: fails when hands full"
+        theirs = [
+            MemoryEntity(id=f"semantic-t{i}-1", kind="semantic", text=query, task=f"t{i}")
+            for i in range(6)
+        ]
+        ours = MemoryEntity(id="semantic-t9-1", kind="semantic",
+                            text="pick_up cup: fails when target not here", task="t9")
+        mem = LifelongMemory()
+        mem.restore({"entities": to_doc(theirs + [ours])})
+        everywhere = mem.retrieve(query, "semantic", k=5)
+        assert len(everywhere) == 5 and all(e.task != "t9" for e, _ in everywhere)
+        (hit,) = mem.retrieve(query, "semantic", k=5, scope="t9")
+        assert hit[0] == ours and 0.25 <= hit[1] < everywhere[-1][1]
+
+    def test_scoped_search_scores_only_the_scope(self, monkeypatch):
+        # The scope's rows are the only candidates, so the store's other
+        # entries cost nothing.
+        mem = LifelongMemory()
+        mem.restore({"entities": to_doc(
+            [MemoryEntity(id=f"semantic-t{i}-1", kind="semantic", text=text, task=f"t{i}")
+             for i, text in enumerate(self.TEXTS)]
+        )})
+        scored = []
+        score = vector_index.cosine_with_norms
+        monkeypatch.setattr(vector_index, "cosine_with_norms",
+                            lambda *args: scored.append(args) or score(*args))
+        hits = mem.retrieve("cup on shelf", "semantic", scope="t1")
+        assert [e.id for e, _ in hits] == ["semantic-t1-1"]
+        assert len(scored) == 1
+
+    #: Goal objects and failure reasons of the synthetic history.
+    HISTORY_OBJECTS = ("banana", "apple", "gum box", "cup", "basket")
+    HISTORY_REASONS = ("target not here", "hands full", "not openable", "target not found")
+
+    def fill_history(self, system, tasks, count=260):
+        """``count`` finished tasks of scopes the suite never runs
+        (``hist-*``), written through extract and consolidate. Half reuse a
+        suite task's instruction, so their entries rank high for its
+        queries."""
+        rng = random.Random(0)
+        lifelong = system.orchestrator.lifelong
+        points = Environment(profile="realworld").nav_points
+        for i in range(count):
+            system.gateway.reset_budget()
+            obj = rng.choice(self.HISTORY_OBJECTS)
+            instruction = (
+                rng.choice(tasks).instruction if i % 2 else f"put {obj} on {rng.choice(points)}"
+            )
+            trace = TaskTrace(task_id=f"hist-{i:03d}", instruction=instruction,
+                              goal_objects=[obj])
+            for point in rng.sample(points, rng.randint(1, 4)):
+                trace.note_visit(point)
+            for other in rng.sample(self.HISTORY_OBJECTS, 2):
+                trace.note_seen(other, "on", rng.choice(trace.visited_points))
+            for step in range(rng.randint(0, 2)):
+                target = rng.choice(self.HISTORY_OBJECTS)
+                lifelong.record_action_experience(
+                    failure_step(step + 1, target, rng.choice(self.HISTORY_REASONS))
+                )
+            ok = rng.random() < 0.5
+            lifelong.consolidate(lifelong.extract_task_entities(
+                trace, result(trace.task_id, scn=int(ok), steps=8)
+            ))
+
+    def suite_sr(self, seed, warm):
+        _, tasks = load_suite(builtin_suite_path())
+        system = AgentSystem.build(parallel=False)
+        if warm:
+            self.fill_history(system, tasks)
+            entries = system.orchestrator.lifelong.entities()
+            assert len(entries) >= 300
+            assert all(e.task.startswith("hist-") for e in entries)
+        return [
+            compute_metrics([e.result for e in run_pass(tasks, system, seed, failure_p=0.1)])["sr"]
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("seed", [3, 44])
+    def test_history_of_other_scopes_costs_no_success(self, seed):
+        # Other tasks' entries no longer take the k slots of this task's
+        # hints, so a warm store plays each pass as an empty one does.
+        assert self.suite_sr(seed, warm=True) == self.suite_sr(seed, warm=False)
 
     def test_scope_without_entries_neither_embeds_nor_searches(self, monkeypatch):
         mem = LifelongMemory()

@@ -369,6 +369,29 @@ class TestEpisodeLoop:
         assert all(t["plan_step"] == 1 for t in executed)
         assert all(t["plan_step"] == 2 for t in rejected)
 
+    def test_a_budget_that_runs_out_reports_step_budget(self):
+        env = Environment(profile="realworld", failure_p=0.0)
+        episode = run_episode(
+            self.impossible_task(), env, AlwaysRejectGateway(), MemoryOrchestrator()
+        )
+        assert env.done and episode.result.steps_used == env.max_steps
+        assert episode.result.terminated_by is Termination.STEP_BUDGET
+
+    def test_task_complete_on_the_last_step_is_self_terminated(self):
+        # The same episode with a budget of exactly its length, and one step
+        # short: only a successful task_complete counts as stopping.
+        steps = run_episode(
+            self.task(), Environment(profile="realworld", failure_p=0.0),
+            ReasonerGateway(), MemoryOrchestrator(),
+        ).result.steps_used
+        ended = {}
+        for budget in (steps, steps - 1):
+            env = Environment(profile="realworld", failure_p=0.0, max_steps=budget)
+            episode = run_episode(self.task(), env, ReasonerGateway(), MemoryOrchestrator())
+            ended[budget] = episode.result.terminated_by
+            assert episode.result.steps_used == budget
+        assert ended == {steps: Termination.SELF_TERMINATED, steps - 1: Termination.STEP_BUDGET}
+
     def test_rejection_triggers_full_replan(self):
         env = Environment(profile="realworld", failure_p=0.0)
         episode = run_episode(

@@ -146,6 +146,21 @@ class TestVectorIndex:
         want = brute_force(index.entries(), e.embed(query), k, 0.3)
         assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
 
+    @given(st.lists(texts, min_size=1, max_size=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_search_among_ids_matches_brute_force_over_them(self, corpus, data):
+        e = HashingEmbedder()
+        index = VectorIndex()
+        for i, text in enumerate(corpus + corpus[:2]):  # repeated texts tie exactly
+            index.upsert(_entry(f"e{i:02d}", text, e))
+        among = data.draw(st.sets(st.sampled_from(sorted(index._row_of))))
+        query = e.embed(data.draw(st.sampled_from(corpus + ["kitchen counter"])))
+        theta = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        k = data.draw(st.integers(1, len(index) + 2))
+        got = index.search(query, k=k, theta=theta, among=among)
+        want = brute_force([x for x in index.entries() if x.id in among], query, k, theta)
+        assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
+
     def test_stored_norm_follows_overwrite_and_swap_delete(self):
         index = VectorIndex(dim=2)
         index.upsert(IndexEntry(id="a", text="a", embedding=np.array([3.0, 4.0])))
