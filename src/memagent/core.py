@@ -75,6 +75,17 @@ def check_int(value: Any, minimum: int, path: str) -> None:
         raise InvariantError(f"must be an int >= {minimum}, not {value!r}", path)
 
 
+def as_texts(value: Any) -> Optional[Tuple[str, ...]]:
+    """``value`` as a tuple if it is a list or tuple of strings, else None.
+    A string is not: its items are its characters."""
+    if not isinstance(value, (list, tuple)):
+        return None
+    for item in value:
+        if not isinstance(item, str):
+            return None
+    return tuple(value)
+
+
 T = TypeVar("T")
 
 _WS = re.compile(r"\s+")

@@ -28,6 +28,7 @@ from .core import (
     Outcome,
     StepRecord,
     TaskResult,
+    as_texts,
     check_int,
     from_doc,
     to_doc,
@@ -66,29 +67,18 @@ class MemoryEntity:
         if self.kind not in ("episodic", "semantic"):
             raise ValueError(f"unknown kind: {self.kind}")
         check_int(self.count, 1, "count")
-        tags = _texts(self.tags)
+        tags = as_texts(self.tags)
         if tags is None:
             raise InvariantError(f"must be a list of text, not {self.tags!r}", "tags")
         object.__setattr__(self, "tags", tags)
         for name, width in (("facts", 3), ("avoid", 2)):
             value = getattr(self, name)
-            rows = tuple(map(_texts, value)) if isinstance(value, (list, tuple)) else None
+            rows = tuple(map(as_texts, value)) if isinstance(value, (list, tuple)) else None
             if rows is None or any(row is None or len(row) != width for row in rows):
                 raise InvariantError(
                     f"must be a list of {width}-item lists of text, not {value!r}", name
                 )
             object.__setattr__(self, name, rows)
-
-
-def _texts(value: object) -> Optional[Tuple[str, ...]]:
-    """``value`` as a tuple if it is a list or tuple of strings, else None.
-    A string is not: its items are its characters."""
-    if not isinstance(value, (list, tuple)):
-        return None
-    for item in value:
-        if not isinstance(item, str):
-            return None
-    return tuple(value)
 
 
 @dataclass

@@ -19,8 +19,7 @@ neither overflow nor underflow) they differ by a few ulps, about 1e-15 at
 64 dimensions. With a slack of 1e-9, far more than twice that, every row of
 the exact top k at or above theta survives the prune, ties at the k-th
 score included. A search given ``among`` ids runs the same steps over only
-their rows. ``may_hit`` applies the same prune to many queries with one
-matrix product and answers only whether any row survives it for theta.
+their rows.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -222,18 +221,6 @@ class VectorIndex:
                 kept.append((entry, score))
         kept.sort(key=_rank)
         return kept[:k]
-
-    def may_hit(self, queries: Sequence[np.ndarray], theta: float = DEFAULT_THETA) -> List[bool]:
-        """For each query, whether any row's approximate score reaches
-        ``(theta - PRUNE_SLACK)`` times the query norm. False means
-        ``search(query, k, theta)`` is empty for every k. True does not
-        promise a hit: only ``search``'s exact scores decide one."""
-        norms = [self._query_norm(query) for query in queries]
-        n = len(self._rows)
-        if not n or not norms:
-            return [False] * len(norms)
-        best = (np.stack(queries) @ self._unit[:n].T).max(axis=1)
-        return (best >= (theta - PRUNE_SLACK) * np.array(norms)).tolist()
 
     def _query_norm(self, query: np.ndarray) -> float:
         if query.shape != (self.dim,):

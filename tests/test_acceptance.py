@@ -137,7 +137,7 @@ def test_criterion_1_khop_bound_suite():
         k = rng.randint(0, 3)
         m = rng.randint(1, min(3, n))
         names = [f"node {i:02d}" for i in range(n)]
-        mem = SpatialMemory(theta=2.0, max_out_degree=10**6, max_in_degree=10**6)
+        mem = SpatialMemory(max_out_degree=10**6, max_in_degree=10**6)
         with mem._lock:
             for s in names:
                 for o in rng.sample(names, rng.randint(0, min(d, n - 1))):
@@ -185,7 +185,7 @@ def test_criterion_2_integration_locality():
     integrations = 0
     while integrations < 200:
         names = [f"spot {i:02d}" for i in range(rng.randint(8, 24))]
-        mem = SpatialMemory(theta=2.0, max_out_degree=10**6, max_in_degree=10**6)
+        mem = SpatialMemory(max_out_degree=10**6, max_in_degree=10**6)
         for _ in range(rng.randint(2, 6)):
             batch = [
                 Triplet(

@@ -278,11 +278,14 @@ class TestRunSuite:
 
 
 #: sha256 of canonical_json(report["passes"]) of the built-in suite, two
-#: passes, failure_p=0.1. The closest theta decision among the suite's names
-#: is 0.2 from theta, so a last-bit difference in BLAS cannot flip a merge.
+#: passes, failure_p=0.1. The queries of seeds 5 and 500 hold words spelled
+#: close to a node's name that name no node (``cabinet,``, ``closed,``): such
+#: a word seeds nothing.
 GOLDEN_PASSES_SHA256 = {
     3: "081eaec0ba04232670bc26dd0fe8a48d303354362f08e9e84f726a05b67904d7",
+    5: "981c6c88c07df6db25aa47a7157454a00417c96ffa35ff654df4c8455574305d",
     11: "85eebbc1c6a3ca43f8bc8d3a99209eadeeccacdf7da6ff9cb805c1de183e7b8e",
+    500: "03d2281b99417316785c716635116d5748e6d8c5f8d7fe7a8f8bc2491ea12495",
 }
 
 

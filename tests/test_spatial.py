@@ -1,6 +1,5 @@
 """Tests for the knowledge-graph spatial memory."""
 
-import dataclasses
 import json
 import logging
 import os
@@ -23,14 +22,13 @@ from memagent.spatial import (
     Triplet,
     khop_bound,
 )
-from memagent.core import canonical_json, from_doc, to_doc
+from memagent.core import InvariantError, canonical_json, from_doc, to_doc
 from memagent.gateway import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_TABLES,
     ReasonerGateway,
     ReasonerRole,
 )
-from memagent.vector_index import VectorIndex, cosine
 
 
 def make_memory(**kwargs):
@@ -63,13 +61,6 @@ def bfs_oracle(edge_keys, seeds, k):
         frontier = nxt
     edges = {key for key in edge_keys if key[0] in reached and key[2] in reached}
     return reached, edges
-
-
-def dedup_renames(mem, local):
-    """``mem._dedup_renames`` over the names of ``local``, a dict of edges
-    that spans its whole region."""
-    names = {n for s, _, o in local for n in (s, o)}
-    return mem._dedup_renames(names, names)
 
 
 def random_graph(rng, n, max_out):
@@ -133,7 +124,7 @@ class TestRetrieval:
         for _ in range(60):
             n = rng.randint(2, 40)
             names, triplets = random_graph(rng, n, max_out=rng.randint(1, 4))
-            mem = make_memory(theta=2.0)
+            mem = make_memory()
             seed_graph(mem, triplets)
             seeds = rng.sample(names, min(rng.randint(1, 3), n))
             k = rng.randint(0, 3)
@@ -148,7 +139,7 @@ class TestRetrieval:
         for _ in range(40):
             n = rng.randint(2, 30)
             names, triplets = random_graph(rng, n, max_out=3)
-            mem = make_memory(theta=2.0)
+            mem = make_memory()
             seed_graph(mem, triplets)
             seeds = rng.sample(names, min(2, n))
             k = rng.randint(0, 3)
@@ -184,11 +175,11 @@ class TestRetrieval:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "raised"
 
-    def test_unknown_seed_resolves_by_similarity(self):
+    def test_near_spelling_of_a_node_is_no_seed(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("kitchen counter", "near", "sink")])
-        nodes, _ = mem.retrieve_subgraph(["kitchen countertop"], 1)
-        assert "kitchen counter" in nodes
+        assert mem.retrieve_subgraph(["kitchen countertop"], 1) == (set(), [])
+        assert mem.query("wipe the kitchen countertop") == ()
 
     def test_unresolvable_seed_returns_empty(self):
         mem = make_memory()
@@ -198,27 +189,17 @@ class TestRetrieval:
         assert edges == []
 
     def test_numbered_seed_resolves_only_to_its_instance(self):
-        # drawer 1 / drawer 2 score 0.889 against theta 0.8, yet are two drawers.
         mem = make_memory()
         seed_graph(mem, [Triplet("drawer 1", "is", "closed")])
         assert mem.query("open drawer 2") == ()
         with mem._lock:
             assert "drawer 1" not in mem._retrieval_seed
 
-    def test_numbered_seed_skips_a_closer_node_of_another_number(self):
-        # "the drawer 2" scores 0.923 against "the drawer 1", 0.832 against "drawer 2".
-        mem = make_memory()
-        seed_graph(
-            mem, [Triplet("the drawer 1", "is", "closed"), Triplet("drawer 2", "is", "open")]
-        )
-        nodes, _ = mem.retrieve_subgraph(["the drawer 2"], 0)
-        assert nodes == {"drawer 2"}
-
-    def test_seed_without_number_resolves_as_before(self):
+    def test_seed_without_number_names_no_instance(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("drawer 1", "is", "closed")])
         nodes, _ = mem.retrieve_subgraph(["drawer"], 0)
-        assert nodes == {"drawer 1"}
+        assert nodes == set()
 
     def test_query_returns_sorted_triplets_and_records_seeds(self):
         mem = make_memory()
@@ -252,7 +233,7 @@ class TestBuffer:
         assert len(mem.pending()) == 1
 
     def test_integration_on_saturation(self):
-        mem = make_memory(theta=2.0)
+        mem = make_memory()
         triplets = [
             Triplet(f"object {i}", "on", f"surface {i}")
             for i in range(DEFAULT_BUFFER_CAPACITY)
@@ -485,7 +466,10 @@ class TestConflictScope:
 
 
 class TestDedup:
-    def test_similar_names_merge_to_lexicographically_smaller(self):
+    """Names are not de-duplicated: a node is the name it was observed
+    under, however alike two spellings are."""
+
+    def test_similar_names_stay_distinct_nodes(self):
         mem = make_memory()
         mem.buffer_triplets(
             [
@@ -494,92 +478,16 @@ class TestDedup:
             ]
         )
         mem.integrate()
-        assert "kitchen countertop" not in mem.nodes
+        assert {"kitchen counter", "kitchen countertop"} <= mem.nodes
         keys = {e.key for e in mem.edges()}
         assert keys == {
             ("mug", "on", "kitchen counter"),
-            ("plate", "on", "kitchen counter"),
+            ("plate", "on", "kitchen countertop"),
         }
-
-    def test_numbered_names_match_uncached_cosine_reference(self):
-        mem = make_memory()
-        pinned = "cabinet 3"  # has an edge outside the local region
-        seed_graph(mem, [Triplet(pinned, "near", "fridge")])
-        names = ["drawer 1", "drawer 2", "apple 1", "apple 2", "kitchen counter",
-                 "kitchen countertop"] + [f"cabinet {i}" for i in range(1, 12)]
-        local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
-
-        fresh = {n: vector_index._embed.__wrapped__(n, mem.embedder.dim)
-                 for n in names + ["agent"]}
-
-        def numbers(name):
-            return [token for token in name.split() if any(c.isdecimal() for c in token)]
-
-        ordered = sorted(fresh)
-        want = {}
-        for i, name in enumerate(ordered):
-            if name in want:
-                continue
-            for other in ordered[i + 1:]:
-                if (other not in want and other != pinned
-                        and numbers(other) == numbers(name)
-                        and cosine(fresh[name], fresh[other]) >= mem.theta):
-                    want[other] = name
-
-        assert want["kitchen countertop"] == "kitchen counter"
-        assert not {"drawer 2", "apple 2", "cabinet 10"} & set(want)
-        assert dedup_renames(mem, local) == want
-        # Decided once per pair: a second scan gives the same map from the memo.
-        assert dedup_renames(mem, local) == want
-
-    def test_pair_decisions_survive_clear(self, monkeypatch):
-        mem = make_memory()
-        names = ["red cup", "red cups", "the red cup", "drawer 1"]
-        local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
-        want = dedup_renames(mem, local)
-        assert want == {"red cups": "red cup", "the red cup": "red cup"}
-        mem.clear()
-        decided = []
-        monkeypatch.setattr(spatial, "_similar", lambda *args: decided.append(args[:2]))
-        assert dedup_renames(mem, local) == want
-        assert decided == []
-        # A new name is compared with the names it meets, once.
-        local[("table", "near", "agent")] = Triplet("table", "near", "agent")
-        dedup_renames(mem, local)
-        dedup_renames(mem, local)
-        assert sorted(decided) == sorted(
-            tuple(sorted((n, "table"))) for n in names + ["agent"]
-        )
-
-    def test_names_first_met_in_different_scans_are_compared(self):
-        # "red cups" is new in a scan without "red cup"; it is compared with
-        # the names decided before, so a later scan holding both merges them.
-        mem = make_memory()
-
-        def local(*edges):
-            return {t.key: t for t in (Triplet(s, "near", o) for s, o in edges)}
-
-        assert dedup_renames(mem, local(("red cup", "agent"))) == {}
-        assert dedup_renames(mem, local(("red cups", "table"))) == {}
-        both = local(("red cup", "agent"), ("red cups", "agent"))
-        assert dedup_renames(mem, both) == {"red cups": "red cup"}
-
-    def test_pair_index_starts_over_past_its_bound(self, monkeypatch):
-        monkeypatch.setattr(spatial, "SIMILAR_CACHE_SIZE", 4)
-        mem = make_memory()
-        names = ["red cup", "red cups", "the red cup", "table"]
-        local = {t.key: t for t in (Triplet(n, "near", "agent") for n in names)}
-        want = dedup_renames(mem, local)
-        assert mem._pairs_indexed == 10  # five names
-        assert dedup_renames(mem, local) == want
-        assert mem._pairs_indexed == 10  # indexed again from scratch
 
     def test_similar_name_outside_the_local_set_is_kept(self):
         mem = make_memory()
-        both = {("red cup", "near", "agent"): Triplet("red cup", "near", "agent"),
-                ("red cups", "near", "agent"): Triplet("red cups", "near", "agent")}
-        assert dedup_renames(mem, both) == {"red cups": "red cup"}
-        # "red cups" is now a node without edges, outside the next region.
+        # "red cups" is a node without edges, outside the next region.
         mem.restore({"nodes": ["red cups"], "edges": []})
         mem.buffer_triplets([Triplet("red cup", "on", "table")])
         mem.integrate()
@@ -598,7 +506,6 @@ class TestDedup:
         assert mem.snapshot() == ref.snapshot()
 
     def test_numbered_instances_survive_integration(self):
-        # drawer 1 / drawer 2 score 0.889 against theta 0.8, yet are two drawers.
         mem = make_memory()
         mem.buffer_triplets(
             [
@@ -626,7 +533,7 @@ class TestDedup:
 
 class TestLocality:
     def test_distant_region_untouched_by_integration(self):
-        mem = make_memory(k_hops=1, theta=2.0)
+        mem = make_memory(k_hops=1)
         far = [
             Triplet("attic box", "in", "attic", step_index=1),
             Triplet("attic", "near", "roof hatch", step_index=1),
@@ -642,7 +549,7 @@ class TestLocality:
 
 class TestDegreeCap:
     def test_out_degree_cap_evicts_oldest(self):
-        mem = make_memory(max_out_degree=2, theta=2.0)
+        mem = make_memory(max_out_degree=2)
         seed_graph(
             mem,
             [
@@ -656,7 +563,7 @@ class TestDegreeCap:
         assert ("shelf", "near", "wall") not in keys
 
     def test_in_degree_cap_evicts_oldest(self):
-        mem = make_memory(max_in_degree=2, theta=2.0)
+        mem = make_memory(max_in_degree=2)
         seed_graph(
             mem,
             [
@@ -783,7 +690,7 @@ class TestBatchIntegrate:
     integrates at most once."""
 
     def test_batch_past_capacity_integrates_whole_once(self):
-        mem = make_memory(theta=2.0)
+        mem = make_memory()
         batch = [
             Triplet(f"object {i}", "on", f"surface {i}")
             for i in range(2 * DEFAULT_BUFFER_CAPACITY - 1)
@@ -796,7 +703,7 @@ class TestBatchIntegrate:
 
     @pytest.mark.parametrize("position", [0, 1, 3])
     def test_fast_conflict_anywhere_integrates_whole_batch(self, position):
-        mem = make_memory(theta=2.0)
+        mem = make_memory()
         mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=1)])
         mem.integrate()
         batch = [Triplet(f"object {i}", "on", f"surface {i}", step_index=2) for i in range(3)]
@@ -837,9 +744,8 @@ class FullReplaceMemory(SpatialMemory):
     """Reference model: integrate as it was before merge-back became
     incremental, frozen here so that it does not follow the code it checks.
     It retrieves the region's sorted edges and builds the local set from
-    them, every de-dup scan decides every pair afresh, every local edge goes
-    to the conflict detector, and the merge-back removes the whole retrieved
-    region and re-adds the local set in order."""
+    them, every local edge goes to the conflict detector, and the merge-back
+    removes the whole retrieved region and re-adds the local set in order."""
 
     def _integrate(self, t_new):
         seeds = {t.subject for t in t_new} | {t.object for t in t_new}
@@ -851,10 +757,6 @@ class FullReplaceMemory(SpatialMemory):
             prior = local.get(triplet.key)
             if prior is None or triplet.step_index >= prior.step_index:
                 local[triplet.key] = triplet
-        local = self._dedup_entities(local, region_nodes)
-        region_nodes = {n for e in local.values() for n in (e.subject, e.object)} | (
-            region_nodes & self._nodes
-        )
         local = self._resolve_conflicts(local, {key[0] for key in local})
         for node in region_nodes:
             for key in [k for k in self._out.get(node, ()) if k[2] in region_nodes]:
@@ -878,44 +780,6 @@ class FullReplaceMemory(SpatialMemory):
         keys = [key for node in reached for key in self._out.get(node, ()) if key[2] in reached]
         return reached, [self._edges[key] for key in sorted(keys)]
 
-    def _dedup_entities(self, local, region_nodes):
-        rename = self._dedup_renames(local)
-        if not rename:
-            return local
-        merged = {}
-        for edge in local.values():
-            renamed = dataclasses.replace(
-                edge,
-                subject=rename.get(edge.subject, edge.subject),
-                object=rename.get(edge.object, edge.object),
-            )
-            prior = merged.get(renamed.key)
-            if prior is None or renamed.step_index >= prior.step_index:
-                merged[renamed.key] = renamed
-        for loser in rename:
-            self._drop_node(loser)
-        return merged
-
-    def _dedup_renames(self, local):
-        names = sorted({n for e in local.values() for n in (e.subject, e.object)})
-        rename = {}
-        for i, name in enumerate(names):
-            if name in rename:
-                continue
-            for other in names[i + 1:]:
-                if other in rename or not spatial._similar.__wrapped__(name, other, self.theta):
-                    continue
-                if not self._has_edges_outside(other, local):
-                    rename[other] = name
-        return rename
-
-    def _has_edges_outside(self, node, local):
-        return any(
-            key not in local
-            for keys in (self._out.get(node, ()), self._in.get(node, ()))
-            for key in keys
-        )
-
     def _resolve_conflicts(self, local, suspects):
         edges = [local[k] for k in sorted(local) if k[0] in suspects]
         if not edges:
@@ -935,7 +799,7 @@ class FullReplaceMemory(SpatialMemory):
 
 
 # Near-duplicate spellings (red cup ~ red cups ~ the red cup, drawer 1 ~
-# the drawer 1) next to names that must stay apart (drawers 1, drawer 2).
+# the drawer 1 ~ drawers 1, drawer 2), each a node of its own.
 _NEAR_NAMES = ["red cup", "red cups", "the red cup", "drawer 1", "drawers 1",
                "the drawer 1", "drawer 2", "table"]
 _near_triplets = st.builds(
@@ -986,47 +850,6 @@ class TestIncrementalMergeBack:
             if op == "snapshot":
                 saved = mem.snapshot()
             assert mem.snapshot() == ref.snapshot()
-
-    def test_rename_under_coupled_caps_matches_full_replace(self):
-        # "the drawer 1" merges into "drawer 1", whose in-edge from "the red
-        # cup" is unchanged. A full replace re-adds the local set in order:
-        # the renamed self-loop evicts the renamed "near table" edge at the
-        # out-cap, and then the re-added unchanged in-edge evicts the
-        # self-loop. Leaving that unchanged edge in place would evict the
-        # self-loop at once and keep "drawer 1 near table".
-        config = dict(max_out_degree=1, max_in_degree=1, k_hops=2)
-        held = [
-            Triplet("the drawer 1", "near", "table"),
-            Triplet("the red cup", "on", "drawer 1"),
-            Triplet("drawer 1", "on", "the drawer 1"),
-            Triplet("red cups", "near", "the red cup"),
-        ]
-        mem, ref = make_memory(**config), FullReplaceMemory(**config)
-        for m in (mem, ref):
-            seed_graph(m, held)
-            m.buffer_triplets([Triplet("drawer 1", "on", "red cups")])
-            m.integrate()
-        assert [e.key for e in mem.edges()] == [
-            ("red cups", "near", "the red cup"),
-            ("the red cup", "on", "drawer 1"),
-        ]
-        assert mem.snapshot() == ref.snapshot()
-
-
-    def test_renamed_key_is_re_added_in_local_order(self):
-        # "the drawer 1" merges into "drawer 1" within one batch, so the
-        # renamed "drawer 1 in table" takes the first arrival place. Added
-        # first, it evicts "table is table" at the in-cap, and then the
-        # out-cap evicts it; added last, the out-cap evicts it at once and
-        # "table is table" stays.
-        config = dict(max_out_degree=1, max_in_degree=1, buffer_capacity=1, k_hops=2)
-        mem, ref = make_memory(**config), FullReplaceMemory(**config)
-        for m in (mem, ref):
-            m.buffer_triplets([Triplet("table", "is", "table", step_index=4)])
-            m.buffer_triplets([Triplet("the drawer 1", "in", "table", step_index=5),
-                               Triplet("drawer 1", "near", "cup", step_index=5)])
-        assert [e.key for e in mem.edges()] == [("drawer 1", "near", "cup")]
-        assert mem.snapshot() == ref.snapshot()
 
 
 class TestHotNodeMergeBack:
@@ -1117,8 +940,8 @@ class TestFullReplaceShadow:
 
 
 def reference_seeds(mem, text):
-    """Seeds as found without the prune: when no fragment names a node,
-    every fragment is resolved by search."""
+    """Seeds as found without the name index: the fragments of one to three
+    words, none ending just before a number, that are nodes."""
     words = text.split()
     numbered = {i for i, word in enumerate(words) if any(c.isdigit() for c in word)}
     fragments = {
@@ -1127,8 +950,7 @@ def reference_seeds(mem, text):
         for i in range(len(words) - n + 1)
         if i + n not in numbered
     }
-    seeds = fragments & mem.nodes
-    return seeds or {r for r in map(mem._resolve_seed, fragments) if r}
+    return fragments & mem.nodes
 
 
 _SEED_NAMES = _NEAR_NAMES + [
@@ -1169,7 +991,7 @@ _seed_operations = st.lists(
 class TestSeedPrune:
     """The exact seed lookup goes through the name index, which must hold
     exactly the nodes after every operation that adds or drops one: an
-    integrate (de-dup drops names), ``clear`` and ``restore``."""
+    integrate, ``clear`` and ``restore``."""
 
     @settings(max_examples=100, deadline=None)
     @given(edges=_seed_pairs, operations=_seed_operations)
@@ -1211,93 +1033,6 @@ class TestSeedPrune:
                          Triplet("the big red cup", "near", "red cup")])
         assert mem._extract_seeds(text) == seeds == reference_seeds(mem, text)
 
-    def test_dedup_drop_leaves_the_name_index(self):
-        mem = make_memory()
-        # Both spellings are nodes, one hop from the table.
-        seed_graph(mem, [Triplet("table", "near", "red cup"),
-                         Triplet("table", "near", "the red cup")])
-        mem.buffer_triplets([Triplet("table", "near", "sink", step_index=1)])
-        mem.integrate()
-        assert mem.nodes == {"table", "red cup", "sink"}
-        assert mem._names_by_first == name_index(mem.nodes)
-        assert mem._extract_seeds("the red cup") == {"red cup"}
-
-
-_index_operations = st.lists(
-    st.one_of(
-        st.lists(_near_triplets, min_size=1, max_size=4),
-        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
-        # Names that are often not nodes, so they resolve by similarity.
-        st.sampled_from(_SEED_NAMES + ["red cupz", "drawerz 1", "tables"]).map(
-            lambda name: ("query", name)
-        ),
-    ),
-    max_size=16,
-)
-
-
-class TestLazyIndex:
-    """Node names enter the similarity index only when a search needs it,
-    and then the index holds exactly the nodes."""
-
-    def checked(self, mem, searched):
-        real_search, real_may_hit = VectorIndex.search, VectorIndex.may_hit
-
-        def check(index):
-            if index is mem._index:
-                assert len(index) == len(mem.nodes)
-                assert {entry.id for entry in index.entries()} == mem.nodes
-                searched.append(len(index))
-
-        def search(index, *args, **kwargs):
-            check(index)
-            return real_search(index, *args, **kwargs)
-
-        def may_hit(index, *args, **kwargs):
-            check(index)
-            return real_may_hit(index, *args, **kwargs)
-
-        return mock.patch.multiple(VectorIndex, search=search, may_hit=may_hit)
-
-    @settings(max_examples=150, deadline=None)
-    @given(operations=_index_operations, buffer=st.integers(min_value=1, max_value=4))
-    def test_index_holds_the_nodes_at_every_search(self, operations, buffer):
-        mem = make_memory(buffer_capacity=buffer, max_out_degree=2, max_in_degree=2)
-        saved = mem.snapshot()
-        with self.checked(mem, []):
-            for op in operations:
-                if op == "integrate":
-                    mem.integrate()
-                elif op == "snapshot":
-                    saved = mem.snapshot()
-                elif op == "restore":
-                    mem.restore(saved)
-                elif op == "clear":
-                    mem.clear()
-                elif isinstance(op, tuple):
-                    mem.query(op[1])
-                    mem.retrieve_subgraph([op[1]])
-                else:
-                    mem.buffer_triplets(op)
-
-    def test_nodes_wait_for_the_first_similarity_search(self):
-        mem = make_memory()
-        searched = []
-        with self.checked(mem, searched):
-            mem.buffer_triplets([Triplet("red cup", "on", "table"),
-                                 Triplet("drawer 1", "near", "table")])
-            mem.integrate()
-            assert [e.key for e in mem.query("red cup")] == [("red cup", "on", "table")]
-            assert len(mem._index) == 0 and searched == []
-            assert [e.key for e in mem.query("red cups")] == [("red cup", "on", "table")]
-            assert searched and len(mem._index) == 3
-            # A de-dup drop leaves the index with the node.
-            mem.buffer_triplets([Triplet("the red cup", "on", "table", step_index=1)])
-            mem.integrate()
-            assert "the red cup" not in mem.nodes
-            assert mem.query("red cupz")
-            assert searched[-1] == len(mem.nodes) == 3
-
 
 class TestPersistence:
     def test_snapshot_restore_round_trip(self):
@@ -1333,3 +1068,66 @@ class TestPersistence:
         assert mem.nodes == set()
         assert mem.edges() == []
         assert mem.pending() == []
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            # A string is not a list of names: its items are its characters.
+            ({"nodes": "abc", "edges": []}, "nodes"),
+            ({"nodes": [5], "edges": []}, "nodes"),
+            ({"nodes": ["cup", " "], "edges": []}, "nodes"),
+            ({"nodes": [], "edges": [], "retrieval_seed": [7]}, "retrieval_seed"),
+        ],
+    )
+    def test_restore_refuses_a_field_that_is_not_a_list_of_names(self, doc, path):
+        mem = make_memory()
+        with pytest.raises(InvariantError) as refused:
+            mem.restore(doc)
+        assert refused.value.path == path
+
+    def test_refused_restore_leaves_the_memory_as_it_was(self):
+        mem = make_memory()
+        seed_graph(mem, [Triplet("cup", "on", "table", step_index=1)])
+        mem.buffer_triplets([Triplet("fork", "on", "table")])
+        mem.query("where is the cup")
+        before = mem.snapshot()
+        # The edges are good and would replace the graph; the nodes are not.
+        bad = dict(before, edges=to_doc([Triplet("spoon", "in", "drawer")]), nodes=[5])
+        with pytest.raises(InvariantError):
+            mem.restore(bad)
+        assert mem.snapshot() == before
+
+
+class TestNoEmbedding:
+    """Working memory keys on exact names, so no operation embeds a name,
+    and near-duplicate spellings stay distinct nodes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(operations=_near_operations, buffer=st.integers(min_value=1, max_value=4))
+    def test_no_operation_embeds(self, operations, buffer):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spatial memory embedded a name")
+
+        with mock.patch.object(vector_index.HashingEmbedder, "embed", refuse):
+            mem = make_memory(buffer_capacity=buffer)
+            buffered = set()
+            saved = mem.snapshot()
+            for op in operations:
+                if op == "integrate":
+                    mem.integrate()
+                elif op == "snapshot":
+                    saved = mem.snapshot()
+                elif op == "restore":
+                    mem.restore(saved)
+                elif op == "clear":
+                    mem.clear()
+                elif isinstance(op, tuple):
+                    # The name itself, one that is no node, and a numbered one.
+                    for text in (op[1], op[1] + "z", op[1] + " 3"):
+                        mem.query(text)
+                        mem.retrieve_subgraph([text])
+                else:
+                    buffered.update(t.key for t in op)
+                    mem.buffer_triplets(op)
+                # Every edge keeps the spelling it was buffered under.
+                assert {e.key for e in mem.edges()} <= buffered

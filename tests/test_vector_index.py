@@ -232,45 +232,3 @@ class TestVectorIndex:
                     got = index.search(query, k=k, theta=theta)
                     want = brute_force(index.entries(), query, k, theta)
                     assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
-
-
-# Small exact components (ties, zero rows, parallel rows) mixed with floats
-# kept clear of underflow, as the module docstring's error bound assumes.
-_components = st.one_of(
-    st.integers(-3, 3).map(float),
-    st.floats(-1.0, 1.0).map(lambda x: 0.0 if abs(x) < 1e-3 else x),
-)
-
-
-class TestMayHit:
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_false_only_where_search_is_empty_for_every_k(self, data):
-        dim = data.draw(st.sampled_from([3, 8]))
-        vectors = st.lists(_components, min_size=dim, max_size=dim).map(np.array)
-        rows = data.draw(st.lists(vectors, max_size=10))
-        queries = data.draw(st.lists(vectors, min_size=1, max_size=5))
-        scale = data.draw(st.sampled_from([1.0, 0.25, 4.0]))
-        queries = [q * scale for q in queries]
-        index = VectorIndex(dim=dim)
-        for i, row in enumerate(rows):
-            index.upsert(IndexEntry(id=f"r{i:02d}", text=f"r{i}", embedding=row))
-        # Theta at an exact score of a row is the edge case: that row is a hit.
-        exact = sorted({s for q in queries for _, s in brute_force(index.entries(), q, 99, -2.0)})
-        thetas = [-1.0, 0.0, 0.5, 1.0] + ([data.draw(st.sampled_from(exact))] if exact else [])
-        for theta in thetas:
-            reach = index.may_hit(queries, theta)
-            assert len(reach) == len(queries)
-            for query, may in zip(queries, reach):
-                if not may:
-                    for k in range(1, len(rows) + 3):
-                        assert index.search(query, k=k, theta=theta) == []
-
-    def test_empty_index_and_no_queries(self):
-        index = VectorIndex(dim=2)
-        assert index.may_hit([np.array([1.0, 0.0])]) == [False]
-        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([1.0, 0.0])))
-        assert index.may_hit([]) == []
-        assert index.may_hit([np.array([2.0, 0.0]), np.array([0.0, 1.0])], 0.5) == [True, False]
-        with pytest.raises(DimensionMismatchError):
-            index.may_hit([np.ones(3)])
