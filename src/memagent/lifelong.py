@@ -21,7 +21,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     InvariantError,
@@ -393,10 +393,23 @@ class LifelongMemory:
             }
 
     def restore(self, doc: dict) -> None:
-        with self._lock:
-            self.wipe()
-            counters = dict(doc.get("id_counters", {}))
-            for key, value in counters.items():
-                check_int(value, 0, f"id_counters[{key!r}]")
-            self._id_counters = counters
-            self._apply(UpdatePlan(adds=[from_doc(MemoryEntity, d) for d in doc["entities"]]))
+        """Take the entries and id counters of a ``snapshot`` document. A
+        bad document leaves the memory as it was."""
+        self.prepare_restore(doc)()
+
+    def prepare_restore(self, doc: dict) -> Callable[[], None]:
+        """Parse and check a ``snapshot`` document, and return the function
+        that replaces the memory with it. A bad document raises here, before
+        anything is wiped."""
+        counters = dict(doc.get("id_counters", {}))
+        for key, value in counters.items():
+            check_int(value, 0, f"id_counters[{key!r}]")
+        entities = [from_doc(MemoryEntity, d) for d in doc["entities"]]
+
+        def install() -> None:
+            with self._lock:
+                self.wipe()
+                self._id_counters = counters
+                self._apply(UpdatePlan(adds=entities))
+
+        return install

@@ -173,8 +173,14 @@ class MemoryOrchestrator:
         )
 
     def restore(self, text: str) -> None:
-        """Restore all three stores from a ``snapshot`` document."""
+        """Restore all three stores from a ``snapshot`` document. Every
+        part is parsed and checked before any store is replaced, so a bad
+        document leaves all three as they were."""
         doc = json.loads(text)
-        self.spatial.restore(doc["spatial"])
-        self.temporal.restore(doc["temporal"])
-        self.lifelong.restore(doc["lifelong"])
+        installs = [
+            self.spatial.prepare_restore(doc["spatial"]),
+            self.temporal.prepare_restore(doc["temporal"]),
+            self.lifelong.prepare_restore(doc["lifelong"]),
+        ]
+        for install in installs:
+            install()

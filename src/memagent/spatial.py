@@ -20,7 +20,15 @@ tables, the contested slots are the conflicts it finds among a
 subject's keys, and the fast check looks up its exclusive partners.
 
 The step pays only for lookups some decision reads. The fast conflict
-check is a key lookup in the graph and in a set of the buffer's keys.
+check is a key lookup in the graph and in a set of the buffer's keys. The
+K-hop region is computed only when a decision reads it: when a subject is
+dirty (the detector has not seen its out-edges together since it last
+gained one, as after ``restore``), when K is 0, or for the in-edges of a
+hot node. With K >= 1 it can change nothing else: a subject that gains a
+key is an endpoint of the batch, so each of its out-edges ends one hop
+away, inside the region, and the detector then sees all of them. A batch
+that gains no key while no subject is dirty only writes its newer step
+indexes in place.
 
 A node is the name it was observed under, and a seed is a node named in
 the query: names are keyed exactly, with no similarity merge or search.
@@ -36,7 +44,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import InvariantError, as_texts, canonical_name, check_int, from_doc, to_doc
 from .gateway import DEFAULT_RULES, DEFAULT_TABLES, ReasonerGateway, ReasonerRole
@@ -51,12 +59,14 @@ DEFAULT_MAX_IN_DEGREE = 16
 
 EdgeKey = Tuple[str, str, str]
 
-def _contested(keys: Set[EdgeKey]) -> Set[EdgeKey]:
-    """The keys, all of one subject, that sit in a contested slot of
-    ``DEFAULT_RULES``: the keys of some conflict it finds among them. Only
-    these can be in a conflict the detector reports, and a contested slot
-    goes whole, so the detector finds the same conflicts among them as among
-    all the keys. A prune that never decides: the detector does."""
+def _contested(keys: Iterable[EdgeKey]) -> Set[EdgeKey]:
+    """The keys that sit in a contested slot of ``DEFAULT_RULES``: the keys
+    of some conflict it finds among them. Every slot belongs to one subject,
+    so one scan over the keys of many subjects finds what a scan per subject
+    would. Only these keys can be in a conflict the detector reports, and a
+    contested slot goes whole, so the detector finds the same conflicts
+    among them as among all the keys. A prune that never decides: the
+    detector does."""
     ordered = list(keys)
     return {ordered[i] for group in DEFAULT_RULES.conflicts(ordered) for i in group}
 
@@ -81,10 +91,12 @@ class Triplet:
             raise ValueError("triplet endpoints must be non-empty")
         check_int(self.step_index, 0, "step_index")
         relation = canonical_name(self.relation)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "object", obj)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "key", (subject, relation, obj))
+        # Frozen: the fields are written once, here, past __setattr__.
+        fields = self.__dict__
+        fields["subject"] = subject
+        fields["object"] = obj
+        fields["relation"] = relation
+        fields["key"] = (subject, relation, obj)
 
 
 def khop_bound(num_seeds: int, max_out_degree: int, k: int) -> float:
@@ -128,7 +140,7 @@ class SpatialMemory:
         # key of theirs since the detector last saw all their out-edges.
         self._dirty: Set[str] = set()
         self._pending: List[Triplet] = []
-        # The keys of _pending, for _fast_conflict; emptied with it.
+        # The keys of _pending, for the fast conflict check; emptied with it.
         self._pending_keys: Set[EdgeKey] = set()
         self._retrieval_seed: Set[str] = set()  # most recent retrieval entities
         self._lock = threading.RLock()
@@ -178,22 +190,25 @@ class SpatialMemory:
         between calls the buffer holds fewer than ``buffer_capacity`` facts
         and no fast conflict."""
         with self._lock:
+            edges, pending, pending_keys = self._edges, self._pending, self._pending_keys
+            exclusive_with = DEFAULT_RULES.exclusive_with
             conflict = False
             for triplet in new_triplets:
-                self._pending.append(triplet)
-                self._pending_keys.add(triplet.key)
-                conflict = conflict or self._fast_conflict(triplet)
-            if conflict or len(self._pending) >= self.buffer_capacity:
+                key = triplet.key
+                pending.append(triplet)
+                pending_keys.add(key)
+                if conflict:
+                    continue  # the batch integrates: no more lookups
+                # A fast conflict: the graph or the buffer holds a fact on
+                # the same subject and object under an exclusive relation.
+                subject, relation, obj = key
+                for partner in exclusive_with(relation):
+                    other = (subject, partner, obj)
+                    if other in edges or other in pending_keys:
+                        conflict = True
+                        break
+            if conflict or len(pending) >= self.buffer_capacity:
                 self.integrate()
-
-    def _fast_conflict(self, triplet: Triplet) -> bool:
-        """Whether the graph or the buffer holds a fact on the triplet's
-        subject and object under a relation exclusive with its own."""
-        for partner in DEFAULT_RULES.exclusive_with(triplet.relation):
-            key = (triplet.subject, partner, triplet.object)
-            if key in self._edges or key in self._pending_keys:
-                return True
-        return False
 
     # -- local integration phase (the incremental update) ------------------
 
@@ -207,31 +222,47 @@ class SpatialMemory:
             self._integrate(t_new)
 
     def _integrate(self, t_new: List[Triplet]) -> None:
-        ends = {t.subject for t in t_new} | {t.object for t in t_new}
-        region = self._region(ends | self._retrieval_seed, self.k_hops) | ends
-
         # The local set is never built: it is the graph's edges with both
         # endpoints in the region, overlaid by ``changed``, the keys whose
         # local triplet is not the graph's. Its order is the sorted region
         # keys, then new keys in arrival order.
+        edges = self._edges
         changed: Dict[EdgeKey, Triplet] = {}
         for triplet in t_new:
             key = triplet.key
-            prior = changed.get(key) or self._edges.get(key)
+            prior = changed.get(key) or edges.get(key)
             if prior is None or triplet.step_index >= prior.step_index:
                 changed[key] = triplet  # relationship merging: max step_index wins
+        # Keys the graph does not hold are new facts.
+        gained = [key for key in changed if key not in edges]
+        if not gained and not self._dirty:
+            # No subject may conflict and no node gains a key, so only step
+            # indexes change, in place.
+            edges.update(changed)
+            return
 
-        # Keys the graph does not hold are new facts. A subject may conflict
-        # when it gains one, or when the detector has not seen its out-edges
-        # since it last gained one.
-        suspects = {key[0] for key in changed if key not in self._edges}
-        suspects.update(
-            n
-            for n in self._dirty
-            if n in region and any(k[2] in region for k in self._out.get(n, ()))
-        )
+        # A subject may conflict when it gains a key, or when the detector
+        # has not seen its out-edges since it last gained one. With K >= 1
+        # every out-edge of a subject that gains a key ends in the region
+        # (the subject is an endpoint of the batch), so the region is
+        # computed only where it can change the result: for dirty subjects,
+        # for K = 0, and for the in-edges of hot nodes.
+        ends = {t.subject for t in t_new} | {t.object for t in t_new}
+
+        def batch_region() -> Set[str]:
+            return self._region(ends | self._retrieval_seed, self.k_hops) | ends
+
+        eager = bool(self._dirty) or self.k_hops < 1
+        region = batch_region() if eager else None
+        suspects = {key[0] for key in gained}
+        if self._dirty:
+            suspects.update(
+                n
+                for n in self._dirty
+                if n in region and any(k[2] in region for k in self._out.get(n, ()))
+            )
         losers = self._resolve_conflicts(suspects, changed, region)
-        graph_losers = {key for key in losers if key in self._edges}
+        graph_losers = {key for key in losers if key in edges}
         for key in losers:
             changed.pop(key, None)
 
@@ -242,12 +273,14 @@ class SpatialMemory:
         # full replace in local order would. Every other edge that stays in
         # the local set stays in place; a newer triplet of a key the graph
         # holds overwrites it.
-        hot = self._hot_nodes([key for key in changed if key not in self._edges], graph_losers)
+        hot = self._hot_nodes([key for key in gained if key not in losers], graph_losers)
+        if hot and region is None:
+            region = batch_region()
         stale = set(graph_losers)
         for node in hot:
             stale.update(k for k in self._out.get(node, ()) if k[2] in region)
             stale.update(k for k in self._in.get(node, ()) if k[0] in region)
-        readd = {key: self._edges[key] for key in stale - graph_losers}
+        readd = {key: edges[key] for key in stale - graph_losers}
         readd.update(changed)
         for key in stale:
             self._remove_edge(key)
@@ -255,17 +288,18 @@ class SpatialMemory:
         # held together under the caps before, so none of them evicts on its
         # way back, and the keys the graph lacks follow them in arrival order.
         for key, edge in readd.items():
-            if key in self._edges:
-                self._edges[key] = edge  # same endpoints: nothing else changes
+            if key in edges:
+                edges[key] = edge  # same endpoints: nothing else changes
             else:
                 self._add_edge(edge)
         # A re-added edge of a subject that was not sent marked it dirty,
         # though it gained no key; a subject sent is clean when the detector
-        # saw every out-edge it now has.
+        # saw every out-edge it now has, as each one that gains a key with
+        # K >= 1 has.
         self._dirty -= {key[0] for key in readd} - suspects
-        self._dirty.difference_update(
-            [s for s in suspects if all(k[2] in region for k in self._out.get(s, ()))]
-        )
+        if eager:
+            suspects = {s for s in suspects if all(k[2] in region for k in self._out.get(s, ()))}
+        self._dirty -= suspects
 
     def _hot_nodes(self, gained: List[EdgeKey], graph_losers: Set[EdgeKey]) -> Set[str]:
         """The endpoints of ``gained`` keys whose out- or in-degree after
@@ -288,7 +322,10 @@ class SpatialMemory:
         return hot
 
     def _resolve_conflicts(
-        self, suspects: Set[str], changed: Dict[EdgeKey, Triplet], region: Set[str]
+        self,
+        suspects: Set[str],
+        changed: Dict[EdgeKey, Triplet],
+        region: Optional[Set[str]],
     ) -> Set[EdgeKey]:
         """The losers of each conflict among the local out-edges of the
         suspects. Every rule of the detector is per subject (exclusive
@@ -297,13 +334,11 @@ class SpatialMemory:
         edges of other subjects cannot conflict and are not sent; of a
         suspect's edges, only those in a contested slot are (see
         ``_contested``). With no contested slot there is no call."""
-        local_out: Dict[str, Set[EdgeKey]] = {
-            s: {k for k in self._out.get(s, ()) if k[2] in region} for s in suspects
-        }
-        for key in changed:
-            if key[0] in local_out:
-                local_out[key[0]].add(key)
-        keys = sorted(k for out in local_out.values() if len(out) > 1 for k in _contested(out))
+        local = {key for key in changed if key[0] in suspects}
+        for subject in suspects:
+            out = self._out.get(subject, ())
+            local.update(out if region is None else [k for k in out if k[2] in region])
+        keys = sorted(_contested(local))
         if not keys:
             return set()
         edges = [changed.get(k) or self._edges[k] for k in keys]
@@ -380,9 +415,13 @@ class SpatialMemory:
         words = tuple(canonical_name(text).split())
         # Only a name whose first word is here can match; its words are
         # compared with the words that follow, and no string is built.
+        index = self._names_by_first
         seeds: Set[str] = set()
         for i, word in enumerate(words):
-            for name, parts in self._names_by_first.get(word, {}).items():
+            names = index.get(word)
+            if names is None:
+                continue
+            for name, parts in names.items():
                 end = i + len(parts)
                 if (
                     len(parts) <= 3
@@ -422,6 +461,8 @@ class SpatialMemory:
             keys.discard(key)
             if not keys:
                 del index[node]
+        if key[0] not in self._out:
+            self._dirty.discard(key[0])  # no out-edge is left to conflict
 
     def _enforce_degree_cap(self, node: str, outgoing: bool) -> None:
         cap = self.max_out_degree if outgoing else self.max_in_degree
@@ -448,21 +489,30 @@ class SpatialMemory:
 
     def restore(self, doc: dict) -> None:
         """Take the graph, buffer and retrieval seed of a ``snapshot``
-        document. Every field is parsed and checked before anything is
-        replaced, so a bad document leaves the memory as it was."""
+        document. A bad document leaves the memory as it was."""
+        self.prepare_restore(doc)()
+
+    def prepare_restore(self, doc: dict) -> Callable[[], None]:
+        """Parse and check every field of a ``snapshot`` document, and
+        return the function that replaces the memory with it. A bad
+        document raises here, before anything is replaced."""
         edges = [from_doc(Triplet, edge_doc) for edge_doc in doc["edges"]]
         nodes = _names(doc["nodes"], "nodes")
         pending = [from_doc(Triplet, t) for t in doc.get("pending", [])]
         retrieval_seed = _names(doc.get("retrieval_seed", []), "retrieval_seed")
-        with self._lock:
-            self.clear()
-            for edge in edges:
-                self._add_edge(edge)
-            for node in nodes:
-                self._add_node(node)
-            self._pending = pending
-            self._pending_keys = {t.key for t in pending}
-            self._retrieval_seed = set(retrieval_seed)
+
+        def install() -> None:
+            with self._lock:
+                self.clear()
+                for edge in edges:
+                    self._add_edge(edge)
+                for node in nodes:
+                    self._add_node(node)
+                self._pending = pending
+                self._pending_keys = {t.key for t in pending}
+                self._retrieval_seed = set(retrieval_seed)
+
+        return install
 
 
 def _names(value: object, path: str) -> List[str]:

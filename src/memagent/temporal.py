@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .core import StepRecord, check_int, from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
@@ -92,7 +92,14 @@ class TemporalMemory:
             return {"capacity": self.capacity, "entries": items}
 
     def restore(self, doc: dict) -> None:
-        """Take the capacity and buffer of a ``snapshot`` document."""
+        """Take the capacity and buffer of a ``snapshot`` document. A bad
+        document leaves the buffer as it was."""
+        self.prepare_restore(doc)()
+
+    def prepare_restore(self, doc: dict) -> Callable[[], None]:
+        """Parse and check a ``snapshot`` document, and return the function
+        that replaces the buffer with it. A bad document raises here, before
+        anything is replaced."""
         capacity = doc["capacity"]
         check_int(capacity, 1, "capacity")
         entries: List[BufferItem] = []
@@ -101,6 +108,10 @@ class TemporalMemory:
             if cls is None:
                 raise ValueError(f"unknown temporal entry type: {item['type']!r}")
             entries.append(from_doc(cls, item))
-        with self._lock:
-            self.capacity = capacity
-            self._entries = entries
+
+        def install() -> None:
+            with self._lock:
+                self.capacity = capacity
+                self._entries = entries
+
+        return install

@@ -476,6 +476,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"id_counters\['a'\]"):
             LifelongMemory().restore(doc)
 
+    @pytest.mark.parametrize(
+        "change", [{"entities": [1]}, {"id_counters": {"a": -1}}, {"entities": None}]
+    )
+    def test_refused_restore_leaves_the_memory_as_it_was(self, change):
+        mem = self.build()
+        before = mem.snapshot()
+        with pytest.raises((TypeError, ValueError)):
+            mem.restore(dict(before, **change))
+        assert mem.snapshot() == before
+
     def test_restored_ids_do_not_collide(self):
         mem = self.build()
         other = LifelongMemory()

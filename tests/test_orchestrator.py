@@ -377,3 +377,34 @@ class TestRestore:
             fresh = type(store)()
             fresh.restore(json.loads(saved))
             assert canonical_json(fresh.snapshot()) == saved
+
+    @pytest.mark.parametrize(
+        "part, value",
+        [
+            # Each part is bad only after the one before it would have
+            # replaced its store.
+            ("lifelong", {"entities": [1]}),
+            ("temporal", None),
+        ],
+    )
+    def test_refused_restore_leaves_every_store_as_it_was(self, part, value):
+        orch = MemoryOrchestrator(parallel=False)
+        orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")]))
+        orch.dispatch_update(task_event())
+        orch.spatial.integrate()
+        assert orch.spatial.edges() and orch.temporal.entries() and len(orch.lifelong)
+        stores = (orch.spatial, orch.temporal, orch.lifelong)
+        before = [canonical_json(store.snapshot()) for store in stores]
+        # Good parts that would empty the stores they replace.
+        doc = {
+            "spatial": SpatialMemory().snapshot(),
+            "temporal": TemporalMemory().snapshot(),
+            "lifelong": LifelongMemory().snapshot(),
+        }
+        if value is None:
+            del doc[part]
+        else:
+            doc[part] = value
+        with pytest.raises((KeyError, TypeError)):
+            orch.restore(json.dumps(doc))
+        assert [canonical_json(store.snapshot()) for store in stores] == before

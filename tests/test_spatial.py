@@ -1,5 +1,6 @@
 """Tests for the knowledge-graph spatial memory."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -9,7 +10,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memagent import gateway, harness, spatial, vector_index
@@ -97,6 +98,13 @@ class TestTriplet:
         t = Triplet("cup", "on", "table", step_index=3)
         assert t.key == ("cup", "on", "table")
         assert from_doc(Triplet, to_doc(t)) == t
+
+    @pytest.mark.parametrize("name", ["subject", "relation", "object", "step_index", "key"])
+    def test_is_frozen(self, name):
+        t = Triplet(" Cup", "ON", "table", step_index=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, "x")
+        assert (t.key, t.step_index) == (("cup", "on", "table"), 1)
 
 
 class TestKhopBound:
@@ -460,6 +468,8 @@ class TestConflictScope:
         for edge in edges:
             by_subject.setdefault(edge.subject, set()).add(edge.key)
         contested = set().union(*map(spatial._contested, by_subject.values()))
+        # Slots are per subject, so one scan over all subjects finds the same.
+        assert spatial._contested([e.key for e in edges]) == contested
         subset = [e for e in edges if e.key in contested]
         assert detector_conflicts(subset) == detector_conflicts(edges)
         assert conflict_losers(subset) == conflict_losers(edges)
@@ -645,23 +655,19 @@ _PARTNERS = {r: [o for pair in DEFAULT_EXCLUSIVE_PAIRS if r in pair for o in pai
              for pair in DEFAULT_EXCLUSIVE_PAIRS for r in pair}
 
 
+def fast_conflict(mem, triplet, pending_keys):
+    """Whether the graph or ``pending_keys`` holds a fact on the triplet's
+    subject and object under a relation exclusive with its own, by a scan."""
+    keys = [(triplet.subject, partner, triplet.object)
+            for partner in _PARTNERS.get(triplet.relation, ())]
+    return any(key in mem._edges or key in pending_keys for key in keys)
+
+
 class TestPendingKeys:
     @settings(max_examples=100, deadline=None)
     @given(operations=_operations, buffer=st.integers(min_value=1, max_value=6))
     def test_fast_conflict_matches_a_scan_of_the_buffer(self, operations, buffer):
         mem = make_memory(buffer_capacity=buffer)
-        fast_conflict = mem._fast_conflict
-
-        def scanned(triplet):
-            keys = [(triplet.subject, partner, triplet.object)
-                    for partner in _PARTNERS.get(triplet.relation, ())]
-            want = any(
-                key in mem._edges or any(t.key == key for t in mem._pending) for key in keys
-            )
-            assert fast_conflict(triplet) == want
-            return want
-
-        mem._fast_conflict = scanned
         saved = mem.snapshot()
         for op in operations:
             if op == "integrate":
@@ -673,7 +679,16 @@ class TestPendingKeys:
             elif op == "clear":
                 mem.clear()
             else:
-                mem.buffer_triplets(op)
+                # Each fact is checked against the graph and the buffer as
+                # they are when it is buffered, its batch's earlier facts too.
+                pending = [t.key for t in mem._pending]
+                conflict = False
+                for triplet in op:
+                    pending.append(triplet.key)
+                    conflict = conflict or fast_conflict(mem, triplet, pending)
+                with spy_integrate() as integrate:
+                    mem.buffer_triplets(op)
+                assert integrate.call_count == (conflict or len(pending) >= buffer)
             assert mem._pending_keys == {t.key for t in mem._pending}
 
 
@@ -730,7 +745,8 @@ class TestBatchIntegrate:
             assert integrate.call_count <= 1
             pending = mem.pending()
             assert len(pending) < capacity
-            assert not any(mem._fast_conflict(t) for t in pending)
+            keys = {t.key for t in pending}
+            assert not any(fast_conflict(mem, t, keys) for t in pending)
 
     def test_seed_3_suite_integrates_at_most_once_per_observation(self):
         with spy_integrate() as integrate, mock.patch.object(
@@ -883,6 +899,211 @@ class TestHotNodeMergeBack:
         assert removed and all(key[0] == "agent" for key in removed)
         assert mem.snapshot() == ref.snapshot()
         assert ("agent", "at", "kitchen") not in {e.key for e in mem.edges()}
+
+
+class EagerRegionMemory(SpatialMemory):
+    """Reference model: integrate as it was before the region became lazy,
+    frozen here so that it does not follow the code it checks. Every
+    integrate computes the K-hop region, reads it for every suspect and hot
+    node, scans each suspect's local out-edges for contested slots on its
+    own, and keeps a subject dirty after its last out-edge goes."""
+
+    def _integrate(self, t_new):
+        ends = {t.subject for t in t_new} | {t.object for t in t_new}
+        region = self._region(ends | self._retrieval_seed, self.k_hops) | ends
+        changed = {}
+        for triplet in t_new:
+            key = triplet.key
+            prior = changed.get(key) or self._edges.get(key)
+            if prior is None or triplet.step_index >= prior.step_index:
+                changed[key] = triplet
+        suspects = {key[0] for key in changed if key not in self._edges}
+        suspects.update(
+            n
+            for n in self._dirty
+            if n in region and any(k[2] in region for k in self._out.get(n, ()))
+        )
+        losers = self._resolve_conflicts(suspects, changed, region)
+        graph_losers = {key for key in losers if key in self._edges}
+        for key in losers:
+            changed.pop(key, None)
+        hot = self._hot_nodes([key for key in changed if key not in self._edges], graph_losers)
+        stale = set(graph_losers)
+        for node in hot:
+            stale.update(k for k in self._out.get(node, ()) if k[2] in region)
+            stale.update(k for k in self._in.get(node, ()) if k[0] in region)
+        readd = {key: self._edges[key] for key in stale - graph_losers}
+        readd.update(changed)
+        for key in stale:
+            self._remove_edge(key)
+        for key, edge in readd.items():
+            if key in self._edges:
+                self._edges[key] = edge
+            else:
+                self._add_edge(edge)
+        self._dirty -= {key[0] for key in readd} - suspects
+        self._dirty.difference_update(
+            [s for s in suspects if all(k[2] in region for k in self._out.get(s, ()))]
+        )
+
+    def _resolve_conflicts(self, suspects, changed, region):
+        local_out = {
+            s: {k for k in self._out.get(s, ()) if k[2] in region} for s in suspects
+        }
+        for key in changed:
+            if key[0] in local_out:
+                local_out[key[0]].add(key)
+        keys = sorted(
+            k for out in local_out.values() if len(out) > 1 for k in spatial._contested(out)
+        )
+        if not keys:
+            return set()
+        edges = [changed.get(k) or self._edges[k] for k in keys]
+        payload = dict(DEFAULT_TABLES, edges=to_doc(edges))
+        response = self.gateway.ask(ReasonerRole.KG_CONFLICT_DETECTOR, payload)
+        losers = set()
+        for group in response["conflicts"]:
+            contenders = [edges[i] for i in group if 0 <= i < len(edges)]
+            if len(contenders) < 2:
+                continue
+            winner = max(contenders, key=lambda e: (e.step_index, e.relation))
+            for edge in contenders:
+                if edge.key != winner.key:
+                    losers.add(edge.key)
+        return losers
+
+    def _remove_edge(self, key):
+        del self._edges[key]
+        for index, node in ((self._out, key[0]), (self._in, key[2])):
+            keys = index[node]
+            keys.discard(key)
+            if not keys:
+                del index[node]
+
+
+def record_payloads(mem):
+    """Log every conflict-detector payload ``mem`` sends, as canonical JSON."""
+    sent = []
+    ask = mem.gateway.ask
+
+    def recording(role, payload):
+        sent.append(canonical_json(payload))
+        return ask(role, payload)
+
+    mem.gateway.ask = recording
+    return sent
+
+
+# Few names and conflict-prone relations, so that batches often restate,
+# conflict with and reach past earlier facts; objects include state values,
+# so the state-set rules fire too.
+_REGION_NAMES = ["cup", "table", "drawer 1", "agent"]
+_region_triplets = st.builds(
+    Triplet,
+    st.sampled_from(["cup", "agent"]),
+    st.sampled_from(["on", "in", "near", "holds", "is"]),
+    st.sampled_from(["table", "drawer 1", "cup", "open", "closed"]),
+    step_index=st.integers(min_value=0, max_value=6),
+)
+_region_operations = st.lists(
+    st.one_of(
+        st.lists(_region_triplets, min_size=1, max_size=4),
+        # Edges added past integrate, like restore's, make their subjects dirty.
+        st.lists(_region_triplets, min_size=1, max_size=3).map(lambda ts: ("seed", ts)),
+        # A batch of the graph's own facts around a node: it gains no key.
+        st.sampled_from(_REGION_NAMES).map(lambda name: ("restate", name)),
+        st.sampled_from(_REGION_NAMES).map(lambda name: ("query", name)),
+        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
+    ),
+    max_size=20,
+)
+
+
+class TestLazyRegion:
+    """Integrate computes the K-hop region only when a decision reads it:
+    for dirty subjects, for K = 0 and for the in-edges of hot nodes. It
+    must send the detector what the eager region did and leave the same
+    memory."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        operations=_region_operations,
+        max_out=st.integers(min_value=1, max_value=3),
+        max_in=st.integers(min_value=1, max_value=3),
+        buffer=st.integers(min_value=1, max_value=4),
+        k=st.integers(min_value=0, max_value=2),
+    )
+    # With K = 0, "cup on table" is outside the region of "cup in drawer 1",
+    # so cup stays dirty, and a restatement of both must send them.
+    @example(
+        operations=[[Triplet("cup", "on", "table", 1)], "integrate",
+                    [Triplet("cup", "in", "drawer 1", 2)], "integrate", ("restate", "cup")],
+        max_out=3, max_in=3, buffer=4, k=0,
+    )
+    # A conflict added past integrate is sent once its subject is in a
+    # region, though the subject gains no key.
+    @example(
+        operations=[("seed", [Triplet("cup", "on", "table", 1),
+                              Triplet("cup", "in", "drawer 1", 2)]),
+                    [Triplet("agent", "near", "cup", 3)], "integrate"],
+        max_out=3, max_in=3, buffer=4, k=1,
+    )
+    def test_matches_the_eager_region_after_every_operation(
+        self, operations, max_out, max_in, buffer, k
+    ):
+        config = dict(max_out_degree=max_out, max_in_degree=max_in,
+                      buffer_capacity=buffer, k_hops=k)
+        mem, ref = make_memory(**config), EagerRegionMemory(**config)
+        sent, ref_sent = record_payloads(mem), record_payloads(ref)
+        saved = mem.snapshot()
+        for op in operations:
+            if op == "snapshot":
+                saved = mem.snapshot()
+            elif isinstance(op, tuple) and op[0] == "query":
+                assert mem.query(op[1]) == ref.query(op[1])
+            else:
+                for m in (mem, ref):
+                    if op == "integrate":
+                        m.integrate()
+                    elif op == "restore":
+                        m.restore(saved)
+                    elif op == "clear":
+                        m.clear()
+                    elif isinstance(op, list):
+                        m.buffer_triplets(op)
+                    elif op[0] == "seed":
+                        seed_graph(m, op[1])
+                    else:
+                        m.buffer_triplets([e for e in m.edges() if op[1] in (e.subject, e.object)])
+                        m.integrate()
+            assert sent == ref_sent
+            assert mem.snapshot() == ref.snapshot()
+
+    def test_restated_facts_only_bump_step_indexes(self):
+        mem = make_memory()
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1),
+                             Triplet("agent", "near", "cup", step_index=1),
+                             Triplet("oven", "is", "open", step_index=2)])
+        mem.integrate()
+        assert not mem._dirty
+        sent = record_payloads(mem)
+        # Non-canonical spellings name the same keys; an older restatement
+        # never lowers a step index.
+        mem.buffer_triplets([Triplet(" Cup", "ON", "Table", step_index=4),
+                             Triplet("agent", "near", "cup", step_index=5),
+                             Triplet("oven", "is", "open", step_index=0)])
+        with mock.patch.object(
+            SpatialMemory, "_region", autospec=True, side_effect=SpatialMemory._region
+        ) as region:
+            mem.integrate()
+        assert region.call_count == 0
+        assert sent == []
+        assert mem.pending() == []
+        assert {e.key: e.step_index for e in mem.edges()} == {
+            ("agent", "near", "cup"): 5,
+            ("cup", "on", "table"): 4,
+            ("oven", "is", "open"): 2,
+        }
 
 
 class ShadowedMemory:
