@@ -59,6 +59,16 @@ class Termination(str, Enum):
     CRASHED = "crashed"
 
 
+class ReasonerRole(str, Enum):
+    STEP_SUMMARIZER = "step_summarizer"
+    QUERY_GENERATOR = "query_generator"
+    KG_CONFLICT_DETECTOR = "kg_conflict_detector"
+    MEMORY_EXTRACTOR = "memory_extractor"
+    MEMORY_UPDATER = "memory_updater"
+    PLANNER = "planner"
+    CRITIC = "critic"
+
+
 class InvariantError(ValueError):
     """A value violates a type invariant. ``path`` names the offending
     field."""

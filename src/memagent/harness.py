@@ -34,7 +34,7 @@ def compute_metrics(results: Sequence[TaskResult]) -> Dict[str, float]:
     """Suite-level success rate and goal-condition completion rate."""
     if not results:
         raise ValueError("cannot compute metrics over zero tasks")
-    sr = sum(1 for r in results if r.scn == r.gcn) / len(results)
+    sr = sum(r.success for r in results) / len(results)
     gc = sum(r.scn / r.gcn for r in results) / len(results)
     return {"sr": sr, "gc": gc}
 

@@ -15,7 +15,7 @@ facts that win on step index). The conflict detector gets only the edges
 in contested slots of subjects that may conflict, and the merge-back
 re-adds, in the order a full replace of the region would, only the changed
 keys and the region edges of nodes that would exceed a degree cap.
-Conflicts are those of ``gateway.DEFAULT_RULES``: the detector gets its
+Conflicts are those of ``conflicts.DEFAULT_RULES``: the detector gets its
 tables, the contested slots are the conflicts it finds among a
 subject's keys, and the fast check looks up its exclusive partners.
 
@@ -46,8 +46,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .conflicts import DEFAULT_RULES, DEFAULT_TABLES
 from .core import InvariantError, as_texts, canonical_name, check_int, from_doc, to_doc
-from .gateway import DEFAULT_RULES, DEFAULT_TABLES, ReasonerGateway, ReasonerRole
+from .gateway import ReasonerGateway, ReasonerRole
 from .vector_index import cosine  # noqa: F401  (cosine stays importable as spatial.cosine)
 
 logger = logging.getLogger(__name__)

@@ -10,17 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memagent import gateway as gateway_module
-from memagent.core import canonical_json
-from memagent.gateway import (
-    DEFAULT_BUDGET,
+from memagent import oracle
+from memagent.conflicts import (
     DEFAULT_EXCLUSIVE_PAIRS,
     DEFAULT_FUNCTIONAL_GROUPS,
     DEFAULT_RULES,
     DEFAULT_STATE_SETS,
     DEFAULT_TABLES,
+    ConflictRules,
+)
+from memagent.core import canonical_json
+from memagent.gateway import (
+    DEFAULT_BUDGET,
     BackendUnreachableError,
     BudgetExceededError,
-    ConflictRules,
     GatewayConfig,
     GatewayConfigError,
     GatewayError,
@@ -420,13 +423,13 @@ class TestConflictRules:
 
     def test_the_default_tables_build_no_rules(self, monkeypatch):
         built = []
-        monkeypatch.setattr(gateway_module, "ConflictRules", lambda **tables: built.append(tables))
+        monkeypatch.setattr(oracle, "ConflictRules", lambda **tables: built.append(tables))
         payload = dict(DEFAULT_TABLES, edges=[_edge("cup", "on", "table")])
-        gateway_module._oracle_detect_conflicts(payload)
-        gateway_module._oracle_detect_conflicts({"edges": payload["edges"]})
+        oracle.detect_conflicts(payload)
+        oracle.detect_conflicts({"edges": payload["edges"]})
         assert built == []
         with pytest.raises(AttributeError):
-            gateway_module._oracle_detect_conflicts(dict(payload, state_sets=[]))
+            oracle.detect_conflicts(dict(payload, state_sets=[]))
         assert built == [dict(DEFAULT_TABLES, state_sets=[])]
 
 
@@ -768,12 +771,12 @@ class TestRemoteBackend:
 
 
 class _OracleStubHandler(BaseHTTPRequestHandler):
-    """Answers each chat-completions request with the role table's oracle rule."""
+    """Answers each chat-completions request with the role's oracle rule."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         doc = json.loads(body["messages"][0]["content"])
-        answer = gateway_module._ROLES[ReasonerRole(doc["role"])].oracle(doc["payload"])
+        answer = oracle.RULES[ReasonerRole(doc["role"])](doc["payload"])
         data = json.dumps({"choices": [{"message": {"content": canonical_json(answer)}}]})
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -923,7 +926,8 @@ def _validate_conflict_response(r: dict) -> None:
     _check(isinstance(groups, list), "conflicts must be a list")
     for group in groups:
         _check(
-            isinstance(group, list) and len(group) >= 2 and all(isinstance(i, int) for i in group),
+            isinstance(group, list) and len(group) >= 2
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in group),
             "each conflict group must list >= 2 edge indices",
         )
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memagent import gateway, harness, spatial, vector_index
+from memagent import harness, oracle, spatial, vector_index
 from memagent.envsim import builtin_suite_path, load_suite
 from memagent.preprocessor import Preprocessor
 from memagent.spatial import (
@@ -23,13 +23,9 @@ from memagent.spatial import (
     Triplet,
     khop_bound,
 )
+from memagent.conflicts import DEFAULT_EXCLUSIVE_PAIRS, DEFAULT_TABLES
 from memagent.core import InvariantError, canonical_json, from_doc, to_doc
-from memagent.gateway import (
-    DEFAULT_EXCLUSIVE_PAIRS,
-    DEFAULT_TABLES,
-    ReasonerGateway,
-    ReasonerRole,
-)
+from memagent.gateway import ReasonerGateway, ReasonerRole
 
 
 def make_memory(**kwargs):
@@ -347,6 +343,27 @@ class TestConflictResolution:
         assert not [r for r in caplog.records if "exhausted" in r.getMessage()]
         assert [e.key for e in mem.edges()] == [("cup", "on", "table")]
 
+    def test_a_bool_edge_index_degrades_to_the_oracle_rules(self, caplog):
+        # JSON true and false are not edge indices: read as 1 and 0, they
+        # would evict "cup in sink" and keep "cup on table" without a word.
+        class BoolIndices:
+            latency_bound = False
+
+            def invoke(self, role, payload):
+                return {"conflicts": [[True, False]]}
+
+        caplog.set_level(logging.WARNING, logger="memagent")
+        mem = make_memory(gateway=ReasonerGateway(backend=BoolIndices()))
+        mem.buffer_triplets([
+            Triplet("cup", "on", "table", step_index=1),
+            Triplet("cup", "in", "sink", step_index=2),
+            Triplet("cup", "in", "box", step_index=3),
+        ])
+        mem.integrate()
+        [record] = caplog.records
+        assert "using oracle rules" in record.getMessage()
+        assert [e.key for e in mem.edges()] == [("cup", "in", "box")]
+
 
 _NAMES = ["cup", "cups", "table", "shelf", "drawer 1", "drawer 2",
           "kitchen counter", "kitchen countertop"]
@@ -364,7 +381,7 @@ _slot_triplets = st.builds(
 def detector_conflicts(edges):
     """The oracle detector's conflict groups over ``edges``, as sets of keys."""
     payload = dict(DEFAULT_TABLES, edges=to_doc(edges))
-    groups = gateway._oracle_detect_conflicts(payload)["conflicts"]
+    groups = oracle.detect_conflicts(payload)["conflicts"]
     return {frozenset(edges[i].key for i in group) for group in groups}
 
 
