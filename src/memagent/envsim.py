@@ -556,7 +556,8 @@ def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
     """The profile and tasks of a suite file; ``SuiteError`` names the file
     when it cannot be read, names an unknown profile or holds a malformed
     task, and then also the task's index (its id for a goal the world
-    cannot score)."""
+    cannot score). Two tasks may not share an id: the id is the task's
+    long-term scope, so they would share hints across different worlds."""
     doc = read_json(path, SuiteError)
     tasks = doc.get("tasks") if isinstance(doc, dict) else None
     if not isinstance(tasks, list):
@@ -565,6 +566,7 @@ def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
     if profile not in profiles:
         raise SuiteError(f"{path}: unknown profile {profile!r} (expected one of {profiles})")
     specs = []
+    first_index: Dict[str, int] = {}
     for index, task in enumerate(tasks):
         if not isinstance(task, dict):
             raise SuiteError(f"{path}: task {index} is not an object")
@@ -575,6 +577,11 @@ def load_suite(path: str) -> Tuple[str, List[TaskSpec]]:
         except SuiteError as exc:
             raise SuiteError(f"{path}: task {index}: {exc}") from exc
         _check_goals(spec, profile, path)
+        if spec.id in first_index:
+            raise SuiteError(
+                f"{path}: tasks {first_index[spec.id]} and {index} share the id {spec.id!r}"
+            )
+        first_index[spec.id] = index
         specs.append(spec)
     return profile, specs
 

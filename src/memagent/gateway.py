@@ -148,6 +148,12 @@ def _fallback_summary(p: dict) -> Tuple[str, dict]:
     return "compaction summarizer failed (%s); falling back", {"summary": text}
 
 
+def _fallback_query(p: dict) -> Tuple[str, dict]:
+    names = dict.fromkeys([*p.get("goal_entities", []), *p.get("visible_entities", [])])
+    answer = {"query": p["instruction"], "entities": list(names)}
+    return "query generator failed (%s); fallback to instruction", answer
+
+
 @dataclass(frozen=True)
 class RoleContract:
     """Everything the gateway knows of one reasoner role."""
@@ -175,9 +181,8 @@ _ROLES: Dict[ReasonerRole, RoleContract] = {
     ),
     ReasonerRole.QUERY_GENERATOR: RoleContract(
         Schema({"instruction": TEXT}),
-        Schema({"query": TEXT}),
-        lambda p: ("query generator failed (%s); fallback to instruction",
-                   {"query": p["instruction"]}),
+        Schema({"query": TEXT, "entities": list_of(TEXT)}),
+        _fallback_query,
     ),
     ReasonerRole.KG_CONFLICT_DETECTOR: RoleContract(
         Schema({"edges": list_of(has_keys("subject", "relation", "object"))}),

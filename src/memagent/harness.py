@@ -247,7 +247,7 @@ def bench_retrieval(section_delay_s: float = 0.1, rounds: int = 3) -> dict:
         samples = []
         for _ in range(rounds):
             start = time.perf_counter()
-            orchestrator.gather_context("where is the cup")
+            orchestrator.gather_context(["cup"])
             orchestrator.recall("where is the cup", scope="t1")
             samples.append(time.perf_counter() - start)
         timings[mode] = {"mean_s": statistics.mean(samples), "min_s": min(samples)}

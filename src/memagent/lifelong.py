@@ -175,6 +175,13 @@ class LifelongMemory:
             )
             return text
 
+    def clear_action_buffer(self) -> None:
+        """Drop the buffered failure lessons: a task that ended without its
+        task-level update (a crash) leaves them, and they must not be
+        written under the next task's scope."""
+        with self._lock:
+            self._action_buffer.clear()
+
     # -- task-level extraction ------------------------------------------------
 
     def extract_task_entities(self, trace: TaskTrace, result: TaskResult) -> List[MemoryEntity]:

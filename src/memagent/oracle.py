@@ -45,21 +45,27 @@ def summarize(p: dict) -> dict:
 
 
 #: Instruments implied by task wording but usually absent from it; the
-#: query must name them or the graph retrieval never reaches their nodes.
+#: entities must name them or the graph retrieval never reaches their nodes.
 _IMPLIED_TOOLS = [("heat", "oven"), ("clean", "faucet"), ("clean", "sink"), ("slice", "knife")]
 
 
 def query(p: dict) -> dict:
+    """The query text long-term recall embeds, and the names spatial
+    retrieval seeds from: the goal names, the implied tools and the
+    visible entities."""
     instruction = p["instruction"]
+    visible = p.get("visible_entities", [])
+    tools = [tool for word, tool in _IMPLIED_TOOLS if word in instruction]
     parts = [instruction]
-    tools = [tool for word, tool in _IMPLIED_TOOLS if word in instruction and tool not in instruction]
-    if tools:
-        parts.append("needs: " + ", ".join(tools))
+    unnamed = [tool for tool in tools if tool not in instruction]
+    if unnamed:
+        parts.append("needs: " + ", ".join(unnamed))
     if p.get("last_verb"):
         parts.append(f"last action: {p['last_verb']}")
-    if p.get("visible_entities"):
-        parts.append("seen: " + ", ".join(p["visible_entities"]))
-    return {"query": " | ".join(parts)}
+    if visible:
+        parts.append("seen: " + ", ".join(visible))
+    entities = dict.fromkeys([*p.get("goal_entities", []), *tools, *visible])
+    return {"query": " | ".join(parts), "entities": list(entities)}
 
 
 def detect_conflicts(p: dict) -> dict:

@@ -8,11 +8,12 @@ the one process-wide pool (each module serializes internally), so the
 final state is independent of branch scheduling.
 
 Retrieval has one read path per kind of memory. ``gather_context``
-reads working memory (the spatial query, which also sets the seed the next
-integrate reads, and the temporal buffer), which changes with every
-executed step. ``recall`` reads long-term memory, which changes only at a
-task-level update, and ranks only the entries of one task's scope, so its
-cost is proportional to that scope, not to the whole store. That scope
+reads working memory (the spatial query around the query generator's
+entity names, which also sets the seed the next integrate reads, and the
+temporal buffer), which changes with every executed step. ``recall``
+reads long-term memory, which changes only at a task-level update, and
+ranks only the entries of one task's scope, so its cost is proportional
+to that scope, not to the whole store. That scope
 (``LifelongMemory.retrieve``) is the one place the rule "trust only this
 task's entries" is kept; the planner takes what is recalled.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import StepRecord, TaskResult, canonical_json, fan_out
 from .lifelong import LifelongMemory, MemoryEntity, TaskTrace
@@ -113,10 +114,11 @@ class MemoryOrchestrator:
 
     # -- retrieval fan-out -----------------------------------------------------
 
-    def gather_context(self, query: str) -> MemoryContext:
-        """Working memory for ``query``: the spatial and temporal sections."""
+    def gather_context(self, entities: Sequence[str]) -> MemoryContext:
+        """Working memory for one decision: the spatial subgraph around the
+        ``entities`` that are nodes, and the temporal buffer."""
         start = time.perf_counter()
-        spatial = (lambda: self.spatial.query(query)) if self.spatial_enabled else (lambda: ())
+        spatial = (lambda: self.spatial.query(entities)) if self.spatial_enabled else (lambda: ())
         results = fan_out(
             [self._padded("spatial", spatial), self._padded("temporal", self.temporal.render)],
             self.parallel,
@@ -157,10 +159,12 @@ class MemoryOrchestrator:
     # -- task boundaries & persistence ----------------------------------------
 
     def reset_task_state(self) -> None:
-        """Per-task working memory reset: temporal buffer, spatial graph, and
-        the retrieval seed. Long-term stores persist."""
+        """Per-task working memory reset: temporal buffer, spatial graph, the
+        retrieval seed, and any failure lessons a crashed task left
+        buffered. Long-term stores persist."""
         self.temporal.clear()
         self.spatial.clear()
+        self.lifelong.clear_action_buffer()
 
     def snapshot(self) -> str:
         """All three stores as one canonical JSON document."""

@@ -9,7 +9,6 @@ makes at least one environment step of progress.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +20,6 @@ from .core import (
     TaskResult,
     Termination,
     Verb,
-    canonical_name,
     to_doc,
 )
 from .envsim import Environment, TaskSpec
@@ -35,18 +33,6 @@ logger = logging.getLogger(__name__)
 
 AGENT = "agent"
 _LOCATION_RELS = ("on", "in")
-
-_PUT = re.compile(r"^put (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
-_STATE_CLAUSES = [
-    (re.compile(r"^heat (?P<obj>.+)$"), "heated"),
-    (re.compile(r"^clean (?P<obj>.+)$"), "cleaned"),
-    (re.compile(r"^slice (?P<obj>.+)$"), "sliced"),
-    (re.compile(r"^turn on (?P<obj>.+)$"), "on"),
-    (re.compile(r"^turn off (?P<obj>.+)$"), "off"),
-    (re.compile(r"^open (?P<obj>.+)$"), "open"),
-    (re.compile(r"^close (?P<obj>.+)$"), "closed"),
-]
-
 
 class EmptyPlanError(Exception):
     pass
@@ -75,29 +61,6 @@ class CriticVerdict:
     def __post_init__(self):
         if self.decision == "reject" and not self.reason:
             raise ValueError("rejections need a reason")
-
-
-def parse_goals(instruction: str) -> List[dict]:
-    goals: List[dict] = []
-    for clause in instruction.split(" and "):
-        clause = canonical_name(clause)
-        match = _PUT.match(clause)
-        if match:
-            goals.append(
-                {
-                    "kind": "at",
-                    "obj": match.group("obj"),
-                    "rel": match.group("rel"),
-                    "place": match.group("place"),
-                }
-            )
-            continue
-        for pattern, state in _STATE_CLAUSES:
-            match = pattern.match(clause)
-            if match:
-                goals.append({"kind": "state", "obj": match.group("obj"), "state": state})
-                break
-    return goals
 
 
 @dataclass
@@ -290,12 +253,8 @@ def run_episode(
     preprocessor = Preprocessor(task.instruction, gateway, parallel=orchestrator.parallel)
 
     obs = env.reset(task, seed=world_seed)
-    goals = parse_goals(task.instruction)
-    nav_points = set(env.nav_points)
-    goal_objects = sorted(
-        {g["obj"] for g in goals if g["obj"] not in nav_points}
-        | {g["place"] for g in goals if g["kind"] == "at" and g["place"] not in nav_points}
-    )
+    goals = preprocessor.goals
+    goal_objects = sorted(set(preprocessor.goal_entities) - set(env.nav_points))
     trace = TaskTrace(task_id=task.id, instruction=task.instruction, goal_objects=goal_objects)
 
     def absorb_observation(observed_triplets: Tuple[Triplet, ...]) -> None:
@@ -310,7 +269,7 @@ def run_episode(
     observed = initial.triplets
     absorb_observation(observed)
     orchestrator.dispatch_update(UpdateEvent(level="action", triplets=observed))
-    query = initial.query
+    query, entities = initial.query, initial.entities
 
     trajectory: List[dict] = []
     executed = 0
@@ -327,7 +286,7 @@ def run_episode(
         # planner reads and only the task-level update writes, once per
         # executed step and only when a plan is made.
         if beliefs is None:
-            context = orchestrator.gather_context(query)
+            context = orchestrator.gather_context(entities)
             beliefs = build_beliefs(context, observed)
             recalled = False
 
@@ -380,7 +339,7 @@ def run_episode(
         if failure_reason:
             trace.failure_reasons.append(failure_reason)
 
-        query = pre.query
+        query, entities = pre.query, pre.entities
         record = StepRecord(
             step_index=executed,
             action=action,

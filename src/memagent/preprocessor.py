@@ -1,5 +1,6 @@
 """Perceptual front-end: turns one observation into a step summary, a
-long-term-memory query, and spatial triplets.
+long-term-memory query, the entities to seed spatial retrieval with, and
+spatial triplets.
 
 ``Preprocessor.preprocess`` is the only parse of an observation: the
 planner's belief state, the task trace and the spatial memory all read the
@@ -14,9 +15,13 @@ Observation text follows a fixed line grammar (documented in the README):
     holding: <obj> | nothing
     action failed: <reason>
 
-The summarizer and query generator run as one gateway fan-out of ``ask``
-calls, so a gateway fault in either has already degraded to the role's
-fallback; any other error is raised and ends the episode as crashed.
+The query generator is asked with the task's goal names (the objects and
+places ``parse_goals`` reads from the instruction) and the names the
+observation shows; it answers the query text and the entity names as data,
+so no reader parses names back out of the text. The summarizer and query
+generator run as one gateway fan-out of ``ask`` calls, so a gateway fault
+in either has already degraded to the role's fallback; any other error is
+raised and ends the episode as crashed.
 
 Observations repeat lines from step to step, so the grammar lives in
 ``_parse_line``, memoized per distinct line; ``extract_triplets`` only
@@ -41,6 +46,18 @@ _AT = re.compile(r"^you are at (?P<point>.+)$")
 _SEE = re.compile(r"^you see (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
 _STATE = re.compile(r"^(?P<obj>.+?) is (?P<state>open|closed|on|off|sliced|heated|cleaned)$")
 _HOLDING = re.compile(r"^holding: (?P<obj>.+)$")
+
+# Instruction grammar: one goal clause per " and ".
+_PUT = re.compile(r"^put (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
+_STATE_CLAUSES = [
+    (re.compile(r"^heat (?P<obj>.+)$"), "heated"),
+    (re.compile(r"^clean (?P<obj>.+)$"), "cleaned"),
+    (re.compile(r"^slice (?P<obj>.+)$"), "sliced"),
+    (re.compile(r"^turn on (?P<obj>.+)$"), "on"),
+    (re.compile(r"^turn off (?P<obj>.+)$"), "off"),
+    (re.compile(r"^open (?P<obj>.+)$"), "open"),
+    (re.compile(r"^close (?P<obj>.+)$"), "closed"),
+]
 #: Distinct observation lines whose parse is kept; one suite run has about
 #: 140.
 PARSE_CACHE_SIZE = 4096
@@ -50,7 +67,34 @@ PARSE_CACHE_SIZE = 4096
 class PreprocessOutput:
     summary: Optional[str]  # None for the reset observation
     query: str
+    #: The names spatial retrieval seeds from, as the query generator gave them.
+    entities: Tuple[str, ...]
     triplets: Tuple[Triplet, ...]
+
+
+def parse_goals(instruction: str) -> List[dict]:
+    """The goal conditions the instruction's clauses state, their names
+    canonical; a clause of no known form states none."""
+    goals: List[dict] = []
+    for clause in instruction.split(" and "):
+        clause = canonical_name(clause)
+        match = _PUT.match(clause)
+        if match:
+            goals.append(
+                {
+                    "kind": "at",
+                    "obj": match.group("obj"),
+                    "rel": match.group("rel"),
+                    "place": match.group("place"),
+                }
+            )
+            continue
+        for pattern, state in _STATE_CLAUSES:
+            match = pattern.match(clause)
+            if match:
+                goals.append({"kind": "state", "obj": match.group("obj"), "state": state})
+                break
+    return goals
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -120,6 +164,10 @@ class Preprocessor:
         # Nothing resets the budget of a gateway of its own, so it has none.
         self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.instruction = instruction
+        self.goals = parse_goals(instruction)
+        # The distinct objects and places the goals name, in order.
+        names = (name for g in self.goals for name in (g["obj"], g.get("place")) if name)
+        self.goal_entities = list(dict.fromkeys(names))
         self.parallel = parallel  # the run's fan-out decision (MemoryOrchestrator.parallel)
 
     def preprocess(
@@ -144,6 +192,7 @@ class Preprocessor:
             requests.append((ReasonerRole.STEP_SUMMARIZER, summarizer_payload))
         query_payload = {
             "instruction": self.instruction,
+            "goal_entities": self.goal_entities,
             "last_verb": last_action.verb.value if last_action else None,
             "visible_entities": entities,
         }
@@ -152,4 +201,7 @@ class Preprocessor:
         answers = self.gateway.invoke_parallel(requests, self.parallel)
         # The reset observation follows no step, so it has no summary.
         summary = answers[0]["summary"] if last_action is not None else None
-        return PreprocessOutput(summary=summary, query=answers[-1]["query"], triplets=triplets)
+        cue = answers[-1]
+        return PreprocessOutput(
+            summary=summary, query=cue["query"], entities=tuple(cue["entities"]), triplets=triplets
+        )

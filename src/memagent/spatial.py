@@ -30,12 +30,9 @@ away, inside the region, and the detector then sees all of them. A batch
 that gains no key while no subject is dirty only writes its newer step
 indexes in place.
 
-A node is the name it was observed under, and a seed is a node named in
-the query: names are keyed exactly, with no similarity merge or search.
-Seeds are looked up through a name index, which maps the first word of
-each node name to the names it starts and their words: a query's words are
-walked once, and at a word that starts some name, that name's words are
-compared with the words that follow, with no fragment string built.
+A node is the name it was observed under, and the seeds of a query are
+the names it is given that are nodes: names are keyed exactly, with no
+similarity merge or search, and no text is parsed for them.
 """
 
 from __future__ import annotations
@@ -134,9 +131,6 @@ class SpatialMemory:
         self._out: Dict[str, Set[EdgeKey]] = {}
         self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
-        # Name index for the exact seed lookup: first word of a node name ->
-        # {name: the words of the name}.
-        self._names_by_first: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         # Subjects whose out-edges may hold a conflict: _add_edge has added a
         # key of theirs since the detector last saw all their out-edges.
         self._dirty: Set[str] = set()
@@ -175,7 +169,6 @@ class SpatialMemory:
             self._out.clear()
             self._in.clear()
             self._nodes.clear()
-            self._names_by_first.clear()
             self._dirty.clear()
             self._pending.clear()
             self._pending_keys.clear()
@@ -398,39 +391,16 @@ class SpatialMemory:
             reached |= frontier
         return reached
 
-    def query(self, text: str) -> Tuple[Triplet, ...]:
-        """The edges of the subgraph around entities mentioned in the query,
-        sorted by key; remembers the seed set."""
+    def query(self, names: Iterable[str]) -> Tuple[Triplet, ...]:
+        """The edges of the subgraph around the names that are nodes, sorted
+        by key; remembers those nodes as the seed set."""
         with self._lock:
-            seeds = self._extract_seeds(text)
-            self._retrieval_seed = set(seeds)
+            seeds = {name for name in map(canonical_name, names) if name in self._nodes}
+            self._retrieval_seed = seeds
             if not seeds:
                 return ()
             _, edges = self.retrieve_subgraph(seeds)
             return tuple(edges)
-
-    def _extract_seeds(self, text: str) -> Set[str]:
-        """The nodes named by 1-3 consecutive words of ``text``. A word and
-        the number after it name one instance (``drawer`` in ``drawer 2``),
-        so no name ends between them."""
-        words = tuple(canonical_name(text).split())
-        # Only a name whose first word is here can match; its words are
-        # compared with the words that follow, and no string is built.
-        index = self._names_by_first
-        seeds: Set[str] = set()
-        for i, word in enumerate(words):
-            names = index.get(word)
-            if names is None:
-                continue
-            for name, parts in names.items():
-                end = i + len(parts)
-                if (
-                    len(parts) <= 3
-                    and words[i:end] == parts
-                    and (end == len(words) or not any(c.isdecimal() for c in words[end]))
-                ):
-                    seeds.add(name)
-        return seeds
 
     # -- low-level mutation --------------------------------------------------
 
@@ -444,16 +414,9 @@ class SpatialMemory:
         self._edges[key] = edge
         self._out.setdefault(edge.subject, set()).add(key)
         self._in.setdefault(edge.object, set()).add(key)
-        self._add_node(edge.subject)
-        self._add_node(edge.object)
+        self._nodes.update((edge.subject, edge.object))
         self._enforce_degree_cap(edge.subject, outgoing=True)
         self._enforce_degree_cap(edge.object, outgoing=False)
-
-    def _add_node(self, node: str) -> None:
-        if node not in self._nodes:
-            self._nodes.add(node)
-            words = tuple(node.split(" "))
-            self._names_by_first.setdefault(words[0], {})[node] = words
 
     def _remove_edge(self, key: EdgeKey) -> None:
         del self._edges[key]
@@ -507,8 +470,7 @@ class SpatialMemory:
                 self.clear()
                 for edge in edges:
                     self._add_edge(edge)
-                for node in nodes:
-                    self._add_node(node)
+                self._nodes.update(nodes)
                 self._pending = pending
                 self._pending_keys = {t.key for t in pending}
                 self._retrieval_seed = set(retrieval_seed)

@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from .core import StepRecord, check_int, from_doc, to_doc
+from .core import InvariantError, StepRecord, check_int, from_doc, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 
 DEFAULT_CAPACITY = 3
@@ -108,6 +108,12 @@ class TemporalMemory:
             if cls is None:
                 raise ValueError(f"unknown temporal entry type: {item['type']!r}")
             entries.append(from_doc(cls, item))
+        # An append leaves at most ``capacity`` entries, or a summary and the
+        # new record when ``capacity`` is 1.
+        if len(entries) > max(capacity, 2):
+            raise InvariantError(
+                f"holds {len(entries)} items, more than capacity {capacity} allows", "entries"
+            )
 
         def install() -> None:
             with self._lock:

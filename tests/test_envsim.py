@@ -139,6 +139,21 @@ class TestTaskSpec:
         assert wrong in str(raised.value)
 
 
+    def test_load_suite_refuses_a_duplicate_task_id(self, tmp_path):
+        # The id is the task's long-term scope: two worlds must not share it.
+        doc = {
+            "id": "t1",
+            "instruction": "put cup on kitchen counter",
+            "category": "pick_place",
+            "goal_conditions": [{"kind": "at", "obj": "cup", "place": "kitchen counter"}],
+        }
+        tasks = [doc, dict(doc, id="t2"), dict(doc, initial_seed=9)]
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"tasks": tasks}))
+        with pytest.raises(SuiteError) as raised:
+            load_suite(str(path))
+        assert str(raised.value) == f"{path}: tasks 0 and 2 share the id 't1'"
+
     @pytest.mark.parametrize(
         "goal, wrong",
         [

@@ -117,7 +117,8 @@ _ROLE_PAYLOADS = {
         "covers_steps": [1, 2],
     },
     ReasonerRole.QUERY_GENERATOR: {
-        "instruction": "heat cup", "last_verb": "open", "visible_entities": ["fridge", "cup"],
+        "instruction": "heat cup", "goal_entities": ["cup"], "last_verb": "open",
+        "visible_entities": ["fridge", "cup"],
     },
     ReasonerRole.KG_CONFLICT_DETECTOR: {
         "edges": [
@@ -457,7 +458,7 @@ class TestInvokeParallel:
             parallel,
         )
         assert answers == [
-            {"query": "first"},
+            {"query": "first", "entities": []},
             {"decision": "approve", "reason": "critic unavailable"},
         ]
         assert len(caplog.records) == 2
@@ -571,8 +572,9 @@ _FALLBACK_CASES = {
     ),
     "query": (
         ReasonerRole.QUERY_GENERATOR,
-        {"instruction": "heat the apple", "last_verb": "open", "visible_entities": ["apple"]},
-        {"query": "heat the apple"},
+        {"instruction": "heat the apple", "goal_entities": ["the apple"], "last_verb": "open",
+         "visible_entities": ["apple", "the apple"]},
+        {"query": "heat the apple", "entities": ["the apple", "apple"]},
         "fallbacks.query_instruction",
         None,
     ),
@@ -910,6 +912,10 @@ def _validate_query_request(p: dict) -> None:
 
 def _validate_query_response(r: dict) -> None:
     _nonempty_str(r, "query")
+    names = r.get("entities")
+    _check(isinstance(names, list), "entities must be a list")
+    for name in names:
+        _check(isinstance(name, str) and name.strip() != "", "entity names must be non-blank")
 
 
 def _validate_conflict_request(p: dict) -> None:

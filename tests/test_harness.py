@@ -24,6 +24,7 @@ from memagent.harness import (
     run_suite,
     write_report,
 )
+from memagent.lifelong import LifelongMemory
 from memagent.spatial import SpatialMemory
 
 
@@ -166,6 +167,29 @@ class TestRunPass:
         for episode in episodes:
             assert episode.result.terminated_by is Termination.CRASHED
 
+    def test_crashed_episode_leaves_nothing_to_the_next_task(self, monkeypatch):
+        # pp-01 buffers failure lessons, then crashes at its task-level
+        # update; pp-02 must store what it stores when it runs alone.
+        extract = LifelongMemory.extract_task_entities
+        lessons = []
+
+        def crash_pp_01(self, trace, result):
+            if trace.task_id == "pp-01":
+                lessons.extend(self._action_buffer)
+                raise RuntimeError("extractor exploded")
+            return extract(self, trace, result)
+
+        monkeypatch.setattr(LifelongMemory, "extract_task_entities", crash_pp_01)
+        profile, tasks = load_suite(builtin_suite_path())
+        stored = []
+        for run in (tasks[:2], tasks[1:2]):
+            system = AgentSystem.build()
+            episodes = run_pass(run, system, suite_seed=3, profile=profile, failure_p=0.1)
+            assert episodes[-1].result.terminated_by is not Termination.CRASHED
+            stored.append([e.text for e in system.orchestrator.lifelong.entities()])
+        assert lessons  # pp-01 left failure lessons buffered
+        assert stored[0] == stored[1]
+
     def test_dead_backend_aborts_every_task_at_step_zero(self):
         # Every role but the planner degrades to its fallback; the planner's
         # fault aborts the episode before its first step, and the report says
@@ -284,7 +308,7 @@ class TestRunSuite:
 GOLDEN_PASSES_SHA256 = {
     3: "081eaec0ba04232670bc26dd0fe8a48d303354362f08e9e84f726a05b67904d7",
     5: "981c6c88c07df6db25aa47a7157454a00417c96ffa35ff654df4c8455574305d",
-    11: "85eebbc1c6a3ca43f8bc8d3a99209eadeeccacdf7da6ff9cb805c1de183e7b8e",
+    11: "6dd511bd1c765ec673f83c1d38264004b6d5340bb79b6373c81faa3629bfd6a9",
     500: "03d2281b99417316785c716635116d5748e6d8c5f8d7fe7a8f8bc2491ea12495",
 }
 
@@ -310,12 +334,12 @@ class TestGoldenReports:
 #: the same runs; both modes must write the same bytes.
 GOLDEN_SNAPSHOT_SHA256 = {
     3: (
-        "c222f9e337972664a2bfcb5ece4bcf05cb2b9c3ce6e25d756419739d13fbcb06",
-        "ce99f3e4e2b8f3091dfbfb9990db7ae8240761a9b17be8e1c1a06be8c3328971",
+        "e4193f4ff4034add33a5073448051bd1a3e2b92bc23e1d8e9a8bcf89f9fcb1bb",
+        "1b7993cb99fc1a13e92c95275a51fb5996d4ccd3cfea9544fbe1ffcf219744b3",
     ),
     11: (
-        "621d7f9c1a14b24135b38ecc886b3f450f30cb16fcca30eafeb646ca2738f538",
-        "81a66e78ef46319be534e7f0b66001591d9c6c08a6c8437dad25fd1ac0e554a0",
+        "5886cf3deca0401c5d9cf44a502c37ec2222a37b57205ec0a1996c14b0fb8bc4",
+        "d95b18d4df553c70339f535380d543eec346c3bf81a424c7d2c4902d4e60c338",
     ),
 }
 
@@ -345,7 +369,7 @@ class TestGoldenSnapshots:
 #: in it come straight from reasoner answers; both modes write the same bytes.
 GOLDEN_TRAJECTORY_SHA256 = {
     3: "543279bde6c1d4237811f649485bcebbd533d5d81da73b5b37a9ddb50388e34a",
-    11: "e2cd9348c07047ec0d522cd51811a0ef78c563c498533df921c63a017244693d",
+    11: "fbacc8e6a08321f80635e591f4882cba3fd6ec88cacd42cd1f4a5824176ebe93",
 }
 
 
@@ -371,8 +395,8 @@ class TestGoldenTrajectories:
 #: of the same runs, in call order: what each module asked and was told, so a
 #: change that only moves work around must leave it as it is.
 GOLDEN_CALLS_SHA256 = {
-    3: "dcccac4cadf4ec5c5dd4132c0652cc7b59a8843fd8176f80406a2b0fed98da49",
-    11: "7faa0a3b96d2b7af7f4f6f6df847018e721cb2d97a862ed5b49166420f19f07f",
+    3: "90b023a5be8588ddb344b1d5607a65e5e5a568097739f00cdddb532c42904a2c",
+    11: "d13ba64c2ff18ecfe89a20d8195ac313295ab376138917006ddbcd62963c4cc0",
 }
 
 

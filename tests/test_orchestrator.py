@@ -147,7 +147,7 @@ class TestGather:
 
     def test_context_contains_all_sections(self):
         orch = self.build()
-        ctx = orch.gather_context("where is the cup")
+        ctx = orch.gather_context(["cup"])
         assert [t.key for t in ctx.spatial] == [("cup", "on", "table")]
         assert "step 0" in ctx.temporal
         episodic, _ = orch.recall("where is the cup", scope="t1")
@@ -160,7 +160,7 @@ class TestGather:
         retrieved = []
         retrieve = orch.lifelong.retrieve
         orch.lifelong.retrieve = lambda *args: retrieved.append(args[1:]) or retrieve(*args)
-        working = orch.gather_context("where is the cup")
+        working = orch.gather_context(["cup"])
         assert retrieved == []
         assert [f.name for f in dataclasses.fields(working)] == ["spatial", "temporal"]
         episodic, semantic = orch.recall("where is the cup", scope="t1")
@@ -192,7 +192,7 @@ class TestGather:
         orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")]))
         orch.spatial.integrate()
         with pytest.raises(RuntimeError, match="temporal exploded"):
-            orch.gather_context("where is the cup")
+            orch.gather_context(["cup"])
         assert orch.spatial.snapshot()["retrieval_seed"] == ["cup"]
         with pytest.raises(RuntimeError, match="episodic exploded"):
             orch.recall("where is the cup", scope="t1")
@@ -204,7 +204,7 @@ class TestGather:
         orch.parallel = parallel
         monkeypatch.setattr(spatial, "khop_bound", lambda *args: 0)
         with pytest.raises(KHopBoundError):
-            orch.gather_context("where is the cup")
+            orch.gather_context(["cup"])
 
     def test_parallel_gather_overlaps_section_delays(self):
         delay = 0.05
@@ -213,7 +213,7 @@ class TestGather:
         for parallel in (True, False):
             orch = MemoryOrchestrator(parallel=parallel, delay_hooks=hooks)
             start = time.perf_counter()
-            orch.gather_context("cup")
+            orch.gather_context(["cup"])
             orch.recall("cup", scope="t1")
             elapsed[parallel] = time.perf_counter() - start
         assert elapsed[True] < 2.5 * delay
@@ -230,7 +230,7 @@ class TestGather:
         orch = self.build()
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         for _ in range(50):
-            orch.gather_context("where is the cup")
+            orch.gather_context(["cup"])
             orch.recall("where is the cup", scope="t1")
         assert len(started) <= 4, started
 
@@ -238,7 +238,7 @@ class TestGather:
         par = self.build()
         seq = self.build()
         seq.parallel = False
-        assert par.gather_context("where is the cup") == seq.gather_context("where is the cup")
+        assert par.gather_context(["cup"]) == seq.gather_context(["cup"])
         recalled_par = par.recall("where is the cup", scope="t1")
         recalled_seq = seq.recall("where is the cup", scope="t1")
         for hits_par, hits_seq in zip(recalled_par, recalled_seq):
@@ -294,6 +294,8 @@ class TestBlankAnswers:
         [record] = caplog.records
         assert "query generator failed" in record.getMessage()
         assert out.query == "put cup on table"
+        # The fallback names the goals and what the observation shows.
+        assert out.entities == ("cup", "table", "sink")
         episodic, semantic = orch.recall(out.query, scope="t1")
         assert episodic and semantic
 
@@ -307,6 +309,17 @@ class TestTaskBoundaries:
         assert orch.temporal.entries() == []
         assert orch.spatial.edges() == [] and orch.spatial.pending() == []
         assert len(orch.lifelong) >= 1
+
+    def test_reset_drops_the_lessons_of_a_task_that_never_ended(self):
+        # A crashed task gets no task-level update, so its buffered failure
+        # lessons must not reach the next task's scope.
+        orch = MemoryOrchestrator()
+        failed = step(1, verb=Verb.OPEN, target="oven", outcome=Outcome.FAILURE,
+                      reason="executor_failure")
+        orch.dispatch_update(UpdateEvent(level="action", record=failed))
+        orch.reset_task_state()
+        orch.dispatch_update(task_event("t2"))
+        assert [e.text for e in orch.lifelong.entities("semantic")] == []
 
     def test_snapshot_is_json_with_three_sections(self):
         orch = MemoryOrchestrator()
@@ -342,7 +355,9 @@ _store_operations = st.lists(
     st.one_of(
         st.tuples(st.just("action"), _records, st.lists(_triplets, max_size=10)),
         st.tuples(st.just("task"), st.sampled_from(["t1", "t2"]), st.booleans()),
-        st.tuples(st.just("query"), st.sampled_from(["find cup | seen: sink", "table"])),
+        # The query text, and the entity names of its cue.
+        st.sampled_from([("query", "find cup | seen: sink", ["cup", "sink"]),
+                         ("query", "table", ["table"])]),
         st.just(("reset",)),
     ),
     max_size=12,
@@ -364,7 +379,7 @@ class TestRestore:
                                     terminated_by=Termination.SELF_TERMINATED)
                 orch.dispatch_update(UpdateEvent(level="task", trace=trace, result=result))
             elif op[0] == "query":
-                orch.gather_context(op[1])
+                orch.gather_context(op[2])
                 orch.recall(op[1], scope="t1")
             else:
                 orch.reset_task_state()

@@ -19,10 +19,9 @@ from memagent.planner import (
     PlannerCritic,
     add_hints,
     build_beliefs,
-    parse_goals,
     run_episode,
 )
-from memagent.preprocessor import extract_triplets
+from memagent.preprocessor import extract_triplets, parse_goals
 from memagent.spatial import Triplet
 
 
@@ -439,7 +438,7 @@ class TestEpisodeLoop:
         orch = MemoryOrchestrator()
         gathers = []
         gather = orch.gather_context
-        orch.gather_context = lambda query: gathers.append(query) or gather(query)
+        orch.gather_context = lambda entities: gathers.append(entities) or gather(entities)
         env = Environment(profile="realworld", failure_p=0.0)
         episode = run_episode(self.task(), env, AlwaysRejectGateway(), orch)
         assert sum(not t["executed"] for t in episode.trajectory) >= 2

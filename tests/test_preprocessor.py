@@ -207,6 +207,14 @@ class TestPreprocess:
         assert "last action: navigate_to" in out.query
         assert "cup" in out.query
 
+    def test_entities_name_the_goals_the_implied_tools_and_what_is_seen(self):
+        pre = Preprocessor(instruction="heat apple and put apple on kitchen counter")
+        out = pre.preprocess(obs("you are at sink\nyou see cup on sink"), None, None)
+        assert pre.goal_entities == ["apple", "kitchen counter"]
+        assert out.entities == ("apple", "kitchen counter", "oven", "sink", "cup")
+        # The text recall embeds is rendered as before the names became data.
+        assert out.query == "heat apple and put apple on kitchen counter | needs: oven | seen: sink, cup"
+
     def test_gateway_failure_falls_back(self):
         class Down:
             def invoke(self, role, payload):
@@ -221,6 +229,7 @@ class TestPreprocess:
         )
         assert out.summary == "find cup: success"
         assert out.query == "put cup on table"
+        assert out.entities == ("cup", "table", "sink")
 
     def test_error_that_is_not_a_gateway_error_is_raised(self):
         # A bug in a rule must crash the episode, not read as a template.

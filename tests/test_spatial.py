@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from memagent import harness, oracle, spatial, vector_index
 from memagent.envsim import builtin_suite_path, load_suite
-from memagent.preprocessor import Preprocessor
+from memagent.orchestrator import MemoryOrchestrator
+from memagent.preprocessor import Preprocessor, visible_entities
 from memagent.spatial import (
     DEFAULT_BUFFER_CAPACITY,
     KHopBoundError,
@@ -183,7 +184,7 @@ class TestRetrieval:
         mem = make_memory()
         seed_graph(mem, [Triplet("kitchen counter", "near", "sink")])
         assert mem.retrieve_subgraph(["kitchen countertop"], 1) == (set(), [])
-        assert mem.query("wipe the kitchen countertop") == ()
+        assert mem.query(["kitchen countertop"]) == ()
 
     def test_unresolvable_seed_returns_empty(self):
         mem = make_memory()
@@ -195,7 +196,7 @@ class TestRetrieval:
     def test_numbered_seed_resolves_only_to_its_instance(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("drawer 1", "is", "closed")])
-        assert mem.query("open drawer 2") == ()
+        assert mem.query(["drawer 2", "drawer"]) == ()
         with mem._lock:
             assert "drawer 1" not in mem._retrieval_seed
 
@@ -214,7 +215,7 @@ class TestRetrieval:
                 Triplet("cup", "on", "table"),
             ],
         )
-        edges = mem.query("where is the cup")
+        edges = mem.query(["cup", "mug"])
         assert isinstance(edges, tuple)
         assert [e.key for e in edges] == [
             ("cup", "on", "table"),
@@ -226,7 +227,19 @@ class TestRetrieval:
     def test_query_with_no_entities_is_empty(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("sofa", "near", "tv stand")])
-        assert mem.query("qqq zzz") == ()
+        assert mem.query([]) == ()
+        assert mem.query(["qqq zzz"]) == ()
+
+    def test_each_name_that_is_a_node_is_a_seed(self):
+        # However many words a name has; a name is canonicalized first, and
+        # a name that is no node seeds nothing.
+        mem = make_memory()
+        seed_graph(mem, [Triplet("drawer 1 of the kitchen counter", "near", "red cup"),
+                         Triplet("red cup", "on", "table")])
+        edges = mem.query(["Drawer 1  of the Kitchen Counter", "cup", "table"])
+        assert [e.key for e in edges] == [("drawer 1 of the kitchen counter", "near", "red cup"),
+                                          ("red cup", "on", "table")]
+        assert mem.snapshot()["retrieval_seed"] == ["drawer 1 of the kitchen counter", "table"]
 
 
 class TestBuffer:
@@ -526,7 +539,7 @@ class TestDedup:
         mem, ref = make_memory(), FullReplaceMemory()
         for m in (mem, ref):
             m.restore({"nodes": ["red cup"], "edges": []})
-            m.query("find the red cup")
+            m.query(["red cup"])
             m.buffer_triplets([Triplet("red cups", "on", "table")])
             m.integrate()
         assert mem.nodes == {"red cup", "red cups", "table"}
@@ -877,7 +890,7 @@ class TestIncrementalMergeBack:
                 elif op == "clear":
                     m.clear()
                 elif isinstance(op, tuple):
-                    m.query(op[1])
+                    m.query([op[1]])
                 elif op != "snapshot":
                     m.buffer_triplets(op)
             if op == "snapshot":
@@ -1077,7 +1090,7 @@ class TestLazyRegion:
             if op == "snapshot":
                 saved = mem.snapshot()
             elif isinstance(op, tuple) and op[0] == "query":
-                assert mem.query(op[1]) == ref.query(op[1])
+                assert mem.query([op[1]]) == ref.query([op[1]])
             else:
                 for m in (mem, ref):
                     if op == "integrate":
@@ -1151,9 +1164,9 @@ class ShadowedMemory:
             m.integrate()
         self.check()
 
-    def query(self, text):
-        found = self.memory.query(text)
-        assert self.shadow.query(text) == found
+    def query(self, names):
+        found = self.memory.query(names)
+        assert self.shadow.query(names) == found
         return found
 
     def clear(self):
@@ -1177,99 +1190,40 @@ class TestFullReplaceShadow:
         assert shadowed.integrates > 100
 
 
-def reference_seeds(mem, text):
-    """Seeds as found without the name index: the fragments of one to three
-    words, none ending just before a number, that are nodes."""
-    words = text.split()
-    numbered = {i for i, word in enumerate(words) if any(c.isdigit() for c in word)}
-    fragments = {
-        " ".join(words[i:i + n])
-        for n in (1, 2, 3)
-        for i in range(len(words) - n + 1)
-        if i + n not in numbered
-    }
-    return fragments & mem.nodes
+class TestSeedCoverage:
+    """Spatial retrieval seeds from the query generator's entity names, so
+    at every gather of a suite run each goal name and each visible entity
+    that is a node at that moment is a seed."""
 
+    @pytest.mark.parametrize("seed", [3, 11, 29, 44])
+    def test_every_named_node_is_a_seed(self, seed, monkeypatch):
+        named = []  # the goal names and visible entities of the latest observation
+        misses, seeded = [], []
+        preprocess, gather = Preprocessor.preprocess, MemoryOrchestrator.gather_context
 
-_SEED_NAMES = _NEAR_NAMES + [
-    "kitchen counter", "cabinet 3", "cabinet 13", "apple",
-    # numbered names, repeated words, and names longer than three words
-    "kitchen counter 2", "2 drawer", "red red cup", "cup cup", "the big red cup",
-    "drawer 1 of the kitchen counter",
-]
-_QUERY_WORDS = ["find", "the", "red", "cup", "cups", "cupz", "drawer", "drawers", "1", "2",
-                "3", "13", "kitchen", "counter", "countertop", "cabinet", "tables", "apples",
-                "big", "of"]
+        def recording_preprocess(pre, obs, *args, **kwargs):
+            out = preprocess(pre, obs, *args, **kwargs)
+            named[:] = [*pre.goal_entities, *visible_entities(out.triplets)]
+            return out
 
+        def checked_gather(orch, entities):
+            context = gather(orch, entities)
+            nodes = orch.spatial.nodes
+            seeds = set(orch.spatial.snapshot()["retrieval_seed"])
+            expected = {name for name in named if name in nodes}
+            seeded.append(len(expected))
+            if not expected <= seeds:
+                misses.append((list(entities), sorted(expected - seeds)))
+            return context
 
-def name_index(names):
-    """The name index recounted from scratch: first word -> {name: words}."""
-    index = {}
-    for name in names:
-        words = tuple(name.split(" "))
-        index.setdefault(words[0], {})[name] = words
-    return index
-
-
-_seed_pairs = st.lists(
-    st.tuples(st.sampled_from(_SEED_NAMES), st.sampled_from(_SEED_NAMES)), min_size=1, max_size=4
-)
-_seed_operations = st.lists(
-    st.one_of(
-        _seed_pairs.map(lambda pairs: [Triplet(s, "near", o) for s, o in pairs]),
-        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
-        st.lists(st.sampled_from(_QUERY_WORDS + _SEED_NAMES), max_size=6).map(
-            lambda words: ("query", " ".join(words))
-        ),
-    ),
-    max_size=12,
-)
-
-
-class TestSeedPrune:
-    """The exact seed lookup goes through the name index, which must hold
-    exactly the nodes after every operation that adds or drops one: an
-    integrate, ``clear`` and ``restore``."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(edges=_seed_pairs, operations=_seed_operations)
-    def test_matches_resolving_every_fragment(self, edges, operations):
-        mem = make_memory(buffer_capacity=3)
-        seed_graph(mem, [Triplet(s, "near", o) for s, o in edges])
-        saved = mem.snapshot()
-        for op in operations:
-            if op == "integrate":
-                mem.integrate()
-            elif op == "snapshot":
-                saved = mem.snapshot()
-            elif op == "restore":
-                mem.restore(saved)
-            elif op == "clear":
-                mem.clear()
-            elif isinstance(op, tuple):
-                assert mem._extract_seeds(op[1]) == reference_seeds(mem, op[1])
-            else:
-                mem.buffer_triplets(op)
-            assert mem._names_by_first == name_index(mem.nodes)
-
-    @pytest.mark.parametrize(
-        "text, seeds",
-        [
-            # A name of three words matches; one of four never does.
-            ("find the red cup", {"red cup", "the red cup"}),
-            ("the big red cup", {"red cup"}),
-            # No match ends just before a number: kitchen counter 2 is
-            # another instance than kitchen counter.
-            ("kitchen counter 2 | cup", {"kitchen counter 2"}),
-            ("cup on kitchen counter", {"kitchen counter"}),
-        ],
-    )
-    def test_exact_lookup(self, text, seeds):
-        mem = make_memory()
-        seed_graph(mem, [Triplet("the red cup", "near", "kitchen counter"),
-                         Triplet("red cup", "on", "kitchen counter 2"),
-                         Triplet("the big red cup", "near", "red cup")])
-        assert mem._extract_seeds(text) == seeds == reference_seeds(mem, text)
+        monkeypatch.setattr(Preprocessor, "preprocess", recording_preprocess)
+        monkeypatch.setattr(MemoryOrchestrator, "gather_context", checked_gather)
+        report = harness.run_suite(seed=seed, passes=2, failure_p=0.1)["report"]
+        # An assertion inside an episode would read as a crash, so the
+        # misses are collected and checked here.
+        assert all(t["terminated_by"] != "crashed" for p in report["passes"] for t in p["tasks"])
+        assert misses == []
+        assert sum(seeded) > len(seeded)  # most gathers name several nodes
 
 
 class TestPersistence:
@@ -1327,7 +1281,7 @@ class TestPersistence:
         mem = make_memory()
         seed_graph(mem, [Triplet("cup", "on", "table", step_index=1)])
         mem.buffer_triplets([Triplet("fork", "on", "table")])
-        mem.query("where is the cup")
+        mem.query(["cup"])
         before = mem.snapshot()
         # The edges are good and would replace the graph; the nodes are not.
         bad = dict(before, edges=to_doc([Triplet("spoon", "in", "drawer")]), nodes=[5])
@@ -1361,9 +1315,9 @@ class TestNoEmbedding:
                     mem.clear()
                 elif isinstance(op, tuple):
                     # The name itself, one that is no node, and a numbered one.
-                    for text in (op[1], op[1] + "z", op[1] + " 3"):
-                        mem.query(text)
-                        mem.retrieve_subgraph([text])
+                    for name in (op[1], op[1] + "z", op[1] + " 3"):
+                        mem.query([name])
+                        mem.retrieve_subgraph([name])
                 else:
                     buffered.update(t.key for t in op)
                     mem.buffer_triplets(op)

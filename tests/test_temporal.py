@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memagent.core import ActionCommand, Outcome, StepRecord, Verb, canonical_json
+from memagent.core import (
+    ActionCommand,
+    InvariantError,
+    Outcome,
+    StepRecord,
+    Verb,
+    canonical_json,
+    to_doc,
+)
 from memagent.temporal import CompactedSummary, TemporalMemory
 
 
@@ -154,6 +162,28 @@ class TestLifecycle:
     def test_restore_checks_the_capacity(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
             TemporalMemory().restore({"capacity": capacity, "entries": []})
+
+    @pytest.mark.parametrize("capacity, limit", [(1, 2), (2, 2), (3, 3)])
+    def test_restore_refuses_more_entries_than_appends_leave(self, capacity, limit):
+        # A full buffer compacts on append, so it never holds more than
+        # capacity items, or a summary and a record when capacity is 1.
+        mem = TemporalMemory(capacity=capacity)
+        for i in range(limit + 2):
+            mem.append(record(i))
+            TemporalMemory(capacity=capacity).restore(mem.snapshot())  # what appends leave
+        assert len(mem.entries()) == limit
+        over = dict(mem.snapshot())
+        over["entries"] = over["entries"] + [dict(over["entries"][-1], step_index=limit)]
+        before = mem.snapshot()
+        with pytest.raises(InvariantError) as refused:
+            mem.restore(over)
+        assert refused.value.path == "entries"
+        assert mem.snapshot() == before
+
+    def test_restore_refuses_five_steps_in_a_buffer_of_three(self):
+        steps = [dict(to_doc(record(i)), type="step") for i in range(5)]
+        with pytest.raises(InvariantError, match="entries"):
+            TemporalMemory().restore({"capacity": 3, "entries": steps})
 
     def test_restore_rejects_an_unknown_entry_type(self):
         doc = {"capacity": 2, "entries": [{"type": "note", "text": "x"}]}
