@@ -26,12 +26,11 @@ from .envsim import Environment, TaskSpec
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
 from .lifelong import MemoryEntity, TaskTrace
 from .orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
-from .preprocessor import Preprocessor
+from .preprocessor import AGENT, Preprocessor
 from .spatial import Triplet
 
 logger = logging.getLogger(__name__)
 
-AGENT = "agent"
 _LOCATION_RELS = ("on", "in")
 
 class EmptyPlanError(Exception):
@@ -258,9 +257,11 @@ def run_episode(
     trace = TaskTrace(task_id=task.id, instruction=task.instruction, goal_objects=goal_objects)
 
     def absorb_observation(observed_triplets: Tuple[Triplet, ...]) -> None:
-        trace.note_visit(env.agent_at)
         for triplet in observed_triplets:
-            if triplet.subject != AGENT and triplet.relation in _LOCATION_RELS:
+            if triplet.subject == AGENT:
+                if triplet.relation == "at":  # every observation says where the agent is
+                    trace.note_visit(triplet.object)
+            elif triplet.relation in _LOCATION_RELS:
                 trace.note_seen(triplet.subject, triplet.relation, triplet.object)
             if triplet.relation == "is" and triplet.object == "open":
                 trace.note_opened(triplet.subject)

@@ -20,15 +20,17 @@ tables, the contested slots are the conflicts it finds among a
 subject's keys, and the fast check looks up its exclusive partners.
 
 The step pays only for lookups some decision reads. The fast conflict
-check is a key lookup in the graph and in a set of the buffer's keys. The
-K-hop region is computed only when a decision reads it: when a subject is
-dirty (the detector has not seen its out-edges together since it last
-gained one, as after ``restore``), when K is 0, or for the in-edges of a
-hot node. With K >= 1 it can change nothing else: a subject that gains a
-key is an endpoint of the batch, so each of its out-edges ends one hop
-away, inside the region, and the detector then sees all of them. A batch
-that gains no key while no subject is dirty only writes its newer step
-indexes in place.
+check is a key lookup in the graph and in a set of the buffer's keys. K is
+at least 1, and the graph holds no conflict: integrate resolves every
+subject that gains a key, and ``restore`` refuses a snapshot whose facts
+conflict. So only a subject that gains a key may conflict, and with
+K >= 1 each of its out-edges ends in the region, since the subject is an
+endpoint of the batch: the detector gets all of them, and the K-hop
+region is computed only for the in-edges of a hot node. A batch that
+gains no key only writes its newer step indexes in place. The detector
+is trusted: if a remote one misses a conflict, the graph keeps it until
+its subject next gains a key, and a snapshot taken meanwhile is refused
+on restore.
 
 A node is the name it was observed under, and the seeds of a query are
 the names it is given that are nodes: names are keyed exactly, with no
@@ -120,6 +122,7 @@ class SpatialMemory:
     ):
         # Nothing resets the budget of a gateway of its own, so it has none.
         self.gateway = gateway or ReasonerGateway(budget=math.inf)
+        check_int(k_hops, 1, "k_hops")
         self.k_hops = k_hops
         self.buffer_capacity = buffer_capacity
         self.max_out_degree = max_out_degree
@@ -131,9 +134,6 @@ class SpatialMemory:
         self._out: Dict[str, Set[EdgeKey]] = {}
         self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
-        # Subjects whose out-edges may hold a conflict: _add_edge has added a
-        # key of theirs since the detector last saw all their out-edges.
-        self._dirty: Set[str] = set()
         self._pending: List[Triplet] = []
         # The keys of _pending, for the fast conflict check; emptied with it.
         self._pending_keys: Set[EdgeKey] = set()
@@ -169,7 +169,6 @@ class SpatialMemory:
             self._out.clear()
             self._in.clear()
             self._nodes.clear()
-            self._dirty.clear()
             self._pending.clear()
             self._pending_keys.clear()
             self._retrieval_seed.clear()
@@ -229,33 +228,14 @@ class SpatialMemory:
                 changed[key] = triplet  # relationship merging: max step_index wins
         # Keys the graph does not hold are new facts.
         gained = [key for key in changed if key not in edges]
-        if not gained and not self._dirty:
-            # No subject may conflict and no node gains a key, so only step
+        if not gained:
+            # No subject gains a key, so none may conflict: only step
             # indexes change, in place.
             edges.update(changed)
             return
 
-        # A subject may conflict when it gains a key, or when the detector
-        # has not seen its out-edges since it last gained one. With K >= 1
-        # every out-edge of a subject that gains a key ends in the region
-        # (the subject is an endpoint of the batch), so the region is
-        # computed only where it can change the result: for dirty subjects,
-        # for K = 0, and for the in-edges of hot nodes.
-        ends = {t.subject for t in t_new} | {t.object for t in t_new}
-
-        def batch_region() -> Set[str]:
-            return self._region(ends | self._retrieval_seed, self.k_hops) | ends
-
-        eager = bool(self._dirty) or self.k_hops < 1
-        region = batch_region() if eager else None
         suspects = {key[0] for key in gained}
-        if self._dirty:
-            suspects.update(
-                n
-                for n in self._dirty
-                if n in region and any(k[2] in region for k in self._out.get(n, ()))
-            )
-        losers = self._resolve_conflicts(suspects, changed, region)
+        losers = self._resolve_conflicts(suspects, changed)
         graph_losers = {key for key in losers if key in edges}
         for key in losers:
             changed.pop(key, None)
@@ -268,12 +248,13 @@ class SpatialMemory:
         # the local set stays in place; a newer triplet of a key the graph
         # holds overwrites it.
         hot = self._hot_nodes([key for key in gained if key not in losers], graph_losers)
-        if hot and region is None:
-            region = batch_region()
         stale = set(graph_losers)
-        for node in hot:
-            stale.update(k for k in self._out.get(node, ()) if k[2] in region)
-            stale.update(k for k in self._in.get(node, ()) if k[0] in region)
+        if hot:
+            ends = {t.subject for t in t_new} | {t.object for t in t_new}
+            region = self._region(ends | self._retrieval_seed, self.k_hops) | ends
+            for node in hot:
+                stale.update(k for k in self._out.get(node, ()) if k[2] in region)
+                stale.update(k for k in self._in.get(node, ()) if k[0] in region)
         readd = {key: edges[key] for key in stale - graph_losers}
         readd.update(changed)
         for key in stale:
@@ -286,14 +267,6 @@ class SpatialMemory:
                 edges[key] = edge  # same endpoints: nothing else changes
             else:
                 self._add_edge(edge)
-        # A re-added edge of a subject that was not sent marked it dirty,
-        # though it gained no key; a subject sent is clean when the detector
-        # saw every out-edge it now has, as each one that gains a key with
-        # K >= 1 has.
-        self._dirty -= {key[0] for key in readd} - suspects
-        if eager:
-            suspects = {s for s in suspects if all(k[2] in region for k in self._out.get(s, ()))}
-        self._dirty -= suspects
 
     def _hot_nodes(self, gained: List[EdgeKey], graph_losers: Set[EdgeKey]) -> Set[str]:
         """The endpoints of ``gained`` keys whose out- or in-degree after
@@ -316,22 +289,18 @@ class SpatialMemory:
         return hot
 
     def _resolve_conflicts(
-        self,
-        suspects: Set[str],
-        changed: Dict[EdgeKey, Triplet],
-        region: Optional[Set[str]],
+        self, suspects: Set[str], changed: Dict[EdgeKey, Triplet]
     ) -> Set[EdgeKey]:
-        """The losers of each conflict among the local out-edges of the
-        suspects. Every rule of the detector is per subject (exclusive
-        relations on one subject and object, one object per functional
-        group of a subject, one value per state set of a subject), so the
-        edges of other subjects cannot conflict and are not sent; of a
-        suspect's edges, only those in a contested slot are (see
+        """The losers of each conflict among the out-edges of the suspects,
+        overlaid by ``changed``. Every rule of the detector is per subject
+        (exclusive relations on one subject and object, one object per
+        functional group of a subject, one value per state set of a
+        subject), so the edges of other subjects cannot conflict and are not
+        sent; of a suspect's edges, only those in a contested slot are (see
         ``_contested``). With no contested slot there is no call."""
         local = {key for key in changed if key[0] in suspects}
         for subject in suspects:
-            out = self._out.get(subject, ())
-            local.update(out if region is None else [k for k in out if k[2] in region])
+            local.update(self._out.get(subject, ()))
         keys = sorted(_contested(local))
         if not keys:
             return set()
@@ -410,7 +379,6 @@ class SpatialMemory:
             # Same endpoints: no node, degree or incident key changes.
             self._edges[key] = edge
             return
-        self._dirty.add(edge.subject)
         self._edges[key] = edge
         self._out.setdefault(edge.subject, set()).add(key)
         self._in.setdefault(edge.object, set()).add(key)
@@ -425,8 +393,6 @@ class SpatialMemory:
             keys.discard(key)
             if not keys:
                 del index[node]
-        if key[0] not in self._out:
-            self._dirty.discard(key[0])  # no out-edge is left to conflict
 
     def _enforce_degree_cap(self, node: str, outgoing: bool) -> None:
         cap = self.max_out_degree if outgoing else self.max_in_degree
@@ -459,8 +425,15 @@ class SpatialMemory:
     def prepare_restore(self, doc: dict) -> Callable[[], None]:
         """Parse and check every field of a ``snapshot`` document, and
         return the function that replaces the memory with it. A bad
-        document raises here, before anything is replaced."""
+        document raises here, before anything is replaced. The graph must
+        hold no conflict of ``DEFAULT_RULES``, as integrate leaves it; the
+        buffer is not integrated yet, so its facts may conflict."""
         edges = [from_doc(Triplet, edge_doc) for edge_doc in doc["edges"]]
+        keys = [edge.key for edge in edges]
+        conflicts = DEFAULT_RULES.conflicts(keys)
+        if conflicts:
+            facts = "; ".join(" / ".join(" ".join(keys[i]) for i in group) for group in conflicts)
+            raise InvariantError(f"conflicting facts: {facts}", "edges")
         nodes = _names(doc["nodes"], "nodes")
         pending = [from_doc(Triplet, t) for t in doc.get("pending", [])]
         retrieval_seed = _names(doc.get("retrieval_seed", []), "retrieval_seed")

@@ -35,7 +35,6 @@ import numpy as np
 from .core import canonical_name
 
 DEFAULT_DIM = 64
-DEFAULT_THETA = 0.8
 #: Distinct (text, dim) embeddings kept; one suite run uses about 500.
 EMBED_CACHE_SIZE = 4096
 #: Distinct (trigram, dim) buckets kept; a warm suite run hashes about 1,100.
@@ -189,7 +188,7 @@ class VectorIndex:
         self,
         query: np.ndarray,
         k: int,
-        theta: float = DEFAULT_THETA,
+        theta: float,
         among: Optional[Collection[str]] = None,
     ) -> List[Tuple[IndexEntry, float]]:
         """Top-k entries with cosine score >= theta, sorted by descending

@@ -26,6 +26,7 @@ from memagent.harness import (
 )
 from memagent.lifelong import LifelongMemory
 from memagent.spatial import SpatialMemory
+from memagent.temporal import TemporalMemory
 
 
 def result(task_id, scn, gcn):
@@ -134,6 +135,44 @@ class TestAgentSystem:
         run_pass(tasks[:3], system, suite_seed=3, profile=profile, failure_p=0.1)
         assert threads
         assert (off_main_thread(threads) > 0) == parallel
+
+    def test_task_level_update_runs_on_the_callers_thread(
+        self, latency_bound_oracle, monkeypatch
+    ):
+        # A task-level update has one branch, so fan_out runs consolidation
+        # inline: a fan-out inside it is a top-level one, not nested. A step's
+        # update has two or more branches, and the gather two sections, so
+        # they run on pool threads; the reset observation's update has only
+        # the spatial branch.
+        on_main = {}
+
+        def recorded(cls, name):
+            method = getattr(cls, name)
+
+            def record(self, *args):
+                on_main.setdefault(name, []).append(
+                    threading.current_thread() is threading.main_thread()
+                )
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, record)
+
+        for cls, name in [(LifelongMemory, "extract_task_entities"),
+                          (LifelongMemory, "consolidate"),
+                          (SpatialMemory, "buffer_triplets"),
+                          (SpatialMemory, "query"),
+                          (TemporalMemory, "append")]:
+            recorded(cls, name)
+        profile, tasks = load_suite(builtin_suite_path())
+        run_pass(tasks, AgentSystem.build(parallel=True), suite_seed=3, profile=profile,
+                 failure_p=0.1)
+        assert on_main["extract_task_entities"] == [True] * len(tasks)
+        assert on_main["consolidate"] == [True] * len(tasks)
+        steps = len(on_main["append"])
+        assert steps > len(tasks)
+        assert not any(on_main["append"]) and not any(on_main["query"])
+        assert on_main["buffer_triplets"].count(True) == len(tasks)
+        assert on_main["buffer_triplets"].count(False) == steps
 
 
 class TestRunPass:

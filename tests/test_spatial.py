@@ -10,7 +10,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memagent import harness, oracle, spatial, vector_index
@@ -463,31 +463,36 @@ class TestConflictScope:
             ("table", "near", "window"): 1,
         }
 
-    def test_edge_added_outside_integrate_makes_its_subject_suspect(self):
-        mem = make_memory()
-        sent = self.record_detector(mem)
-        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
-        mem.integrate()
-        seed_graph(mem, [Triplet("cup", "in", "cabinet", step_index=5)])
-        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
-        mem.integrate()
-        assert sent == [[("cup", "in", "cabinet"), ("cup", "on", "table")]]
-        keys = {e.key for e in mem.edges()}
-        assert keys == {("cup", "in", "cabinet")}
+    @pytest.mark.parametrize("k_hops", [0, -1, 1.5, True])
+    def test_k_hops_must_be_an_int_at_least_1(self, k_hops):
+        # With K = 0 an out-edge of a subject that gains a key can end
+        # outside the batch's region, which integrate may not touch.
+        with pytest.raises(InvariantError) as refused:
+            make_memory(k_hops=k_hops)
+        assert refused.value.path == "k_hops"
 
-    def test_subject_with_an_edge_outside_the_region_stays_suspect(self):
-        # With K=0 the region of "cup in cabinet" leaves out "cup on table",
-        # so the detector has not seen the two together.
-        mem = make_memory(k_hops=0)
+    def test_restore_refuses_a_snapshot_whose_facts_conflict(self):
+        mem = make_memory()
         mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
         mem.integrate()
-        mem.buffer_triplets([Triplet("cup", "in", "cabinet", step_index=2)])
-        mem.integrate()
-        assert len(mem.edges()) == 2
-        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1),
-                             Triplet("cup", "in", "cabinet", step_index=2)])
-        mem.integrate()
-        assert [e.key for e in mem.edges()] == [("cup", "in", "cabinet")]
+        mem.buffer_triplets([Triplet("fork", "on", "table", step_index=2)])
+        mem.query(["cup"])
+        before = mem.snapshot()
+        # Integrate would have kept one of the two; the buffer is not
+        # checked, since it is not integrated yet.
+        bad = dict(before, edges=to_doc([Triplet("cup", "in", "cabinet", step_index=2),
+                                         Triplet("cup", "on", "table", step_index=1)]),
+                   pending=to_doc([Triplet("fork", "in", "drawer 1", step_index=3),
+                                   Triplet("fork", "on", "drawer 1", step_index=3)]))
+        with pytest.raises(InvariantError) as refused:
+            mem.restore(bad)
+        assert refused.value.path == "edges"
+        assert "cup in cabinet" in str(refused.value)
+        assert "cup on table" in str(refused.value)
+        assert mem.snapshot() == before
+        mem.restore(dict(bad, edges=to_doc([Triplet("cup", "in", "cabinet", step_index=2)])))
+        assert [t.key for t in mem.pending()] == [("fork", "in", "drawer 1"),
+                                                  ("fork", "on", "drawer 1")]
 
     @settings(max_examples=200, deadline=None)
     @given(triplets=st.lists(_slot_triplets, max_size=12))
@@ -872,7 +877,7 @@ class TestIncrementalMergeBack:
         max_out=st.integers(min_value=1, max_value=3),
         max_in=st.integers(min_value=1, max_value=3),
         buffer=st.integers(min_value=1, max_value=4),
-        k=st.integers(min_value=0, max_value=2),
+        k=st.integers(min_value=1, max_value=2),
     )
     def test_matches_full_replace_after_every_operation(
         self, operations, max_out, max_in, buffer, k
@@ -936,7 +941,22 @@ class EagerRegionMemory(SpatialMemory):
     frozen here so that it does not follow the code it checks. Every
     integrate computes the K-hop region, reads it for every suspect and hot
     node, scans each suspect's local out-edges for contested slots on its
-    own, and keeps a subject dirty after its last out-edge goes."""
+    own, and keeps a subject dirty after its last out-edge goes. It keeps
+    its own set of dirty subjects: those an edge was added to since the
+    detector last saw all their out-edges."""
+
+    def __init__(self, **config):
+        super().__init__(**config)
+        self._dirty = set()
+
+    def clear(self):
+        super().clear()
+        self._dirty.clear()
+
+    def _add_edge(self, edge):
+        if edge.key not in self._edges:
+            self._dirty.add(edge.subject)
+        super()._add_edge(edge)
 
     def _integrate(self, t_new):
         ends = {t.subject for t in t_new} | {t.object for t in t_new}
@@ -1038,8 +1058,6 @@ _region_triplets = st.builds(
 _region_operations = st.lists(
     st.one_of(
         st.lists(_region_triplets, min_size=1, max_size=4),
-        # Edges added past integrate, like restore's, make their subjects dirty.
-        st.lists(_region_triplets, min_size=1, max_size=3).map(lambda ts: ("seed", ts)),
         # A batch of the graph's own facts around a node: it gains no key.
         st.sampled_from(_REGION_NAMES).map(lambda name: ("restate", name)),
         st.sampled_from(_REGION_NAMES).map(lambda name: ("query", name)),
@@ -1047,13 +1065,41 @@ _region_operations = st.lists(
     ),
     max_size=20,
 )
+# What a restored memory is given next: no snapshot, restore or clear.
+_further_operations = st.lists(
+    st.one_of(
+        st.lists(_region_triplets, min_size=1, max_size=4),
+        st.sampled_from(_REGION_NAMES).map(lambda name: ("restate", name)),
+        st.sampled_from(_REGION_NAMES).map(lambda name: ("query", name)),
+        st.just("integrate"),
+    ),
+    max_size=12,
+)
+
+
+def apply_region_operation(mem, op, saved):
+    """Apply one operation of ``_region_operations`` other than
+    ``"snapshot"``; return what a query answers, else None."""
+    if op == "integrate":
+        mem.integrate()
+    elif op == "restore":
+        mem.restore(saved)
+    elif op == "clear":
+        mem.clear()
+    elif isinstance(op, list):
+        mem.buffer_triplets(op)
+    elif op[0] == "query":
+        return mem.query([op[1]])
+    else:
+        mem.buffer_triplets([e for e in mem.edges() if op[1] in (e.subject, e.object)])
+        mem.integrate()
+    return None
 
 
 class TestLazyRegion:
     """Integrate computes the K-hop region only when a decision reads it:
-    for dirty subjects, for K = 0 and for the in-edges of hot nodes. It
-    must send the detector what the eager region did and leave the same
-    memory."""
+    for the in-edges of hot nodes. It must send the detector what the eager
+    region did and leave the same memory."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1061,22 +1107,7 @@ class TestLazyRegion:
         max_out=st.integers(min_value=1, max_value=3),
         max_in=st.integers(min_value=1, max_value=3),
         buffer=st.integers(min_value=1, max_value=4),
-        k=st.integers(min_value=0, max_value=2),
-    )
-    # With K = 0, "cup on table" is outside the region of "cup in drawer 1",
-    # so cup stays dirty, and a restatement of both must send them.
-    @example(
-        operations=[[Triplet("cup", "on", "table", 1)], "integrate",
-                    [Triplet("cup", "in", "drawer 1", 2)], "integrate", ("restate", "cup")],
-        max_out=3, max_in=3, buffer=4, k=0,
-    )
-    # A conflict added past integrate is sent once its subject is in a
-    # region, though the subject gains no key.
-    @example(
-        operations=[("seed", [Triplet("cup", "on", "table", 1),
-                              Triplet("cup", "in", "drawer 1", 2)]),
-                    [Triplet("agent", "near", "cup", 3)], "integrate"],
-        max_out=3, max_in=3, buffer=4, k=1,
+        k=st.integers(min_value=1, max_value=2),
     )
     def test_matches_the_eager_region_after_every_operation(
         self, operations, max_out, max_in, buffer, k
@@ -1089,23 +1120,10 @@ class TestLazyRegion:
         for op in operations:
             if op == "snapshot":
                 saved = mem.snapshot()
-            elif isinstance(op, tuple) and op[0] == "query":
-                assert mem.query([op[1]]) == ref.query([op[1]])
             else:
-                for m in (mem, ref):
-                    if op == "integrate":
-                        m.integrate()
-                    elif op == "restore":
-                        m.restore(saved)
-                    elif op == "clear":
-                        m.clear()
-                    elif isinstance(op, list):
-                        m.buffer_triplets(op)
-                    elif op[0] == "seed":
-                        seed_graph(m, op[1])
-                    else:
-                        m.buffer_triplets([e for e in m.edges() if op[1] in (e.subject, e.object)])
-                        m.integrate()
+                assert apply_region_operation(mem, op, saved) == apply_region_operation(
+                    ref, op, saved
+                )
             assert sent == ref_sent
             assert mem.snapshot() == ref.snapshot()
 
@@ -1115,7 +1133,6 @@ class TestLazyRegion:
                              Triplet("agent", "near", "cup", step_index=1),
                              Triplet("oven", "is", "open", step_index=2)])
         mem.integrate()
-        assert not mem._dirty
         sent = record_payloads(mem)
         # Non-canonical spellings name the same keys; an older restatement
         # never lowers a step index.
@@ -1134,6 +1151,44 @@ class TestLazyRegion:
             ("cup", "on", "table"): 4,
             ("oven", "is", "open"): 2,
         }
+
+
+class TestRestoreThenContinue:
+    """A memory restored from a snapshot, with the same settings, continues
+    as the one that wrote it: given the same further buffers, integrates
+    and queries, both send the detector the same payloads, answer the same
+    queries and leave the same snapshot."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=_region_operations,
+        after=_further_operations,
+        max_out=st.integers(min_value=1, max_value=3),
+        max_in=st.integers(min_value=1, max_value=3),
+        buffer=st.integers(min_value=1, max_value=4),
+        k=st.integers(min_value=1, max_value=2),
+    )
+    def test_restored_memory_continues_as_the_original(
+        self, before, after, max_out, max_in, buffer, k
+    ):
+        config = dict(max_out_degree=max_out, max_in_degree=max_in,
+                      buffer_capacity=buffer, k_hops=k)
+        mem = make_memory(**config)
+        saved = mem.snapshot()
+        for op in before:
+            if op == "snapshot":
+                saved = mem.snapshot()
+            else:
+                apply_region_operation(mem, op, saved)
+        resumed = make_memory(**config)
+        resumed.restore(mem.snapshot())
+        sent, resumed_sent = record_payloads(mem), record_payloads(resumed)
+        for op in after:
+            assert apply_region_operation(resumed, op, None) == apply_region_operation(
+                mem, op, None
+            )
+            assert resumed_sent == sent
+            assert resumed.snapshot() == mem.snapshot()
 
 
 class ShadowedMemory:

@@ -117,7 +117,7 @@ class TestVectorIndex:
     def test_k_must_be_positive(self):
         index = VectorIndex()
         with pytest.raises(ValueError):
-            index.search(HashingEmbedder().embed("x"), k=0)
+            index.search(HashingEmbedder().embed("x"), k=0, theta=0.0)
 
     def test_theta_filters(self):
         e = HashingEmbedder()
@@ -173,7 +173,8 @@ class TestVectorIndex:
         index.remove("a")  # "c" moves into the freed first row
         assert_store_consistent(index)
         assert [(h.id, s) for h, s in index.search(query, k=3, theta=0.0)] == want[1:]
-        assert [(h.id, s) for h, s in index.search(np.array([0.0, 1.0]), k=1)] == [("c", 1.0)]
+        hits = index.search(np.array([0.0, 1.0]), k=1, theta=0.8)
+        assert [(h.id, s) for h, s in hits] == [("c", 1.0)]
 
     def test_non_finite_vectors_rejected(self):
         index = VectorIndex(dim=2)
@@ -182,7 +183,7 @@ class TestVectorIndex:
         assert len(index) == 0
         index.upsert(IndexEntry(id="a", text="a", embedding=np.array([1.0, 0.0])))
         with pytest.raises(ValueError):
-            index.search(np.array([np.inf, 0.0]), k=1)
+            index.search(np.array([np.inf, 0.0]), k=1, theta=0.0)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
