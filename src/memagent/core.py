@@ -160,10 +160,9 @@ class StepRecord:
             object.__setattr__(self, "action", from_doc(ActionCommand, self.action))
         if not isinstance(self.outcome, Outcome):
             object.__setattr__(self, "outcome", Outcome(self.outcome))
-        if self.step_index < 0:
-            raise InvariantError("step_index must be >= 0", "step_index")
-        if not self.summary:
-            raise InvariantError("summary must be non-empty", "summary")
+        check_int(self.step_index, 0, "step_index")
+        if not isinstance(self.summary, str) or not self.summary:
+            raise InvariantError(f"must be non-empty text, not {self.summary!r}", "summary")
         if self.outcome is Outcome.FAILURE and not self.failure_reason:
             raise InvariantError(
                 "failure_reason required on failure", "failure_reason"

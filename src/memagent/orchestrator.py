@@ -9,11 +9,11 @@ final state is independent of branch scheduling.
 
 Retrieval has one read path per kind of memory. ``gather_context``
 reads working memory (the spatial query around the query generator's
-entity names, which also sets the seed the next integrate reads, and the
-temporal buffer), which changes with every executed step. ``recall``
-reads long-term memory, which changes only at a task-level update, and
-ranks only the entries of one task's scope, so its cost is proportional
-to that scope, not to the whole store. That scope
+entity names, a pure read, and the temporal buffer), which changes with
+every executed step. ``recall`` reads long-term memory, which changes
+only at a task-level update, and ranks only the entries of one task's
+scope, so its cost is proportional to that scope, not to the whole
+store. That scope
 (``LifelongMemory.retrieve``) is the one place the rule "trust only this
 task's entries" is kept; the planner takes what is recalled.
 
@@ -159,9 +159,9 @@ class MemoryOrchestrator:
     # -- task boundaries & persistence ----------------------------------------
 
     def reset_task_state(self) -> None:
-        """Per-task working memory reset: temporal buffer, spatial graph, the
-        retrieval seed, and any failure lessons a crashed task left
-        buffered. Long-term stores persist."""
+        """Per-task working memory reset: temporal buffer, spatial graph
+        and buffer, and any failure lessons a crashed task left buffered.
+        Long-term stores persist."""
         self.temporal.clear()
         self.spatial.clear()
         self.lifelong.clear_action_buffer()

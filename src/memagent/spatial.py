@@ -2,39 +2,43 @@
 
 New facts land in a small pending buffer (rapid response), one batch per
 observation. When a batch leaves the buffer saturated or holds a
-fast-detected conflict, the whole buffer is integrated once: the affected
-K-hop region of the graph is conflict-resolved and merged back; nodes
-outside that region are never touched. A batch is never cut, so a query
-made after the call never misses the tail of an observation that filled
-the buffer.
+fast-detected conflict, the whole buffer is integrated once. A batch is
+never cut, so a query made after the call never misses the tail of an
+observation that filled the buffer.
 
-Integrate costs what the step changed, not what the region holds. The
-region is a set of nodes, and its local edge set is never copied: it is
-the graph's edges inside the region, overlaid by the changed keys (new
-facts that win on step index). The conflict detector gets only the edges
-in contested slots of subjects that may conflict, and the merge-back
-re-adds, in the order a full replace of the region would, only the changed
-keys and the region edges of nodes that would exceed a degree cap.
-Conflicts are those of ``conflicts.DEFAULT_RULES``: the detector gets its
-tables, the contested slots are the conflicts it finds among a
-subject's keys, and the fast check looks up its exclusive partners.
+Integrate writes only what the batch changed. The changed keys are the
+batch's facts that the graph lacks or holds at an older step index
+(relationship merging: the newest step index wins). Only a subject that
+gains a key may conflict: the graph holds no conflict, since integrate
+resolves every subject that gains a key and ``restore`` refuses a
+snapshot whose facts conflict. The detector gets the out-edges of those
+subjects, overlaid by the changed keys, and of them only the edges in
+contested slots. The merge-back removes the conflict losers the graph
+holds, overwrites in place every changed key the graph keeps, then adds
+the keys the graph lacks in arrival order; a node a new key takes above a
+degree cap evicts its oldest incident edges. So integrate changes
+exactly: the changed keys, the out-edges of suspects that lose a
+conflict, and the edges evicted at endpoints of new keys. A batch that
+gains no key only writes its newer step indexes in place. K is at least
+1, so every changed key and every out-edge of a suspect (an endpoint of
+the batch) lies in the batch's K-hop region; an evicted in-edge may start
+outside it.
 
-The step pays only for lookups some decision reads. The fast conflict
-check is a key lookup in the graph and in a set of the buffer's keys. K is
-at least 1, and the graph holds no conflict: integrate resolves every
-subject that gains a key, and ``restore`` refuses a snapshot whose facts
-conflict. So only a subject that gains a key may conflict, and with
-K >= 1 each of its out-edges ends in the region, since the subject is an
-endpoint of the batch: the detector gets all of them, and the K-hop
-region is computed only for the in-edges of a hot node. A batch that
-gains no key only writes its newer step indexes in place. The detector
-is trusted: if a remote one misses a conflict, the graph keeps it until
-its subject next gains a key, and a snapshot taken meanwhile is refused
-on restore.
+The graph is the one a full replace of that region gives. Eviction sorts
+a node's incident edges by step index, then key; edges that held
+together under the caps never evict when re-added; and the restated keys
+carry their new step index before the first new key is added, so the new
+keys evict as they would after a full replace. Conflicts are those of
+``conflicts.DEFAULT_RULES``: the detector gets its tables, the contested
+slots are the conflicts it finds among a subject's keys, and the fast
+check looks up its exclusive partners. The detector is trusted: if a
+remote one misses a conflict, the graph keeps it until its subject next
+gains a key, and a snapshot taken meanwhile is refused on restore.
 
-A node is the name it was observed under, and the seeds of a query are
-the names it is given that are nodes: names are keyed exactly, with no
-similarity merge or search, and no text is parsed for them.
+A query is a pure read. A node is the name it was observed under, and the
+seeds of a query are the names it is given that are nodes: names are
+keyed exactly, with no similarity merge or search, and no text is parsed
+for them.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -137,7 +142,6 @@ class SpatialMemory:
         self._pending: List[Triplet] = []
         # The keys of _pending, for the fast conflict check; emptied with it.
         self._pending_keys: Set[EdgeKey] = set()
-        self._retrieval_seed: Set[str] = set()  # most recent retrieval entities
         self._lock = threading.RLock()
 
     # -- basic views ------------------------------------------------------
@@ -171,7 +175,6 @@ class SpatialMemory:
             self._nodes.clear()
             self._pending.clear()
             self._pending_keys.clear()
-            self._retrieval_seed.clear()
 
     # -- rapid response phase ---------------------------------------------
 
@@ -215,10 +218,6 @@ class SpatialMemory:
             self._integrate(t_new)
 
     def _integrate(self, t_new: List[Triplet]) -> None:
-        # The local set is never built: it is the graph's edges with both
-        # endpoints in the region, overlaid by ``changed``, the keys whose
-        # local triplet is not the graph's. Its order is the sorted region
-        # keys, then new keys in arrival order.
         edges = self._edges
         changed: Dict[EdgeKey, Triplet] = {}
         for triplet in t_new:
@@ -226,67 +225,21 @@ class SpatialMemory:
             prior = changed.get(key) or edges.get(key)
             if prior is None or triplet.step_index >= prior.step_index:
                 changed[key] = triplet  # relationship merging: max step_index wins
-        # Keys the graph does not hold are new facts.
+        # Keys the graph does not hold are new facts; only their subjects
+        # may conflict.
         gained = [key for key in changed if key not in edges]
-        if not gained:
-            # No subject gains a key, so none may conflict: only step
-            # indexes change, in place.
-            edges.update(changed)
-            return
-
-        suspects = {key[0] for key in gained}
-        losers = self._resolve_conflicts(suspects, changed)
-        graph_losers = {key for key in losers if key in edges}
-        for key in losers:
+        for key in self._resolve_conflicts({key[0] for key in gained}, changed):
+            if key in edges:
+                self._remove_edge(key)
             changed.pop(key, None)
-
-        # Merge back. Only a node that gains a key can end above a degree
-        # cap, and only a node above its cap evicts, so no other node evicts
-        # during a full replace of the region either. The region edges of
-        # these hot nodes are removed and re-added so that they evict as a
-        # full replace in local order would. Every other edge that stays in
-        # the local set stays in place; a newer triplet of a key the graph
-        # holds overwrites it.
-        hot = self._hot_nodes([key for key in gained if key not in losers], graph_losers)
-        stale = set(graph_losers)
-        if hot:
-            ends = {t.subject for t in t_new} | {t.object for t in t_new}
-            region = self._region(ends | self._retrieval_seed, self.k_hops) | ends
-            for node in hot:
-                stale.update(k for k in self._out.get(node, ()) if k[2] in region)
-                stale.update(k for k in self._in.get(node, ()) if k[0] in region)
-        readd = {key: edges[key] for key in stale - graph_losers}
-        readd.update(changed)
-        for key in stale:
-            self._remove_edge(key)
-        # ``readd`` already evicts as local order does: the removed edges
-        # held together under the caps before, so none of them evicts on its
-        # way back, and the keys the graph lacks follow them in arrival order.
-        for key, edge in readd.items():
+        # Restated keys take their new step index before any new key is
+        # added, so the new keys evict as after a full replace of the region.
+        for key, edge in changed.items():
             if key in edges:
                 edges[key] = edge  # same endpoints: nothing else changes
-            else:
-                self._add_edge(edge)
-
-    def _hot_nodes(self, gained: List[EdgeKey], graph_losers: Set[EdgeKey]) -> Set[str]:
-        """The endpoints of ``gained`` keys whose out- or in-degree after
-        the merge-back, before any eviction, exceeds its cap: the edges they
-        keep (all but the conflict losers) plus the keys they gain."""
-        hot: Set[str] = set()
-        if not gained:
-            return hot
-        for end, index, cap in (
-            (0, self._out, self.max_out_degree),
-            (2, self._in, self.max_in_degree),
-        ):
-            for node in {key[end] for key in gained}:
-                keys = index.get(node, ())
-                if len(keys) + len(gained) <= cap:
-                    continue  # it keeps at most the keys it has
-                count = sum(1 for key in gained if key[end] == node)
-                if len(keys) - len(graph_losers.intersection(keys)) + count > cap:
-                    hot.add(node)
-        return hot
+        for key in gained:
+            if key in changed:
+                self._add_edge(changed[key])
 
     def _resolve_conflicts(
         self, suspects: Set[str], changed: Dict[EdgeKey, Triplet]
@@ -362,10 +315,9 @@ class SpatialMemory:
 
     def query(self, names: Iterable[str]) -> Tuple[Triplet, ...]:
         """The edges of the subgraph around the names that are nodes, sorted
-        by key; remembers those nodes as the seed set."""
+        by key. A pure read."""
         with self._lock:
             seeds = {name for name in map(canonical_name, names) if name in self._nodes}
-            self._retrieval_seed = seeds
             if not seeds:
                 return ()
             _, edges = self.retrieve_subgraph(seeds)
@@ -414,29 +366,37 @@ class SpatialMemory:
                 "nodes": sorted(self._nodes),
                 "edges": to_doc(self.edges()),
                 "pending": to_doc(self._pending),
-                "retrieval_seed": sorted(self._retrieval_seed),
             }
 
     def restore(self, doc: dict) -> None:
-        """Take the graph, buffer and retrieval seed of a ``snapshot``
-        document. A bad document leaves the memory as it was."""
+        """Take the graph and buffer of a ``snapshot`` document. A bad
+        document leaves the memory as it was."""
         self.prepare_restore(doc)()
 
     def prepare_restore(self, doc: dict) -> Callable[[], None]:
         """Parse and check every field of a ``snapshot`` document, and
         return the function that replaces the memory with it. A bad
-        document raises here, before anything is replaced. The graph must
-        hold no conflict of ``DEFAULT_RULES``, as integrate leaves it; the
-        buffer is not integrated yet, so its facts may conflict."""
+        document raises here, before anything is replaced. As integrate
+        leaves it, the graph must hold no conflict of ``DEFAULT_RULES`` and
+        no node above a degree cap; the buffer is not integrated yet, so its
+        facts may conflict. A ``retrieval_seed`` field, which snapshots
+        carried before queries became pure reads, is ignored."""
         edges = [from_doc(Triplet, edge_doc) for edge_doc in doc["edges"]]
         keys = [edge.key for edge in edges]
         conflicts = DEFAULT_RULES.conflicts(keys)
         if conflicts:
             facts = "; ".join(" / ".join(" ".join(keys[i]) for i in group) for group in conflicts)
             raise InvariantError(f"conflicting facts: {facts}", "edges")
+        distinct = set(keys)
+        for end, cap, kind in ((0, self.max_out_degree, "out"), (2, self.max_in_degree, "in")):
+            degrees = Counter(key[end] for key in distinct)
+            over = sorted(f"{node} ({n})" for node, n in degrees.items() if n > cap)
+            if over:
+                raise InvariantError(
+                    f"{kind}-degree above the cap {cap}: {', '.join(over)}", "edges"
+                )
         nodes = _names(doc["nodes"], "nodes")
         pending = [from_doc(Triplet, t) for t in doc.get("pending", [])]
-        retrieval_seed = _names(doc.get("retrieval_seed", []), "retrieval_seed")
 
         def install() -> None:
             with self._lock:
@@ -446,7 +406,6 @@ class SpatialMemory:
                 self._nodes.update(nodes)
                 self._pending = pending
                 self._pending_keys = {t.key for t in pending}
-                self._retrieval_seed = set(retrieval_seed)
 
         return install
 

@@ -23,11 +23,15 @@ class CompactedSummary:
     covers_steps: Tuple[int, int]  # inclusive step range
 
     def __post_init__(self):
-        if not isinstance(self.covers_steps, tuple):
-            object.__setattr__(self, "covers_steps", tuple(self.covers_steps))
-        first, last = self.covers_steps
-        if first > last:
-            raise ValueError("covers_steps must be a non-empty range")
+        if not isinstance(self.text, str):
+            raise InvariantError(f"must be text, not {self.text!r}", "text")
+        steps = self.covers_steps
+        if not isinstance(steps, (list, tuple)) or len(steps) != 2:
+            raise InvariantError(f"must be a pair of step indexes, not {steps!r}", "covers_steps")
+        first, last = steps
+        check_int(first, 0, "covers_steps")
+        check_int(last, first, "covers_steps")  # a non-empty range
+        object.__setattr__(self, "covers_steps", (first, last))
 
 
 BufferItem = Union[StepRecord, CompactedSummary]

@@ -373,12 +373,12 @@ class TestGoldenReports:
 #: the same runs; both modes must write the same bytes.
 GOLDEN_SNAPSHOT_SHA256 = {
     3: (
-        "e4193f4ff4034add33a5073448051bd1a3e2b92bc23e1d8e9a8bcf89f9fcb1bb",
-        "1b7993cb99fc1a13e92c95275a51fb5996d4ccd3cfea9544fbe1ffcf219744b3",
+        "41fca4827fa932185c442d6cf2d4221bc036b795a3ec736331bdeac52f6fef57",
+        "9bcd2c3bbf0d1095a1acb9129c1fc69489777efd7d269940099ba896c581a6dc",
     ),
     11: (
-        "5886cf3deca0401c5d9cf44a502c37ec2222a37b57205ec0a1996c14b0fb8bc4",
-        "d95b18d4df553c70339f535380d543eec346c3bf81a424c7d2c4902d4e60c338",
+        "103f65248d42706f44bfc673461b59c035e70222784f54617aba6dda54968d4b",
+        "b5a3d5bfd61f05f395f937ded418b71f5366073a94e7f79084077f05f1f56822",
     ),
 }
 

@@ -191,9 +191,17 @@ class TestGather:
         )
         orch.dispatch_update(action_event(0, [Triplet("cup", "on", "table")]))
         orch.spatial.integrate()
+        seeds = []
+        retrieve = orch.spatial.retrieve_subgraph
+
+        def recording_retrieve(names, k=None):
+            seeds.append(sorted(names))
+            return retrieve(names, k)
+
+        orch.spatial.retrieve_subgraph = recording_retrieve
         with pytest.raises(RuntimeError, match="temporal exploded"):
             orch.gather_context(["cup"])
-        assert orch.spatial.snapshot()["retrieval_seed"] == ["cup"]
+        assert seeds == [["cup"]]
         with pytest.raises(RuntimeError, match="episodic exploded"):
             orch.recall("where is the cup", scope="t1")
         assert sorted(retrieved) == ["episodic", "semantic"]

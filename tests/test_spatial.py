@@ -25,7 +25,7 @@ from memagent.spatial import (
     khop_bound,
 )
 from memagent.conflicts import DEFAULT_EXCLUSIVE_PAIRS, DEFAULT_TABLES
-from memagent.core import InvariantError, canonical_json, from_doc, to_doc
+from memagent.core import InvariantError, canonical_json, canonical_name, from_doc, to_doc
 from memagent.gateway import ReasonerGateway, ReasonerRole
 
 
@@ -38,6 +38,21 @@ def seed_graph(mem, triplets):
     with mem._lock:
         for t in triplets:
             mem._add_edge(t)
+
+
+def record_seeds(mem):
+    """Log the seeds of every subgraph ``mem`` retrieves, sorted, one list
+    per retrieval."""
+    seeds = []
+    retrieve = mem.retrieve_subgraph
+
+    def recording(names, k=None):
+        names = sorted(set(names))
+        seeds.append(names)
+        return retrieve(names, k)
+
+    mem.retrieve_subgraph = recording
+    return seeds
 
 
 def bfs_oracle(edge_keys, seeds, k):
@@ -196,9 +211,9 @@ class TestRetrieval:
     def test_numbered_seed_resolves_only_to_its_instance(self):
         mem = make_memory()
         seed_graph(mem, [Triplet("drawer 1", "is", "closed")])
+        seeds = record_seeds(mem)
         assert mem.query(["drawer 2", "drawer"]) == ()
-        with mem._lock:
-            assert "drawer 1" not in mem._retrieval_seed
+        assert "drawer 1" not in {name for names in seeds for name in names}
 
     def test_seed_without_number_names_no_instance(self):
         mem = make_memory()
@@ -215,14 +230,14 @@ class TestRetrieval:
                 Triplet("cup", "on", "table"),
             ],
         )
+        seeds = record_seeds(mem)
         edges = mem.query(["cup", "mug"])
         assert isinstance(edges, tuple)
         assert [e.key for e in edges] == [
             ("cup", "on", "table"),
             ("table", "near", "window"),
         ]
-        with mem._lock:
-            assert "cup" in mem._retrieval_seed
+        assert seeds == [["cup"]]
 
     def test_query_with_no_entities_is_empty(self):
         mem = make_memory()
@@ -236,10 +251,11 @@ class TestRetrieval:
         mem = make_memory()
         seed_graph(mem, [Triplet("drawer 1 of the kitchen counter", "near", "red cup"),
                          Triplet("red cup", "on", "table")])
+        seeds = record_seeds(mem)
         edges = mem.query(["Drawer 1  of the Kitchen Counter", "cup", "table"])
         assert [e.key for e in edges] == [("drawer 1 of the kitchen counter", "near", "red cup"),
                                           ("red cup", "on", "table")]
-        assert mem.snapshot()["retrieval_seed"] == ["drawer 1 of the kitchen counter", "table"]
+        assert seeds == [["drawer 1 of the kitchen counter", "table"]]
 
 
 class TestBuffer:
@@ -540,7 +556,8 @@ class TestDedup:
 
     def test_retrieval_seed_without_a_region_edge_is_not_merged(self):
         # "red cup" is a node without edges that the last query named, so it
-        # is in the region but in no local edge, and "red cups" stays apart.
+        # is in the reference's region but in no local edge, and "red cups"
+        # stays apart.
         mem, ref = make_memory(), FullReplaceMemory()
         for m in (mem, ref):
             m.restore({"nodes": ["red cup"], "edges": []})
@@ -791,12 +808,46 @@ class TestBatchIntegrate:
         assert 0 < integrate.call_count <= preprocess.call_count
 
 
-class FullReplaceMemory(SpatialMemory):
+class SeededMemory(SpatialMemory):
+    """The retrieval seed of the reference models below, frozen as it was
+    before queries became pure reads: a query remembers the names it seeds
+    from, the region of the next integrate reaches from them too, and a
+    restore takes them from a document that carries them (snapshots no
+    longer do, so a restore from one empties the seed, as ``clear`` does)."""
+
+    def __init__(self, *args, **config):
+        super().__init__(*args, **config)
+        self._retrieval_seed = set()
+
+    def clear(self):
+        super().clear()
+        self._retrieval_seed = set()
+
+    def query(self, names):
+        with self._lock:
+            names = list(names)
+            self._retrieval_seed = {n for n in map(canonical_name, names) if n in self._nodes}
+            return super().query(names)
+
+    def prepare_restore(self, doc):
+        install = super().prepare_restore(doc)
+        seed = set(spatial._names(doc.get("retrieval_seed", []), "retrieval_seed"))
+
+        def install_with_seed():
+            with self._lock:
+                install()
+                self._retrieval_seed = seed
+
+        return install_with_seed
+
+
+class FullReplaceMemory(SeededMemory):
     """Reference model: integrate as it was before merge-back became
     incremental, frozen here so that it does not follow the code it checks.
-    It retrieves the region's sorted edges and builds the local set from
-    them, every local edge goes to the conflict detector, and the merge-back
-    removes the whole retrieved region and re-adds the local set in order."""
+    It retrieves the sorted edges of the region around the batch and the
+    retrieval seed and builds the local set from them, every local edge goes
+    to the conflict detector, and the merge-back removes the whole retrieved
+    region and re-adds the local set in order."""
 
     def _integrate(self, t_new):
         seeds = {t.subject for t in t_new} | {t.object for t in t_new}
@@ -904,6 +955,11 @@ class TestIncrementalMergeBack:
 
 
 class TestHotNodeMergeBack:
+    """A node that a new key takes above a degree cap evicts its oldest
+    incident edges, and integrate removes nothing else the graph keeps: it
+    never removes and re-adds the edges of such a hot node, nor computes a
+    region for them, and still leaves the full replace's graph."""
+
     def integrate_twice(self, mem, removed):
         mem.buffer_triplets([Triplet("agent", "at", "kitchen", step_index=1),
                              Triplet("agent", "near", "cup", step_index=1),
@@ -929,21 +985,28 @@ class TestHotNodeMergeBack:
         config = dict(max_out_degree=2)
         mem, ref = make_memory(**config), FullReplaceMemory(**config)
         removed = []
-        self.integrate_twice(mem, removed)
+        with mock.patch.object(
+            SpatialMemory, "_region", autospec=True, side_effect=SpatialMemory._region
+        ) as region:
+            self.integrate_twice(mem, removed)
         self.integrate_twice(ref, [])
-        assert removed and all(key[0] == "agent" for key in removed)
+        # agent gains "near apple" above its cap of 2: only the oldest of its
+        # out-edges goes.
+        assert removed == [("agent", "at", "kitchen")]
+        assert region.call_count == 0
         assert mem.snapshot() == ref.snapshot()
         assert ("agent", "at", "kitchen") not in {e.key for e in mem.edges()}
 
 
-class EagerRegionMemory(SpatialMemory):
+class EagerRegionMemory(SeededMemory):
     """Reference model: integrate as it was before the region became lazy,
     frozen here so that it does not follow the code it checks. Every
-    integrate computes the K-hop region, reads it for every suspect and hot
-    node, scans each suspect's local out-edges for contested slots on its
-    own, and keeps a subject dirty after its last out-edge goes. It keeps
-    its own set of dirty subjects: those an edge was added to since the
-    detector last saw all their out-edges."""
+    integrate computes the K-hop region around the batch and the retrieval
+    seed, reads it for every suspect and hot node, scans each suspect's
+    local out-edges for contested slots on its own, keeps a subject dirty
+    after its last out-edge goes, and removes and re-adds the region edges
+    of every hot node. It keeps its own set of dirty subjects: those an edge
+    was added to since the detector last saw all their out-edges."""
 
     def __init__(self, **config):
         super().__init__(**config)
@@ -995,6 +1058,26 @@ class EagerRegionMemory(SpatialMemory):
         self._dirty.difference_update(
             [s for s in suspects if all(k[2] in region for k in self._out.get(s, ()))]
         )
+
+    def _hot_nodes(self, gained, graph_losers):
+        """The endpoints of ``gained`` keys whose out- or in-degree after
+        the merge-back, before any eviction, exceeds its cap: the edges they
+        keep (all but the conflict losers) plus the keys they gain."""
+        hot = set()
+        if not gained:
+            return hot
+        for end, index, cap in (
+            (0, self._out, self.max_out_degree),
+            (2, self._in, self.max_in_degree),
+        ):
+            for node in {key[end] for key in gained}:
+                keys = index.get(node, ())
+                if len(keys) + len(gained) <= cap:
+                    continue  # it keeps at most the keys it has
+                count = sum(1 for key in gained if key[end] == node)
+                if len(keys) - len(graph_losers.intersection(keys)) + count > cap:
+                    hot.add(node)
+        return hot
 
     def _resolve_conflicts(self, suspects, changed, region):
         local_out = {
@@ -1097,9 +1180,10 @@ def apply_region_operation(mem, op, saved):
 
 
 class TestLazyRegion:
-    """Integrate computes the K-hop region only when a decision reads it:
-    for the in-edges of hot nodes. It must send the detector what the eager
-    region did and leave the same memory."""
+    """Integrate never computes the K-hop region: it reads only the changed
+    keys, the out-edges of the subjects that gain a key and the incident
+    edges of the endpoints of new keys. It must send the detector what the
+    frozen eager-region reference does and leave the same memory."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1253,18 +1337,26 @@ class TestSeedCoverage:
     @pytest.mark.parametrize("seed", [3, 11, 29, 44])
     def test_every_named_node_is_a_seed(self, seed, monkeypatch):
         named = []  # the goal names and visible entities of the latest observation
+        retrieved = []  # the seeds of each spatial retrieval of the latest gather
         misses, seeded = [], []
         preprocess, gather = Preprocessor.preprocess, MemoryOrchestrator.gather_context
+        retrieve = SpatialMemory.retrieve_subgraph
 
         def recording_preprocess(pre, obs, *args, **kwargs):
             out = preprocess(pre, obs, *args, **kwargs)
             named[:] = [*pre.goal_entities, *visible_entities(out.triplets)]
             return out
 
+        def recording_retrieve(mem, names, k=None):
+            names = set(names)
+            retrieved.append(names)
+            return retrieve(mem, names, k)
+
         def checked_gather(orch, entities):
+            retrieved.clear()
             context = gather(orch, entities)
             nodes = orch.spatial.nodes
-            seeds = set(orch.spatial.snapshot()["retrieval_seed"])
+            seeds = set().union(*retrieved)
             expected = {name for name in named if name in nodes}
             seeded.append(len(expected))
             if not expected <= seeds:
@@ -1273,6 +1365,7 @@ class TestSeedCoverage:
 
         monkeypatch.setattr(Preprocessor, "preprocess", recording_preprocess)
         monkeypatch.setattr(MemoryOrchestrator, "gather_context", checked_gather)
+        monkeypatch.setattr(SpatialMemory, "retrieve_subgraph", recording_retrieve)
         report = harness.run_suite(seed=seed, passes=2, failure_p=0.1)["report"]
         # An assertion inside an episode would read as a crash, so the
         # misses are collected and checked here.
@@ -1305,7 +1398,7 @@ class TestPersistence:
         seed_graph(mem, [Triplet("cup", "on", "table")])
         doc = mem.snapshot()
         assert json.loads(canonical_json(doc)) == doc
-        assert set(doc) == {"nodes", "edges", "pending", "retrieval_seed"}
+        assert set(doc) == {"nodes", "edges", "pending"}
 
     def test_clear_empties_everything(self):
         mem = make_memory()
@@ -1323,7 +1416,6 @@ class TestPersistence:
             ({"nodes": "abc", "edges": []}, "nodes"),
             ({"nodes": [5], "edges": []}, "nodes"),
             ({"nodes": ["cup", " "], "edges": []}, "nodes"),
-            ({"nodes": [], "edges": [], "retrieval_seed": [7]}, "retrieval_seed"),
         ],
     )
     def test_restore_refuses_a_field_that_is_not_a_list_of_names(self, doc, path):
@@ -1331,6 +1423,50 @@ class TestPersistence:
         with pytest.raises(InvariantError) as refused:
             mem.restore(doc)
         assert refused.value.path == path
+
+    @pytest.mark.parametrize("retrieval_seed", [["cup", "table"], [7]])
+    def test_restore_ignores_the_retrieval_seed_of_an_older_snapshot(self, retrieval_seed):
+        # Snapshots written before queries became pure reads carry the names
+        # the last query seeded from; nothing reads them now.
+        mem = make_memory()
+        seed_graph(mem, [Triplet("cup", "on", "table", step_index=1)])
+        mem.buffer_triplets([Triplet("fork", "on", "table")])
+        doc = mem.snapshot()
+        other = make_memory()
+        other.restore(dict(doc, retrieval_seed=retrieval_seed))
+        assert other.snapshot() == doc
+
+    def test_restore_refuses_a_node_above_its_out_degree_cap(self):
+        # Installing such a graph would evict the oldest edges in silence.
+        doc = {"nodes": [], "edges": to_doc(
+            [Triplet("shelf", "near", f"box {i:02d}", step_index=i) for i in range(20)])}
+        mem = make_memory()
+        seed_graph(mem, [Triplet("cup", "on", "table", step_index=1)])
+        before = mem.snapshot()
+        with pytest.raises(InvariantError) as refused:
+            mem.restore(doc)
+        assert refused.value.path == "edges"
+        assert "shelf (20)" in str(refused.value)
+        assert f"cap {spatial.DEFAULT_MAX_OUT_DEGREE}" in str(refused.value)
+        assert mem.snapshot() == before
+        wider = make_memory(max_out_degree=20)
+        wider.restore(doc)
+        assert wider.snapshot()["edges"] == doc["edges"]
+        assert wider.out_degree("shelf") == 20
+
+    def test_restore_refuses_a_node_above_its_in_degree_cap(self):
+        doc = {"nodes": [], "edges": to_doc(
+            [Triplet(f"cup {i}", "on", "shelf", step_index=i) for i in range(5)])}
+        mem = make_memory(max_in_degree=2)
+        with pytest.raises(InvariantError) as refused:
+            mem.restore(doc)
+        assert refused.value.path == "edges"
+        assert "shelf (5)" in str(refused.value)
+        assert "cap 2" in str(refused.value)
+        assert mem.snapshot() == make_memory().snapshot()
+        # A key stated twice is one edge.
+        mem.restore(dict(doc, edges=doc["edges"][:2] + doc["edges"][:2]))
+        assert mem.in_degree("shelf") == 2
 
     def test_refused_restore_leaves_the_memory_as_it_was(self):
         mem = make_memory()
@@ -1378,3 +1514,35 @@ class TestNoEmbedding:
                     mem.buffer_triplets(op)
                 # Every edge keeps the spelling it was buffered under.
                 assert {e.key for e in mem.edges()} <= buffered
+
+
+class TestPureQuery:
+    """A query reads the memory and changes nothing in it."""
+
+    def test_query_leaves_the_snapshot_as_it_was(self):
+        mem = make_memory()
+        mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
+        mem.integrate()
+        mem.buffer_triplets([Triplet("fork", "on", "table", step_index=2)])
+        before = mem.snapshot()
+        for names in (["cup"], ["table", "window"], ["qqq"], []):
+            mem.query(names)
+            assert mem.snapshot() == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        operations=_region_operations,
+        buffer=st.integers(min_value=1, max_value=4),
+        k=st.integers(min_value=1, max_value=2),
+    )
+    def test_no_query_changes_the_snapshot(self, operations, buffer, k):
+        mem = make_memory(buffer_capacity=buffer, k_hops=k)
+        saved = mem.snapshot()
+        for op in operations:
+            if op == "snapshot":
+                saved = mem.snapshot()
+                continue
+            before = mem.snapshot()
+            apply_region_operation(mem, op, saved)
+            if isinstance(op, tuple) and op[0] == "query":
+                assert mem.snapshot() == before

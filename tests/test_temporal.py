@@ -48,6 +48,24 @@ class TestCompactedSummary:
     def test_singleton_range_allowed(self):
         CompactedSummary(text="x", covers_steps=(3, 3))
 
+    @pytest.mark.parametrize(
+        "covers_steps",
+        [["a", "b"], [1.5, 2], [True, 2], [1, None], [-1, 2], [1], [1, 2, 3], 5, "12"],
+    )
+    def test_rejects_covers_steps_that_are_not_two_step_indexes(self, covers_steps):
+        with pytest.raises(InvariantError) as refused:
+            CompactedSummary(text="x", covers_steps=covers_steps)
+        assert refused.value.path == "covers_steps"
+
+    @pytest.mark.parametrize("text", [5, None, ["x"]])
+    def test_rejects_text_that_is_not_text(self, text):
+        with pytest.raises(InvariantError) as refused:
+            CompactedSummary(text=text, covers_steps=(1, 2))
+        assert refused.value.path == "text"
+
+    def test_a_list_of_steps_becomes_a_tuple(self):
+        assert CompactedSummary(text="", covers_steps=[1, 2]).covers_steps == (1, 2)
+
 
 class TestAppendPolicy:
     def test_rejects_zero_capacity(self):
@@ -184,6 +202,47 @@ class TestLifecycle:
         steps = [dict(to_doc(record(i)), type="step") for i in range(5)]
         with pytest.raises(InvariantError, match="entries"):
             TemporalMemory().restore({"capacity": 3, "entries": steps})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("step_index", 1.5), ("step_index", True), ("step_index", "3"),
+         ("step_index", None), ("summary", 5), ("summary", None), ("summary", "")],
+    )
+    def test_restore_refuses_a_step_field_of_the_wrong_type(self, field, value):
+        mem = TemporalMemory(capacity=2)
+        mem.append(record(0))
+        before = mem.snapshot()
+        step = dict(to_doc(record(1)), type="step")
+        step[field] = value
+        with pytest.raises(InvariantError) as refused:
+            mem.restore({"capacity": 2, "entries": [step]})
+        assert refused.value.path == field
+        assert mem.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("covers_steps", ["a", "b"]), ("covers_steps", [1.5, 2]),
+         ("covers_steps", [True, 2]), ("covers_steps", [2, 1]), ("text", 5)],
+    )
+    def test_restore_refuses_a_summary_field_of_the_wrong_type(self, field, value):
+        mem = TemporalMemory(capacity=2)
+        mem.append(record(0))
+        before = mem.snapshot()
+        summary = {"type": "compacted", "text": "x", "covers_steps": [0, 1]}
+        summary[field] = value
+        with pytest.raises(InvariantError) as refused:
+            mem.restore({"capacity": 2, "entries": [summary]})
+        assert refused.value.path == field
+        assert mem.snapshot() == before
+
+    def test_restore_keeps_blank_text_that_is_not_empty(self):
+        # A summary or compacted text of whitespace is text; only an empty
+        # step summary is refused.
+        step = dict(to_doc(record(2)), type="step", summary="  ")
+        summary = {"type": "compacted", "text": "", "covers_steps": [0, 1]}
+        mem = TemporalMemory(capacity=2)
+        mem.restore({"capacity": 2, "entries": [summary, step]})
+        assert mem.snapshot()["entries"] == [summary, step]
 
     def test_restore_rejects_an_unknown_entry_type(self):
         doc = {"capacity": 2, "entries": [{"type": "note", "text": "x"}]}
