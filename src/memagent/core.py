@@ -141,10 +141,9 @@ class Observation:
     text: str
 
     def __post_init__(self):
-        if self.step_index < 0:
-            raise InvariantError("step_index must be >= 0", "step_index")
-        if not self.text:
-            raise InvariantError("text must be non-empty", "text")
+        check_int(self.step_index, 0, "step_index")
+        if not isinstance(self.text, str) or not self.text:
+            raise InvariantError(f"must be non-empty text, not {self.text!r}", "text")
 
 
 @dataclass(frozen=True)

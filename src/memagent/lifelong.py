@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -338,6 +339,9 @@ class LifelongMemory:
             if prior is not None:
                 self._unscope(prior)
             self._entities[entity.id] = entity
+            key, number = _id_key(entity.id)
+            if number > self._id_counters.get(key, 0):  # a caller's id: never give it
+                self._id_counters[key] = number
             self._scopes[entity.kind].setdefault(entity.task, set()).add(entity.id)
             self._indexes[entity.kind].upsert(
                 IndexEntry(id=entity.id, text=entity.text, embedding=self.embedder.embed(entity.text))
@@ -407,11 +411,19 @@ class LifelongMemory:
     def prepare_restore(self, doc: dict) -> Callable[[], None]:
         """Parse and check a ``snapshot`` document, and return the function
         that replaces the memory with it. A bad document raises here, before
-        anything is wiped."""
+        anything is wiped. Ids are distinct, and no counter is below a held id
+        of its form, so no new entry is given a held id (as ``_apply`` keeps it)."""
         counters = dict(doc.get("id_counters", {}))
         for key, value in counters.items():
             check_int(value, 0, f"id_counters[{key!r}]")
         entities = [from_doc(MemoryEntity, d) for d in doc["entities"]]
+        ids = Counter(entity.id for entity in entities)
+        repeated = sorted(i for i, n in ids.items() if n > 1)
+        if repeated:
+            raise InvariantError(f"ids held twice: {', '.join(repeated)}", "entities")
+        ahead = sorted(i for i in ids if _id_key(i)[1] > counters.get(_id_key(i)[0], 0))
+        if ahead:
+            raise InvariantError(f"below the held ids {', '.join(ahead)}", "id_counters")
 
         def install() -> None:
             with self._lock:
@@ -420,3 +432,12 @@ class LifelongMemory:
                 self._apply(UpdatePlan(adds=entities))
 
         return install
+
+
+def _id_key(entity_id: str) -> Tuple[str, int]:
+    """The counter key and number of an id of the form ``_next_id`` gives,
+    ``<kind>-<task>-<n>``; number 0 for another id."""
+    key, _, number = entity_id.rpartition("-")
+    if key.startswith(("episodic-", "semantic-")) and number.isdecimal():
+        return key, int(number)
+    return key, 0

@@ -26,8 +26,7 @@ from .envsim import Environment, TaskSpec
 from .gateway import GatewayError, ReasonerGateway, ReasonerRole
 from .lifelong import MemoryEntity, TaskTrace
 from .orchestrator import MemoryContext, MemoryOrchestrator, UpdateEvent
-from .preprocessor import AGENT, Preprocessor
-from .spatial import Triplet
+from .preprocessor import PreprocessOutput, Preprocessor
 
 logger = logging.getLogger(__name__)
 
@@ -64,9 +63,9 @@ class CriticVerdict:
 
 @dataclass
 class BeliefState:
-    """What the planner currently believes, assembled from the triplets of
-    the latest observation (authoritative) layered over the memory
-    context."""
+    """What the planner currently believes: the agent's place and hand and
+    the triplets of the latest observation (authoritative), layered over
+    the memory context."""
 
     agent_at: Optional[str] = None
     holding: Optional[str] = None
@@ -78,11 +77,11 @@ class BeliefState:
     avoid_points: Dict[str, List[str]] = field(default_factory=dict)
 
 
-def build_beliefs(context: MemoryContext, observed_triplets: Sequence[Triplet]) -> BeliefState:
+def build_beliefs(context: MemoryContext, observed: PreprocessOutput) -> BeliefState:
     """Beliefs from working memory and the current observation; long-term
     hints are added by ``add_hints``."""
-    beliefs = BeliefState()
-    obs_facts = [t.key for t in observed_triplets]
+    beliefs = BeliefState(agent_at=observed.agent_at, holding=observed.holding)
+    obs_facts = [t.key for t in observed.triplets]
     kg_facts = [t.key for t in context.spatial]
 
     obs_located = {s for s, r, _ in obs_facts if r in _LOCATION_RELS}
@@ -95,18 +94,10 @@ def build_beliefs(context: MemoryContext, observed_triplets: Sequence[Triplet]) 
             continue
         if r == "is" and s in obs_state_subjects:
             continue
-        if r in ("at", "holds", "near") and s == AGENT:
-            continue
         merged.append(fact)
     merged.extend(obs_facts)
 
     for subject, relation, obj in merged:
-        if subject == AGENT:
-            if relation == "at":
-                beliefs.agent_at = obj
-            elif relation == "holds":
-                beliefs.holding = obj
-            continue
         if relation in _LOCATION_RELS:
             beliefs.known_locations[subject] = {"rel": relation, "place": obj}
         elif relation == "is":
@@ -256,21 +247,18 @@ def run_episode(
     goal_objects = sorted(set(preprocessor.goal_entities) - set(env.nav_points))
     trace = TaskTrace(task_id=task.id, instruction=task.instruction, goal_objects=goal_objects)
 
-    def absorb_observation(observed_triplets: Tuple[Triplet, ...]) -> None:
-        for triplet in observed_triplets:
-            if triplet.subject == AGENT:
-                if triplet.relation == "at":  # every observation says where the agent is
-                    trace.note_visit(triplet.object)
-            elif triplet.relation in _LOCATION_RELS:
+    def absorb_observation(observed: PreprocessOutput) -> None:
+        if observed.agent_at is not None:
+            trace.note_visit(observed.agent_at)
+        for triplet in observed.triplets:
+            if triplet.relation in _LOCATION_RELS:
                 trace.note_seen(triplet.subject, triplet.relation, triplet.object)
-            if triplet.relation == "is" and triplet.object == "open":
+            elif triplet.relation == "is" and triplet.object == "open":
                 trace.note_opened(triplet.subject)
 
-    initial = preprocessor.preprocess(obs, None, None)
-    observed = initial.triplets
+    observed = preprocessor.preprocess(obs, None, None)
     absorb_observation(observed)
-    orchestrator.dispatch_update(UpdateEvent(level="action", triplets=observed))
-    query, entities = initial.query, initial.entities
+    orchestrator.dispatch_update(UpdateEvent(level="action", triplets=observed.triplets))
 
     trajectory: List[dict] = []
     executed = 0
@@ -287,13 +275,13 @@ def run_episode(
         # planner reads and only the task-level update writes, once per
         # executed step and only when a plan is made.
         if beliefs is None:
-            context = orchestrator.gather_context(entities)
+            context = orchestrator.gather_context(observed.entities)
             beliefs = build_beliefs(context, observed)
             recalled = False
 
         if plan is None or plan_index >= len(plan.steps):
             if not recalled:
-                episodic, semantic = orchestrator.recall(query, scope=task.id)
+                episodic, semantic = orchestrator.recall(observed.query, scope=task.id)
                 add_hints(beliefs, episodic + semantic, trace)
                 recalled = True
             try:
@@ -333,23 +321,21 @@ def run_episode(
         executed += 1
         completed = action.verb is Verb.TASK_COMPLETE and outcome is Outcome.SUCCESS
         beliefs = None
-        pre = preprocessor.preprocess(obs, action, outcome, failure_reason)
-        observed = pre.triplets
+        observed = preprocessor.preprocess(obs, action, outcome, failure_reason)
         absorb_observation(observed)
         trace.verbs.append(action.verb.value)
         if failure_reason:
             trace.failure_reasons.append(failure_reason)
 
-        query, entities = pre.query, pre.entities
         record = StepRecord(
             step_index=executed,
             action=action,
-            summary=pre.summary,
+            summary=observed.summary,
             outcome=outcome,
             failure_reason=failure_reason,
         )
         orchestrator.dispatch_update(
-            UpdateEvent(level="action", record=record, triplets=pre.triplets)
+            UpdateEvent(level="action", record=record, triplets=observed.triplets)
         )
         trajectory.append(
             {

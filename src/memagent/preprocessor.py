@@ -1,10 +1,11 @@
 """Perceptual front-end: turns one observation into a step summary, a
-long-term-memory query, the entities to seed spatial retrieval with, and
-spatial triplets.
+long-term-memory query, the entities to seed spatial retrieval with, the
+world's spatial triplets, and the agent's own place and held object.
 
 ``Preprocessor.preprocess`` is the only parse of an observation: the
-planner's belief state, the task trace and the spatial memory all read the
-triplets it returns.
+planner's belief state, the task trace and the spatial memory all read
+what it returns. Only this module knows that the agent is not part of the
+world: its place and held object are fields, not triplets.
 
 Observation text follows a fixed line grammar (documented in the README):
 
@@ -17,15 +18,16 @@ Observation text follows a fixed line grammar (documented in the README):
 
 The query generator is asked with the task's goal names (the objects and
 places ``parse_goals`` reads from the instruction) and the names the
-observation shows; it answers the query text and the entity names as data,
-so no reader parses names back out of the text. The summarizer and query
-generator run as one gateway fan-out of ``ask`` calls, so a gateway fault
-in either has already degraded to the role's fallback; any other error is
-raised and ends the episode as crashed.
+observation shows, the agent's point and held object among them; it
+answers the query text and the entity names as data, so no reader parses
+names back out of the text. The summarizer and query generator run as one
+gateway fan-out of ``ask`` calls, so a gateway fault in either has already
+degraded to the role's fallback; any other error is raised and ends the
+episode as crashed.
 
 Observations repeat lines from step to step, so the grammar lives in
-``_parse_line``, memoized per distinct line; ``extract_triplets`` only
-builds each step's triplets from the parsed facts.
+``_parse_line``, memoized per distinct line; ``parse_observation`` only
+sorts each step's parsed lines into triplets and the agent's state.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .core import ActionCommand, Observation, Outcome, canonical_name, to_doc
 from .gateway import ReasonerGateway, ReasonerRole
 from .spatial import Triplet
-
-AGENT = "agent"
 
 _AT = re.compile(r"^you are at (?P<point>.+)$")
 _SEE = re.compile(r"^you see (?P<obj>.+?) (?P<rel>on|in) (?P<place>.+)$")
@@ -69,7 +69,11 @@ class PreprocessOutput:
     query: str
     #: The names spatial retrieval seeds from, as the query generator gave them.
     entities: Tuple[str, ...]
+    #: The world facts the observation states; the agent is none of their names.
     triplets: Tuple[Triplet, ...]
+    #: Where the observation puts the agent, and what it holds (None for nothing).
+    agent_at: Optional[str]
+    holding: Optional[str]
 
 
 def parse_goals(instruction: str) -> List[dict]:
@@ -98,17 +102,17 @@ def parse_goals(instruction: str) -> List[dict]:
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parse_line(line: str) -> Optional[Tuple[str, str, str]]:
-    """The (subject, relation, object) fact one observation line states,
-    its names canonical; ``None`` for a blank or unknown line and for
-    ``holding: nothing``. A pure function of the line, so each distinct
-    line is parsed once per process."""
+def _parse_line(line: str) -> Optional[Tuple[Optional[str], str, str]]:
+    """The (subject, relation, object) one observation line states, names
+    canonical, with subject ``None`` for the agent's own ``at`` and ``holds``;
+    ``None`` for a blank or unknown line and for ``holding: nothing``. A pure
+    function of the line, so each distinct line is parsed once per process."""
     line = line.strip().lower()
     if not line:
         return None
     match = _AT.match(line)
     if match:
-        return (AGENT, "at", canonical_name(match.group("point")))
+        return (None, "at", canonical_name(match.group("point")))
     match = _SEE.match(line)
     if match:
         obj = canonical_name(match.group("obj"))
@@ -120,38 +124,21 @@ def _parse_line(line: str) -> Optional[Tuple[str, str, str]]:
     if match:
         obj = canonical_name(match.group("obj"))
         if obj != "nothing":
-            return (AGENT, "holds", obj)
+            return (None, "holds", obj)
     return None
 
 
-def extract_triplets(obs: Observation) -> List[Triplet]:
-    """Parse the observation grammar into spatial facts. The agent's own
-    position, nearness to co-located objects, and held object are all
-    asserted so the graph tracks the transitions between them."""
-    triplets: List[Triplet] = []
-    current_point: Optional[str] = None
-    step = obs.step_index
-    for line in obs.text.splitlines():
-        fact = _parse_line(line)
-        if fact is None:
-            continue
-        subject, relation, obj = fact
-        triplets.append(Triplet(subject, relation, obj, step))
-        if relation == "at":
-            current_point = obj
-        elif relation in ("on", "in") and obj == current_point:  # a "you see" line
-            triplets.append(Triplet(AGENT, "near", subject, step))
-    return triplets
-
-
-def visible_entities(triplets: Sequence[Triplet]) -> List[str]:
-    """Distinct names the triplets mention, other than the agent, in order."""
-    names: List[str] = []
-    for triplet in triplets:
-        for name in (triplet.subject, triplet.object):
-            if name not in (AGENT,) and name not in names:
-                names.append(name)
-    return names
+def parse_observation(
+    obs: Observation,
+) -> Tuple[Tuple[Triplet, ...], Optional[str], Optional[str], List[str]]:
+    """The observation's world triplets, the agent's point and held object
+    (its last ``you are at`` and ``holding`` lines), and the distinct names
+    its lines mention, in order."""
+    facts = [fact for fact in map(_parse_line, obs.text.splitlines()) if fact]
+    agent = {relation: obj for subject, relation, obj in facts if subject is None}
+    triplets = tuple(Triplet(s, r, o, obs.step_index) for s, r, o in facts if s is not None)
+    names = list(dict.fromkeys(name for s, _, o in facts for name in (s, o) if name))
+    return triplets, agent.get("at"), agent.get("holds"), names
 
 
 class Preprocessor:
@@ -177,8 +164,7 @@ class Preprocessor:
         outcome: Optional[Outcome],
         failure_reason: Optional[str] = None,
     ) -> PreprocessOutput:
-        triplets = tuple(extract_triplets(obs))
-        entities = visible_entities(triplets)
+        triplets, agent_at, holding, names = parse_observation(obs)
 
         requests = []
         if last_action is not None:
@@ -194,7 +180,7 @@ class Preprocessor:
             "instruction": self.instruction,
             "goal_entities": self.goal_entities,
             "last_verb": last_action.verb.value if last_action else None,
-            "visible_entities": entities,
+            "visible_entities": names,
         }
         requests.append((ReasonerRole.QUERY_GENERATOR, query_payload))
 
@@ -202,6 +188,5 @@ class Preprocessor:
         # The reset observation follows no step, so it has no summary.
         summary = answers[0]["summary"] if last_action is not None else None
         cue = answers[-1]
-        return PreprocessOutput(
-            summary=summary, query=cue["query"], entities=tuple(cue["entities"]), triplets=triplets
-        )
+        entities = tuple(cue["entities"])
+        return PreprocessOutput(summary, cue["query"], entities, triplets, agent_at, holding)

@@ -1,5 +1,8 @@
 """Knowledge-graph spatial memory with buffered two-phase updates.
 
+The graph holds world facts only: ``preprocessor`` keeps the agent's own
+place and held object out of the triplets it is given.
+
 New facts land in a small pending buffer (rapid response), one batch per
 observation. When a batch leaves the buffer saturated or holds a
 fast-detected conflict, the whole buffer is integrated once. A batch is
@@ -58,7 +61,7 @@ from .vector_index import cosine  # noqa: F401  (cosine stays importable as spat
 logger = logging.getLogger(__name__)
 
 DEFAULT_K = 2
-DEFAULT_BUFFER_CAPACITY = 8
+DEFAULT_BUFFER_CAPACITY = 4
 DEFAULT_MAX_OUT_DEGREE = 16
 DEFAULT_MAX_IN_DEGREE = 16
 
@@ -128,6 +131,9 @@ class SpatialMemory:
         # Nothing resets the budget of a gateway of its own, so it has none.
         self.gateway = gateway or ReasonerGateway(budget=math.inf)
         check_int(k_hops, 1, "k_hops")
+        check_int(buffer_capacity, 1, "buffer_capacity")
+        check_int(max_out_degree, 1, "max_out_degree")
+        check_int(max_in_degree, 1, "max_in_degree")
         self.k_hops = k_hops
         self.buffer_capacity = buffer_capacity
         self.max_out_degree = max_out_degree

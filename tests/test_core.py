@@ -85,6 +85,22 @@ class TestStepRecord:
             StepRecord(step_index=-1, action=self._cmd(), summary="x", outcome=Outcome.SUCCESS)
 
 
+class TestObservation:
+    @pytest.mark.parametrize(
+        "step_index, text, field",
+        [(1.5, "x", "step_index"), (True, "x", "step_index"), (-1, "x", "step_index"),
+         ("1", "x", "step_index"), (1, 5, "text"), (1, "", "text"), (1, None, "text"),
+         (1, b"x", "text")],
+    )
+    def test_rejects_a_field_of_the_wrong_type(self, step_index, text, field):
+        with pytest.raises(InvariantError) as raised:
+            Observation(task_id="t", step_index=step_index, text=text)
+        assert raised.value.path == field
+
+    def test_accepts_an_observation(self):
+        assert Observation(task_id="t", step_index=0, text=" ").text == " "
+
+
 class TestTaskResult:
     def test_scn_bounded_by_gcn(self):
         with pytest.raises(InvariantError):

@@ -25,6 +25,7 @@ from memagent.harness import (
     write_report,
 )
 from memagent.lifelong import LifelongMemory
+from memagent.preprocessor import Preprocessor
 from memagent.spatial import SpatialMemory
 from memagent.temporal import TemporalMemory
 
@@ -143,8 +144,19 @@ class TestAgentSystem:
         # inline: a fan-out inside it is a top-level one, not nested. A step's
         # update has two or more branches, and the gather two sections, so
         # they run on pool threads; the reset observation's update has only
-        # the spatial branch.
+        # the spatial branch. An observation that shows no world fact (the
+        # agent's place and hand are not facts) sends no spatial branch.
         on_main = {}
+        spatial_sent = []  # per observation with a world fact: is it the reset one?
+        preprocess = Preprocessor.preprocess
+
+        def recording_preprocess(pre, obs, last_action, *args):
+            out = preprocess(pre, obs, last_action, *args)
+            if out.triplets:
+                spatial_sent.append(last_action is None)
+            return out
+
+        monkeypatch.setattr(Preprocessor, "preprocess", recording_preprocess)
 
         def recorded(cls, name):
             method = getattr(cls, name)
@@ -171,8 +183,8 @@ class TestAgentSystem:
         steps = len(on_main["append"])
         assert steps > len(tasks)
         assert not any(on_main["append"]) and not any(on_main["query"])
-        assert on_main["buffer_triplets"].count(True) == len(tasks)
-        assert on_main["buffer_triplets"].count(False) == steps
+        assert on_main["buffer_triplets"] == spatial_sent
+        assert 0 < spatial_sent.count(False) < steps
 
 
 class TestRunPass:
@@ -373,12 +385,12 @@ class TestGoldenReports:
 #: the same runs; both modes must write the same bytes.
 GOLDEN_SNAPSHOT_SHA256 = {
     3: (
-        "41fca4827fa932185c442d6cf2d4221bc036b795a3ec736331bdeac52f6fef57",
-        "9bcd2c3bbf0d1095a1acb9129c1fc69489777efd7d269940099ba896c581a6dc",
+        "f3cd2cc974982dd6f98dba34a9931c7031e858e275bfcb16e3ba0a9a870c2d57",
+        "4f839a6aca584fd916cfa2cc1c07edc87f4964cc1cce55c2d8383eb3e29731c1",
     ),
     11: (
-        "103f65248d42706f44bfc673461b59c035e70222784f54617aba6dda54968d4b",
-        "b5a3d5bfd61f05f395f937ded418b71f5366073a94e7f79084077f05f1f56822",
+        "accaf4b5200c19148e77913754b9fcf291386367c023e1e4979ca7e30593ac9d",
+        "010d0399412852b163a1a70107429976aea60213b74ace734d3ac1f2ef8e3607",
     ),
 }
 
@@ -402,6 +414,32 @@ class TestGoldenSnapshots:
             hashlib.sha256((snapshot_dir / f"memory_pass{n}.json").read_bytes()).hexdigest()
             for n in (1, 2)
         )
+
+
+class TestSpatialHoldsTheWorld:
+    """The agent's place and hand are fields of the preprocessed
+    observation, so spatial memory is given world facts only."""
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_no_agent_fact_is_buffered_or_snapshotted(self, seed, parallel, tmp_path,
+                                                      monkeypatch):
+        buffered = []
+        buffer = SpatialMemory.buffer_triplets
+
+        def recording(mem, triplets):
+            buffered.extend(triplets)
+            return buffer(mem, triplets)
+
+        monkeypatch.setattr(SpatialMemory, "buffer_triplets", recording)
+        run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel,
+                  snapshot_dir=str(tmp_path))
+        assert len(buffered) > 500
+        assert not [t for t in buffered if "agent" in (t.subject, t.object)]
+        for n in (1, 2):
+            spatial = json.loads((tmp_path / f"memory_pass{n}.json").read_text())["spatial"]
+            assert spatial["edges"] and "agent" not in spatial["nodes"]
+            assert not [e for e in spatial["edges"] if "agent" in (e["subject"], e["object"])]
 
 
 #: sha256 of the trajectory log of the same runs. Critic reasons and plan ids
@@ -434,8 +472,8 @@ class TestGoldenTrajectories:
 #: of the same runs, in call order: what each module asked and was told, so a
 #: change that only moves work around must leave it as it is.
 GOLDEN_CALLS_SHA256 = {
-    3: "90b023a5be8588ddb344b1d5607a65e5e5a568097739f00cdddb532c42904a2c",
-    11: "d13ba64c2ff18ecfe89a20d8195ac313295ab376138917006ddbcd62963c4cc0",
+    3: "8041d6e48504165cad1520a362faea201a5fa71c03260dc6332356460c17a890",
+    11: "3b1da9a5c79bb3e0229085a8c3c5b78eafa39eb8a81119e6b78143542b1beb47",
 }
 
 

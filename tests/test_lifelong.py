@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from memagent.core import (
     ActionCommand,
+    InvariantError,
     Outcome,
     StepRecord,
     TaskResult,
@@ -365,7 +366,8 @@ class TestScopedRetrieval:
         ours = MemoryEntity(id="semantic-t9-1", kind="semantic",
                             text="pick_up cup: fails when target not here", task="t9")
         mem = LifelongMemory()
-        mem.restore({"entities": to_doc(theirs + [ours])})
+        mem.restore({"entities": to_doc(theirs + [ours]),
+                     "id_counters": {f"semantic-t{i}": 1 for i in (0, 1, 2, 3, 4, 5, 9)}})
         everywhere = mem.retrieve(query, "semantic", k=5)
         assert len(everywhere) == 5 and all(e.task != "t9" for e, _ in everywhere)
         (hit,) = mem.retrieve(query, "semantic", k=5, scope="t9")
@@ -375,10 +377,13 @@ class TestScopedRetrieval:
         # The scope's rows are the only candidates, so the store's other
         # entries cost nothing.
         mem = LifelongMemory()
-        mem.restore({"entities": to_doc(
-            [MemoryEntity(id=f"semantic-t{i}-1", kind="semantic", text=text, task=f"t{i}")
-             for i, text in enumerate(self.TEXTS)]
-        )})
+        mem.restore({
+            "entities": to_doc(
+                [MemoryEntity(id=f"semantic-t{i}-1", kind="semantic", text=text, task=f"t{i}")
+                 for i, text in enumerate(self.TEXTS)]
+            ),
+            "id_counters": {f"semantic-t{i}": 1 for i in range(len(self.TEXTS))},
+        })
         scored = []
         score = vector_index.cosine_with_norms
         monkeypatch.setattr(vector_index, "cosine_with_norms",
@@ -485,6 +490,59 @@ class TestPersistence:
         with pytest.raises((TypeError, ValueError)):
             mem.restore(dict(before, **change))
         assert mem.snapshot() == before
+
+    def test_restore_refuses_two_entries_with_one_id(self):
+        mem = self.build()
+        before = mem.snapshot()
+        doc = dict(before, entities=before["entities"] + before["entities"][:1])
+        with pytest.raises(InvariantError, match="held twice") as raised:
+            mem.restore(doc)
+        assert raised.value.path == "entities"
+        assert mem.snapshot() == before
+
+    @pytest.mark.parametrize("counters", [None, {}, {"semantic-t1": 0}, {"semantic-t0": 5}])
+    def test_restore_refuses_counters_below_a_held_id(self, counters):
+        mem = self.build()
+        before = mem.snapshot()
+        entry = MemoryEntity(id="semantic-t1-1", kind="semantic", text="ovens heat", task="t1")
+        doc = {"entities": to_doc([entry])}
+        if counters is not None:
+            doc["id_counters"] = counters
+        with pytest.raises(InvariantError, match="semantic-t1-1") as raised:
+            mem.restore(doc)
+        assert raised.value.path == "id_counters"
+        assert mem.snapshot() == before
+
+    def test_restore_takes_ids_that_no_counter_gives(self):
+        # Only ids of the form <kind>-<task>-<n> can collide with a new one.
+        mem = LifelongMemory()
+        ids = ["e1", "seed-3", "semantic-t1-x", "semantic-t1-1"]
+        mem.restore({
+            "entities": to_doc([MemoryEntity(id=i, kind="semantic", text=i, task="t1")
+                                for i in ids]),
+            "id_counters": {"semantic-t1": 1},
+        })
+        assert sorted(e.id for e in mem.entities()) == sorted(ids)
+        trace = TaskTrace(task_id="t1", instruction="put cup on table")
+        mem.record_action_experience(failure_step(0))
+        lessons = [e.id for e in mem.extract_task_entities(trace, result(steps=2))
+                   if e.kind == "semantic"]
+        assert lessons[0] == "semantic-t1-2"
+
+    def test_a_consolidated_id_is_never_given_again(self):
+        # An id the caller gave, not the memory, still moves its counter, so
+        # the memory's own snapshot restores.
+        mem = LifelongMemory()
+        mem.consolidate([MemoryEntity(id="semantic-t1-1", kind="semantic",
+                                      text="ovens heat food", task="t1")])
+        trace = TaskTrace(task_id="t1", instruction="put cup on table")
+        mem.record_action_experience(failure_step(0))
+        lessons = [e.id for e in mem.extract_task_entities(trace, result(steps=2))
+                   if e.kind == "semantic"]
+        assert lessons[0] == "semantic-t1-2"
+        other = LifelongMemory()
+        other.restore(mem.snapshot())
+        assert other.snapshot() == mem.snapshot()
 
     def test_restored_ids_do_not_collide(self):
         mem = self.build()

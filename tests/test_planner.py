@@ -21,7 +21,7 @@ from memagent.planner import (
     build_beliefs,
     run_episode,
 )
-from memagent.preprocessor import extract_triplets, parse_goals
+from memagent.preprocessor import PreprocessOutput, parse_goals, parse_observation
 from memagent.spatial import Triplet
 
 
@@ -30,8 +30,9 @@ def obs(text, step=0):
 
 
 def observed(text):
-    """The triplets of one observation, as the preprocessor parses them."""
-    return extract_triplets(obs(text))
+    """One observation as the preprocessor gives it to the planner."""
+    triplets, agent_at, holding, _ = parse_observation(obs(text))
+    return PreprocessOutput(None, "", (), triplets, agent_at, holding)
 
 
 def empty_context(**kwargs):
@@ -113,10 +114,15 @@ class TestBeliefs:
         beliefs = build_beliefs(ctx, observed("you are at sink"))
         assert beliefs.known_locations["cup"] == {"rel": "on", "place": "shelf"}
 
-    def test_stale_agent_facts_are_dropped(self):
-        ctx = empty_context(spatial=kg(("agent", "at", "shelf")))
-        beliefs = build_beliefs(ctx, observed("you are at sink"))
-        assert beliefs.agent_at == "sink"
+    def test_agent_state_comes_from_the_observation(self):
+        # Memory holds the world: the agent's place and hand are read from
+        # the observation alone, and are no fact the critic is shown.
+        ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
+        beliefs = build_beliefs(ctx, observed("you are at sink\nholding: fork"))
+        assert (beliefs.agent_at, beliefs.holding) == ("sink", "fork")
+        assert beliefs.facts == [("cup", "on", "shelf")]
+        beliefs = build_beliefs(ctx, observed("you are at shelf\nholding: nothing"))
+        assert (beliefs.agent_at, beliefs.holding) == ("shelf", None)
 
     def test_held_object_leaves_known_locations(self):
         ctx = empty_context(spatial=kg(("cup", "on", "shelf")))
@@ -421,11 +427,11 @@ class TestEpisodeLoop:
 
         def counting(observation):
             calls.append(observation.step_index)
-            return extract_triplets(observation)
+            return parse_observation(observation)
 
-        monkeypatch.setattr(preprocessor, "extract_triplets", counting)
+        monkeypatch.setattr(preprocessor, "parse_observation", counting)
         # Counted under the planner's name too, should it import the parser.
-        monkeypatch.setattr(planner_module, "extract_triplets", counting, raising=False)
+        monkeypatch.setattr(planner_module, "parse_observation", counting, raising=False)
         env = Environment(profile="realworld", failure_p=0.0)
         episode = run_episode(self.task(), env, AlwaysRejectGateway(), MemoryOrchestrator())
         assert any(not t["executed"] for t in episode.trajectory)

@@ -14,7 +14,7 @@ from memagent.gateway import (
     ReasonerGateway,
     ReasonerRole,
 )
-from memagent.preprocessor import Preprocessor, extract_triplets, visible_entities
+from memagent.preprocessor import Preprocessor, parse_observation
 from memagent.spatial import Triplet
 
 
@@ -24,53 +24,47 @@ def obs(text, step=0):
 
 class TestTripletExtraction:
     def test_position_line(self):
-        triplets = extract_triplets(obs("you are at kitchen counter"))
-        assert [t.key for t in triplets] == [("agent", "at", "kitchen counter")]
+        triplets, agent_at, _, _ = parse_observation(obs("you are at kitchen counter"))
+        assert (triplets, agent_at) == ((), "kitchen counter")
 
     def test_see_on_and_in(self):
-        triplets = extract_triplets(
-            obs("you see cup on dining table\nyou see fork in drawer")
-        )
-        keys = {t.key for t in triplets}
-        assert ("cup", "on", "dining table") in keys
-        assert ("fork", "in", "drawer") in keys
+        triplets, *_ = parse_observation(obs("you see cup on dining table\nyou see fork in drawer"))
+        assert [t.key for t in triplets] == [("cup", "on", "dining table"), ("fork", "in", "drawer")]
 
-    def test_colocated_object_is_near_agent(self):
-        triplets = extract_triplets(
-            obs("you are at dining table\nyou see cup on dining table")
+    def test_no_triplet_names_the_agent(self):
+        # The agent's place and hand are its state, not world facts: a
+        # colocated object is only where it is.
+        triplets, agent_at, holding, _ = parse_observation(
+            obs("you are at dining table\nyou see cup on dining table\nholding: fork")
         )
-        assert ("agent", "near", "cup") in {t.key for t in triplets}
-
-    def test_remote_object_is_not_near_agent(self):
-        triplets = extract_triplets(
-            obs("you are at sink\nyou see cup on dining table")
-        )
-        assert ("agent", "near", "cup") not in {t.key for t in triplets}
+        assert [t.key for t in triplets] == [("cup", "on", "dining table")]
+        assert (agent_at, holding) == ("dining table", "fork")
 
     def test_state_lines(self):
-        triplets = extract_triplets(obs("oven is on\ncabinet is open\napple is sliced"))
+        triplets, *_ = parse_observation(obs("oven is on\ncabinet is open\napple is sliced"))
         keys = {t.key for t in triplets}
         assert ("oven", "is", "on") in keys
         assert ("cabinet", "is", "open") in keys
         assert ("apple", "is", "sliced") in keys
 
     def test_holding_lines(self):
-        assert [t.key for t in extract_triplets(obs("holding: cup"))] == [
-            ("agent", "holds", "cup")
-        ]
-        assert extract_triplets(obs("holding: nothing")) == []
+        triplets, _, holding, _ = parse_observation(obs("holding: cup"))
+        assert (triplets, holding) == ((), "cup")
+        _, _, holding, names = parse_observation(obs("holding: nothing"))
+        assert (holding, names) == (None, [])
 
     def test_unmatched_lines_are_ignored(self):
-        assert extract_triplets(obs("action failed: target not found\n???")) == []
+        assert parse_observation(obs("action failed: target not found\n???")) == (
+            (), None, None, []
+        )
 
     def test_step_index_propagates(self):
-        (t,) = extract_triplets(obs("you are at sink", step=7))
+        (t,), *_ = parse_observation(obs("you are at sink\nyou see cup on sink", step=7))
         assert t.step_index == 7
 
     def test_visible_entities_excludes_agent(self):
-        names = visible_entities(
-            extract_triplets(obs("you are at sink\nyou see cup on sink\nholding: fork"))
-        )
+        # The names include the agent's place and hand, in line order.
+        *_, names = parse_observation(obs("you are at sink\nyou see cup on sink\nholding: fork"))
         assert "agent" not in names
         assert names == ["sink", "cup", "fork"]
 
@@ -83,9 +77,11 @@ _STATE = re.compile(r"^(?P<obj>.+?) is (?P<state>open|closed|on|off|sliced|heate
 _HOLDING = re.compile(r"^holding: (?P<obj>.+)$")
 
 
-def reference_triplets(observation):
-    triplets = []
-    current_point = None
+def reference_parse(observation):
+    """The world triplets, the agent's last place and held object, and the
+    names the lines mention, in order."""
+    triplets, names = [], []
+    agent_at = holding = None
     step = observation.step_index
     for raw_line in observation.text.splitlines():
         line = raw_line.strip().lower()
@@ -93,41 +89,42 @@ def reference_triplets(observation):
             continue
         match = _AT.match(line)
         if match:
-            current_point = canonical_name(match.group("point"))
-            triplets.append(Triplet("agent", "at", current_point, step))
+            agent_at = canonical_name(match.group("point"))
+            names.append(agent_at)
             continue
         match = _SEE.match(line)
         if match:
             obj = canonical_name(match.group("obj"))
             place = canonical_name(match.group("place"))
             triplets.append(Triplet(obj, match.group("rel"), place, step))
-            if current_point is not None and place == current_point:
-                triplets.append(Triplet("agent", "near", obj, step))
+            names += [obj, place]
             continue
         match = _STATE.match(line)
         if match:
-            triplets.append(
-                Triplet(canonical_name(match.group("obj")), "is", match.group("state"), step)
-            )
+            obj = canonical_name(match.group("obj"))
+            triplets.append(Triplet(obj, "is", match.group("state"), step))
+            names += [obj, match.group("state")]
             continue
         match = _HOLDING.match(line)
         if match:
             obj = canonical_name(match.group("obj"))
             if obj != "nothing":
-                triplets.append(Triplet("agent", "holds", obj, step))
-    return triplets
+                holding = obj
+                names.append(obj)
+    return triplets, agent_at, holding, list(dict.fromkeys(names))
 
 
 def assert_parses_like_reference(observation):
     try:
-        want = reference_triplets(observation)
+        want = reference_parse(observation)
     except ValueError as exc:  # a name that canonicalizes to nothing
         with pytest.raises(type(exc)):
-            extract_triplets(observation)
+            parse_observation(observation)
         return
-    got = extract_triplets(observation)
-    assert got == want
-    assert [t.key for t in got] == [t.key for t in want]
+    triplets, *agent_and_names = parse_observation(observation)
+    assert list(triplets) == want[0]
+    assert [t.key for t in triplets] == [t.key for t in want[0]]
+    assert tuple(agent_and_names) == want[1:]
 
 
 _LINE_NAMES = ["cup", "Red  Cup", "sink", " dining table ", "nothing", "Nothing",
@@ -160,9 +157,9 @@ class TestParseMatchesRegexReference:
         def checked(observation):
             seen.append(observation.text)
             assert_parses_like_reference(observation)
-            return extract_triplets(observation)
+            return parse_observation(observation)
 
-        monkeypatch.setattr(preprocessor, "extract_triplets", checked)
+        monkeypatch.setattr(preprocessor, "parse_observation", checked)
         outcome = harness.run_suite(seed=3, passes=2, failure_p=0.1)
         assert len(seen) > 300
         assert all(
@@ -178,7 +175,30 @@ class TestPreprocess:
         out = pre.preprocess(obs("you are at sink"), last_action=None, outcome=None)
         assert out.summary is None
         assert out.query.startswith("put cup on table")
-        assert [t.key for t in out.triplets] == [("agent", "at", "sink")]
+        assert (out.triplets, out.agent_at, out.holding) == ((), "sink", None)
+
+    @pytest.mark.parametrize("line, held", [("holding: nothing", None), ("holding: Red  Cup", "red cup")])
+    def test_agent_state_is_two_fields(self, line, held):
+        pre = Preprocessor(instruction="put cup on table")
+        out = pre.preprocess(obs(f"you are at sink\nyou see fork on sink\n{line}"), None, None)
+        assert (out.agent_at, out.holding) == ("sink", held)
+        assert [t.key for t in out.triplets] == [("fork", "on", "sink")]
+
+    def test_query_is_shown_the_agents_place_and_hand(self):
+        # The names as the query generator was shown them when the agent's
+        # place and hand were triplets.
+        payloads = []
+
+        class Recording(OracleBackend):
+            def invoke(self, role, payload):
+                if role is ReasonerRole.QUERY_GENERATOR:
+                    payloads.append(payload)
+                return super().invoke(role, payload)
+
+        pre = Preprocessor(gateway=ReasonerGateway(backend=Recording()), instruction="heat cup")
+        text = "you are at sink\nyou see cup on sink\nmug is open\nholding: fork\n???"
+        pre.preprocess(obs(text), None, None)
+        assert payloads[0]["visible_entities"] == ["sink", "cup", "mug", "open", "fork"]
 
     def test_step_summary_reflects_action_outcome(self):
         pre = Preprocessor(instruction="put cup on table")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from memagent import harness, oracle, spatial, vector_index
 from memagent.envsim import builtin_suite_path, load_suite
 from memagent.orchestrator import MemoryOrchestrator
-from memagent.preprocessor import Preprocessor, visible_entities
+from memagent.preprocessor import Preprocessor, parse_observation
 from memagent.spatial import (
     DEFAULT_BUFFER_CAPACITY,
     KHopBoundError,
@@ -487,6 +487,14 @@ class TestConflictScope:
             make_memory(k_hops=k_hops)
         assert refused.value.path == "k_hops"
 
+    @pytest.mark.parametrize("field", ["buffer_capacity", "max_out_degree", "max_in_degree"])
+    @pytest.mark.parametrize("value", [0, -3, 1.5, True])
+    def test_buffer_and_degree_caps_must_be_ints_at_least_1(self, field, value):
+        # A cap of 0 would evict every new edge the moment it is added.
+        with pytest.raises(InvariantError) as refused:
+            make_memory(**{field: value})
+        assert refused.value.path == field
+
     def test_restore_refuses_a_snapshot_whose_facts_conflict(self):
         mem = make_memory()
         mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
@@ -770,12 +778,12 @@ class TestBatchIntegrate:
 
     @pytest.mark.parametrize("position", [0, 1, 3])
     def test_fast_conflict_anywhere_integrates_whole_batch(self, position):
-        mem = make_memory()
+        mem = make_memory(buffer_capacity=8)
         mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=1)])
         mem.integrate()
         batch = [Triplet(f"object {i}", "on", f"surface {i}", step_index=2) for i in range(3)]
         batch.insert(position, Triplet("agent", "holds", "cup", step_index=2))
-        assert len(batch) < DEFAULT_BUFFER_CAPACITY
+        assert len(batch) < mem.buffer_capacity
         with spy_integrate() as integrate:
             mem.buffer_triplets(batch)
         assert mem.pending() == []
@@ -1344,7 +1352,8 @@ class TestSeedCoverage:
 
         def recording_preprocess(pre, obs, *args, **kwargs):
             out = preprocess(pre, obs, *args, **kwargs)
-            named[:] = [*pre.goal_entities, *visible_entities(out.triplets)]
+            *_, names = parse_observation(obs)
+            named[:] = [*pre.goal_entities, *names]
             return out
 
         def recording_retrieve(mem, names, k=None):
