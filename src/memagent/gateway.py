@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -331,8 +332,9 @@ class GatewayConfig:
                 "the remote backend needs a non-empty model and an absolute http(s) base_url "
                 f"with a host, not model {self.model!r} and base_url {self.base_url!r}"
             )
-        if not _is_a(self.timeout_ms, int, float) or self.timeout_ms <= 0:
-            raise GatewayConfigError(f"timeout_ms must be > 0, not {self.timeout_ms!r}")
+        # JSON reads NaN, Infinity, 1e400 and 400-digit ints (compared exactly).
+        if not (_is_a(self.timeout_ms, int, float) and 0 < self.timeout_ms <= sys.float_info.max):
+            raise GatewayConfigError(f"timeout_ms must be finite and > 0, not {self.timeout_ms!r}")
         if not _is_a(self.max_retries, int) or self.max_retries < 0:
             raise GatewayConfigError(f"max_retries must be an int >= 0, not {self.max_retries!r}")
         if not _is_a(self.budget, int) or self.budget <= 0:

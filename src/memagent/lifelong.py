@@ -13,6 +13,11 @@ path, ``_apply``. A scoped retrieval ranks only the scope's entries, with
 the same exact scoring as an unscoped one, so entries of other scopes never
 take its slots and its cost grows with the scope, not with the store. A
 scope with no entry of the kind costs no embedding and no search.
+
+The memory owns its entries; each kind's ``VectorIndex`` keeps only their
+vectors, by id. ``_next_id`` issues ``<kind>-<task>-<n>`` ids from counters
+that snapshots keep, and steps past any id the store holds, so no new entry
+takes a held id, whatever ids a caller or a snapshot brought.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .core import (
     to_doc,
 )
 from .gateway import ReasonerGateway, ReasonerRole
-from .vector_index import HashingEmbedder, IndexEntry, VectorIndex
+from .vector_index import HashingEmbedder, VectorIndex
 
 logger = logging.getLogger(__name__)
 
@@ -128,18 +133,8 @@ class LifelongMemory:
         # Nothing resets the budget of a gateway of its own, so it has none.
         self.gateway = gateway or ReasonerGateway(budget=math.inf)
         self.embedder = HashingEmbedder()
-        self._indexes = {
-            "episodic": VectorIndex(dim=self.embedder.dim),
-            "semantic": VectorIndex(dim=self.embedder.dim),
-        }
-        self._entities: Dict[str, MemoryEntity] = {}
-        # Per kind: scope (an entry's ``task``) -> ids of that kind's entries
-        # in it. Only _apply and wipe change it.
-        self._scopes: Dict[str, Dict[str, Set[str]]] = {"episodic": {}, "semantic": {}}
-        self._id_counters: Dict[str, int] = {}
-        # Micro-entity text -> (occurrence count, tags).
-        self._action_buffer: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
         self._lock = threading.RLock()
+        self.wipe()
 
     def __len__(self) -> int:
         return len(self._entities)
@@ -155,8 +150,11 @@ class LifelongMemory:
 
     def _next_id(self, kind: str, task_id: str) -> str:
         key = f"{kind}-{task_id}"
-        self._id_counters[key] = self._id_counters.get(key, 0) + 1
-        return f"{key}-{self._id_counters[key]}"
+        number = self._id_counters.get(key, 0) + 1
+        while f"{key}-{number}" in self._entities:
+            number += 1
+        self._id_counters[key] = number
+        return f"{key}-{number}"
 
     # -- action-level (semantic micro-entities) -----------------------------
 
@@ -339,13 +337,8 @@ class LifelongMemory:
             if prior is not None:
                 self._unscope(prior)
             self._entities[entity.id] = entity
-            key, number = _id_key(entity.id)
-            if number > self._id_counters.get(key, 0):  # a caller's id: never give it
-                self._id_counters[key] = number
             self._scopes[entity.kind].setdefault(entity.task, set()).add(entity.id)
-            self._indexes[entity.kind].upsert(
-                IndexEntry(id=entity.id, text=entity.text, embedding=self.embedder.embed(entity.text))
-            )
+            self._indexes[entity.kind].upsert(entity.id, self.embedder.embed(entity.text))
 
     def _unscope(self, entity: MemoryEntity) -> None:
         ids = self._scopes[entity.kind][entity.task]
@@ -381,20 +374,23 @@ class LifelongMemory:
         hits = index.search(
             self.embedder.embed(text), k=k, theta=DEFAULT_RETRIEVAL_THETA, among=among
         )
-        return [(self._entities[e.id], score) for e, score in hits]
+        return [(self._entities[entry_id], score) for entry_id, score in hits]
 
     # -- persistence ---------------------------------------------------------
 
     def wipe(self) -> None:
         with self._lock:
-            self._entities.clear()
-            self._scopes = {"episodic": {}, "semantic": {}}
+            self._entities: Dict[str, MemoryEntity] = {}
             self._indexes = {
                 "episodic": VectorIndex(dim=self.embedder.dim),
                 "semantic": VectorIndex(dim=self.embedder.dim),
             }
-            self._id_counters.clear()
-            self._action_buffer.clear()
+            # Per kind: scope (an entry's ``task``) -> ids of that kind's
+            # entries in it. Only _apply and wipe change it.
+            self._scopes: Dict[str, Dict[str, Set[str]]] = {"episodic": {}, "semantic": {}}
+            self._id_counters: Dict[str, int] = {}
+            # Micro-entity text -> (occurrence count, tags).
+            self._action_buffer: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -411,9 +407,12 @@ class LifelongMemory:
     def prepare_restore(self, doc: dict) -> Callable[[], None]:
         """Parse and check a ``snapshot`` document, and return the function
         that replaces the memory with it. A bad document raises here, before
-        anything is wiped. Ids are distinct, and no counter is below a held id
-        of its form, so no new entry is given a held id (as ``_apply`` keeps it)."""
-        counters = dict(doc.get("id_counters", {}))
+        anything is wiped. Ids must be distinct; counters may lag them, since
+        ``_next_id`` steps past held ids."""
+        counters = doc.get("id_counters", {})
+        if not isinstance(counters, dict):
+            raise InvariantError(f"must be an object, not {counters!r}", "id_counters")
+        counters = dict(counters)
         for key, value in counters.items():
             check_int(value, 0, f"id_counters[{key!r}]")
         entities = [from_doc(MemoryEntity, d) for d in doc["entities"]]
@@ -421,9 +420,6 @@ class LifelongMemory:
         repeated = sorted(i for i, n in ids.items() if n > 1)
         if repeated:
             raise InvariantError(f"ids held twice: {', '.join(repeated)}", "entities")
-        ahead = sorted(i for i in ids if _id_key(i)[1] > counters.get(_id_key(i)[0], 0))
-        if ahead:
-            raise InvariantError(f"below the held ids {', '.join(ahead)}", "id_counters")
 
         def install() -> None:
             with self._lock:
@@ -433,11 +429,3 @@ class LifelongMemory:
 
         return install
 
-
-def _id_key(entity_id: str) -> Tuple[str, int]:
-    """The counter key and number of an id of the form ``_next_id`` gives,
-    ``<kind>-<task>-<n>``; number 0 for another id."""
-    key, _, number = entity_id.rpartition("-")
-    if key.startswith(("episodic-", "semantic-")) and number.isdecimal():
-        return key, int(number)
-    return key, 0

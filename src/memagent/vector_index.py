@@ -1,4 +1,5 @@
-"""Deterministic text embeddings and an exact in-memory similarity index.
+"""Deterministic text embeddings and an exact in-memory similarity index,
+which keeps vectors by id: the caller's store keeps the entries.
 
 The built-in embedder hashes character trigrams into a fixed number of
 buckets and L2-normalizes, so results are reproducible with no model.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Collection, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -104,15 +104,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return cosine_with_norms(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    id: str
-    text: str
-    embedding: np.ndarray
-
-
-def _rank(pair: Tuple[IndexEntry, float]) -> Tuple[float, str]:
-    return -pair[1], pair[0].id
+def _rank(hit: Tuple[str, float]) -> Tuple[float, str]:
+    return -hit[1], hit[0]
 
 
 def _finite_norm(vec: np.ndarray) -> float:
@@ -125,52 +118,42 @@ def _finite_norm(vec: np.ndarray) -> float:
 
 
 class VectorIndex:
-    """Exact cosine-similarity index keyed by entry id (last write wins).
+    """Exact cosine-similarity index of vectors keyed by id (last write
+    wins). It keeps no entry: the caller maps the ids a search returns to
+    its own entries.
 
-    Row ``i`` holds ``_rows[i] = (entry, norm)``, the norm taken once at
-    upsert, and ``_unit[i]``, the embedding divided by that norm (a zero row
-    for a zero vector). ``_row_of`` maps each id to its row. A new id is
+    Row ``i`` holds ``_rows[i] = (id, embedding, norm)``, the norm taken once
+    at upsert, and ``_unit[i]``, the embedding divided by that norm (a zero
+    row for a zero vector). ``_row_of`` maps each id to its row. A new id is
     appended (the matrix doubles when full), a re-upsert overwrites its row
     in place and ``remove`` moves the last row into the freed one."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
-        self._rows: List[Tuple[IndexEntry, float]] = []
+        self._rows: List[Tuple[str, np.ndarray, float]] = []
         self._row_of: Dict[str, int] = {}
         self._unit = np.zeros((0, dim), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self._row_of
-
-    def get(self, entry_id: str) -> Optional[IndexEntry]:
+    def upsert(self, entry_id: str, embedding: np.ndarray) -> None:
+        if embedding.shape != (self.dim,):
+            raise DimensionMismatchError(f"vector dim {embedding.shape} != index dim ({self.dim},)")
+        norm = _finite_norm(embedding)
         row = self._row_of.get(entry_id)
-        return self._rows[row][0] if row is not None else None
-
-    def entries(self) -> List[IndexEntry]:
-        return sorted((entry for entry, _ in self._rows), key=lambda entry: entry.id)
-
-    def upsert(self, entry: IndexEntry) -> None:
-        if entry.embedding.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"entry dim {entry.embedding.shape} != index dim ({self.dim},)"
-            )
-        norm = _finite_norm(entry.embedding)
-        row = self._row_of.get(entry.id)
         if row is None:
             row = len(self._rows)
             if row == len(self._unit):
                 grown = np.zeros((max(16, 2 * row), self.dim), dtype=np.float64)
                 grown[:row] = self._unit
                 self._unit = grown
-            self._row_of[entry.id] = row
-            self._rows.append((entry, norm))
+            self._row_of[entry_id] = row
+            self._rows.append((entry_id, embedding, norm))
         else:
-            self._rows[row] = (entry, norm)
+            self._rows[row] = (entry_id, embedding, norm)
         if norm:
-            np.divide(entry.embedding, norm, out=self._unit[row])
+            np.divide(embedding, norm, out=self._unit[row])
         else:
             self._unit[row] = 0.0
 
@@ -181,7 +164,7 @@ class VectorIndex:
         last = self._rows.pop()
         if row < len(self._rows):
             self._rows[row] = last
-            self._row_of[last[0].id] = row
+            self._row_of[last[0]] = row
             self._unit[row] = self._unit[len(self._rows)]
 
     def search(
@@ -190,12 +173,13 @@ class VectorIndex:
         k: int,
         theta: float,
         among: Optional[Collection[str]] = None,
-    ) -> List[Tuple[IndexEntry, float]]:
-        """Top-k entries with cosine score >= theta, sorted by descending
-        score then ascending id. The scores are the per-pair formula's; the
-        matrix product only prunes (see the module docstring). With
-        ``among``, a collection of stored ids, only those entries are
-        candidates, and the search costs their number, not the index's."""
+    ) -> List[Tuple[str, float]]:
+        """The ids of the top-k vectors with cosine score >= theta, with
+        their scores, sorted by descending score then ascending id. The
+        scores are the per-pair formula's; the matrix product only prunes
+        (see the module docstring). With ``among``, a collection of stored
+        ids, only their vectors are candidates, and the search costs their
+        number, not the index's."""
         if k < 1:
             raise ValueError("k must be >= 1")
         query_norm = self._query_norm(query)
@@ -214,10 +198,10 @@ class VectorIndex:
         rows = self._rows
         kept = []
         for i in (scaled >= floor - PRUNE_SLACK * query_norm).nonzero()[0].tolist():
-            entry, norm = rows[candidates[i]]
-            score = cosine_with_norms(query, query_norm, entry.embedding, norm)
+            entry_id, embedding, norm = rows[candidates[i]]
+            score = cosine_with_norms(query, query_norm, embedding, norm)
             if score >= theta:
-                kept.append((entry, score))
+                kept.append((entry_id, score))
         kept.sort(key=_rank)
         return kept[:k]
 

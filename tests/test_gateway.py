@@ -865,6 +865,21 @@ class TestGatewayConfig:
         with pytest.raises(GatewayConfigError):
             GatewayConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "spelling", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "1e400", "400-digit-int"],
+    )
+    def test_non_finite_timeout_in_file_rejected(self, tmp_path, spelling):
+        # json.load reads all four; as a timeout each raised a bare
+        # ValueError or OverflowError on the first remote call.
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"backend": "remote", "remote": {"base_url": "http://h", "model": "m", '
+            f'"timeout_ms": {spelling}}}}}'
+        )
+        with pytest.raises(GatewayConfigError, match="timeout_ms"):
+            GatewayConfig.from_file(str(path))
+
     def test_config_error_is_a_value_error(self):
         assert issubclass(GatewayConfigError, ValueError)
         assert not issubclass(GatewayConfigError, GatewayError)

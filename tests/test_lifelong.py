@@ -500,18 +500,66 @@ class TestPersistence:
         assert raised.value.path == "entities"
         assert mem.snapshot() == before
 
-    @pytest.mark.parametrize("counters", [None, {}, {"semantic-t1": 0}, {"semantic-t0": 5}])
-    def test_restore_refuses_counters_below_a_held_id(self, counters):
+    @pytest.mark.parametrize("counters", [[["semantic-t1", 2]], "semantic-t1", 3])
+    def test_restore_refuses_id_counters_that_are_not_an_object(self, counters):
         mem = self.build()
         before = mem.snapshot()
+        with pytest.raises(InvariantError, match="must be an object") as raised:
+            mem.restore(dict(before, id_counters=counters))
+        assert raised.value.path == "id_counters"
+        assert mem.snapshot() == before
+
+    @pytest.mark.parametrize("counters", [None, {}, {"semantic-t1": 0}, {"semantic-t0": 5}])
+    def test_counters_that_lag_a_held_id_issue_around_it(self, counters):
         entry = MemoryEntity(id="semantic-t1-1", kind="semantic", text="ovens heat", task="t1")
         doc = {"entities": to_doc([entry])}
         if counters is not None:
             doc["id_counters"] = counters
-        with pytest.raises(InvariantError, match="semantic-t1-1") as raised:
-            mem.restore(doc)
-        assert raised.value.path == "id_counters"
-        assert mem.snapshot() == before
+        mem = LifelongMemory()
+        mem.restore(doc)
+        trace = TaskTrace(task_id="t1", instruction="put cup on table")
+        mem.record_action_experience(failure_step(0))
+        lessons = [e.id for e in mem.extract_task_entities(trace, result(steps=2))
+                   if e.kind == "semantic"]
+        assert lessons[0] == "semantic-t1-2"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("issue"), st.sampled_from(["episodic", "semantic"]),
+                          st.integers(0, 2), st.integers(0, 4)),
+                st.tuples(st.just("consolidate"), st.sampled_from(["episodic", "semantic"]),
+                          st.integers(0, 2), st.integers(0, 4), st.integers(1, 5)),
+                st.tuples(st.just("restore"), st.integers(0, 3)),
+                st.tuples(st.just("wipe")),
+            ),
+            max_size=16,
+        )
+    )
+    def test_no_issued_id_is_held(self, ops):
+        # Ids issued by the memory, ids a caller gave and restores whose
+        # counters lag the held ids, in any order: _next_id never returns
+        # an id the store holds.
+        mem = LifelongMemory()
+        for op in ops:
+            if op[0] == "issue":
+                _, kind, task, text = op
+                entry_id = mem._next_id(kind, f"t{task}")
+                assert entry_id not in {e.id for e in mem.entities()}
+                mem.consolidate([MemoryEntity(id=entry_id, kind=kind, text=self.TEXTS[text],
+                                              task=f"t{task}")])
+            elif op[0] == "consolidate":
+                _, kind, task, text, number = op
+                mem.consolidate([MemoryEntity(id=f"{kind}-t{task}-{number}", kind=kind,
+                                              text=self.TEXTS[text], task=f"t{task}")])
+            elif op[0] == "restore":
+                doc = mem.snapshot()
+                doc["id_counters"] = {key: max(0, value - op[1])
+                                      for key, value in doc["id_counters"].items()}
+                mem.restore(doc)
+            else:
+                mem.wipe()
 
     def test_restore_takes_ids_that_no_counter_gives(self):
         # Only ids of the form <kind>-<task>-<n> can collide with a new one.
@@ -530,8 +578,8 @@ class TestPersistence:
         assert lessons[0] == "semantic-t1-2"
 
     def test_a_consolidated_id_is_never_given_again(self):
-        # An id the caller gave, not the memory, still moves its counter, so
-        # the memory's own snapshot restores.
+        # An id the caller gave, not the memory, is stepped past, and the
+        # memory's own snapshot restores.
         mem = LifelongMemory()
         mem.consolidate([MemoryEntity(id="semantic-t1-1", kind="semantic",
                                       text="ovens heat food", task="t1")])

@@ -6,7 +6,6 @@ from memagent.vector_index import (
     DimensionMismatchError,
     EmptyTextError,
     HashingEmbedder,
-    IndexEntry,
     NotFoundError,
     VectorIndex,
     cosine,
@@ -70,40 +69,59 @@ class TestCosine:
             cosine(np.ones(3), np.ones(4))
 
 
-def _entry(eid: str, text: str, embedder=HashingEmbedder()) -> IndexEntry:
-    return IndexEntry(id=eid, text=text, embedding=embedder.embed(text))
+class Reference:
+    """A VectorIndex and an independent id -> vector map, written together;
+    the map is what the brute-force search and the store checks read."""
+
+    def __init__(self, dim=64):
+        self.index = VectorIndex(dim=dim)
+        self.vectors = {}
+
+    def upsert(self, entry_id, vec):
+        self.index.upsert(entry_id, vec)
+        self.vectors[entry_id] = vec
+
+    def remove(self, entry_id):
+        self.index.remove(entry_id)
+        del self.vectors[entry_id]
 
 
-def brute_force(index_entries, query, k, theta):
-    """Independent reference: score everything, filter, sort, truncate."""
+def brute_force(vectors, query, k, theta):
+    """Independent reference over an id -> vector map: score everything,
+    filter, sort, truncate."""
     query_norm = float(np.linalg.norm(query))
     scored = [
-        (e, cosine_with_norms(query, query_norm, e.embedding, float(np.linalg.norm(e.embedding))))
-        for e in index_entries
+        (i, cosine_with_norms(query, query_norm, vec, float(np.linalg.norm(vec))))
+        for i, vec in vectors.items()
     ]
-    scored = [(e, s) for e, s in scored if s >= theta]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
+    scored = [(i, s) for i, s in scored if s >= theta]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
 
-def assert_store_consistent(index):
-    """The id-to-row map, the (entry, norm) rows and the unit rows agree."""
+def assert_store_consistent(ref):
+    """The id-to-row map, the (id, embedding, norm) rows and the unit rows
+    agree with each other and with the reference's vectors."""
+    index = ref.index
     assert sorted(index._row_of.values()) == list(range(len(index)))
+    assert sorted(index._row_of) == sorted(ref.vectors)
     for entry_id, row in index._row_of.items():
-        entry, norm = index._rows[row]
-        assert entry.id == entry_id
-        assert norm == float(np.linalg.norm(entry.embedding))
-        unit = entry.embedding / norm if norm else np.zeros(index.dim)
+        row_id, embedding, norm = index._rows[row]
+        assert row_id == entry_id
+        assert np.array_equal(embedding, ref.vectors[entry_id])
+        assert norm == float(np.linalg.norm(embedding))
+        unit = embedding / norm if norm else np.zeros(index.dim)
         assert np.array_equal(index._unit[row], unit)
 
 
 class TestVectorIndex:
     def test_upsert_is_last_write_wins(self):
+        e = HashingEmbedder()
         index = VectorIndex()
-        index.upsert(_entry("a", "banana"))
-        index.upsert(_entry("a", "apple"))
+        index.upsert("a", e.embed("banana"))
+        index.upsert("a", e.embed("apple"))
         assert len(index) == 1
-        assert index.get("a").text == "apple"
+        assert index.search(e.embed("apple"), k=2, theta=0.0) == [("a", 1.0)]
 
     def test_remove_missing_raises(self):
         with pytest.raises(NotFoundError):
@@ -112,7 +130,7 @@ class TestVectorIndex:
     def test_dim_mismatch_rejected(self):
         index = VectorIndex(dim=8)
         with pytest.raises(DimensionMismatchError):
-            index.upsert(_entry("a", "banana"))
+            index.upsert("a", HashingEmbedder().embed("banana"))
 
     def test_k_must_be_positive(self):
         index = VectorIndex()
@@ -122,66 +140,64 @@ class TestVectorIndex:
     def test_theta_filters(self):
         e = HashingEmbedder()
         index = VectorIndex()
-        index.upsert(_entry("a", "kitchen counter"))
-        index.upsert(_entry("b", "banana"))
+        index.upsert("a", e.embed("kitchen counter"))
+        index.upsert("b", e.embed("banana"))
         hits = index.search(e.embed("kitchen countertop"), k=5, theta=0.8)
-        assert [h.id for h, _ in hits] == ["a"]
+        assert [i for i, _ in hits] == ["a"]
 
     def test_tie_break_by_id(self):
         e = HashingEmbedder()
         index = VectorIndex()
-        index.upsert(_entry("b", "cup"))
-        index.upsert(_entry("a", "cup"))
+        index.upsert("b", e.embed("cup"))
+        index.upsert("a", e.embed("cup"))
         hits = index.search(e.embed("cup"), k=2, theta=0.0)
-        assert [h.id for h, _ in hits] == ["a", "b"]
+        assert [i for i, _ in hits] == ["a", "b"]
 
     @given(st.lists(texts, min_size=1, max_size=20, unique=True), texts, st.integers(1, 10))
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force_oracle(self, corpus, query, k):
         e = HashingEmbedder()
-        index = VectorIndex()
+        ref = Reference()
         for i, text in enumerate(corpus):
-            index.upsert(_entry(f"e{i}", text, e))
-        got = index.search(e.embed(query), k=k, theta=0.3)
-        want = brute_force(index.entries(), e.embed(query), k, 0.3)
-        assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
+            ref.upsert(f"e{i}", e.embed(text))
+        got = ref.index.search(e.embed(query), k=k, theta=0.3)
+        assert got == brute_force(ref.vectors, e.embed(query), k, 0.3)
 
     @given(st.lists(texts, min_size=1, max_size=12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_search_among_ids_matches_brute_force_over_them(self, corpus, data):
         e = HashingEmbedder()
-        index = VectorIndex()
+        ref = Reference()
         for i, text in enumerate(corpus + corpus[:2]):  # repeated texts tie exactly
-            index.upsert(_entry(f"e{i:02d}", text, e))
-        among = data.draw(st.sets(st.sampled_from(sorted(index._row_of))))
+            ref.upsert(f"e{i:02d}", e.embed(text))
+        among = data.draw(st.sets(st.sampled_from(sorted(ref.vectors))))
         query = e.embed(data.draw(st.sampled_from(corpus + ["kitchen counter"])))
         theta = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-        k = data.draw(st.integers(1, len(index) + 2))
-        got = index.search(query, k=k, theta=theta, among=among)
-        want = brute_force([x for x in index.entries() if x.id in among], query, k, theta)
-        assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
+        k = data.draw(st.integers(1, len(ref.index) + 2))
+        got = ref.index.search(query, k=k, theta=theta, among=among)
+        want = brute_force({i: ref.vectors[i] for i in among}, query, k, theta)
+        assert got == want
 
     def test_stored_norm_follows_overwrite_and_swap_delete(self):
-        index = VectorIndex(dim=2)
-        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([3.0, 4.0])))
-        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([2.0, 0.0])))
-        index.upsert(IndexEntry(id="b", text="b", embedding=np.array([0.0, 0.0])))
-        index.upsert(IndexEntry(id="c", text="c", embedding=np.array([0.0, 5.0])))
+        ref = Reference(dim=2)
+        ref.upsert("a", np.array([3.0, 4.0]))
+        ref.upsert("a", np.array([2.0, 0.0]))
+        ref.upsert("b", np.array([0.0, 0.0]))
+        ref.upsert("c", np.array([0.0, 5.0]))
         query = np.array([1.0, 0.0])
         want = [("a", 1.0), ("b", 0.0), ("c", 0.0)]
-        assert [(h.id, s) for h, s in index.search(query, k=3, theta=0.0)] == want
-        index.remove("a")  # "c" moves into the freed first row
-        assert_store_consistent(index)
-        assert [(h.id, s) for h, s in index.search(query, k=3, theta=0.0)] == want[1:]
-        hits = index.search(np.array([0.0, 1.0]), k=1, theta=0.8)
-        assert [(h.id, s) for h, s in hits] == [("c", 1.0)]
+        assert ref.index.search(query, k=3, theta=0.0) == want
+        ref.remove("a")  # "c" moves into the freed first row
+        assert_store_consistent(ref)
+        assert ref.index.search(query, k=3, theta=0.0) == want[1:]
+        assert ref.index.search(np.array([0.0, 1.0]), k=1, theta=0.8) == [("c", 1.0)]
 
     def test_non_finite_vectors_rejected(self):
         index = VectorIndex(dim=2)
         with pytest.raises(ValueError):
-            index.upsert(IndexEntry(id="a", text="a", embedding=np.array([np.nan, 1.0])))
+            index.upsert("a", np.array([np.nan, 1.0]))
         assert len(index) == 0
-        index.upsert(IndexEntry(id="a", text="a", embedding=np.array([1.0, 0.0])))
+        index.upsert("a", np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             index.search(np.array([np.inf, 0.0]), k=1, theta=0.0)
 
@@ -203,33 +219,33 @@ class TestVectorIndex:
                 max_size=14,
             )
         )
-        index = VectorIndex()
+        ref = Reference()
+        index = ref.index
         zero = np.zeros(index.dim)
         next_id = 0
         for op, pick, text in ops:
-            ids = [index._rows[row][0].id for row in range(len(index))]
+            ids = [index._rows[row][0] for row in range(len(index))]
             if not ids and op != "zero":
                 op = "new"
             if op == "remove_last":
-                index.remove(ids[-1])
+                ref.remove(ids[-1])
             elif op == "remove_middle":
-                index.remove(ids[pick % len(ids)])
+                ref.remove(ids[pick % len(ids)])
             elif op == "overwrite":
-                old_id = ids[pick % len(ids)]
-                index.upsert(IndexEntry(id=old_id, text=text, embedding=e.embed(text)))
+                ref.upsert(ids[pick % len(ids)], e.embed(text))
             else:
                 if op == "duplicate":  # same embedding: exact ties at every score
-                    text = index.get(ids[pick % len(ids)]).text
-                vec = zero if op == "zero" else e.embed(text)
-                index.upsert(IndexEntry(id=f"e{next_id:02d}", text=text, embedding=vec))
+                    vec = ref.vectors[ids[pick % len(ids)]]
+                else:
+                    vec = zero if op == "zero" else e.embed(text)
+                ref.upsert(f"e{next_id:02d}", vec)
                 next_id += 1
-            assert_store_consistent(index)
+            assert_store_consistent(ref)
             query = e.embed(data.draw(st.sampled_from(pool + ["kitchen counter"])))
             query = query * data.draw(st.sampled_from([1.0, 0.25, 4.0]))  # not only unit queries
-            scores = sorted({s for _, s in brute_force(index.entries(), query, len(index), -1.0)})
+            scores = sorted({s for _, s in brute_force(ref.vectors, query, len(index), -1.0)})
             thetas = [0.0, 1.0] + ([data.draw(st.sampled_from(scores))] if scores else [])
             for theta in thetas:
                 for k in range(1, len(index) + 3):
                     got = index.search(query, k=k, theta=theta)
-                    want = brute_force(index.entries(), query, k, theta)
-                    assert [(h.id, s) for h, s in got] == [(h.id, s) for h, s in want]
+                    assert got == brute_force(ref.vectors, query, k, theta)
