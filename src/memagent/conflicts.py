@@ -1,6 +1,6 @@
 """The knowledge graph's conflict policy and the three tables it is built
-from. The spatial memory reads ``DEFAULT_RULES`` and sends its tables; the
-oracle conflict detector answers with the rules of the tables it gets."""
+from. The spatial memory asks ``DEFAULT_RULES`` every conflict question and
+sends its tables; the oracle detector answers with the rules of the tables it gets."""
 
 from __future__ import annotations
 
@@ -55,17 +55,9 @@ class ConflictRules:
         state_sets: Iterable[Iterable[str]],
     ):
         pairs = [pair for pair in map(frozenset, exclusive_pairs) if len(pair) == 2]
-        self._partners = {
-            r: tuple(o for p in pairs if r in p for o in p - {r}) for pair in pairs for r in pair
-        }
         self._pairs_of = _slots_of("pair", pairs)
         self._groups_of = _slots_of("group", functional_groups)
         self._states_of = _slots_of("state", state_sets)
-
-    def exclusive_with(self, relation: str) -> Tuple[str, ...]:
-        """The relations that may not hold beside ``relation`` on one
-        subject and object."""
-        return self._partners.get(relation, ())
 
     def conflicts(self, keys: Sequence[Tuple[str, str, str]]) -> List[List[int]]:
         """The sorted index groups of the ``(subject, relation, object)``

@@ -17,7 +17,6 @@ import functools
 import json
 import logging
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -33,6 +32,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGET = 200
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_TIMEOUT_MS = 30_000
+#: The longest timeout a socket accepts: threading.TIMEOUT_MAX seconds.
+MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000
 #: Wait before the first remote retry; each later retry waits twice as long,
 #: up to RETRY_BACKOFF_MAX_S.
 RETRY_BACKOFF_S = 0.25
@@ -333,8 +334,10 @@ class GatewayConfig:
                 f"with a host, not model {self.model!r} and base_url {self.base_url!r}"
             )
         # JSON reads NaN, Infinity, 1e400 and 400-digit ints (compared exactly).
-        if not (_is_a(self.timeout_ms, int, float) and 0 < self.timeout_ms <= sys.float_info.max):
-            raise GatewayConfigError(f"timeout_ms must be finite and > 0, not {self.timeout_ms!r}")
+        if not (_is_a(self.timeout_ms, int, float) and 0 < self.timeout_ms <= MAX_TIMEOUT_MS):
+            raise GatewayConfigError(
+                f"timeout_ms must be > 0 and at most {MAX_TIMEOUT_MS:.0f}, not {self.timeout_ms!r}"
+            )
         if not _is_a(self.max_retries, int) or self.max_retries < 0:
             raise GatewayConfigError(f"max_retries must be an int >= 0, not {self.max_retries!r}")
         if not _is_a(self.budget, int) or self.budget <= 0:

@@ -105,10 +105,10 @@ def parse_goals(instruction: str) -> List[dict]:
 def _parse_line(line: str) -> Optional[Tuple[Optional[str], str, str]]:
     """The (subject, relation, object) one observation line states, names
     canonical, with subject ``None`` for the agent's own ``at`` and ``holds``;
-    ``None`` for a blank or unknown line and for ``holding: nothing``. A pure
-    function of the line, so each distinct line is parsed once per process."""
+    ``None`` for a blank, unknown or failure line and ``holding: nothing``. A
+    pure function of the line, so each distinct line is parsed once per process."""
     line = line.strip().lower()
-    if not line:
+    if not line or line.startswith("action failed:"):
         return None
     match = _AT.match(line)
     if match:

@@ -4,10 +4,11 @@ The graph holds world facts only: ``preprocessor`` keeps the agent's own
 place and held object out of the triplets it is given.
 
 New facts land in a small pending buffer (rapid response), one batch per
-observation. When a batch leaves the buffer saturated or holds a
-fast-detected conflict, the whole buffer is integrated once. A batch is
-never cut, so a query made after the call never misses the tail of an
-observation that filled the buffer.
+observation. When a batch leaves the buffer saturated, or conflicts with
+what the graph and the buffer hold for its subjects, the whole buffer is
+integrated once, so a query never reads a fact that a buffered one
+contradicts. A batch is never cut, so a query made after the call never
+misses the tail of an observation that filled the buffer.
 
 Integrate writes only what the batch changed. The changed keys are the
 batch's facts that the graph lacks or holds at an older step index
@@ -33,8 +34,8 @@ together under the caps never evict when re-added; and the restated keys
 carry their new step index before the first new key is added, so the new
 keys evict as they would after a full replace. Conflicts are those of
 ``conflicts.DEFAULT_RULES``: the detector gets its tables, the contested
-slots are the conflicts it finds among a subject's keys, and the fast
-check looks up its exclusive partners. The detector is trusted: if a
+slots are the conflicts it finds among a subject's keys, and the buffer
+integrates at once when it finds one. The detector is trusted: if a
 remote one misses a conflict, the graph keeps it until its subject next
 gains a key, and a snapshot taken meanwhile is refused on restore.
 
@@ -146,8 +147,6 @@ class SpatialMemory:
         self._in: Dict[str, Set[EdgeKey]] = {}
         self._nodes: Set[str] = set()
         self._pending: List[Triplet] = []
-        # The keys of _pending, for the fast conflict check; emptied with it.
-        self._pending_keys: Set[EdgeKey] = set()
         self._lock = threading.RLock()
 
     # -- basic views ------------------------------------------------------
@@ -180,36 +179,26 @@ class SpatialMemory:
             self._in.clear()
             self._nodes.clear()
             self._pending.clear()
-            self._pending_keys.clear()
 
     # -- rapid response phase ---------------------------------------------
 
     def buffer_triplets(self, new_triplets: Sequence[Triplet]) -> None:
         """Buffer a batch of new facts (one observation's), then integrate
-        the whole buffer once if it has reached ``buffer_capacity`` or any
-        fact of the batch fast-conflicts. Nothing reads the graph between
-        two facts of one call, so no reader sees a batch half merged, and
-        between calls the buffer holds fewer than ``buffer_capacity`` facts
-        and no fast conflict."""
+        the whole buffer once if it has reached ``buffer_capacity`` or
+        ``DEFAULT_RULES`` finds a conflict among the keys held for the
+        batch's subjects (every rule is per subject): their out-edges in the
+        graph and their buffered facts. No reader sees a batch half merged,
+        and between calls the buffer holds fewer than ``buffer_capacity``
+        facts, and no conflict with the graph or itself that a restore did
+        not install."""
         with self._lock:
-            edges, pending, pending_keys = self._edges, self._pending, self._pending_keys
-            exclusive_with = DEFAULT_RULES.exclusive_with
-            conflict = False
-            for triplet in new_triplets:
-                key = triplet.key
-                pending.append(triplet)
-                pending_keys.add(key)
-                if conflict:
-                    continue  # the batch integrates: no more lookups
-                # A fast conflict: the graph or the buffer holds a fact on
-                # the same subject and object under an exclusive relation.
-                subject, relation, obj = key
-                for partner in exclusive_with(relation):
-                    other = (subject, partner, obj)
-                    if other in edges or other in pending_keys:
-                        conflict = True
-                        break
-            if conflict or len(pending) >= self.buffer_capacity:
+            pending = self._pending
+            pending.extend(new_triplets)
+            subjects = {triplet.subject for triplet in new_triplets}
+            if len(pending) >= self.buffer_capacity or DEFAULT_RULES.conflicts(
+                [key for subject in subjects for key in self._out.get(subject, ())]
+                + [triplet.key for triplet in pending if triplet.subject in subjects]
+            ):
                 self.integrate()
 
     # -- local integration phase (the incremental update) ------------------
@@ -220,7 +209,6 @@ class SpatialMemory:
                 return
             t_new = list(self._pending)
             self._pending = []
-            self._pending_keys.clear()
             self._integrate(t_new)
 
     def _integrate(self, t_new: List[Triplet]) -> None:
@@ -411,7 +399,6 @@ class SpatialMemory:
                     self._add_edge(edge)
                 self._nodes.update(nodes)
                 self._pending = pending
-                self._pending_keys = {t.key for t in pending}
 
         return install
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -17,7 +18,6 @@ from memagent.conflicts import (
     DEFAULT_RULES,
     DEFAULT_STATE_SETS,
     DEFAULT_TABLES,
-    ConflictRules,
 )
 from memagent.core import canonical_json
 from memagent.gateway import (
@@ -413,14 +413,6 @@ class TestConflictRules:
         # A state set holds one value; holds is a group of its own; on/at/in
         # form one group, and on/in also an exclusive pair on one object.
         assert DEFAULT_RULES.conflicts(keys) == [[0, 3], [4, 5], [6, 7, 8], [6, 8]]
-
-    def test_exclusive_with_names_the_partners(self):
-        assert DEFAULT_RULES.exclusive_with("near") == ("holds",)
-        assert DEFAULT_RULES.exclusive_with("in") == ("on",)
-        assert DEFAULT_RULES.exclusive_with("at") == ()
-        rules = ConflictRules([["a", "b"], ["a", "c"], ["d", "d"]], [], [])
-        assert rules.exclusive_with("a") == ("b", "c")
-        assert rules.exclusive_with("d") == ()
 
     def test_the_default_tables_build_no_rules(self, monkeypatch):
         built = []
@@ -879,6 +871,24 @@ class TestGatewayConfig:
         )
         with pytest.raises(GatewayConfigError, match="timeout_ms"):
             GatewayConfig.from_file(str(path))
+
+    def test_timeout_above_the_socket_limit_in_file_rejected(self, tmp_path):
+        # A socket refuses a timeout above threading.TIMEOUT_MAX seconds
+        # with an OverflowError on every remote call.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backend": "remote", "remote": {
+            "base_url": "http://h", "model": "m", "timeout_ms": 1e13}}))
+        with pytest.raises(GatewayConfigError, match="timeout_ms"):
+            GatewayConfig.from_file(str(path))
+        with pytest.raises(GatewayConfigError, match="timeout_ms"):
+            GatewayConfig(timeout_ms=math.nextafter(threading.TIMEOUT_MAX * 1000, math.inf))
+
+    def test_largest_timeout_reaches_the_transport(self):
+        config = GatewayConfig(backend="remote", base_url="http://127.0.0.1:1", model="m",
+                               timeout_ms=threading.TIMEOUT_MAX * 1000, max_retries=0)
+        gateway = ReasonerGateway.from_config(config)
+        with pytest.raises(BackendUnreachableError):
+            gateway.backend.invoke(ReasonerRole.QUERY_GENERATOR, {"instruction": "x"})
 
     def test_config_error_is_a_value_error(self):
         assert issubclass(GatewayConfigError, ValueError)

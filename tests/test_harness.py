@@ -472,8 +472,8 @@ class TestGoldenTrajectories:
 #: of the same runs, in call order: what each module asked and was told, so a
 #: change that only moves work around must leave it as it is.
 GOLDEN_CALLS_SHA256 = {
-    3: "8041d6e48504165cad1520a362faea201a5fa71c03260dc6332356460c17a890",
-    11: "3b1da9a5c79bb3e0229085a8c3c5b78eafa39eb8a81119e6b78143542b1beb47",
+    3: "6cc395694750f0093428cf9de46d766cb98f97cd5f099c8f0a39c861e97008b3",
+    11: "52fa8748104f8dd8d064a849658f76ac94b14e8afecf5c70cdca4f044962cbac",
 }
 
 

@@ -58,6 +58,10 @@ class TestTripletExtraction:
             (), None, None, []
         )
 
+    def test_a_failure_line_states_no_fact(self):
+        # The reason may read like a state line; it names no object.
+        assert parse_observation(obs("action failed: oven is closed")) == ((), None, None, [])
+
     def test_step_index_propagates(self):
         (t,), *_ = parse_observation(obs("you are at sink\nyou see cup on sink", step=7))
         assert t.step_index == 7
@@ -85,7 +89,7 @@ def reference_parse(observation):
     step = observation.step_index
     for raw_line in observation.text.splitlines():
         line = raw_line.strip().lower()
-        if not line:
+        if not line or line.startswith("action failed:"):
             continue
         match = _AT.match(line)
         if match:
@@ -130,7 +134,8 @@ def assert_parses_like_reference(observation):
 _LINE_NAMES = ["cup", "Red  Cup", "sink", " dining table ", "nothing", "Nothing",
                "is", "on", "you see cup", "drawer 1", "open"]
 _generated_lines = st.one_of(
-    st.sampled_from(["", "   ", "???", "action failed: target not found", "you are at",
+    st.sampled_from(["", "   ", "???", "action failed: target not found",
+                     "action failed: oven is closed", "you are at",
                      "you see cup on", "holding:", "holding: nothing", "HOLDING: nothing",
                      "cup is", "cup is broken", "you see   on table"]),
     st.builds("you are at {}".format, st.sampled_from(_LINE_NAMES)),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memagent import harness, oracle, spatial, vector_index
-from memagent.envsim import builtin_suite_path, load_suite
+from memagent.envsim import Environment, builtin_suite_path, load_suite
 from memagent.orchestrator import MemoryOrchestrator
 from memagent.preprocessor import Preprocessor, parse_observation
 from memagent.spatial import (
@@ -24,7 +24,7 @@ from memagent.spatial import (
     Triplet,
     khop_bound,
 )
-from memagent.conflicts import DEFAULT_EXCLUSIVE_PAIRS, DEFAULT_TABLES
+from memagent.conflicts import DEFAULT_RULES, DEFAULT_TABLES
 from memagent.core import InvariantError, canonical_json, canonical_name, from_doc, to_doc
 from memagent.gateway import ReasonerGateway, ReasonerRole
 
@@ -275,7 +275,7 @@ class TestBuffer:
         assert mem.pending() == []
         assert len(mem.edges()) == DEFAULT_BUFFER_CAPACITY
 
-    def test_fast_conflict_triggers_immediate_integration(self):
+    def test_near_then_holds_integrates_at_once(self):
         mem = make_memory()
         mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=1)])
         assert len(mem.pending()) == 1
@@ -285,16 +285,30 @@ class TestBuffer:
         assert ("agent", "holds", "cup") in keys
         assert ("agent", "near", "cup") not in keys
 
-    def test_fast_conflict_looks_up_the_graph_and_the_buffer(self):
+    def test_a_location_conflict_with_the_graph_integrates_at_once(self):
         mem = make_memory()
         mem.buffer_triplets([Triplet("cup", "on", "table", step_index=1)])
         mem.integrate()
-        # "near" is not exclusive with "on", and "in" names another object.
-        mem.buffer_triplets([Triplet("cup", "near", "table", step_index=2),
-                             Triplet("cup", "in", "drawer", step_index=2)])
+        # A fact of another subject, and one of no state set, wait.
+        mem.buffer_triplets([Triplet("fork", "in", "drawer", step_index=2),
+                             Triplet("cup", "is", "heated", step_index=2)])
         assert len(mem.pending()) == 2
-        mem.buffer_triplets([Triplet("cup", "in", "table", step_index=3)])
+        # One object per location group: the cup is in the drawer or on the
+        # table, not both.
+        mem.buffer_triplets([Triplet("cup", "in", "drawer", step_index=3)])
         assert mem.pending() == []
+        assert {e.key for e in mem.edges()} == {
+            ("cup", "in", "drawer"), ("cup", "is", "heated"), ("fork", "in", "drawer")}
+
+    def test_a_state_conflict_with_the_buffer_integrates_at_once(self):
+        mem = make_memory()
+        # Two state sets: a door state and a power state do not conflict.
+        mem.buffer_triplets([Triplet("oven", "is", "closed", step_index=1),
+                             Triplet("oven", "is", "on", step_index=1)])
+        assert len(mem.pending()) == 2
+        mem.buffer_triplets([Triplet("oven", "is", "off", step_index=2)])
+        assert mem.pending() == []
+        assert {e.key for e in mem.edges()} == {("oven", "is", "closed"), ("oven", "is", "off")}
 
     def test_explicit_integrate_flushes(self):
         mem = make_memory()
@@ -462,7 +476,8 @@ class TestConflictScope:
         mem.buffer_triplets([Triplet("oven", "is", "open", step_index=5)])
         mem.integrate()
         assert sent[-1] == [("oven", "is", "closed"), ("oven", "is", "open")]
-        # An exclusive pair of relations on one object (a fast conflict).
+        # An exclusive pair of relations on one object; a batch that holds
+        # a conflict integrates at once.
         mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=6),
                              Triplet("agent", "holds", "cup", step_index=7)])
         assert sent[-1] == [("agent", "holds", "cup"), ("agent", "near", "cup")]
@@ -709,24 +724,28 @@ class TestIncidentIndex:
             check_index(mem, k)
 
 
-#: For each relation, the relations the detector holds exclusive with it on
-#: one subject and object.
-_PARTNERS = {r: [o for pair in DEFAULT_EXCLUSIVE_PAIRS if r in pair for o in pair if o != r]
-             for pair in DEFAULT_EXCLUSIVE_PAIRS for r in pair}
+def conflicting(mem, pending=None):
+    """Whether the graph and the buffer (or ``pending``) together hold a
+    conflict of ``DEFAULT_RULES``, by one scan over all their keys."""
+    pending = mem._pending if pending is None else pending
+    return bool(DEFAULT_RULES.conflicts(sorted(set(mem._edges) | {t.key for t in pending})))
 
 
-def fast_conflict(mem, triplet, pending_keys):
-    """Whether the graph or ``pending_keys`` holds a fact on the triplet's
-    subject and object under a relation exclusive with its own, by a scan."""
-    keys = [(triplet.subject, partner, triplet.object)
-            for partner in _PARTNERS.get(triplet.relation, ())]
-    return any(key in mem._edges or key in pending_keys for key in keys)
+_slot_operations = st.lists(
+    st.one_of(
+        st.lists(_slot_triplets, min_size=1, max_size=4),
+        st.sampled_from(["integrate", "snapshot", "restore", "clear"]),
+    ),
+    max_size=20,
+)
 
 
-class TestPendingKeys:
-    @settings(max_examples=100, deadline=None)
-    @given(operations=_operations, buffer=st.integers(min_value=1, max_value=6))
-    def test_fast_conflict_matches_a_scan_of_the_buffer(self, operations, buffer):
+class TestConflictTrigger:
+    @settings(max_examples=150, deadline=None)
+    @given(operations=_slot_operations, buffer=st.integers(min_value=1, max_value=6))
+    def test_integrates_when_full_or_on_a_conflict_anywhere(self, operations, buffer):
+        # The buffer looks only at the keys of the batch's subjects; a scan
+        # of every key of the graph and the buffer must agree with it.
         mem = make_memory(buffer_capacity=buffer)
         saved = mem.snapshot()
         for op in operations:
@@ -739,17 +758,12 @@ class TestPendingKeys:
             elif op == "clear":
                 mem.clear()
             else:
-                # Each fact is checked against the graph and the buffer as
-                # they are when it is buffered, its batch's earlier facts too.
-                pending = [t.key for t in mem._pending]
-                conflict = False
-                for triplet in op:
-                    pending.append(triplet.key)
-                    conflict = conflict or fast_conflict(mem, triplet, pending)
+                pending = mem.pending() + op
+                conflict = conflicting(mem, pending)
                 with spy_integrate() as integrate:
                     mem.buffer_triplets(op)
                 assert integrate.call_count == (conflict or len(pending) >= buffer)
-            assert mem._pending_keys == {t.key for t in mem._pending}
+            assert not conflicting(mem)
 
 
 def spy_integrate():
@@ -777,7 +791,7 @@ class TestBatchIntegrate:
         assert integrate.call_count == 1
 
     @pytest.mark.parametrize("position", [0, 1, 3])
-    def test_fast_conflict_anywhere_integrates_whole_batch(self, position):
+    def test_conflict_anywhere_integrates_whole_batch(self, position):
         mem = make_memory(buffer_capacity=8)
         mem.buffer_triplets([Triplet("agent", "near", "cup", step_index=1)])
         mem.integrate()
@@ -805,8 +819,7 @@ class TestBatchIntegrate:
             assert integrate.call_count <= 1
             pending = mem.pending()
             assert len(pending) < capacity
-            keys = {t.key for t in pending}
-            assert not any(fast_conflict(mem, t, keys) for t in pending)
+            assert not conflicting(mem)
 
     def test_seed_3_suite_integrates_at_most_once_per_observation(self):
         with spy_integrate() as integrate, mock.patch.object(
@@ -1555,3 +1568,50 @@ class TestPureQuery:
             apply_region_operation(mem, op, saved)
             if isinstance(op, tuple) and op[0] == "query":
                 assert mem.snapshot() == before
+
+
+#: The field of the world's object state that each state-set value of an
+#: ``is`` fact is checked against.
+_STATE_FIELDS = {"open": "open_state", "closed": "open_state", "on": "power", "off": "power"}
+
+
+class TestWorldAudit:
+    """Every fact a gather reads agrees with the simulator's world as it is
+    at that gather."""
+
+    def test_gathers_read_no_wrong_fact(self):
+        envs, wrong = [], []
+        checked = {"location": 0, "state": 0}
+        reset, gather = Environment.reset, MemoryOrchestrator.gather_context
+
+        def recording_reset(env, *args, **kwargs):
+            envs.append(env)
+            return reset(env, *args, **kwargs)
+
+        def audited_gather(orchestrator, entities):
+            context = gather(orchestrator, entities)
+            world = envs[-1].world_snapshot()
+            for fact in context.spatial:
+                state = world["objects"].get(fact.subject, {})
+                if fact.relation in ("on", "in"):
+                    checked["location"] += 1
+                    # A held object keeps its last place (ROADMAP item 9,
+                    # cause 1): 1,226 such facts per mode over these runs.
+                    right = state.get("location") == fact.object or fact.subject == world["held"]
+                elif fact.relation == "is" and fact.object in _STATE_FIELDS:
+                    checked["state"] += 1
+                    right = state.get(_STATE_FIELDS[fact.object]) == fact.object
+                else:
+                    right = True
+                if not right:
+                    wrong.append((seed, parallel, fact.key))
+            return context
+
+        with mock.patch.object(Environment, "reset", recording_reset), mock.patch.object(
+            MemoryOrchestrator, "gather_context", audited_gather
+        ):
+            for seed in range(10):
+                for parallel in (True, False):
+                    harness.run_suite(seed=seed, passes=2, failure_p=0.1, parallel=parallel)
+        assert wrong == []
+        assert checked["location"] > 10_000 and checked["state"] > 1_000
